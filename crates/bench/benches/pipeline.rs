@@ -6,7 +6,7 @@
 //!   `EventCollector`, build an `AnnotatedTrace`, replay it through the
 //!   batch `Engine`.
 //! * `streaming/*` — the single-pass shape: a `Session` feeds one shared
-//!   detector into a `StreamEngine` as the program executes.
+//!   detector into a one-lane `EngineGrid` as the program executes.
 //! * `*_grid/*` — the experiment-harness case: all 20 (policy × TU)
 //!   engine configurations, either replayed from the materialized trace
 //!   or fanned out in the single streaming pass.
@@ -26,8 +26,6 @@
 //! * `cpu_only/*` vs `cpu_only_legacy/*` — raw interpreter throughput
 //!   into a null sink: the pre-decoded threaded-code front-end against
 //!   the legacy fetch/decode loop (gated: decoded must stay faster).
-//! * `parallel_grid/*` — the 20-lane pass with the grid split across
-//!   `ParallelSinkSet` worker threads (informational).
 
 use loopspec_bench::experiments::{
     grid_points, run_engine, PolicyKind, FIG5_PREFIX_FRACTION, TU_COUNTS,
@@ -37,14 +35,21 @@ use loopspec_core::EventCollector;
 use loopspec_cpu::{Cpu, DecodedProgram, NullTracer, RunLimits};
 use loopspec_mt::{
     ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, AnnotatedTrace, EngineGrid,
-    IterationCountLog, StrPolicy, StreamEngine,
+    IterationCountLog,
 };
-use loopspec_pipeline::{ParallelSinkSet, Session, ShardedRun};
+use loopspec_pipeline::{Session, ShardedRun};
 use loopspec_workloads::{by_name, Scale};
 
 /// Shard count for the `sharded_grid` and `dist_grid` benchmarks (and
 /// their gate metrics).
 const SHARDS: usize = 4;
+
+/// A one-lane grid: STR at 4 TUs, the single-engine streaming case.
+fn str4_grid() -> EngineGrid {
+    let mut grid = EngineGrid::new();
+    grid.push_str(4);
+    grid
+}
 
 /// Worker count for the `dist_grid` benchmark.
 #[cfg(unix)]
@@ -218,14 +223,14 @@ fn main() {
 
         s.bench(
             "streaming",
-            &format!("session+stream_engine/{name}"),
+            &format!("session+one-lane-grid/{name}"),
             Some(instructions),
             || {
-                let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+                let mut grid = str4_grid();
                 let mut session = Session::new();
-                session.observe_loops(&mut engine);
+                session.observe_loops(&mut grid);
                 session.run(&program, RunLimits::default()).expect("runs");
-                std::hint::black_box(engine.report().expect("finished").tpc())
+                std::hint::black_box(grid.report(0).expect("finished").tpc())
             },
         );
 
@@ -267,45 +272,6 @@ fn main() {
                     .expect("finished")
                     .iter()
                     .map(|r| r.tpc())
-                    .sum();
-                std::hint::black_box(acc)
-            },
-        );
-
-        // The same 20-lane pass with the grid split into 4 engine-lane
-        // subsets, each owned by a `ParallelSinkSet` worker thread: the
-        // CPU/detector pass stays on this thread while the per-event
-        // engine work runs on 4 cores. Informational (thread spawn +
-        // channel overhead make it workload-size sensitive); results
-        // are bit-identical to `streaming_grid` by construction.
-        s.bench(
-            "parallel_grid",
-            &format!("4-workers-20-lanes/{name}"),
-            Some(instructions),
-            || {
-                let points: Vec<_> = grid_points().collect();
-                let mut pool: ParallelSinkSet<EngineGrid> = points
-                    .chunks(5)
-                    .map(|subset| {
-                        let mut grid = EngineGrid::new();
-                        for &(p, tus) in subset {
-                            p.add_to_grid(&mut grid, tus);
-                        }
-                        grid
-                    })
-                    .collect();
-                let mut session = Session::new();
-                session.observe_loops(&mut pool);
-                session.run(&program, RunLimits::default()).expect("runs");
-                let acc: f64 = pool
-                    .with_each(|_, grid| {
-                        grid.reports()
-                            .expect("finished")
-                            .iter()
-                            .map(|r| r.tpc())
-                            .sum::<f64>()
-                    })
-                    .into_iter()
                     .sum();
                 std::hint::black_box(acc)
             },
@@ -420,8 +386,8 @@ fn main() {
 
     // `Scale::Huge` through the kernel-backed tier: one pure-register
     // kernel workload (~0.8 G retired instructions) measured raw
-    // (decoded interpreter into a null tracer), streaming (one
-    // Str/4-TU engine fed by a `Session`), and distributed (2 workers,
+    // (decoded interpreter into a null tracer), streaming (a one-lane
+    // Str/4-TU grid fed by a `Session`), and distributed (2 workers,
     // 50 M-instruction shards, the same single lane). Single-sample
     // (`bench_heavy`): each call is tens of seconds, so the standard
     // calibrate-then-sample protocol would cost minutes per entry.
@@ -455,11 +421,11 @@ fn main() {
             &format!("streaming/{name}"),
             Some(retired),
             || {
-                let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+                let mut grid = str4_grid();
                 let mut session = Session::new();
-                session.observe_loops(&mut engine);
+                session.observe_loops(&mut grid);
                 session.run(&program, limits).expect("runs");
-                std::hint::black_box(engine.report().expect("finished").tpc())
+                std::hint::black_box(grid.report(0).expect("finished").tpc())
             },
         );
 

@@ -4,8 +4,7 @@ use loopspec_core::{Cls, EventCollector, LoopStatsReport, Replacement, TableHitS
 use loopspec_cpu::{Cpu, RunLimits};
 use loopspec_dataspec::DataSpecReport;
 use loopspec_mt::{
-    AnnotatedTrace, AnyStreamEngine, Engine, EngineGrid, EngineReport, EngineSink, IdlePolicy,
-    StrNestedPolicy, StrPolicy, StreamEngine,
+    AnnotatedTrace, Engine, EngineGrid, EngineReport, IdlePolicy, StrNestedPolicy, StrPolicy,
 };
 use loopspec_workloads::{PaperRow, Scale, Workload};
 
@@ -48,30 +47,6 @@ impl PolicyKind {
             PolicyKind::StrNested(2) => "STR(2)",
             PolicyKind::StrNested(3) => "STR(3)",
             PolicyKind::StrNested(_) => "STR(i)",
-        }
-    }
-
-    /// Boxes a streaming engine for this policy, ready to register in a
-    /// [`loopspec_pipeline::Session`]. For the full experiment grid,
-    /// prefer [`PolicyKind::add_to_grid`] — an [`EngineGrid`] shares
-    /// the annotation bookkeeping across all configurations.
-    pub fn stream_engine(self, tus: usize) -> Box<dyn EngineSink + Send> {
-        match self {
-            PolicyKind::Idle => Box::new(StreamEngine::new(IdlePolicy::new(), tus)),
-            PolicyKind::Str => Box::new(StreamEngine::new(StrPolicy::new(), tus)),
-            PolicyKind::StrNested(i) => Box::new(StreamEngine::new(StrNestedPolicy::new(i), tus)),
-        }
-    }
-
-    /// A monomorphized streaming engine for this policy, for
-    /// independent-sink fan-out
-    /// ([`loopspec_pipeline::SinkSet`]`<AnyStreamEngine>`); the grid
-    /// itself uses [`PolicyKind::add_to_grid`].
-    pub fn any_engine(self, tus: usize) -> AnyStreamEngine {
-        match self {
-            PolicyKind::Idle => AnyStreamEngine::idle(tus),
-            PolicyKind::Str => AnyStreamEngine::str(tus),
-            PolicyKind::StrNested(i) => AnyStreamEngine::str_nested(i, tus),
         }
     }
 

@@ -10,7 +10,8 @@
 //!   materialize the stream (the legacy collect-then-replay path);
 //! * [`LoopStats`](crate::LoopStats) and
 //!   [`TableHitSim`](crate::TableHitSim) — incremental statistics;
-//! * `loopspec_mt::StreamEngine` — the single-pass speculation engine;
+//! * `loopspec_mt::EngineGrid` — the single-pass speculation engines,
+//!   one lane per (policy × TU-count) configuration;
 //! * `loopspec_dataspec::LiveInProfiler` — live-in value profiling;
 //! * fan-out combinators (tuples up to arity 8, `&mut S`) so one
 //!   detector can feed many analyses in the same pass.

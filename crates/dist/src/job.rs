@@ -39,9 +39,9 @@ use crate::wire::{load_scale, load_str, save_scale, save_str, LaneSpec};
 
 /// Why a [`JobSpec`] failed admission ([`JobSpec::validate`]).
 ///
-/// Lane errors come straight from the streaming layer's own
-/// constructor ([`loopspec_mt::validate_tus`]), so a bad TU count is
-/// reported with exactly the text `StreamEngine::try_new` would use;
+/// Lane errors come straight from the grid's own TU-range check
+/// ([`loopspec_mt::validate_tus`]), so a bad TU count is reported with
+/// exactly the text an `EngineGrid` lane constructor panics with;
 /// everything else is a codec-style [`SnapError`]. Display forwards
 /// the inner message verbatim either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -493,11 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_tu_rejection_text_matches_the_stream_engine() {
+    fn bad_tu_rejection_text_matches_the_engine_grid() {
         // The same bad TU count must read identically whether it is
-        // rejected at job admission or by the engine constructor.
+        // rejected at job admission or by the grid's TU-range check.
         let admission = JobSpec::new("compress").tus([1]).validate().unwrap_err();
-        let engine = loopspec_mt::StreamEngine::try_new(loopspec_mt::IdlePolicy, 1).unwrap_err();
+        let engine = loopspec_mt::validate_tus(1).unwrap_err();
         assert_eq!(admission.to_string(), engine.to_string());
         assert_eq!(admission.to_string(), "num_tus must be in 2..=4096 (got 1)");
     }

@@ -95,10 +95,9 @@ impl LaneSpec {
     /// a worker can reject a malformed job with a [`Frame::Error`]
     /// instead of dying.
     pub fn validate(&self) -> Result<(), StreamError> {
-        // Route through the streaming layer's single TU-range
-        // constructor so admission control and
-        // `StreamEngine::try_new` reject the same input with the same
-        // message.
+        // Route through the grid's single TU-range check so admission
+        // control and `EngineGrid`'s lane constructors reject the same
+        // input with the same message.
         loopspec_mt::validate_tus(self.tus() as usize)
     }
 

@@ -22,9 +22,10 @@
 //! * [`Engine`] — the batch driver: replays a fully built
 //!   [`AnnotatedTrace`] (required for oracle policies, which consult
 //!   future iteration counts);
-//! * [`StreamEngine`](crate::StreamEngine) — the streaming driver:
-//!   consumes raw `LoopEvent`s as the detector emits them, buffering only
-//!   a bounded run-ahead window.
+//! * [`EngineGrid`](crate::EngineGrid) — the streaming driver: consumes
+//!   raw `LoopEvent`s as the detector emits them for any number of
+//!   (policy × TU-count) lanes, buffering only a bounded run-ahead
+//!   window.
 
 use std::collections::BTreeSet;
 
@@ -293,14 +294,12 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     /// Serializes the decision-machine state: the current thread's
     /// timing cursor, every live speculative segment, per-execution
     /// speculation bookkeeping, the open-execution stack, the iteration
-    /// predictor (LET), the statistics counters, and the policy's
-    /// mutable state. Map contents are written sorted by key so equal
-    /// state yields equal bytes. The configuration (TU count, nesting
+    /// predictor (LET) and the statistics counters. Policies are
+    /// reconstructed by the owner, not serialized: every policy a grid
+    /// lane runs is stateless. Map contents are written sorted by key so
+    /// equal state yields equal bytes. The configuration (TU count, nesting
     /// limit) is echoed for verification at load time.
-    pub(crate) fn save_state(&self, out: &mut loopspec_core::snap::Enc)
-    where
-        P: crate::policy::PolicySnapshot,
-    {
+    pub(crate) fn save_state(&self, out: &mut loopspec_core::snap::Enc) {
         out.u64(self.total_tus);
         out.u64(self.tus_label.map_or(u64::MAX, |t| t as u64));
         out.u32(self.nesting_limit.map_or(u32::MAX, |l| l));
@@ -343,7 +342,6 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         out.u64(self.stats.squashed_policy);
         out.u64(self.stats.squashed_stale);
         out.u64(self.stats.instr_to_outcome_sum);
-        self.policy.save_policy_state(out);
     }
 
     /// Restores state written by [`EngineCore::save_state`] into a core
@@ -351,10 +349,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     pub(crate) fn load_state(
         &mut self,
         src: &mut loopspec_core::snap::Dec<'_>,
-    ) -> Result<(), loopspec_core::snap::SnapError>
-    where
-        P: crate::policy::PolicySnapshot,
-    {
+    ) -> Result<(), loopspec_core::snap::SnapError> {
         use loopspec_core::snap::SnapError;
         if src.u64()? != self.total_tus {
             return Err(SnapError::Mismatch { what: "TU count" });
@@ -420,7 +415,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
             squashed_stale: src.u64()?,
             instr_to_outcome_sum: src.u64()?,
         };
-        self.policy.load_policy_state(src)
+        Ok(())
     }
 
     /// Produces the report once the stream has ended.
@@ -534,8 +529,8 @@ impl<P: SpeculationPolicy> EngineCore<P> {
 /// re-created cheaply for policy/TU sweeps. See the
 /// [crate docs](crate) for an end-to-end example and the module docs for
 /// the timing model. For single-pass processing without a materialized
-/// trace, use [`StreamEngine`](crate::StreamEngine) — both drivers
-/// produce identical reports for history-based policies.
+/// trace, use [`EngineGrid`](crate::EngineGrid) — both drivers
+/// produce identical reports.
 #[derive(Debug)]
 pub struct Engine<'a, P> {
     trace: &'a AnnotatedTrace,

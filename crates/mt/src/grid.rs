@@ -1,41 +1,434 @@
-//! Shared-annotation streaming for a whole grid of engine
-//! configurations.
+//! The streaming engine driver: single-pass speculation for a whole
+//! grid of engine configurations, with O(live-loops + run-ahead window)
+//! memory.
 //!
-//! The experiment harness evaluates every (policy × TU-count)
-//! combination over the *same* loop-event stream. Running N independent
-//! [`StreamEngine`](crate::StreamEngine)s works, but each one repeats
-//! identical annotation bookkeeping — execution ordinals, per-execution
-//! iteration-start windows, the pending boundary-event queue — so the
-//! fan-out pays that cost N times per event.
+//! [`EngineGrid`] consumes raw [`LoopEvent`]s exactly as the CLS emits
+//! them — no [`AnnotatedTrace`](crate::AnnotatedTrace), no `Vec` of the
+//! whole run — and produces one [`EngineReport`] per configured lane,
+//! each **bit-identical** to the batch [`Engine`](crate::Engine) with
+//! the same policy and TU count. This is the shape of the paper's
+//! hardware: the speculation logic watches the committed stream once
+//! and decides on the fly. A one-lane grid is the single-engine case.
 //!
-//! [`EngineGrid`] factors the annotation out: one shared ingest pass per
-//! event chunk builds a single queue of annotated boundary events, and
-//! each engine configuration becomes a **lane** — an
-//! [`EngineCore`](crate::Engine) plus a cursor into the shared queue.
-//! Lanes advance independently because the speculation *timing* differs
-//! per configuration: a lane may not consume an iteration event until
-//! the stream frontier passes *its own*
-//! `iter_start_horizon` for it. Entries are dropped once the slowest
-//! lane has passed them, so retention stays O(live nesting + slowest
-//! lane's run-ahead window + one chunk), exactly like the single-engine
-//! driver.
+//! One shared ingest pass per event chunk (the [`Annotator`]) builds a
+//! single queue of annotated boundary events, and each engine
+//! configuration becomes a **lane** — an
+//! [`EngineCore`](crate::Engine) plus a cursor into the shared queue —
+//! so the annotation bookkeeping is paid once, not once per lane.
 //!
-//! Reports are **bit-identical** to both the batch
-//! [`Engine`](crate::Engine) and per-event
-//! [`StreamEngine`](crate::StreamEngine) delivery: a lane consults
-//! iteration-start positions only below its horizon, and every position
-//! below the horizon is known by the time the gate opens — the
+//! ## Why a bounded buffer is needed at all
+//!
+//! One decision consults the *near future*: when a burst is launched,
+//! the engine skips iterations whose start the current thread's
+//! speculative run-ahead has already executed (they would be discarded
+//! as stale at verification). The run-ahead extends at most
+//! `horizon - pos` instructions past the current position — the
+//! distance the verified thread ran ahead, bounded by one iteration
+//! body. A lane therefore may not consume an iteration event until the
+//! stream frontier passes *its own* `iter_start_horizon` for it; lanes
+//! advance independently because the speculation timing differs per
+//! configuration. Entries are dropped once the slowest lane has passed
+//! them, so retention stays O(live nesting + slowest lane's run-ahead
+//! window + one chunk), never O(trace) — the `bounded_memory` suite
+//! pins this down.
+//!
+//! Chunked delivery is bit-identical to per-event delivery: a lane
+//! consults iteration-start positions only below its horizon, and every
+//! position below the horizon is known by the time the gate opens — the
 //! `streaming_equivalence` and `chunked_equivalence` suites enforce
 //! this.
 
 use std::collections::VecDeque;
+use std::fmt;
 
+use loopspec_core::snap::{Dec, Enc, SnapError};
 use loopspec_core::{LoopEvent, LoopEventSink, LoopId};
 
 use crate::engine::{EngineCore, EngineReport};
 use crate::oracle::OracleFeed;
 use crate::policy::{IdlePolicy, OraclePolicy, StrNestedPolicy, StrPolicy};
-use crate::stream::{check_tus, Annotator, ExecAnn, Pending};
+
+/// Why a lane configuration was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamError {
+    /// The TU count is outside the supported `2..=4096` range.
+    BadTus {
+        /// The rejected count.
+        got: usize,
+    },
+}
+
+impl fmt::Display for StreamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamError::BadTus { got } => {
+                write!(f, "num_tus must be in 2..=4096 (got {got})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StreamError {}
+
+/// Validates a finite TU count — the single source of the supported
+/// range and of the [`StreamError::BadTus`] error, shared by the
+/// grid's lane constructors and by the `dist` layer's job admission, so
+/// a bad TU count reads identically wherever it is rejected.
+pub fn validate_tus(num_tus: usize) -> Result<(), StreamError> {
+    if (2..=4096).contains(&num_tus) {
+        Ok(())
+    } else {
+        Err(StreamError::BadTus { got: num_tus })
+    }
+}
+
+/// Panicking form of [`validate_tus`] for the lane constructors.
+///
+/// # Panics
+///
+/// Panics unless `2 <= num_tus <= 4096`.
+fn check_tus(num_tus: usize) {
+    if let Err(e) = validate_tus(num_tus) {
+        panic!("{e}");
+    }
+}
+
+/// Incremental annotation of one live (or end-pending) loop execution —
+/// the streaming replacement for [`ExecInfo`](crate::ExecInfo).
+#[derive(Debug)]
+struct ExecAnn {
+    loop_id: LoopId,
+    /// Known iteration starts `(iter, pos)` some lane may still consult —
+    /// the lookahead the spawn decision reads. Pruned once every lane has
+    /// passed them, so it holds the run-ahead window, not the
+    /// execution's history.
+    iters: VecDeque<(u32, u64)>,
+    /// Highest iteration index observed (1 before any detected start, as
+    /// the first iteration is undetectable).
+    last_iter: u32,
+    /// The end event has been observed (all iteration starts are known).
+    ended: bool,
+}
+
+/// Per-execution annotations in a dense slab keyed by execution
+/// ordinal.
+///
+/// Execution ordinals are assigned in detection order, so new entries
+/// always append; entries die when their end event is delivered, in
+/// roughly stack order, so the slab stays as small as the live window.
+/// This is the lane pass's hottest lookup (twice per iteration event
+/// per lane) — an index subtraction instead of a `HashMap` probe.
+#[derive(Debug, Default)]
+struct ExecSlab {
+    /// Ordinal of `slots[0]`.
+    base: u32,
+    slots: VecDeque<Option<ExecAnn>>,
+    live: usize,
+}
+
+impl ExecSlab {
+    /// Appends the annotation for the next execution ordinal.
+    fn push(&mut self, ann: ExecAnn) {
+        self.slots.push_back(Some(ann));
+        self.live += 1;
+    }
+
+    /// The slab as `(base_ordinal, contiguous_slots)` — the lane pass
+    /// indexes a plain slice instead of paying the ring-buffer wrap check
+    /// per access.
+    fn contiguous(&mut self) -> (u32, &[Option<ExecAnn>]) {
+        (self.base, self.slots.make_contiguous())
+    }
+
+    #[inline]
+    fn get_mut(&mut self, exec: u32) -> Option<&mut ExecAnn> {
+        let i = exec.checked_sub(self.base)? as usize;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    fn remove(&mut self, exec: u32) -> Option<ExecAnn> {
+        let i = exec.checked_sub(self.base)? as usize;
+        let ann = self.slots.get_mut(i)?.take();
+        if ann.is_some() {
+            self.live -= 1;
+        }
+        // Reclaim the dead prefix so `slots` tracks the live window.
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        ann
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+}
+
+/// A buffered boundary event awaiting delivery to the engine core.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    Start {
+        exec: u32,
+    },
+    Iter {
+        exec: u32,
+        iter: u32,
+        pos: u64,
+    },
+    End {
+        exec: u32,
+        pos: u64,
+        closed: bool,
+        iterations: u32,
+    },
+}
+
+/// Appends one [`Pending`] entry (tag byte + fields).
+fn write_pending(out: &mut Enc, p: &Pending) {
+    match *p {
+        Pending::Start { exec } => {
+            out.u8(0);
+            out.u32(exec);
+        }
+        Pending::Iter { exec, iter, pos } => {
+            out.u8(1);
+            out.u32(exec);
+            out.u32(iter);
+            out.u64(pos);
+        }
+        Pending::End {
+            exec,
+            pos,
+            closed,
+            iterations,
+        } => {
+            out.u8(2);
+            out.u32(exec);
+            out.u64(pos);
+            out.bool(closed);
+            out.u32(iterations);
+        }
+    }
+}
+
+/// Reads one [`Pending`] entry written by [`write_pending`].
+fn read_pending(src: &mut Dec<'_>) -> Result<Pending, SnapError> {
+    Ok(match src.u8()? {
+        0 => Pending::Start { exec: src.u32()? },
+        1 => Pending::Iter {
+            exec: src.u32()?,
+            iter: src.u32()?,
+            pos: src.u64()?,
+        },
+        2 => Pending::End {
+            exec: src.u32()?,
+            pos: src.u64()?,
+            closed: src.bool()?,
+            iterations: src.u32()?,
+        },
+        _ => {
+            return Err(SnapError::Corrupt {
+                what: "pending entry tag",
+            })
+        }
+    })
+}
+
+/// The streaming annotator: turns raw [`LoopEvent`]s into the
+/// [`Pending`] boundary entries an [`EngineCore`] consumes, assigning
+/// dense execution ordinals in detection order and maintaining the
+/// per-execution iteration-start windows.
+///
+/// This is the **single copy** of the annotation rules: every lane of an
+/// [`EngineGrid`] reads the entries it produces, so lanes differ only in
+/// when they *consume* an entry, never in how the stream is annotated.
+#[derive(Debug, Default)]
+struct Annotator {
+    /// Loop id → ordinal of its open execution. At most the CLS nesting
+    /// depth entries (16 in the paper), so a linear scan beats any
+    /// hash.
+    open_by_loop: Vec<(LoopId, u32)>,
+    /// Per-execution annotation, alive until every lane has consumed its
+    /// end entry.
+    execs: ExecSlab,
+    next_exec: u32,
+    /// Highest event position observed; all events at positions `<`
+    /// frontier are known.
+    frontier: u64,
+    /// Iteration starts currently retained across all windows (the grid
+    /// decrements as it prunes).
+    buffered_iters: usize,
+    /// Total loop events observed.
+    events_seen: u64,
+}
+
+impl Annotator {
+    /// Annotates one event, appending boundary entries to `out`.
+    fn ingest(&mut self, ev: &LoopEvent, out: &mut VecDeque<Pending>) {
+        self.events_seen += 1;
+        debug_assert!(ev.pos() >= self.frontier, "event positions regressed");
+        self.frontier = ev.pos();
+        match *ev {
+            LoopEvent::ExecutionStart { loop_id, .. } => {
+                let exec = self.next_exec;
+                self.next_exec += 1;
+                debug_assert!(
+                    self.open_by_loop.iter().all(|&(l, _)| l != loop_id),
+                    "loop {loop_id} already open"
+                );
+                self.open_by_loop.push((loop_id, exec));
+                self.execs.push(ExecAnn {
+                    loop_id,
+                    iters: VecDeque::new(),
+                    last_iter: 1,
+                    ended: false,
+                });
+                out.push_back(Pending::Start { exec });
+            }
+            LoopEvent::IterationStart { loop_id, iter, pos } => {
+                // Iterations of evicted executions are ignored, exactly
+                // like the batch annotator.
+                if let Some(&(_, exec)) = self.open_by_loop.iter().find(|&&(l, _)| l == loop_id) {
+                    let ann = self.execs.get_mut(exec).expect("open exec has annotation");
+                    debug_assert_eq!(ann.last_iter + 1, iter);
+                    ann.last_iter = iter;
+                    ann.iters.push_back((iter, pos));
+                    self.buffered_iters += 1;
+                    out.push_back(Pending::Iter { exec, iter, pos });
+                }
+            }
+            LoopEvent::ExecutionEnd {
+                loop_id,
+                iterations,
+                pos,
+            }
+            | LoopEvent::Evicted {
+                loop_id,
+                iterations,
+                pos,
+            } => {
+                if let Some(i) = self.open_by_loop.iter().position(|&(l, _)| l == loop_id) {
+                    let (_, exec) = self.open_by_loop.swap_remove(i);
+                    let closed = matches!(ev, LoopEvent::ExecutionEnd { .. });
+                    self.execs
+                        .get_mut(exec)
+                        .expect("open exec has annotation")
+                        .ended = true;
+                    out.push_back(Pending::End {
+                        exec,
+                        pos,
+                        closed,
+                        iterations,
+                    });
+                }
+            }
+            LoopEvent::OneShot { .. } => {}
+        }
+    }
+
+    /// Serializes the annotation state: open-execution bindings (in
+    /// insertion order — it is scanned linearly, so order is part of the
+    /// state), the per-execution slab with its iteration-start windows,
+    /// and the stream cursors.
+    fn save_state(&self, out: &mut Enc) {
+        out.u64(self.open_by_loop.len() as u64);
+        for &(l, e) in &self.open_by_loop {
+            out.u32(l.0.index());
+            out.u32(e);
+        }
+        out.u32(self.execs.base);
+        out.u64(self.execs.slots.len() as u64);
+        for slot in &self.execs.slots {
+            match slot {
+                None => out.bool(false),
+                Some(ann) => {
+                    out.bool(true);
+                    out.u32(ann.loop_id.0.index());
+                    out.u64(ann.iters.len() as u64);
+                    for &(iter, pos) in &ann.iters {
+                        out.u32(iter);
+                        out.u64(pos);
+                    }
+                    out.u32(ann.last_iter);
+                    out.bool(ann.ended);
+                }
+            }
+        }
+        out.u32(self.next_exec);
+        out.u64(self.frontier);
+        out.u64(self.buffered_iters as u64);
+        out.u64(self.events_seen);
+    }
+
+    /// Restores state written by [`Annotator::save_state`].
+    fn load_state(&mut self, src: &mut Dec<'_>) -> Result<(), SnapError> {
+        let n = src.count()?;
+        self.open_by_loop.clear();
+        for _ in 0..n {
+            let l = LoopId(loopspec_isa::Addr::new(src.u32()?));
+            let e = src.u32()?;
+            self.open_by_loop.push((l, e));
+        }
+        self.execs.base = src.u32()?;
+        let n = src.count()?;
+        self.execs.slots.clear();
+        self.execs.live = 0;
+        for _ in 0..n {
+            if !src.bool()? {
+                self.execs.slots.push_back(None);
+                continue;
+            }
+            let loop_id = LoopId(loopspec_isa::Addr::new(src.u32()?));
+            // 12 encoded bytes per retained iteration start (u32 + u64).
+            let iters_n = src.count_elems(12)?;
+            let mut iters = VecDeque::with_capacity(iters_n);
+            for _ in 0..iters_n {
+                let iter = src.u32()?;
+                let pos = src.u64()?;
+                iters.push_back((iter, pos));
+            }
+            let last_iter = src.u32()?;
+            let ended = src.bool()?;
+            self.execs.slots.push_back(Some(ExecAnn {
+                loop_id,
+                iters,
+                last_iter,
+                ended,
+            }));
+            self.execs.live += 1;
+        }
+        self.next_exec = src.u32()?;
+        self.frontier = src.u64()?;
+        self.buffered_iters = src.u64()? as usize;
+        self.events_seen = src.u64()?;
+        Ok(())
+    }
+
+    /// Closes executions left open by a truncated stream, in detection
+    /// order — mirroring the batch annotator's trailing closes.
+    fn close_leftovers(&mut self, instructions: u64, out: &mut VecDeque<Pending>) {
+        let mut leftovers: Vec<u32> = self.open_by_loop.iter().map(|&(_, e)| e).collect();
+        leftovers.sort_unstable();
+        for exec in leftovers {
+            let ann = self.execs.get_mut(exec).expect("open exec has annotation");
+            ann.ended = true;
+            out.push_back(Pending::End {
+                exec,
+                pos: instructions,
+                closed: false,
+                iterations: ann.last_iter,
+            });
+        }
+        self.open_by_loop.clear();
+    }
+}
 
 /// One engine configuration: a monomorphized decision core plus this
 /// lane's read cursor into the shared annotated-event queue.
@@ -127,7 +520,7 @@ impl LaneCore {
         }
     }
 
-    fn save_state(&self, out: &mut loopspec_core::snap::Enc) {
+    fn save_state(&self, out: &mut Enc) {
         match self {
             LaneCore::Idle(c) => c.save_state(out),
             LaneCore::Str(c) => c.save_state(out),
@@ -141,17 +534,14 @@ impl LaneCore {
         }
     }
 
-    fn load_state(
-        &mut self,
-        src: &mut loopspec_core::snap::Dec<'_>,
-    ) -> Result<(), loopspec_core::snap::SnapError> {
+    fn load_state(&mut self, src: &mut Dec<'_>) -> Result<(), SnapError> {
         match self {
             LaneCore::Idle(c) => c.load_state(src),
             LaneCore::Str(c) => c.load_state(src),
             LaneCore::StrNested(c) => c.load_state(src),
             LaneCore::Oracle(c, feed) => {
                 if src.u64()? != feed.fingerprint() {
-                    return Err(loopspec_core::snap::SnapError::Mismatch {
+                    return Err(SnapError::Mismatch {
                         what: "oracle feed",
                     });
                 }
@@ -162,12 +552,13 @@ impl LaneCore {
 }
 
 /// A set of streaming speculation engines sharing one annotation pass —
-/// the experiment grid as a *single* [`LoopEventSink`].
+/// the experiment grid (or a single engine) as one [`LoopEventSink`].
 ///
-/// Add lanes with [`EngineGrid::push_idle`], [`EngineGrid::push_str`]
-/// and [`EngineGrid::push_str_nested`] (each returns the lane's index),
-/// register the grid in a `loopspec_pipeline::Session` (or feed it
-/// events directly), and read the per-lane reports after the stream
+/// Add lanes with [`EngineGrid::push_idle`], [`EngineGrid::push_str`],
+/// [`EngineGrid::push_str_nested`], [`EngineGrid::push_oracle`] and
+/// [`EngineGrid::push_oracle_unbounded`] (each returns the lane's
+/// index), register the grid in a `loopspec_pipeline::Session` (or feed
+/// it events directly), and read the per-lane reports after the stream
 /// ends.
 ///
 /// ```
@@ -363,10 +754,10 @@ impl EngineGrid {
                     }
                     Pending::Iter { exec, iter, pos } => {
                         let ann = ann_of(exec);
-                        // Same gate as the single-engine driver: the
-                        // spawn decision may consult iteration starts up
-                        // to the horizon; deliver only once every event
-                        // below it is known.
+                        // The spawn decision may consult iteration starts
+                        // up to the horizon; deliver only once every event
+                        // below it is known (the frontier passed it, the
+                        // execution ended, or the stream is over).
                         if !(finished || ann.ended) {
                             let horizon = lane.core.iter_start_horizon(exec, iter, pos);
                             if frontier < horizon {
@@ -435,8 +826,46 @@ impl EngineGrid {
 /// instead of silently relabelling reports. A finished grid stores only
 /// the final instruction count — lane reports are recomputed from the
 /// restored cores.
+///
+/// ```
+/// use loopspec_core::snap::{Dec, Enc};
+/// use loopspec_core::{LoopEventSink, SnapshotState};
+/// use loopspec_mt::EngineGrid;
+/// # use loopspec_asm::ProgramBuilder;
+/// # use loopspec_core::EventCollector;
+/// # use loopspec_cpu::{Cpu, RunLimits};
+///
+/// # let mut b = ProgramBuilder::new();
+/// # b.counted_loop(40, |b, _| b.work(10));
+/// # let program = b.finish()?;
+/// # let mut c = EventCollector::default();
+/// # Cpu::new().run(&program, &mut c, RunLimits::default())?;
+/// # let (events, n) = c.into_parts();
+/// let make = || {
+///     let mut g = EngineGrid::new();
+///     g.push_str(4);
+///     g
+/// };
+/// let mut grid = make();
+/// grid.on_loop_events(&events[..events.len() / 2]);
+///
+/// // Capture mid-stream, restore into a fresh same-configured grid.
+/// let mut enc = Enc::new();
+/// grid.save_state(&mut enc);
+/// let bytes = enc.into_bytes();
+/// let mut restored = make();
+/// restored.load_state(&mut Dec::new(&bytes))?;
+///
+/// // Both halves of the stream land in the same report.
+/// for g in [&mut grid, &mut restored] {
+///     g.on_loop_events(&events[events.len() / 2..]);
+///     g.on_stream_end(n);
+/// }
+/// assert_eq!(grid.reports(), restored.reports());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 impl loopspec_core::SnapshotState for EngineGrid {
-    fn save_state(&self, out: &mut loopspec_core::snap::Enc) {
+    fn save_state(&self, out: &mut Enc) {
         out.u64(self.lanes.len() as u64);
         for lane in &self.lanes {
             out.u8(lane.core.family_tag());
@@ -446,7 +875,7 @@ impl loopspec_core::SnapshotState for EngineGrid {
         self.ann.save_state(out);
         out.u64(self.shared.len() as u64);
         for p in &self.shared {
-            crate::stream::write_pending(out, p);
+            write_pending(out, p);
         }
         out.u64(self.base_seq);
         out.u64(self.peak_buffered as u64);
@@ -459,11 +888,7 @@ impl loopspec_core::SnapshotState for EngineGrid {
         }
     }
 
-    fn load_state(
-        &mut self,
-        src: &mut loopspec_core::snap::Dec<'_>,
-    ) -> Result<(), loopspec_core::snap::SnapError> {
-        use loopspec_core::snap::SnapError;
+    fn load_state(&mut self, src: &mut Dec<'_>) -> Result<(), SnapError> {
         if src.count()? != self.lanes.len() {
             return Err(SnapError::Mismatch { what: "lane count" });
         }
@@ -480,7 +905,7 @@ impl loopspec_core::SnapshotState for EngineGrid {
         let n = src.count()?;
         self.shared.clear();
         for _ in 0..n {
-            self.shared.push_back(crate::stream::read_pending(src)?);
+            self.shared.push_back(read_pending(src)?);
         }
         self.base_seq = src.u64()?;
         self.peak_buffered = src.u64()? as usize;
@@ -611,7 +1036,42 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_stream_engine_on_truncated_stream() {
+    fn grid_matches_batch_on_repeated_executions() {
+        // Repeated executions warm the predictor: exercises verification
+        // handoffs, stale segments and the run-ahead skip.
+        let (events, n) = events_of(|b| {
+            b.define_func("kernel", |b| {
+                b.counted_loop(20, |b, _| b.work(10));
+            });
+            for _ in 0..10 {
+                b.call_func("kernel");
+            }
+        });
+        let trace = AnnotatedTrace::build(&events, n);
+        let mut grid = EngineGrid::new();
+        let lane = grid.push_str(8);
+        assert!(grid.report(lane).is_none(), "no report before stream end");
+        grid.on_loop_events(&events);
+        grid.on_stream_end(n);
+        let report = grid.report(lane).unwrap();
+        assert_eq!(report, &Engine::new(&trace, StrPolicy::new(), 8).run());
+        assert!(report.spec.verified > 0);
+    }
+
+    #[test]
+    fn sequential_stream_has_tpc_one() {
+        let (events, n) = events_of(|b| b.work(50));
+        let mut grid = EngineGrid::new();
+        let lane = grid.push_str(4);
+        grid.on_loop_events(&events);
+        grid.on_stream_end(n);
+        let report = grid.report(lane).unwrap();
+        assert_eq!(report.cycles, n);
+        assert_eq!(report.spec.threads_spawned, 0);
+    }
+
+    #[test]
+    fn grid_matches_batch_on_truncated_stream() {
         let (mut events, _) = events_of(|b| {
             b.counted_loop(30, |b, _| {
                 b.counted_loop(5, |b, _| b.work(6));
@@ -706,6 +1166,84 @@ mod tests {
                 "STR@4 beside oracle lanes, chunk {chunk}"
             );
         }
+    }
+
+    /// A grid fed half of `events`, then serialized.
+    fn snapshot_of(mut grid: EngineGrid, events: &[LoopEvent]) -> Vec<u8> {
+        use loopspec_core::SnapshotState;
+        grid.on_loop_events(&events[..events.len() / 2]);
+        let mut enc = Enc::new();
+        grid.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn load_into(mut grid: EngineGrid, bytes: &[u8]) -> Result<(), SnapError> {
+        loopspec_core::SnapshotState::load_state(&mut grid, &mut Dec::new(bytes))
+    }
+
+    #[test]
+    fn snapshots_refuse_a_differently_configured_grid() {
+        let (events, _) = events_of(|b| b.counted_loop(20, |b, _| b.work(8)));
+        let idle_str = || {
+            let mut g = EngineGrid::new();
+            g.push_idle(4);
+            g.push_str(4);
+            g
+        };
+        let bytes = snapshot_of(idle_str(), &events);
+        load_into(idle_str(), &bytes).expect("same lanes restore");
+
+        let mut one_lane = EngineGrid::new();
+        one_lane.push_idle(4);
+        assert_eq!(
+            load_into(one_lane, &bytes),
+            Err(SnapError::Mismatch { what: "lane count" })
+        );
+
+        let mut reordered = EngineGrid::new();
+        reordered.push_str(4);
+        reordered.push_idle(4);
+        assert_eq!(
+            load_into(reordered, &bytes),
+            Err(SnapError::Mismatch {
+                what: "lane policy family"
+            })
+        );
+    }
+
+    #[test]
+    fn oracle_snapshots_refuse_a_different_feed() {
+        use crate::oracle::IterationCountLog;
+
+        let (events, n) = events_of(|b| b.counted_loop(20, |b, _| b.work(8)));
+        let mut log = IterationCountLog::new();
+        log.on_loop_events(&events);
+        log.on_stream_end(n);
+        let feed = log.into_feed();
+        let oracle_grid = |feed: OracleFeed| {
+            let mut g = EngineGrid::new();
+            g.push_oracle(4, feed);
+            g
+        };
+        let bytes = snapshot_of(oracle_grid(feed.clone()), &events);
+        load_into(oracle_grid(feed), &bytes).expect("same feed restores");
+
+        // A different future (an empty log) is refused.
+        let other = IterationCountLog::new().into_feed();
+        assert_eq!(
+            load_into(oracle_grid(other), &bytes),
+            Err(SnapError::Mismatch {
+                what: "oracle feed"
+            })
+        );
+    }
+
+    #[test]
+    fn bad_tu_counts_are_typed_errors() {
+        assert_eq!(validate_tus(1), Err(StreamError::BadTus { got: 1 }));
+        assert_eq!(validate_tus(4097), Err(StreamError::BadTus { got: 4097 }));
+        assert_eq!(validate_tus(2), Ok(()));
+        assert_eq!(validate_tus(4096), Ok(()));
     }
 
     #[test]

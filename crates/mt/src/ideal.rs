@@ -4,18 +4,19 @@
 //! [`ideal_tpc_streaming`] / [`ideal_tpc_with_feed`]: a forward pass
 //! records per-execution iteration counts
 //! ([`IterationCountLog`](crate::IterationCountLog)), and a second
-//! streaming pass consumes them through an unbounded-TU oracle
-//! [`StreamEngine`](crate::StreamEngine). The materialized
+//! streaming pass consumes them through a one-lane
+//! [`EngineGrid`](crate::EngineGrid) holding an unbounded-TU oracle
+//! lane. The materialized
 //! [`ideal_tpc`] remains as the legacy reference the equivalence tests
 //! cross-check against.
 
-use loopspec_core::{LoopEvent, LoopEventSink};
+use loopspec_core::{LoopEvent, LoopEventSink, DEFAULT_EVENT_CHUNK};
 
 use crate::annotate::AnnotatedTrace;
 use crate::engine::Engine;
+use crate::grid::EngineGrid;
 use crate::oracle::{IterationCountLog, OracleFeed};
 use crate::policy::OraclePolicy;
-use crate::stream::StreamEngine;
 
 /// Result of the ideal-machine experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +73,8 @@ pub fn ideal_tpc(trace: &AnnotatedTrace) -> IdealReport {
 /// The two-phase streaming Figure 5: phase 1 streams `events` through an
 /// [`IterationCountLog`](crate::IterationCountLog) (O(executions)
 /// state), phase 2 streams them again through an unbounded-TU oracle
-/// [`StreamEngine`](crate::StreamEngine) fed the recorded counts. No
+/// lane of an [`EngineGrid`](crate::EngineGrid) fed the recorded
+/// counts. No
 /// [`AnnotatedTrace`] is ever materialized; the result is bit-identical
 /// to [`ideal_tpc`].
 ///
@@ -131,11 +133,15 @@ pub fn ideal_tpc_with_feed(
     instructions: u64,
     feed: &OracleFeed,
 ) -> IdealReport {
-    let mut engine = StreamEngine::unbounded_with_feed(OraclePolicy::new(), feed.clone())
-        .expect("the oracle supports unbounded TUs");
-    engine.on_loop_events(events);
-    engine.on_stream_end(instructions);
-    engine.into_report().into()
+    let mut grid = EngineGrid::new();
+    let lane = grid.push_oracle_unbounded(feed.clone());
+    // Session-sized chunks keep the grid's buffering at one chunk plus
+    // the run-ahead window instead of the whole retained stream.
+    for chunk in events.chunks(DEFAULT_EVENT_CHUNK) {
+        grid.on_loop_events(chunk);
+    }
+    grid.on_stream_end(instructions);
+    grid.report(lane).expect("the stream ended").clone().into()
 }
 
 #[cfg(test)]

@@ -28,13 +28,16 @@
 //!   cycle, so TPC equals committed instructions divided by total cycles,
 //!   and a purely sequential run has TPC exactly 1.
 //!
-//! The streaming drivers ([`StreamEngine`], [`EngineGrid`]) are
-//! **checkpointable**: they implement
-//! [`SnapshotState`](loopspec_core::SnapshotState), serializing their
-//! full mid-stream state (annotation windows, decision core, predictor
-//! history, policy feedback via [`PolicySnapshot`]) so a
-//! `loopspec_pipeline::Session` can capture a run at any
-//! retired-instruction boundary and resume it elsewhere bit-identically.
+//! The decision core runs behind two drivers: the batch [`Engine`]
+//! replays a materialized [`AnnotatedTrace`] (the reference oracle), and
+//! the streaming [`EngineGrid`] consumes raw loop events for any number
+//! of (policy × TU-count) lanes in one pass. The grid is
+//! **checkpointable**: it implements
+//! [`SnapshotState`](loopspec_core::SnapshotState), serializing its full
+//! mid-stream state (annotation windows, per-lane decision cores,
+//! predictor history) so a `loopspec_pipeline::Session` can capture a
+//! run at any retired-instruction boundary and resume it elsewhere
+//! bit-identically.
 //!
 //! ## Example
 //!
@@ -70,17 +73,15 @@ mod oracle;
 mod policy;
 mod predictor;
 mod stats;
-mod stream;
 
 pub use annotate::{AnnotatedTrace, ExecId, ExecInfo, TraceEvent, TraceEventKind};
 pub use engine::{Engine, EngineReport};
-pub use grid::EngineGrid;
+pub use grid::{validate_tus, EngineGrid, StreamError};
 pub use ideal::{ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, IdealReport};
 pub use oracle::{IterationCountLog, OracleFeed};
 pub use policy::{
-    IdlePolicy, OraclePolicy, PolicySnapshot, SpecContext, SpeculationPolicy, StrNestedPolicy,
-    StrPolicy, SuitabilityFilter,
+    IdlePolicy, OraclePolicy, SpecContext, SpeculationPolicy, StrNestedPolicy, StrPolicy,
+    SuitabilityFilter,
 };
 pub use predictor::{IterPrediction, IterPredictor};
 pub use stats::SpecStats;
-pub use stream::{validate_tus, AnyStreamEngine, EngineSink, StreamEngine, StreamError};

@@ -17,11 +17,11 @@
 //!   instruction.
 //! * **Phase 2** — the log freezes into an [`OracleFeed`], and a second
 //!   streaming pass (over the retained event stream, a re-execution, or
-//!   a sharded/distributed replay) hosts oracle lanes: a
-//!   [`StreamEngine`](crate::StreamEngine) built with
-//!   [`with_feed`](crate::StreamEngine::with_feed) /
-//!   [`unbounded_with_feed`](crate::StreamEngine::unbounded_with_feed),
-//!   or [`EngineGrid`](crate::EngineGrid) oracle lanes. At every
+//!   a sharded/distributed replay) hosts [`EngineGrid`](crate::EngineGrid)
+//!   oracle lanes, added with
+//!   [`push_oracle`](crate::EngineGrid::push_oracle) /
+//!   [`push_oracle_unbounded`](crate::EngineGrid::push_oracle_unbounded).
+//!   At every
 //!   iteration start the driver looks the execution's total up in the
 //!   feed and hands the policy its ground truth through
 //!   [`SpecContext::remaining_from_feed`](crate::SpecContext).
@@ -43,7 +43,7 @@
 //! use loopspec_asm::ProgramBuilder;
 //! use loopspec_core::{EventCollector, LoopEventSink};
 //! use loopspec_cpu::{Cpu, RunLimits};
-//! use loopspec_mt::{IterationCountLog, OraclePolicy, StreamEngine};
+//! use loopspec_mt::{EngineGrid, IterationCountLog};
 //!
 //! let mut b = ProgramBuilder::new();
 //! b.counted_loop(50, |b, _| b.work(20));
@@ -59,10 +59,11 @@
 //! let feed = log.into_feed();
 //!
 //! // Phase 2: stream the oracle with the feed as its future knowledge.
-//! let mut oracle = StreamEngine::unbounded_with_feed(OraclePolicy::new(), feed)?;
-//! oracle.on_loop_events(&events);
-//! oracle.on_stream_end(n);
-//! assert!(oracle.report().unwrap().tpc() > 10.0);
+//! let mut grid = EngineGrid::new();
+//! let oracle = grid.push_oracle_unbounded(feed);
+//! grid.on_loop_events(&events);
+//! grid.on_stream_end(n);
+//! assert!(grid.report(oracle).unwrap().tpc() > 10.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

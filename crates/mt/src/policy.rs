@@ -1,77 +1,9 @@
 //! Speculation policies: how many future iterations to launch (paper
 //! §3.1.2).
 
-use loopspec_core::snap::{Dec, Enc, SnapError};
 use loopspec_core::LoopId;
 
 use crate::{IterPrediction, IterPredictor};
-
-/// Checkpointable policy state.
-///
-/// The paper's base policies (IDLE, STR, STR(i), the oracle) are pure
-/// functions of the [`SpecContext`] and carry no mutable state — their
-/// implementations write and read nothing. Policies that *learn* from
-/// [`SpeculationPolicy::on_thread_outcome`] feedback (the
-/// [`SuitabilityFilter`]) serialize their history here, so a streaming
-/// engine restored from a snapshot suppresses exactly the loops it
-/// would have suppressed uninterrupted.
-///
-/// Policy *configuration* (the STR(i) limit, filter thresholds) is not
-/// serialized: the owner reconstructs the policy and the engine's
-/// configuration echo catches mismatches.
-pub trait PolicySnapshot {
-    /// Appends the policy's mutable state to `out`.
-    fn save_policy_state(&self, out: &mut Enc);
-
-    /// Restores state written by
-    /// [`save_policy_state`](PolicySnapshot::save_policy_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    fn load_policy_state(&mut self, src: &mut Dec<'_>) -> Result<(), SnapError>;
-}
-
-macro_rules! impl_stateless_policy_snapshot {
-    ($($T:ty),+) => {
-        $(impl PolicySnapshot for $T {
-            fn save_policy_state(&self, _out: &mut Enc) {}
-
-            fn load_policy_state(&mut self, _src: &mut Dec<'_>) -> Result<(), SnapError> {
-                Ok(())
-            }
-        })+
-    };
-}
-
-impl_stateless_policy_snapshot!(IdlePolicy, StrPolicy, StrNestedPolicy, OraclePolicy);
-
-impl<P: PolicySnapshot> PolicySnapshot for SuitabilityFilter<P> {
-    fn save_policy_state(&self, out: &mut Enc) {
-        let mut stats: Vec<(LoopId, u32, u32)> =
-            self.stats.iter().map(|(&l, &(c, w))| (l, c, w)).collect();
-        stats.sort_unstable();
-        out.u64(stats.len() as u64);
-        for (l, c, w) in stats {
-            out.u32(l.0.index());
-            out.u32(c);
-            out.u32(w);
-        }
-        self.inner.save_policy_state(out);
-    }
-
-    fn load_policy_state(&mut self, src: &mut Dec<'_>) -> Result<(), SnapError> {
-        let n = src.count()?;
-        self.stats.clear();
-        for _ in 0..n {
-            let l = LoopId(loopspec_isa::Addr::new(src.u32()?));
-            let c = src.u32()?;
-            let w = src.u32()?;
-            self.stats.insert(l, (c, w));
-        }
-        self.inner.load_policy_state(src)
-    }
-}
 
 /// Everything a policy may consult when an iteration starts in the
 /// non-speculative thread.
@@ -91,10 +23,9 @@ pub struct SpecContext<'a> {
     /// Ground truth: actual iterations remaining after the current one,
     /// supplied by whichever future-knowledge channel the driver has —
     /// the batch engine's [`AnnotatedTrace`](crate::AnnotatedTrace), or
-    /// a streaming driver's [`OracleFeed`](crate::OracleFeed) recorded
+    /// a grid oracle lane's [`OracleFeed`](crate::OracleFeed) recorded
     /// by a phase-1 [`IterationCountLog`](crate::IterationCountLog)
-    /// pass. Only the oracle may look at this; drivers with neither
-    /// channel pass 0 and refuse future-knowledge policies.
+    /// pass. Only the oracle may look at this; history lanes pass 0.
     pub remaining_from_feed: u32,
 }
 
@@ -126,12 +57,9 @@ pub trait SpeculationPolicy {
 
     /// Whether the policy consults ground truth about the future
     /// ([`SpecContext::remaining_from_feed`]). Such policies run on the
-    /// batch [`Engine`](crate::Engine) (which has the whole trace) or on
-    /// a streaming driver constructed with an
-    /// [`OracleFeed`](crate::OracleFeed) — e.g.
-    /// [`StreamEngine::with_feed`](crate::StreamEngine::with_feed); a
-    /// feed-less [`StreamEngine`](crate::StreamEngine) refuses them with
-    /// [`StreamError::NeedsFeed`](crate::StreamError::NeedsFeed).
+    /// batch [`Engine`](crate::Engine) (which has the whole trace) or as
+    /// an [`EngineGrid`](crate::EngineGrid) oracle lane carrying an
+    /// [`OracleFeed`](crate::OracleFeed).
     fn requires_future_knowledge(&self) -> bool {
         false
     }

@@ -9,7 +9,7 @@
 //! [`LoopDetector`](loopspec_core::LoopDetector), and fans the
 //! resulting [`LoopEvent`](loopspec_core::LoopEvent)s out to any number
 //! of registered [`LoopEventSink`]s — all in a single pass, with memory
-//! bounded by the sinks themselves (the streaming engine retains
+//! bounded by the sinks themselves (the engine grid retains
 //! O(live-loops + run-ahead window), not O(trace)).
 //!
 //! Compare the two shapes:
@@ -19,11 +19,14 @@
 //!   Cpu ──▶ EventCollector ──▶ Vec<LoopEvent> ──▶ AnnotatedTrace ──▶ Engine
 //!
 //! streaming (one pass, many consumers):
-//!             ┌▶ StreamEngine(STR, 4 TUs)  ─▶ EngineReport
-//!   Cpu ─▶ CLS┼▶ StreamEngine(IDLE, 8 TUs) ─▶ EngineReport
-//!             ├▶ LoopStats / TableHitSim   ─▶ Table 1 / Figure 4
-//!             └▶ LiveInProfiler            ─▶ Figure 8
+//!             ┌▶ EngineGrid ─┬ lane STR, 4 TUs  ─▶ EngineReport
+//!             │              └ lane IDLE, 8 TUs ─▶ EngineReport
+//!   Cpu ─▶ CLS┼▶ LoopStats / TableHitSim       ─▶ Table 1 / Figure 4
+//!             └▶ LiveInProfiler                ─▶ Figure 8
 //! ```
+//!
+//! The session's sink list is the only fan-out: each registered sink
+//! receives every event chunk in registration order.
 //!
 //! ## Checkpoint, resume, shard
 //!
@@ -48,7 +51,7 @@
 //! use loopspec_asm::ProgramBuilder;
 //! use loopspec_core::LoopStats;
 //! use loopspec_cpu::RunLimits;
-//! use loopspec_mt::{StrPolicy, StreamEngine};
+//! use loopspec_mt::EngineGrid;
 //! use loopspec_pipeline::Session;
 //!
 //! let mut b = ProgramBuilder::new();
@@ -56,14 +59,15 @@
 //! let program = b.finish()?;
 //!
 //! let mut stats = LoopStats::new();
-//! let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+//! let mut grid = EngineGrid::new();
+//! let str4 = grid.push_str(4);
 //!
 //! let mut session = Session::new();
-//! session.observe_loops(&mut stats).observe_loops(&mut engine);
+//! session.observe_loops(&mut stats).observe_loops(&mut grid);
 //! let out = session.run(&program, RunLimits::default())?;
 //!
 //! assert!(out.halted());
-//! let report = engine.report().expect("stream ended");
+//! let report = grid.report(str4).expect("stream ended");
 //! assert_eq!(report.instructions, out.instructions);
 //! assert!(report.tpc() > 2.0, "4 TUs should overlap iterations");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -72,20 +76,16 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod parallel;
 mod session;
 mod shard;
-mod sinkset;
 mod snapshot;
 
 // Re-exported so downstream code can name the whole streaming surface
 // through one crate.
 pub use loopspec_core::{LoopEventSink, SnapshotState};
 
-pub use parallel::ParallelSinkSet;
 pub use session::{DualSink, Interp, Session, SessionSummary};
 pub use shard::{run_shard, Plan, ShardStep, ShardedOutcome, ShardedRun};
-pub use sinkset::SinkSet;
 pub use snapshot::{CheckpointSink, Snapshot, SnapshotError};
 
 #[cfg(test)]
@@ -95,7 +95,14 @@ mod tests {
     use loopspec_core::{Cls, CountingSink, EventCollector, LoopStats};
     use loopspec_cpu::{CountingTracer, Cpu, RunLimits};
     use loopspec_dataspec::{DataSpecProfiler, LiveInProfiler};
-    use loopspec_mt::{AnnotatedTrace, Engine, EngineGrid, StrPolicy, StreamEngine};
+    use loopspec_mt::{AnnotatedTrace, Engine, EngineGrid, StrPolicy};
+
+    /// A one-lane grid: STR at 4 TUs.
+    fn str4() -> EngineGrid {
+        let mut g = EngineGrid::new();
+        g.push_str(4);
+        g
+    }
 
     fn program(build: impl FnOnce(&mut ProgramBuilder)) -> loopspec_asm::Program {
         let mut b = ProgramBuilder::new();
@@ -121,7 +128,7 @@ mod tests {
 
         // Streaming: everything in one pass.
         let mut collected = EventCollector::default();
-        let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+        let mut engine = str4();
         let mut session = Session::new();
         session
             .observe_loops(&mut collected)
@@ -132,7 +139,7 @@ mod tests {
         assert_eq!(out.instructions, n);
         assert_eq!(collected.events(), &events[..]);
         assert_eq!(collected.instructions(), n);
-        assert_eq!(engine.report().unwrap(), &batch);
+        assert_eq!(engine.report(0).unwrap(), &batch);
     }
 
     #[test]
@@ -202,34 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_set_matches_individual_registration() {
-        let p = program(|b| {
-            b.counted_loop(12, |b, _| {
-                b.counted_loop(5, |b, _| b.work(4));
-            });
-        });
-
-        let mut single = EventCollector::default();
-        let mut session = Session::new();
-        session.observe_loops(&mut single);
-        session.run(&p, RunLimits::default()).unwrap();
-
-        let mut set: SinkSet<EventCollector> = (0..3).map(|_| EventCollector::default()).collect();
-        assert_eq!(set.len(), 3);
-        assert!(!set.is_empty());
-        let mut session = Session::new();
-        session.observe_loops(&mut set);
-        let out = session.run(&p, RunLimits::default()).unwrap();
-
-        for c in set.iter() {
-            assert_eq!(c.events(), single.events());
-            assert_eq!(c.instructions(), out.instructions);
-        }
-        assert_eq!(set.get(0).unwrap().events(), single.events());
-        assert_eq!(set.into_inner().len(), 3);
-    }
-
-    #[test]
     fn chunk_capacity_does_not_change_results() {
         // Any chunk size — including 1 (per-instruction delivery) and one
         // larger than the whole stream (a single flush straddling
@@ -241,7 +220,7 @@ mod tests {
         });
 
         let mut reference = EventCollector::default();
-        let mut ref_engine = StreamEngine::new(StrPolicy::new(), 4);
+        let mut ref_engine = str4();
         let mut session = Session::new();
         session
             .observe_loops(&mut reference)
@@ -250,7 +229,7 @@ mod tests {
 
         for cap in [1usize, 2, 3, 7, 1_000_000] {
             let mut collected = EventCollector::default();
-            let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+            let mut engine = str4();
             let mut session = Session::with_cls(Cls::default().with_chunk_capacity(cap));
             session
                 .observe_loops(&mut collected)
@@ -258,8 +237,8 @@ mod tests {
             session.run(&p, RunLimits::default()).unwrap();
             assert_eq!(collected.events(), reference.events(), "chunk {cap}");
             assert_eq!(
-                engine.report().unwrap(),
-                ref_engine.report().unwrap(),
+                engine.reports().unwrap(),
+                ref_engine.reports().unwrap(),
                 "chunk {cap}"
             );
         }
@@ -324,7 +303,7 @@ mod tests {
             });
         });
 
-        let mut reference = StreamEngine::new(StrPolicy::new(), 4);
+        let mut reference = str4();
         let mut ref_events = EventCollector::default();
         let mut session = Session::new();
         session
@@ -333,7 +312,7 @@ mod tests {
         let single = session.run(&p, RunLimits::default()).unwrap();
 
         // Segment 1 in "process A".
-        let mut engine_a = StreamEngine::new(StrPolicy::new(), 4);
+        let mut engine_a = str4();
         let mut events_a = EventCollector::default();
         let mut session_a = Session::new();
         session_a
@@ -349,7 +328,7 @@ mod tests {
         assert_eq!(bytes, session_a.checkpoint().unwrap().to_bytes());
 
         // Segment 2 in "process B": fresh sinks, state from bytes only.
-        let mut engine_b = StreamEngine::new(StrPolicy::new(), 4);
+        let mut engine_b = str4();
         let mut events_b = EventCollector::default();
         let mut session_b = Session::new();
         session_b
@@ -363,7 +342,7 @@ mod tests {
         assert!(out.halted());
         assert_eq!(out.instructions, single.instructions);
 
-        assert_eq!(engine_b.report(), reference.report());
+        assert_eq!(engine_b.reports(), reference.reports());
         assert_eq!(events_b.events(), ref_events.events());
     }
 
@@ -375,7 +354,7 @@ mod tests {
             });
         });
 
-        let mut reference = StreamEngine::new(StrPolicy::new(), 4);
+        let mut reference = str4();
         let mut ref_events = EventCollector::default();
         let mut session = Session::new();
         session
@@ -386,9 +365,7 @@ mod tests {
         // A fully owned session is 'static + Send: build it here, run it
         // on another thread (the job-table shape the replay service uses).
         let mut owned = Session::new();
-        owned
-            .add_sink(StreamEngine::new(StrPolicy::new(), 4))
-            .add_sink(EventCollector::default());
+        owned.add_sink(str4()).add_sink(EventCollector::default());
         let p2 = p.clone();
         let mut owned = std::thread::spawn(move || {
             owned.advance(&p2, RunLimits::default()).unwrap();
@@ -400,14 +377,11 @@ mod tests {
 
         // Accessors: right slot + right type only.
         assert!(owned.sink::<EventCollector>(0).is_none(), "wrong type");
-        assert!(
-            owned.sink::<StreamEngine<StrPolicy>>(2).is_none(),
-            "no slot"
-        );
+        assert!(owned.sink::<EngineGrid>(2).is_none(), "no slot");
         let engine = owned
-            .sink_mut::<StreamEngine<StrPolicy>>(0)
+            .sink_mut::<EngineGrid>(0)
             .expect("slot 0 is the engine");
-        assert_eq!(engine.report(), reference.report());
+        assert_eq!(engine.reports(), reference.reports());
         let events: EventCollector = owned.into_sink(1).expect("slot 1 is the collector");
         assert_eq!(events.events(), ref_events.events());
     }
@@ -420,7 +394,7 @@ mod tests {
             });
         });
 
-        let mut borrowed = StreamEngine::new(StrPolicy::new(), 4);
+        let mut borrowed = str4();
         let mut session = Session::new();
         session.observe_checkpointable(&mut borrowed);
         session.advance(&p, RunLimits::with_fuel(777)).unwrap();
@@ -429,8 +403,7 @@ mod tests {
         // Type-erased sinks register too (`Box<dyn CheckpointSink + Send>`
         // is itself a `CheckpointSink`), and the owned slot contributes
         // the same snapshot section as the borrowed registration.
-        let boxed: Box<dyn CheckpointSink + Send> =
-            Box::new(StreamEngine::new(StrPolicy::new(), 4));
+        let boxed: Box<dyn CheckpointSink + Send> = Box::new(str4());
         let mut owned = Session::new();
         owned.add_sink(boxed);
         owned.advance(&p, RunLimits::with_fuel(777)).unwrap();
@@ -440,20 +413,20 @@ mod tests {
         // And an owned session resumes from a borrowed session's
         // snapshot (the sections don't know how their sink is held).
         let mut resumed = Session::new();
-        resumed.add_sink(StreamEngine::new(StrPolicy::new(), 4));
+        resumed.add_sink(str4());
         resumed
             .resume(&Snapshot::from_bytes(&reference_bytes).unwrap())
             .unwrap();
         let out = resumed.advance(&p, RunLimits::default()).unwrap();
         assert!(out.halted());
 
-        let mut single = StreamEngine::new(StrPolicy::new(), 4);
+        let mut single = str4();
         let mut single_session = Session::new();
         single_session.observe_checkpointable(&mut single);
         single_session.run(&p, RunLimits::default()).unwrap();
         assert_eq!(
-            resumed.sink::<StreamEngine<StrPolicy>>(0).unwrap().report(),
-            single.report()
+            resumed.sink::<EngineGrid>(0).unwrap().reports(),
+            single.reports()
         );
     }
 
@@ -514,7 +487,7 @@ mod tests {
             }
         );
 
-        // Differently configured sink: a grid where an engine was.
+        // Differently configured sink: a grid where a collector was.
         let mut grid = EngineGrid::new();
         grid.push_str(4);
         let mut fresh = Session::new();
@@ -589,7 +562,7 @@ mod tests {
         let p = program(|b| {
             b.counted_loop(60, |b, _| b.work(12));
         });
-        let make = || StreamEngine::new(StrPolicy::new(), 4);
+        let make = || str4();
         let n = {
             let mut e = make();
             let mut s = Session::new();
@@ -602,7 +575,7 @@ mod tests {
         let par = ShardedRun::new(4)
             .run_on_workers(&p, RunLimits::with_fuel(n), make)
             .unwrap();
-        assert_eq!(seq.sink.report(), par.sink.report());
+        assert_eq!(seq.sink.reports(), par.sink.reports());
         assert_eq!(seq.shards_run, par.shards_run);
         assert_eq!(seq.handoff_bytes, par.handoff_bytes);
     }
@@ -623,97 +596,5 @@ mod tests {
             .unwrap();
         assert_eq!(out.summary.instructions, 3);
         assert_eq!(out.sink.instructions(), 3);
-    }
-
-    #[test]
-    fn parallel_engine_subsets_match_one_serial_grid() {
-        let p = program(|b| {
-            b.counted_loop(35, |b, _| {
-                b.counted_loop(6, |b, _| b.work(5));
-            });
-        });
-
-        // Serial reference: one grid holding all four configurations.
-        let mut serial = EngineGrid::new();
-        serial.push_idle(4);
-        serial.push_str(4);
-        serial.push_str_nested(2, 4);
-        serial.push_str(8);
-        let mut session = Session::new();
-        session.observe_checkpointable(&mut serial);
-        session.run(&p, RunLimits::default()).unwrap();
-        let expected = serial.reports().unwrap();
-
-        // Parallel: the same four lanes as two 2-lane grid subsets, each
-        // on its own worker thread.
-        let make_pool = || -> ParallelSinkSet<EngineGrid> {
-            let mut a = EngineGrid::new();
-            a.push_idle(4);
-            a.push_str(4);
-            let mut b = EngineGrid::new();
-            b.push_str_nested(2, 4);
-            b.push_str(8);
-            ParallelSinkSet::from_vec(vec![a, b])
-        };
-        let mut pool = make_pool();
-        let mut session = Session::new();
-        session.observe_checkpointable(&mut pool);
-        session.run(&p, RunLimits::default()).unwrap();
-        let got: Vec<_> = pool
-            .with_each(|_, grid| grid.reports().unwrap().to_vec())
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(got, expected);
-
-        // And the checkpoint chain: a mid-run snapshot of the pool
-        // restores into a fresh pool and finishes identically.
-        let mut pool_a = make_pool();
-        let mut session_a = Session::new();
-        session_a.observe_checkpointable(&mut pool_a);
-        session_a.advance(&p, RunLimits::with_fuel(600)).unwrap();
-        let bytes = session_a.checkpoint().unwrap().to_bytes();
-
-        let mut pool_b = make_pool();
-        let mut session_b = Session::new();
-        session_b.observe_checkpointable(&mut pool_b);
-        session_b
-            .resume(&Snapshot::from_bytes(&bytes).unwrap())
-            .unwrap();
-        session_b.advance(&p, RunLimits::default()).unwrap();
-        let resumed: Vec<_> = pool_b
-            .with_each(|_, grid| grid.reports().unwrap().to_vec())
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(resumed, expected);
-    }
-
-    #[test]
-    fn checkpointable_sink_set_round_trips() {
-        let p = program(|b| {
-            b.counted_loop(50, |b, _| b.work(10));
-        });
-        let make = || -> SinkSet<loopspec_mt::AnyStreamEngine> {
-            [
-                loopspec_mt::AnyStreamEngine::idle(4),
-                loopspec_mt::AnyStreamEngine::str(8),
-                loopspec_mt::AnyStreamEngine::str_nested(1, 4),
-            ]
-            .into_iter()
-            .collect()
-        };
-
-        let mut reference = make();
-        let mut session = Session::new();
-        session.observe_checkpointable(&mut reference);
-        let single = session.run(&p, RunLimits::default()).unwrap();
-
-        let out = ShardedRun::new(3)
-            .run(&p, RunLimits::with_fuel(single.instructions), make)
-            .unwrap();
-        for (a, b) in out.sink.iter().zip(reference.iter()) {
-            assert_eq!(a.report(), b.report());
-        }
     }
 }

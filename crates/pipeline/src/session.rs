@@ -223,22 +223,27 @@ impl SessionSummary {
 /// ```
 /// use loopspec_asm::ProgramBuilder;
 /// use loopspec_cpu::RunLimits;
-/// use loopspec_mt::{StrPolicy, StreamEngine};
+/// use loopspec_mt::EngineGrid;
 /// use loopspec_pipeline::{Session, Snapshot};
 ///
 /// let mut b = ProgramBuilder::new();
 /// b.counted_loop(200, |b, _| b.work(20));
 /// let program = b.finish()?;
+/// let str4 = || {
+///     let mut grid = EngineGrid::new();
+///     grid.push_str(4);
+///     grid
+/// };
 ///
 /// // First worker: run half the stream, checkpoint, serialize.
-/// let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+/// let mut engine = str4();
 /// let mut session = Session::new();
 /// session.observe_checkpointable(&mut engine);
 /// session.advance(&program, RunLimits::with_fuel(2_000))?;
 /// let bytes = session.checkpoint()?.to_bytes();
 ///
 /// // Second worker (possibly another process): resume and finish.
-/// let mut engine2 = StreamEngine::new(StrPolicy::new(), 4);
+/// let mut engine2 = str4();
 /// let mut session2 = Session::new();
 /// session2.observe_checkpointable(&mut engine2);
 /// session2.resume(&Snapshot::from_bytes(&bytes)?)?;
@@ -246,11 +251,11 @@ impl SessionSummary {
 /// assert!(out.halted());
 ///
 /// // Same report as one uninterrupted pass.
-/// let mut reference = StreamEngine::new(StrPolicy::new(), 4);
+/// let mut reference = str4();
 /// let mut single = Session::new();
 /// single.observe_checkpointable(&mut reference);
 /// single.run(&program, RunLimits::default())?;
-/// assert_eq!(engine2.report(), reference.report());
+/// assert_eq!(engine2.reports(), reference.reports());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Session<'a> {
@@ -366,18 +371,20 @@ impl<'a> Session<'a> {
     /// ```
     /// use loopspec_asm::ProgramBuilder;
     /// use loopspec_cpu::RunLimits;
-    /// use loopspec_mt::{StrPolicy, StreamEngine};
+    /// use loopspec_mt::EngineGrid;
     /// use loopspec_pipeline::Session;
     ///
     /// let mut b = ProgramBuilder::new();
     /// b.counted_loop(100, |b, _| b.work(10));
     /// let program = b.finish()?;
     ///
+    /// let mut grid = EngineGrid::new();
+    /// grid.push_str(4);
     /// let mut session = Session::new();
-    /// session.add_sink(StreamEngine::new(StrPolicy::new(), 4));
+    /// session.add_sink(grid);
     /// session.advance(&program, RunLimits::default())?;
-    /// let engine: StreamEngine<StrPolicy> = session.into_sink(0).expect("slot 0");
-    /// assert!(engine.report().is_some());
+    /// let grid: EngineGrid = session.into_sink(0).expect("slot 0");
+    /// assert!(grid.reports().is_some());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn add_sink<S: CheckpointSink + Send + 'static>(&mut self, sink: S) -> &mut Self {

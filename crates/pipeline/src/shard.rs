@@ -287,25 +287,28 @@ pub fn run_shard(
 /// ```
 /// use loopspec_asm::ProgramBuilder;
 /// use loopspec_cpu::RunLimits;
-/// use loopspec_mt::{StrPolicy, StreamEngine};
+/// use loopspec_mt::EngineGrid;
 /// use loopspec_pipeline::{Session, ShardedRun};
 ///
 /// let mut b = ProgramBuilder::new();
 /// b.counted_loop(300, |b, _| b.work(15));
 /// let program = b.finish()?;
+/// let str4 = || {
+///     let mut grid = EngineGrid::new();
+///     grid.push_str(4);
+///     grid
+/// };
 ///
 /// // Reference: one uninterrupted pass.
-/// let mut reference = StreamEngine::new(StrPolicy::new(), 4);
+/// let mut reference = str4();
 /// let mut session = Session::new();
 /// session.observe_checkpointable(&mut reference);
 /// let single = session.run(&program, RunLimits::default())?;
 ///
 /// // The same run as 4 checkpoint-linked shards.
-/// let sharded = ShardedRun::new(4).run(&program, RunLimits::with_fuel(single.instructions), || {
-///     StreamEngine::new(StrPolicy::new(), 4)
-/// })?;
+/// let sharded = ShardedRun::new(4).run(&program, RunLimits::with_fuel(single.instructions), str4)?;
 /// assert_eq!(sharded.shards_run, 4);
-/// assert_eq!(sharded.sink.report(), reference.report());
+/// assert_eq!(sharded.sink.reports(), reference.reports());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy)]

@@ -10,9 +10,8 @@
 //!   not-yet-delivered event chunk (a checkpoint may land mid-chunk;
 //!   the buffered events travel with the snapshot so loop sinks receive
 //!   them after resume exactly as they would have uninterrupted);
-//! * one section per registered **checkpointable sink** — e.g. a
-//!   [`StreamEngine`](loopspec_mt::StreamEngine)'s annotation state and
-//!   decision core, or an [`EngineGrid`](loopspec_mt::EngineGrid)'s
+//! * one section per registered **checkpointable sink** — e.g. an
+//!   [`EngineGrid`](loopspec_mt::EngineGrid)'s annotation state and
 //!   shared queue plus per-lane engine-core state.
 //!
 //! What a snapshot deliberately does **not** contain: the program (the
@@ -39,12 +38,10 @@ use loopspec_cpu::CpuError;
 /// traits is enough.
 ///
 /// In-tree implementors include
-/// [`StreamEngine`](loopspec_mt::StreamEngine),
-/// [`AnyStreamEngine`](loopspec_mt::AnyStreamEngine),
 /// [`EngineGrid`](loopspec_mt::EngineGrid),
-/// [`EventCollector`](loopspec_core::EventCollector),
-/// [`LoopStats`](loopspec_core::LoopStats) and
-/// [`SinkSet<S>`](crate::SinkSet) of any of these.
+/// [`IterationCountLog`](loopspec_mt::IterationCountLog),
+/// [`EventCollector`](loopspec_core::EventCollector) and
+/// [`LoopStats`](loopspec_core::LoopStats).
 pub trait CheckpointSink: LoopEventSink + SnapshotState {}
 
 impl<T: LoopEventSink + SnapshotState + ?Sized> CheckpointSink for T {}
@@ -139,7 +136,7 @@ pub struct Snapshot {
 
 /// Container magic: `LSNP` (loopspec snapshot).
 const MAGIC: u32 = 0x4c53_4e50;
-/// Container format version. v2: `StreamEngine` sink state gained the
+/// Container format version. v2: streaming-engine sink state gained the
 /// oracle-feed fingerprint echo, so v1 checkpoints no longer decode —
 /// reject them cleanly here instead of misparsing the sink bytes.
 /// v3: the CPU cursor section grew a kernel pause cursor and the

@@ -19,14 +19,12 @@
 
 use loopspec::prelude::*;
 
-fn engines() -> SinkSet<AnyStreamEngine> {
-    [
-        AnyStreamEngine::idle(4),
-        AnyStreamEngine::str(4),
-        AnyStreamEngine::str_nested(3, 4),
-    ]
-    .into_iter()
-    .collect()
+fn engines() -> EngineGrid {
+    let mut grid = EngineGrid::new();
+    grid.push_idle(4);
+    grid.push_str(4);
+    grid.push_str_nested(3, 4);
+    grid
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "single pass      : {} instructions, TPC(STR@4) = {:.2}",
         single.instructions,
-        reference.get(1).unwrap().report().unwrap().tpc()
+        reference.report(1).unwrap().tpc()
     );
 
     // 2. Manual checkpoint at the halfway boundary.
@@ -68,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "resume + finish  : {} instructions, TPC(STR@4) = {:.2}",
         resumed.instructions,
-        second_half.get(1).unwrap().report().unwrap().tpc()
+        second_half.report(1).unwrap().tpc()
     );
 
     // 3. The same run as 4 checkpoint-linked shards.
@@ -82,11 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // All three agree, engine for engine, bit for bit.
-    for (i, reference) in reference.iter().enumerate() {
-        let half = second_half.get(i).unwrap().report();
-        let shard = sharded.sink.get(i).unwrap().report();
-        assert_eq!(reference.report(), half, "engine {i}: manual resume");
-        assert_eq!(reference.report(), shard, "engine {i}: sharded run");
+    for i in 0..reference.len() {
+        let expected = reference.report(i);
+        assert_eq!(expected, second_half.report(i), "engine {i}: manual resume");
+        assert_eq!(expected, sharded.sink.report(i), "engine {i}: sharded run");
     }
     println!(
         "all {} engine reports bit-identical across the three runs ✓",

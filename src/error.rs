@@ -2,7 +2,7 @@
 //!
 //! Every layer of the stack has its own precise error enum — assembly
 //! ([`AsmError`]), execution ([`CpuError`]), codecs ([`SnapError`]),
-//! sessions ([`SnapshotError`]), streaming engines ([`StreamError`]),
+//! sessions ([`SnapshotError`]), engine-grid lanes ([`StreamError`]),
 //! the wire protocol ([`WireError`]), distributed runs ([`DistError`]),
 //! and the replay service ([`SvcError`]). Application code that drives
 //! several layers at once used to juggle all of them; [`enum@Error`]
@@ -49,7 +49,7 @@ pub enum Error {
     Codec(SnapError),
     /// A streaming session failed (run, advance, checkpoint, resume).
     Session(SnapshotError),
-    /// A streaming speculation engine was misdriven.
+    /// An engine-grid lane was misconfigured (TU count out of range).
     Stream(StreamError),
     /// A frame transport failed or decoded to garbage.
     Wire(WireError),
@@ -135,8 +135,8 @@ impl From<JobError> for Error {
     /// Job-admission failures unwrap to the layer that produced them:
     /// lane errors are [`StreamError`]s (constructed by
     /// [`loopspec_mt::validate_tus`], so a bad TU count reads the same
-    /// here as from `StreamEngine::try_new`), the rest are codec
-    /// errors.
+    /// here as from an `EngineGrid` lane constructor), the rest are
+    /// codec errors.
     fn from(e: JobError) -> Self {
         match e {
             JobError::Spec(e) => Error::Codec(e),

@@ -44,14 +44,15 @@
 //! let program = b.finish()?;
 //!
 //! // 2. Run it once; every analysis taps the same committed stream.
-//! let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+//! let mut grid = EngineGrid::new();
+//! let str4 = grid.push_str(4);
 //! let mut stats = LoopStats::new();
 //! let mut session = Session::new();
-//! session.observe_loops(&mut engine).observe_loops(&mut stats);
+//! session.observe_loops(&mut grid).observe_loops(&mut stats);
 //! let out = session.run(&program, RunLimits::default())?;
 //!
 //! // 3. What does a 4-context machine get?
-//! let report = engine.report().expect("stream ended");
+//! let report = grid.report(str4).expect("stream ended");
 //! assert_eq!(report.instructions, out.instructions);
 //! assert!(report.tpc() > 2.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -108,14 +109,12 @@ pub mod prelude {
     };
     pub use loopspec_isa::{Addr, AluOp, Cond, Instruction, Reg};
     pub use loopspec_mt::{
-        ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, AnnotatedTrace,
-        AnyStreamEngine, Engine, EngineGrid, EngineReport, EngineSink, IdlePolicy,
-        IterationCountLog, OracleFeed, OraclePolicy, StrNestedPolicy, StrPolicy, StreamEngine,
-        StreamError,
+        ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, AnnotatedTrace, Engine,
+        EngineGrid, EngineReport, IdlePolicy, IterationCountLog, OracleFeed, OraclePolicy,
+        StrNestedPolicy, StrPolicy, StreamError,
     };
     pub use loopspec_pipeline::{
-        CheckpointSink, Interp, ParallelSinkSet, Plan, Session, SessionSummary, ShardedRun,
-        SinkSet, Snapshot, SnapshotState,
+        CheckpointSink, Interp, Plan, Session, SessionSummary, ShardedRun, Snapshot, SnapshotState,
     };
     pub use loopspec_svc::{Client, Completion, Service, SvcConfig, SvcError};
     pub use loopspec_workloads::{

@@ -14,7 +14,8 @@ fn streaming_engine_buffering_is_bounded_on_a_large_run() {
     let w = workload_by_name("compress").expect("workload exists");
     let program = w.build(Scale::Full).expect("assembles");
 
-    let mut engine = StreamEngine::new(StrPolicy::new(), 4);
+    let mut engine = EngineGrid::new();
+    let str4 = engine.push_str(4);
     let mut counter = CountingSink::default();
     let mut session = Session::new();
     session
@@ -40,7 +41,8 @@ fn streaming_engine_buffering_is_bounded_on_a_large_run() {
     // The CLS holds at most 16 live loops; the run-ahead window adds the
     // events of roughly one iteration body; chunked fan-out adds at most
     // one undrained chunk (DEFAULT_EVENT_CHUNK = 256 events, counted
-    // once in `pending` and once in the retained iteration starts).
+    // once in the shared queue and once in the retained iteration
+    // starts).
     // 1024 bounds all three while staying two orders of magnitude below
     // the stream — O(instructions) retention would blow through it
     // immediately.
@@ -65,7 +67,7 @@ fn streaming_engine_buffering_is_bounded_on_a_large_run() {
     assert_eq!(n, out.instructions);
     assert_eq!(events.len() as u64, counter.events);
     let batch = Engine::new(&AnnotatedTrace::build(&events, n), StrPolicy::new(), 4).run();
-    assert_eq!(engine.report().unwrap(), &batch);
+    assert_eq!(engine.report(str4).unwrap(), &batch);
 }
 
 #[test]
@@ -84,7 +86,8 @@ fn deep_nesting_bounds_track_cls_depth() {
     nest(&mut b, 5);
     let program = b.finish().expect("assembles");
 
-    let mut engine = StreamEngine::new(StrNestedPolicy::new(2), 8);
+    let mut engine = EngineGrid::new();
+    engine.push_str_nested(2, 8);
     let mut counter = CountingSink::default();
     let mut session = Session::new();
     session
@@ -93,7 +96,7 @@ fn deep_nesting_bounds_track_cls_depth() {
     session.run(&program, RunLimits::default()).expect("runs");
 
     assert!(counter.events > 5_000, "events: {}", counter.events);
-    // Live annotation state tracks the nesting depth; the pending queue
+    // Live annotation state tracks the nesting depth; the shared queue
     // adds at most one event chunk (256) before the per-chunk drain.
     assert!(
         engine.peak_buffered() <= 640,

@@ -60,15 +60,17 @@ fn make_grid() -> EngineGrid {
 
 struct Sinks {
     events: EventCollector,
-    engine: StreamEngine<StrPolicy>,
+    engine: EngineGrid,
     grid: EngineGrid,
 }
 
 impl Sinks {
     fn new() -> Self {
+        let mut engine = EngineGrid::new();
+        engine.push_str(4);
         Sinks {
             events: EventCollector::default(),
-            engine: StreamEngine::new(StrPolicy::new(), 4),
+            engine,
             grid: make_grid(),
         }
     }
@@ -146,7 +148,7 @@ fn assert_identical(split: &Sinks, reference: &Sinks, ctx: &str) {
         reference.events.instructions(),
         "{ctx}"
     );
-    assert_eq!(split.engine.report(), reference.engine.report(), "{ctx}");
+    assert_eq!(split.engine.reports(), reference.engine.reports(), "{ctx}");
     assert_eq!(split.grid.reports(), reference.grid.reports(), "{ctx}");
 }
 
@@ -219,37 +221,4 @@ fn checkpoint_mid_chunk_carries_undelivered_events() {
     let (reference, _) = uninterrupted(&program);
     let split = segmented(&program, &[40]);
     assert_identical(&split, &reference, "mid-chunk cut");
-}
-
-#[test]
-fn resumed_suitability_filter_keeps_its_history() {
-    // A learning policy (the §2.3.2 not-suitable filter) must carry its
-    // outcome history across the snapshot, not relearn from scratch.
-    let mut b = ProgramBuilder::with_seed(3);
-    b.define_func("noisy", |b| {
-        let r = b.alloc_reg();
-        b.rng_below(r, 9);
-        b.addi(r, r, 1);
-        b.counted_loop(r, |b, _| b.work(4));
-        b.free_reg(r);
-    });
-    b.counted_loop(60, |b, _| b.call_func("noisy"));
-    let program = b.finish().unwrap();
-
-    let make = || {
-        StreamEngine::new(
-            loopspec::mt::SuitabilityFilter::new(StrPolicy::new(), 8, 0.5),
-            4,
-        )
-    };
-
-    let mut reference = make();
-    let mut session = Session::new();
-    session.observe_checkpointable(&mut reference);
-    let single = session.run(&program, RunLimits::default()).unwrap();
-
-    let out = ShardedRun::new(5)
-        .run(&program, RunLimits::with_fuel(single.instructions), make)
-        .unwrap();
-    assert_eq!(out.sink.report(), reference.report());
 }

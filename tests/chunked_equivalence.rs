@@ -44,13 +44,20 @@ struct Outcome {
     grid: Vec<EngineReport>,
 }
 
+/// A grid holding the single lane `push` adds.
+fn one_lane(push: impl FnOnce(&mut EngineGrid) -> usize) -> EngineGrid {
+    let mut grid = EngineGrid::new();
+    push(&mut grid);
+    grid
+}
+
 /// Runs one session with the given CLS chunk capacity: an event
-/// collector, two standalone stream engines and a shared-annotation
-/// grid all observe the same pass.
+/// collector, two single-lane grids and a two-lane grid all observe the
+/// same pass.
 fn run_with_chunk(program: &Program, chunk: usize, limits: RunLimits) -> Outcome {
     let mut collected = EventCollector::default();
-    let mut str4 = StreamEngine::new(StrPolicy::new(), 4);
-    let mut idle2 = StreamEngine::new(IdlePolicy::new(), 2);
+    let mut str4 = one_lane(|g| g.push_str(4));
+    let mut idle2 = one_lane(|g| g.push_idle(2));
     let mut grid = EngineGrid::new();
     grid.push_str(8);
     grid.push_str_nested(2, 4);
@@ -68,8 +75,8 @@ fn run_with_chunk(program: &Program, chunk: usize, limits: RunLimits) -> Outcome
     Outcome {
         events,
         instructions,
-        str4: str4.into_report(),
-        idle2: idle2.into_report(),
+        str4: str4.report(0).expect("finished").clone(),
+        idle2: idle2.report(0).expect("finished").clone(),
         grid: grid.reports().expect("grid finished").to_vec(),
     }
 }
@@ -78,12 +85,16 @@ fn run_with_chunk(program: &Program, chunk: usize, limits: RunLimits) -> Outcome
 /// time (chunk size 1 *at the sink boundary*, not just in the session)
 /// and close it, then compare against a batch replay too.
 fn check_against_reference(o: &Outcome, seed: u64) {
-    let mut str4 = StreamEngine::new(StrPolicy::new(), 4);
+    let mut str4 = one_lane(|g| g.push_str(4));
     for ev in &o.events {
         str4.on_loop_event(ev);
     }
     str4.on_stream_end(o.instructions);
-    assert_eq!(str4.into_report(), o.str4, "seed {seed}: per-event STR@4");
+    assert_eq!(
+        str4.report(0),
+        Some(&o.str4),
+        "seed {seed}: per-event STR@4"
+    );
 
     let trace = AnnotatedTrace::build(&o.events, o.instructions);
     assert_eq!(
@@ -173,18 +184,19 @@ fn raw_sink_chunking_matches_for_any_split() {
             .expect("runs");
         let (events, n) = c.into_parts();
 
+        let str1 = || one_lane(|g| g.push_str_nested(1, 4));
         let reference = {
-            let mut e = StreamEngine::new(StrNestedPolicy::new(1), 4);
+            let mut e = str1();
             for ev in &events {
                 e.on_loop_event(ev);
             }
             e.on_stream_end(n);
-            e.into_report()
+            e.report(0).expect("finished").clone()
         };
 
         // Random split points, fresh per attempt.
         for attempt in 0..3 {
-            let mut engine = StreamEngine::new(StrNestedPolicy::new(1), 4);
+            let mut engine = str1();
             let mut collected: Vec<LoopEvent> = Vec::new();
             let mut counter = CountingSink::default();
             let mut rest = &events[..];
@@ -203,8 +215,8 @@ fn raw_sink_chunking_matches_for_any_split() {
             assert_eq!(counter.events, events.len() as u64);
             assert_eq!(counter.instructions, n);
             assert_eq!(
-                engine.into_report(),
-                reference,
+                engine.report(0),
+                Some(&reference),
                 "seed {seed} attempt {attempt}"
             );
         }

@@ -197,8 +197,10 @@ fn all_workloads_match_legacy_sessions() {
 // ---------------------------------------------------------------------
 // Snapshot bytes across checkpoint cuts.
 
-fn make_engine() -> StreamEngine<StrPolicy> {
-    StreamEngine::new(StrPolicy::new(), 4)
+fn make_engine() -> EngineGrid {
+    let mut grid = EngineGrid::new();
+    grid.push_str(4);
+    grid
 }
 
 /// Advances in `fuel`-sized slices, checkpointing at every pause, and
@@ -218,7 +220,7 @@ fn checkpoint_chain(p: &Program, interp: Interp, fuel: u64) -> (Vec<Vec<u8>>, En
         }
         snaps.push(session.checkpoint().expect("checkpointable").to_bytes());
     }
-    (snaps, engine.report().expect("finished").clone())
+    (snaps, engine.report(0).expect("finished").clone())
 }
 
 #[test]
@@ -248,7 +250,7 @@ fn snapshots_resume_across_interpreters() {
     session.set_interp(Interp::Legacy);
     session.observe_checkpointable(&mut reference);
     session.run(&p, RunLimits::default()).expect("runs");
-    let expected = reference.report().expect("finished").clone();
+    let expected = reference.report(0).expect("finished").clone();
 
     for (from, to) in [
         (Interp::Legacy, Interp::Decoded),
@@ -275,7 +277,7 @@ fn snapshots_resume_across_interpreters() {
             .advance(&p, RunLimits::default())
             .expect("finishes");
         assert_eq!(
-            engine_b.report().expect("finished"),
+            engine_b.report(0).expect("finished"),
             &expected,
             "{from}->{to}"
         );

@@ -7,8 +7,8 @@
 //! families, on a run shape that crosses a mid-stream checkpoint.
 //!
 //! The second half stresses the registry itself: one shared counter
-//! hammered concurrently from every `ParallelSinkSet` worker thread
-//! must conserve counts exactly (no lost increments, no double counts).
+//! hammered concurrently from several sink threads must conserve counts
+//! exactly (no lost increments, no double counts).
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -135,41 +135,64 @@ impl LoopEventSink for HammerSink {
 }
 
 #[test]
-fn parallel_sink_workers_conserve_counter_increments() {
+fn concurrent_sink_threads_conserve_counter_increments() {
     const WORKERS: usize = 8;
     let registry = loopspec::obs::Registry::new();
     let shared = registry.counter("hammer_events");
 
     let w = workload_by_name("go").expect("workload exists");
     let program = w.build(Scale::Test).expect("assembles");
-
     let mut collector = EventCollector::default();
-    let mut pool: ParallelSinkSet<HammerSink> = (0..WORKERS)
-        .map(|_| HammerSink {
-            shared: shared.clone(),
-            local: 0,
-        })
-        .collect();
     let mut session = Session::new();
-    session
-        .observe_loops(&mut collector)
-        .observe_loops(&mut pool);
+    session.observe_loops(&mut collector);
     session
         .run(&program, RunLimits::default())
         .expect("workload runs");
+    let (events, n) = collector.into_parts();
 
-    let (events, _) = collector.into_parts();
-    let locals: Vec<u64> = pool.into_inner().into_iter().map(|s| s.local).collect();
+    // Every thread drives its own sink through the whole stream, all
+    // bumping the one shared counter: the first chunk event by event
+    // (`inc`), the rest in session-sized chunks (`add`). The barrier
+    // releases them together so their writes overlap.
+    let start = std::sync::Barrier::new(WORKERS);
+    let locals: Vec<u64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                let mut sink = HammerSink {
+                    shared: shared.clone(),
+                    local: 0,
+                };
+                let (events, start) = (&events, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut chunks = events.chunks(256);
+                    for ev in chunks.next().unwrap_or_default() {
+                        sink.on_loop_event(ev);
+                    }
+                    for chunk in chunks {
+                        sink.on_loop_events(chunk);
+                    }
+                    sink.on_stream_end(n);
+                    sink.local
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|h| h.join().expect("sink thread"))
+            .collect()
+    });
+
     let expected = events.len() as u64 * WORKERS as u64;
     assert!(expected > 0, "the workload must produce loop events");
     assert_eq!(
         locals.iter().sum::<u64>(),
         expected,
-        "every worker sees the full event stream"
+        "every thread sees the full event stream"
     );
     assert_eq!(
         shared.get(),
         expected,
-        "concurrent increments from {WORKERS} worker threads must conserve counts"
+        "concurrent increments from {WORKERS} sink threads must conserve counts"
     );
 }

@@ -94,15 +94,15 @@ fn oracle_lane_reports_bit_identical_on_all_18_workloads() {
             w.name
         );
 
-        // A standalone StreamEngine oracle lane agrees too.
-        let mut engine =
-            StreamEngine::with_feed(OraclePolicy::new(), 8, feed).expect("valid TU count");
-        engine.on_loop_events(&events);
-        engine.on_stream_end(n);
+        // A standalone one-lane oracle grid agrees too.
+        let mut single = EngineGrid::new();
+        let o8 = single.push_oracle(8, feed);
+        single.on_loop_events(&events);
+        single.on_stream_end(n);
         assert_eq!(
-            engine.report().unwrap(),
+            single.report(o8).unwrap(),
             &Engine::new(&trace, OraclePolicy::new(), 8).run(),
-            "{}: StreamEngine ORACLE@8",
+            "{}: one-lane ORACLE@8",
             w.name
         );
     }
@@ -117,10 +117,14 @@ fn checkpoint_resume_cuts_mid_chunk_through_an_oracle_lane() {
     let mut rng = Rng::new(0x0_0ac1e ^ 0xD15C0);
     for name in ["compress", "li", "swim"] {
         let (program, _, n, feed) = run_phase1(name);
+        let oracle4 = || {
+            let mut grid = EngineGrid::new();
+            grid.push_oracle(4, feed.clone());
+            grid
+        };
 
         // Uninterrupted phase 2 over a re-execution of the program.
-        let mut reference =
-            StreamEngine::with_feed(OraclePolicy::new(), 4, feed.clone()).expect("valid");
+        let mut reference = oracle4();
         let mut session = Session::new();
         session.observe_checkpointable(&mut reference);
         let single = session
@@ -133,7 +137,7 @@ fn checkpoint_resume_cuts_mid_chunk_through_an_oracle_lane() {
             // high probability; the buffered events travel with the
             // snapshot.
             let cut = rng.range(1, n.max(2));
-            let mut first = StreamEngine::with_feed(OraclePolicy::new(), 4, feed.clone()).unwrap();
+            let mut first = oracle4();
             let mut session_a = Session::new();
             session_a.observe_checkpointable(&mut first);
             let s = session_a
@@ -144,7 +148,7 @@ fn checkpoint_resume_cuts_mid_chunk_through_an_oracle_lane() {
             }
             let bytes = session_a.checkpoint().expect("checkpointable").to_bytes();
 
-            let mut second = StreamEngine::with_feed(OraclePolicy::new(), 4, feed.clone()).unwrap();
+            let mut second = oracle4();
             let mut session_b = Session::new();
             session_b.observe_checkpointable(&mut second);
             session_b
@@ -155,8 +159,8 @@ fn checkpoint_resume_cuts_mid_chunk_through_an_oracle_lane() {
                 .expect("second segment");
             assert!(out.halted(), "{name}: resumed run must finish");
             assert_eq!(
-                second.report(),
-                reference.report(),
+                second.reports(),
+                reference.reports(),
                 "{name}: oracle lane resumed at {cut} diverged"
             );
         }

@@ -92,15 +92,16 @@ fn streaming_engine_matches_batch_on_random_programs() {
         let (events, n) = build_and_run(&ast);
         let trace = AnnotatedTrace::build(&events, n);
         for tus in [2usize, 4] {
-            let mut streaming = StreamEngine::new(StrNestedPolicy::new(2), tus);
+            let mut streaming = EngineGrid::new();
+            let lane = streaming.push_str_nested(2, tus);
             for e in &events {
                 streaming.on_loop_event(e);
             }
             streaming.on_stream_end(n);
             let batch = Engine::new(&trace, StrNestedPolicy::new(2), tus).run();
             assert_eq!(
-                streaming.into_report(),
-                batch,
+                streaming.report(lane),
+                Some(&batch),
                 "seed {seed}: streaming vs batch diverged at {tus} TUs"
             );
         }

@@ -8,15 +8,16 @@
 use loopspec::prelude::*;
 
 /// The policies the acceptance criteria name: IDLE, STR, STR(i).
-fn streaming_engines(tus: usize) -> Vec<(&'static str, Box<dyn EngineSink + Send>)> {
-    vec![
-        ("IDLE", Box::new(StreamEngine::new(IdlePolicy::new(), tus))),
-        ("STR", Box::new(StreamEngine::new(StrPolicy::new(), tus))),
-        (
-            "STR(3)",
-            Box::new(StreamEngine::new(StrNestedPolicy::new(3), tus)),
-        ),
-    ]
+const POLICIES: [&str; 3] = ["IDLE", "STR", "STR(3)"];
+
+/// Adds the lane for `name` at `tus` thread units to `grid`.
+fn push_lane(grid: &mut EngineGrid, name: &str, tus: usize) {
+    match name {
+        "IDLE" => grid.push_idle(tus),
+        "STR" => grid.push_str(tus),
+        "STR(3)" => grid.push_str_nested(3, tus),
+        other => panic!("unknown policy {other}"),
+    };
 }
 
 fn batch_report(trace: &AnnotatedTrace, name: &str, tus: usize) -> EngineReport {
@@ -29,23 +30,30 @@ fn batch_report(trace: &AnnotatedTrace, name: &str, tus: usize) -> EngineReport 
 }
 
 /// Runs one workload once; checks every policy at `tus` thread units,
-/// through both fan-out shapes: independent boxed `StreamEngine` sinks
-/// (chunk-delivered by the session) and the shared-annotation
-/// `EngineGrid` registered as a single sink.
+/// through both fan-out shapes: one single-lane grid per policy, each
+/// its own session sink, and one shared-annotation grid holding every
+/// policy as a lane.
 fn check_workload(name: &str, tus: usize) {
     let w = workload_by_name(name).expect("workload exists");
     let program = w.build(Scale::Test).expect("assembles");
 
     let mut collector = EventCollector::default();
-    let mut engines = streaming_engines(tus);
-    let mut grid = loopspec::mt::EngineGrid::new();
-    grid.push_idle(tus);
-    grid.push_str(tus);
-    grid.push_str_nested(3, tus);
+    let mut engines: Vec<EngineGrid> = POLICIES
+        .iter()
+        .map(|policy| {
+            let mut single = EngineGrid::new();
+            push_lane(&mut single, policy, tus);
+            single
+        })
+        .collect();
+    let mut grid = EngineGrid::new();
+    for policy in POLICIES {
+        push_lane(&mut grid, policy, tus);
+    }
     let mut session = Session::new();
     session.observe_loops(&mut collector);
-    for (_, engine) in engines.iter_mut() {
-        session.observe_loops(&mut **engine);
+    for engine in engines.iter_mut() {
+        session.observe_loops(engine);
     }
     session.observe_loops(&mut grid);
     let out = session
@@ -57,9 +65,9 @@ fn check_workload(name: &str, tus: usize) {
     assert_eq!(n, out.instructions);
     let trace = AnnotatedTrace::build(&events, n);
 
-    for (lane, (policy, engine)) in engines.into_iter().enumerate() {
+    for (lane, (policy, engine)) in POLICIES.iter().zip(&engines).enumerate() {
         let streamed = engine
-            .finished_report()
+            .report(0)
             .unwrap_or_else(|| panic!("{name}/{policy}: stream did not end"));
         let batch = batch_report(&trace, policy, tus);
         assert_eq!(
@@ -90,33 +98,4 @@ fn tu_sweep_on_representative_workloads() {
             check_workload(name, tus);
         }
     }
-}
-
-#[test]
-fn suitability_filter_streams_identically() {
-    // A wrapped policy (the §2.3.2 not-suitable-loops filter) exercises
-    // the policy feedback path (on_thread_outcome) in both drivers.
-    let w = workload_by_name("applu").unwrap();
-    let program = w.build(Scale::Test).unwrap();
-
-    let mut collector = EventCollector::default();
-    let mut engine = StreamEngine::new(
-        loopspec::mt::SuitabilityFilter::new(StrPolicy::new(), 8, 0.5),
-        4,
-    );
-    let mut session = Session::new();
-    session
-        .observe_loops(&mut collector)
-        .observe_loops(&mut engine);
-    session.run(&program, RunLimits::default()).unwrap();
-
-    let (events, n) = collector.into_parts();
-    let trace = AnnotatedTrace::build(&events, n);
-    let batch = Engine::new(
-        &trace,
-        loopspec::mt::SuitabilityFilter::new(StrPolicy::new(), 8, 0.5),
-        4,
-    )
-    .run();
-    assert_eq!(engine.report().unwrap(), &batch);
 }
