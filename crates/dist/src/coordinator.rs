@@ -1,47 +1,16 @@
-//! The coordinator: N worker processes, one job queue of
-//! snapshot-linked shards, crash-tolerant scheduling, bit-identical
-//! merged results.
+//! The coordinator: N worker processes running one workload suite,
+//! bit-identical merged results.
 //!
-//! ## Scheduling model
-//!
-//! Each workload is a **chain**: a sequence of shards linked by
-//! serialized snapshots, scheduled by the same
-//! [`Plan`] the in-thread drivers use. Chains
-//! are mutually independent (one workload's shards never touch
-//! another's state), so the coordinator keeps every chain's *head
-//! shard* in a ready queue and hands heads to idle workers as they
-//! free up — with W workers, up to W workloads replay concurrently,
-//! each chain migrating between workers at every snapshot boundary.
-//! Within a chain, shards stay serial (iteration N+1 needs the state
-//! of iteration N); across chains, the suite saturates the worker
-//! pool.
-//!
-//! ## Failure model
-//!
-//! * **Worker death** (dropped connection — process exit, kill, broken
-//!   pipe): the in-flight job's *input* snapshot is still held by the
-//!   coordinator, so the chain is requeued from its last good snapshot
-//!   and handed to another worker — and, for spawned pools, a
-//!   replacement process is spawned the same way the initial pool was,
-//!   restoring the worker count. Work is lost, state is not; the
-//!   merged result is still bit-identical.
-//! * **Poison shard**: a shard that kills two workers in a row (no
-//!   completed shard on its chain in between) fails the run
-//!   ([`DistError::Failed`]) instead of grinding through fresh
-//!   processes forever.
-//! * **Spawn failure** (misconfigured binary path, missing stdio
-//!   pipes): [`DistError::Spawn`] up front; a failed mid-run respawn
-//!   silently shrinks the pool to the survivors. Respawns per run are
-//!   budgeted (2× the initial pool), so a binary that handshakes and
-//!   exits cannot respawn forever.
-//! * **Deterministic job failure** ([`Frame::Error`]: unknown
-//!   workload, invalid lane, snapshot rejected): retrying elsewhere
-//!   would fail identically, so the run fails with
-//!   [`DistError::Failed`].
-//! * **All workers dead** with work remaining:
-//!   [`DistError::AllWorkersDied`] (always reachable for
-//!   pre-connected pools, which cannot respawn, and for
-//!   [`Coordinator::no_respawn`]).
+//! [`Coordinator::run_suite`] submits every workload to the shared
+//! [`Scheduler`] as one snapshot-linked chain and drains the outcomes;
+//! see the [scheduler docs](crate::scheduler) for the scheduling and
+//! failure model. The coordinator's reaction to a failure is to end the
+//! run: the first failed chain or protocol violation becomes the
+//! [`DistError`] it returns — [`DistError::Failed`] (deterministic job
+//! failure, poison shard), [`DistError::AllWorkersDied`] (always
+//! reachable for pre-connected pools, which cannot respawn, and for
+//! [`Coordinator::no_respawn`]) or [`DistError::Protocol`]. A worker
+//! that cannot be spawned is [`DistError::Spawn`] up front.
 //!
 //! ## Bit-identity
 //!
@@ -53,22 +22,20 @@
 //! indistinguishable from the single-pass grid down to its serialized
 //! state.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::process::Command;
 use std::sync::mpsc;
-use std::time::Instant;
 
 use loopspec_core::snap::Enc;
 use loopspec_core::SnapshotState;
 use loopspec_cpu::RunLimits;
-use loopspec_obs::{self as obs, journal, EventKind};
 use loopspec_pipeline::{Plan, Session};
 use loopspec_workloads::Scale;
 
-use crate::pool::{PoolEvent, RespawnFn, WorkerPool};
-use crate::wire::{Frame, Job, LaneReport, LaneSpec, WireError, PROTOCOL};
+use crate::pool::{PoolEvent, Workers};
+use crate::scheduler::{ChainSpec, Failure, Outcome, Scheduler};
+use crate::wire::{LaneReport, LaneSpec};
 
 pub use crate::pool::WorkerLink;
 
@@ -84,9 +51,10 @@ pub enum DistError {
         message: String,
     },
     /// A job failed deterministically — on a worker
-    /// ([`Frame::Error`]) or locally while verifying.
+    /// ([`Frame::Error`](crate::wire::Frame::Error)) or locally while
+    /// verifying.
     Failed {
-        /// The workload involved (empty during the handshake).
+        /// The workload involved.
         workload: String,
         /// Human-readable cause.
         message: String,
@@ -99,8 +67,8 @@ pub enum DistError {
         /// Total chains in the suite.
         total: usize,
     },
-    /// A worker violated the protocol (wrong handshake echo, reply for
-    /// a job it was never given).
+    /// A worker violated the protocol (wrong or refused handshake, a
+    /// reply for a job it was never given, a malformed frame stream).
     Protocol(String),
     /// The bit-identity check failed: a distributed result differs
     /// from the single-pass reference.
@@ -118,9 +86,6 @@ impl fmt::Display for DistError {
             DistError::Io(e) => write!(f, "distributed run i/o error: {e}"),
             DistError::Spawn { message } => {
                 write!(f, "failed to spawn a worker process: {message}")
-            }
-            DistError::Failed { workload, message } if workload.is_empty() => {
-                write!(f, "worker failed: {message}")
             }
             DistError::Failed { workload, message } => {
                 write!(f, "workload '{workload}' failed: {message}")
@@ -323,72 +288,21 @@ pub fn single_pass_outcome(
     })
 }
 
-/// Per-worker scheduler state.
-enum WorkerState {
-    /// Hello sent, echo not yet received.
-    Connecting,
-    Idle,
-    /// Executing the job for chain `chain` under job id `job`,
-    /// dispatched at `since` (coordinator-side shard wall clock —
-    /// observational only).
-    Busy {
-        job: u64,
-        chain: usize,
-        since: Instant,
-    },
-    Dead,
-}
-
-/// One workload's chain through the job queue.
-struct Chain {
-    name: String,
-    shard: u32,
-    executed: u64,
-    /// Last good snapshot — input of the next (or in-flight) shard.
-    /// Retained until the *next* snapshot arrives, so a lost worker
-    /// only loses work, never state.
-    snapshot: Option<Vec<u8>>,
-    retries: u32,
-    /// Workers that died while executing the chain's *current* shard
-    /// (reset whenever a shard completes). One death is retryable
-    /// (requeue + respawn a replacement); a second death without
-    /// progress in between means the replacement died there too — a
-    /// poison shard that would grind through the pool forever, so the
-    /// suite fails instead.
-    deaths: u32,
-}
-
-/// The multi-process shard scheduler. Construct with connected
+/// The multi-process suite runner. Construct with connected
 /// [`WorkerLink`]s ([`Coordinator::spawn`] for the common
 /// re-invoke-current-binary case) and call [`Coordinator::run_suite`].
 ///
 /// Coordinators built via [`Coordinator::spawn`] /
-/// [`Coordinator::spawn_with`] **replenish the pool**: when a worker
-/// dies mid-shard its chain is requeued from the last good snapshot
-/// *and* a replacement process is spawned the same way the initial pool
-/// was (bounded by a 2×-pool respawn budget per run), so the worker
-/// count stays constant. A shard that kills two workers in a row fails
-/// the suite ([`DistError::Failed`]) instead of cycling through fresh
-/// processes. Coordinators over pre-connected
-/// links ([`Coordinator::new`]) cannot respawn and simply shrink to the
-/// survivors, failing with [`DistError::AllWorkersDied`] when none
-/// remain — [`Coordinator::no_respawn`] opts a spawned pool into the
-/// same behavior.
+/// [`Coordinator::spawn_with`] **replenish the pool**: a worker lost
+/// mid-shard is replaced the same way the initial pool was spawned
+/// (bounded by a 2×-pool respawn budget per run), so the worker count
+/// stays constant. Coordinators over pre-connected links
+/// ([`Coordinator::new`]) cannot respawn and simply shrink to the
+/// survivors — [`Coordinator::no_respawn`] opts a spawned pool into
+/// the same behavior.
+#[derive(Debug)]
 pub struct Coordinator {
-    links: Vec<WorkerLink>,
-    /// `Some` when the coordinator knows how to spawn replacements
-    /// (built via `spawn`/`spawn_with`); the argument is the new
-    /// worker's slot index.
-    respawn: Option<RespawnFn>,
-}
-
-impl fmt::Debug for Coordinator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Coordinator")
-            .field("workers", &self.links.len())
-            .field("respawn", &self.respawn.is_some())
-            .finish()
-    }
+    workers: Workers,
 }
 
 impl Coordinator {
@@ -400,19 +314,14 @@ impl Coordinator {
     ///
     /// Panics if `links` is empty.
     pub fn new(links: Vec<WorkerLink>) -> Self {
-        assert!(!links.is_empty(), "a run needs at least one worker");
         Coordinator {
-            links,
-            respawn: None,
+            workers: Workers::connected(links),
         }
     }
 
     /// Spawns `workers` processes by re-invoking the current executable
-    /// with `--worker` — the binary must call
-    /// [`maybe_serve_stdio`](crate::worker::maybe_serve_stdio) first
-    /// thing in `main` (the `dist_run` binary and the `distributed_run`
-    /// example both do). Workers lost mid-run are replaced the same
-    /// way, keeping the pool at `workers`.
+    /// with `--worker`; see [`Workers::spawn`] (the `dist_run` binary
+    /// and the `distributed_run` example both serve that way).
     ///
     /// # Errors
     ///
@@ -422,21 +331,13 @@ impl Coordinator {
     ///
     /// Panics if `workers == 0`.
     pub fn spawn(workers: usize) -> Result<Self, DistError> {
-        let exe = std::env::current_exe().map_err(|e| DistError::Spawn {
-            message: format!("cannot resolve the current executable: {e}"),
-        })?;
-        Self::spawn_with(workers, move |_| {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("--worker");
-            cmd
+        Ok(Coordinator {
+            workers: Workers::spawn(workers)?,
         })
     }
 
-    /// Spawns `workers` processes from per-worker commands — the hook
-    /// for custom binaries, per-worker environment (the crash-injection
-    /// tests use it), or remote-execution wrappers. A replacement for a
-    /// worker lost mid-run is spawned with `command(i)` where `i` is
-    /// the replacement's fresh slot index (≥ `workers`).
+    /// Spawns `workers` processes from per-worker commands; see
+    /// [`Workers::spawn_with`].
     ///
     /// # Errors
     ///
@@ -447,371 +348,114 @@ impl Coordinator {
     /// Panics if `workers == 0`.
     pub fn spawn_with(
         workers: usize,
-        mut command: impl FnMut(usize) -> Command + Send + 'static,
+        command: impl FnMut(usize) -> Command + Send + 'static,
     ) -> Result<Self, DistError> {
-        let links = (0..workers)
-            .map(|i| WorkerLink::spawn(&mut command(i)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut coordinator = Self::new(links);
-        coordinator.respawn = Some(Box::new(command));
-        Ok(coordinator)
+        Ok(Coordinator {
+            workers: Workers::spawn_with(workers, command)?,
+        })
     }
 
     /// Disables pool replenishment: worker deaths shrink the pool to
     /// the survivors even for a spawned coordinator (the strict mode
     /// the all-workers-dead tests pin down).
-    pub fn no_respawn(mut self) -> Self {
-        self.respawn = None;
-        self
-    }
-
-    /// Number of connected workers (including replacements spawned
-    /// mid-run; dead workers are not removed from the count until the
-    /// run ends).
-    pub fn workers(&self) -> usize {
-        self.links.len()
+    pub fn no_respawn(self) -> Self {
+        Coordinator {
+            workers: self.workers.no_respawn(),
+        }
     }
 
     /// Runs the whole suite across the worker pool and merges the
-    /// results; see the [module docs](self) for the scheduling and
-    /// failure model. Consumes the coordinator: workers are shut down
-    /// (EOF on their job streams) and reaped before this returns,
-    /// success or failure.
+    /// results; see the [module docs](self) for the failure mapping.
+    /// Consumes the coordinator: workers are shut down (EOF on their
+    /// job streams) and reaped before this returns, success or
+    /// failure.
     ///
     /// # Errors
     ///
     /// See [`DistError`].
     pub fn run_suite(self, spec: &SuiteSpec) -> Result<DistOutcome, DistError> {
         let (tx, rx) = mpsc::channel::<PoolEvent>();
-        let (mut pool, alive) = WorkerPool::start(self.links, self.respawn, tx);
-        let result = schedule(spec, &rx, &mut pool, &alive);
+        let mut scheduler = Scheduler::start(self.workers, tx);
+        for (key, workload) in spec.workloads.iter().enumerate() {
+            let chain = ChainSpec {
+                workload: workload.clone(),
+                scale: spec.scale,
+                lanes: spec.lanes.clone(),
+                plan: spec.plan,
+                total_fuel: spec.total_fuel,
+            };
+            scheduler.submit(key as u64, chain);
+        }
+        let result = drain(spec, &rx, &mut scheduler);
         // Shutdown: EOF the job streams, reap children, join readers;
         // then drain the final Closed events the reader guards sent.
-        pool.shutdown();
+        scheduler.shutdown();
         while rx.try_recv().is_ok() {}
         result
     }
 }
 
-/// The scheduler loop proper (pool bring-up and shutdown handled by
-/// [`Coordinator::run_suite`]). `alive` is the per-initial-slot
-/// handshake aliveness [`WorkerPool::start`] reported.
-fn schedule(
+/// Feeds pool events to the scheduler until every chain is done; the
+/// first failure or protocol violation ends the run.
+fn drain(
     spec: &SuiteSpec,
     rx: &mpsc::Receiver<PoolEvent>,
-    pool: &mut WorkerPool<PoolEvent>,
-    alive: &[bool],
+    scheduler: &mut Scheduler<PoolEvent>,
 ) -> Result<DistOutcome, DistError> {
-    let mut chains: Vec<Chain> = spec
-        .workloads
-        .iter()
-        .map(|name| Chain {
-            name: name.clone(),
-            shard: 0,
-            executed: 0,
-            snapshot: None,
-            retries: 0,
-            deaths: 0,
-        })
-        .collect();
-    let mut ready: VecDeque<usize> = (0..chains.len()).collect();
-    let mut outcomes: Vec<Option<WorkloadOutcome>> = chains.iter().map(|_| None).collect();
-    let mut states: Vec<WorkerState> = alive
-        .iter()
-        .map(|&ok| {
-            if ok {
-                WorkerState::Connecting
-            } else {
-                WorkerState::Dead
-            }
-        })
-        .collect();
+    let total = spec.workloads.len();
+    let mut outcomes: Vec<Option<WorkloadOutcome>> = vec![None; total];
     let mut completed = 0usize;
-    let mut jobs_dispatched = 0u64;
-    let mut handoff_bytes = 0u64;
-    let mut next_job = 1u64;
-
-    // An initial worker that died before its handshake is a loss like
-    // any other: replace it (replacements handshake inside the pool)
-    // so a transient startup failure does not run the pool under
-    // strength.
-    for i in 0..states.len() {
-        if matches!(states[i], WorkerState::Dead) {
-            respawn_into(pool, &mut states);
-        }
-    }
-
-    while completed < chains.len() {
-        // Hand every ready chain head to an idle worker.
-        'dispatch: while let Some(&chain_idx) = ready.front() {
-            let Some(worker) = states.iter().position(|s| matches!(s, WorkerState::Idle)) else {
-                break 'dispatch;
-            };
-            ready.pop_front();
-            let chain = &mut chains[chain_idx];
-            let job_id = next_job;
-            next_job += 1;
-            // The snapshot is *moved* into the job (it is the largest
-            // object in the system — no clone on the dispatch hot
-            // path) and restored right after the write, so the chain
-            // still holds its last good snapshot if this worker is
-            // later lost mid-shard.
-            let job = Frame::Job(Job {
-                id: job_id,
-                workload: chain.name.clone(),
-                scale: spec.scale,
-                lanes: spec.lanes.clone(),
-                shard: chain.shard,
-                budget: spec.plan.budget(spec.total_fuel, chain.executed),
-                total_fuel: spec.total_fuel,
-                last: spec.plan.is_last(chain.shard as usize),
-                snapshot: chain.snapshot.take(),
-            });
-            let wrote = pool.send(worker, &job);
-            let Frame::Job(job) = job else { unreachable!() };
-            chains[chain_idx].snapshot = job.snapshot;
-            match wrote {
-                Ok(()) => {
-                    jobs_dispatched += 1;
-                    obs::counter("dist_jobs_dispatched").inc();
-                    states[worker] = WorkerState::Busy {
-                        job: job_id,
-                        chain: chain_idx,
-                        since: Instant::now(),
-                    };
-                }
-                Err(WireError::Codec(e)) => {
-                    // The job itself cannot be framed (e.g. its
-                    // snapshot outgrew the frame limit) — every worker
-                    // would refuse it identically, so fail the run
-                    // with the cause instead of cycling through the
-                    // pool.
-                    return Err(DistError::Failed {
-                        workload: chains[chain_idx].name.clone(),
-                        message: format!("job could not be framed: {e}"),
+    loop {
+        while let Some(outcome) = scheduler.next_outcome() {
+            match outcome {
+                Outcome::Done {
+                    key,
+                    report,
+                    shards_run,
+                    retries,
+                } => {
+                    outcomes[key as usize] = Some(WorkloadOutcome {
+                        workload: spec.workloads[key as usize].clone(),
+                        instructions: report.instructions,
+                        shards_run,
+                        retries,
+                        lanes: report.lanes,
+                        state: report.state,
                     });
+                    completed += 1;
                 }
-                Err(WireError::Io(_)) => {
-                    // The worker died between frames; its Closed event
-                    // will arrive too — requeue, retry on another
-                    // worker, and replace the lost process so the pool
-                    // keeps its strength. The job never reached the
-                    // worker, so this death does not count against the
-                    // chain.
-                    states[worker] = WorkerState::Dead;
-                    pool.note_lost();
-                    chains[chain_idx].retries += 1;
-                    obs::counter("dist_requeues").inc();
-                    journal::record(
-                        EventKind::Requeue,
-                        job_id,
-                        chains[chain_idx].shard,
-                        format!("job write to worker {worker} failed; requeued"),
-                    );
-                    ready.push_front(chain_idx);
-                    respawn_into(pool, &mut states);
+                Outcome::Failed {
+                    cause: Failure::AllWorkersDied,
+                    ..
+                } => return Err(DistError::AllWorkersDied { completed, total }),
+                Outcome::Failed { key, cause } => {
+                    return Err(DistError::Failed {
+                        workload: spec.workloads[key as usize].clone(),
+                        message: cause.to_string(),
+                    })
                 }
+                Outcome::Violation { message, .. } => return Err(DistError::Protocol(message)),
             }
         }
-
-        if states.iter().all(|s| matches!(s, WorkerState::Dead)) {
-            return Err(DistError::AllWorkersDied {
-                completed,
-                total: chains.len(),
-            });
+        if completed == total {
+            break;
         }
-
-        let event = rx.recv().map_err(|_| DistError::AllWorkersDied {
-            completed,
-            total: chains.len(),
-        })?;
-        match event {
-            PoolEvent::Frame(w, Frame::Hello { protocol, worker })
-                if matches!(states[w], WorkerState::Connecting) =>
-            {
-                if protocol != PROTOCOL || worker != w as u32 {
-                    return Err(DistError::Protocol(format!(
-                        "worker {w} echoed protocol v{protocol} id {worker}, \
-                         expected v{PROTOCOL} id {w}"
-                    )));
-                }
-                states[w] = WorkerState::Idle;
-            }
-            PoolEvent::Frame(
-                w,
-                Frame::Snapshot {
-                    job,
-                    instructions,
-                    bytes,
-                },
-            ) => {
-                let chain_idx = expect_busy(&states, w, job)?;
-                if let WorkerState::Busy { since, .. } = states[w] {
-                    obs::histogram("dist_shard_wall_us")
-                        .observe(since.elapsed().as_micros() as u64);
-                }
-                let chain = &mut chains[chain_idx];
-                handoff_bytes += bytes.len() as u64;
-                obs::counter("dist_handoff_bytes").add(bytes.len() as u64);
-                chain.executed = instructions;
-                chain.shard += 1;
-                chain.snapshot = Some(bytes);
-                // Progress clears the poison-shard suspicion: only
-                // deaths on the *same* shard count together.
-                chain.deaths = 0;
-                ready.push_back(chain_idx);
-                states[w] = WorkerState::Idle;
-            }
-            PoolEvent::Frame(w, Frame::Report(report)) => {
-                let chain_idx = expect_busy(&states, w, report.job)?;
-                if let WorkerState::Busy { since, .. } = states[w] {
-                    obs::histogram("dist_shard_wall_us")
-                        .observe(since.elapsed().as_micros() as u64);
-                }
-                let chain = &mut chains[chain_idx];
-                outcomes[chain_idx] = Some(WorkloadOutcome {
-                    workload: chain.name.clone(),
-                    instructions: report.instructions,
-                    shards_run: chain.shard + 1,
-                    retries: chain.retries,
-                    lanes: report.lanes,
-                    state: report.state,
-                });
-                completed += 1;
-                states[w] = WorkerState::Idle;
-            }
-            PoolEvent::Frame(w, Frame::Error { message, .. }) => {
-                let workload = match states[w] {
-                    WorkerState::Busy { chain, .. } => chains[chain].name.clone(),
-                    _ => String::new(),
-                };
-                return Err(DistError::Failed { workload, message });
-            }
-            PoolEvent::Frame(w, frame) => {
-                return Err(DistError::Protocol(format!(
-                    "worker {w} sent an unexpected frame: {frame:?}"
-                )));
-            }
-            PoolEvent::Closed(w) => {
-                // A failed job write may already have marked the
-                // worker Dead (and respawned a replacement); only the
-                // first observation of a death counts.
-                let was_alive = !matches!(states[w], WorkerState::Dead);
-                let busy = match states[w] {
-                    WorkerState::Busy { job, chain, .. } => Some((job, chain)),
-                    _ => None,
-                };
-                if was_alive {
-                    pool.note_lost();
-                    states[w] = WorkerState::Dead;
-                    let (job, shard) = busy
-                        .map(|(job, chain)| (job, chains[chain].shard))
-                        .unwrap_or((0, 0));
-                    journal::record(
-                        EventKind::WorkerDeath,
-                        job,
-                        shard,
-                        format!("worker {w} connection closed"),
-                    );
-                }
-                if let Some((job, chain_idx)) = busy {
-                    // Lost mid-shard: requeue from the last good
-                    // snapshot (still held here — work lost, state
-                    // not).
-                    let chain = &mut chains[chain_idx];
-                    chain.retries += 1;
-                    chain.deaths += 1;
-                    if chain.deaths >= 2 && pool.can_respawn() {
-                        // The replacement died on the same shard: a
-                        // poison shard would grind through fresh
-                        // processes forever, so fail with the cause.
-                        journal::record(
-                            EventKind::PoisonShard,
-                            job,
-                            chain.shard,
-                            format!("workload '{}' killed {} workers", chain.name, chain.deaths),
-                        );
-                        return Err(DistError::Failed {
-                            workload: chain.name.clone(),
-                            message: format!(
-                                "shard {} killed {} workers in a row (no \
-                                 completed shard in between): poison shard",
-                                chain.shard, chain.deaths
-                            ),
-                        });
-                    }
-                    obs::counter("dist_requeues").inc();
-                    journal::record(
-                        EventKind::Requeue,
-                        job,
-                        chain.shard,
-                        format!("worker {w} died mid-shard; requeued '{}'", chain.name),
-                    );
-                    ready.push_front(chain_idx);
-                }
-                // Replace the lost process — whether it was busy,
-                // idle, or still connecting — so the pool keeps its
-                // strength.
-                if was_alive {
-                    respawn_into(pool, &mut states);
-                }
-            }
-            PoolEvent::Garbled(w, e) => {
-                return Err(DistError::Protocol(format!(
-                    "worker {w} produced a malformed frame stream: {e}"
-                )));
-            }
-        }
+        let event = rx
+            .recv()
+            .map_err(|_| DistError::AllWorkersDied { completed, total })?;
+        scheduler.on_event(event);
     }
-
+    let stats = scheduler.stats();
     Ok(DistOutcome {
         outcomes: outcomes
             .into_iter()
             .map(|o| o.expect("all chains completed"))
             .collect(),
-        workers_lost: pool.lost(),
-        workers_respawned: pool.respawned(),
-        jobs_dispatched,
-        handoff_bytes,
+        workers_lost: stats.workers_lost as u32,
+        workers_respawned: stats.workers_respawned as u32,
+        jobs_dispatched: stats.jobs_dispatched,
+        handoff_bytes: stats.handoff_bytes,
     })
-}
-
-/// Asks the pool for a replacement worker and mirrors the new slots
-/// into the scheduler's state table.
-fn respawn_into(pool: &mut WorkerPool<PoolEvent>, states: &mut Vec<WorkerState>) {
-    for (slot, ok) in pool.respawn_worker() {
-        journal::record(
-            EventKind::WorkerRespawn,
-            0,
-            slot as u32,
-            if ok {
-                "replacement worker spawned"
-            } else {
-                "replacement worker failed to spawn"
-            },
-        );
-        states.push(if ok {
-            WorkerState::Connecting
-        } else {
-            WorkerState::Dead
-        });
-    }
-}
-
-/// The chain a busy worker's reply belongs to; protocol error if the
-/// worker is not busy or echoes the wrong job id.
-fn expect_busy(states: &[WorkerState], worker: usize, job: u64) -> Result<usize, DistError> {
-    match states[worker] {
-        WorkerState::Busy {
-            job: expect, chain, ..
-        } if expect == job => Ok(chain),
-        WorkerState::Busy { job: expect, .. } => Err(DistError::Protocol(format!(
-            "worker {worker} answered job {job}, expected {expect}"
-        ))),
-        _ => Err(DistError::Protocol(format!(
-            "worker {worker} answered job {job} while not busy"
-        ))),
-    }
 }
 
 // The socket-pair transport these tests drive is Unix-only (process
@@ -821,7 +465,7 @@ fn expect_busy(states: &[WorkerState], worker: usize, job: u64) -> Result<usize,
 #[cfg(all(test, unix))]
 mod unix_tests {
     use super::*;
-    use crate::wire::{write_frame, FrameReader};
+    use crate::wire::{write_frame, Frame, FrameReader, PROTOCOL};
     use crate::worker::Worker;
     use std::os::unix::net::UnixStream;
 
@@ -965,6 +609,33 @@ mod unix_tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn wrong_handshake_echo_is_a_protocol_error() {
+        // A "worker" that echoes the handshake under another worker id.
+        let (ours, theirs) = UnixStream::pair().expect("socketpair");
+        let links = vec![WorkerLink::from_unix(ours).expect("clone")];
+        let handle = std::thread::spawn(move || {
+            let mut frames = FrameReader::new(theirs.try_clone().expect("clone"));
+            let mut writer = theirs;
+            if let Ok(Some(Frame::Hello { protocol, worker })) = frames.read_frame() {
+                let wrong = Frame::Hello {
+                    protocol,
+                    worker: worker + 7,
+                };
+                write_frame(&mut writer, &wrong).unwrap();
+            }
+            while let Ok(Some(_)) = frames.read_frame() {}
+        });
+        let err = Coordinator::new(links)
+            .run_suite(&small_spec())
+            .expect_err("must fail");
+        assert!(
+            matches!(err, DistError::Protocol(ref m) if m.contains(&format!("v{PROTOCOL} id 0"))),
+            "got: {err}"
+        );
+        handle.join().unwrap();
     }
 
     #[test]

@@ -19,12 +19,19 @@
 //!   resume a fresh `Session`, run one shard through the shared
 //!   [`run_shard`](loopspec_pipeline::run_shard) scheduling core, and
 //!   answer with the next checkpoint or the final per-lane reports.
-//! * [`coordinator`] — spawn N worker processes (re-invoking the
-//!   current binary), schedule the workload suite as a job queue of
-//!   snapshot-linked chains, reassign jobs when a worker dies (dropped
-//!   connection ⇒ requeue from the last good snapshot), and merge
-//!   reports with a bit-identical check against the single-pass
-//!   result.
+//! * [`pool`] — worker links and the one spawn path ([`Workers`]):
+//!   re-invoke the current binary with `--worker`, or use per-worker
+//!   commands, or wrap already-connected links.
+//! * [`scheduler`] — the one shard scheduler: a job queue of
+//!   snapshot-linked chains over the pool, requeue from the last good
+//!   snapshot when a worker dies, respawn, the poison-shard rule, and
+//!   typed per-chain and per-worker [`Outcome`]s. Both front ends
+//!   drive it.
+//! * [`coordinator`] — the one-suite front end: submit every workload
+//!   as a chain, drain the outcomes, fail the run on the first
+//!   failure, and merge reports with a bit-identical check against the
+//!   single-pass result. The persistent replay service
+//!   (`loopspec-svc`) is the other front end.
 //!
 //! ```no_run
 //! use loopspec_dist::{Coordinator, SuiteSpec};
@@ -51,6 +58,7 @@
 pub mod coordinator;
 pub mod job;
 pub mod pool;
+pub mod scheduler;
 pub mod wire;
 pub mod worker;
 
@@ -59,7 +67,8 @@ pub use coordinator::{
     WorkloadOutcome,
 };
 pub use job::{JobError, JobSpec, Policy};
-pub use pool::{PoolEvent, RespawnFn, WorkerPool};
+pub use pool::{PoolEvent, Workers};
+pub use scheduler::{ChainSpec, Failure, Outcome, Scheduler, SchedulerStats};
 pub use wire::{
     Frame, Job, LaneReport, LaneSpec, Report, SvcStats, WireError, MAX_FRAME, PROTOCOL,
 };

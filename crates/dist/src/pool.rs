@@ -1,14 +1,14 @@
-//! The shared worker-pool substrate beneath every multi-process
-//! driver: connected [`WorkerLink`]s, one reader thread per worker
-//! draining frames into the scheduler's event channel, and the bounded
-//! respawn machinery that keeps a spawned pool at full strength.
+//! The worker-pool transport beneath the shard
+//! [`Scheduler`](crate::Scheduler): connected [`WorkerLink`]s, one
+//! reader thread per worker draining frames into the scheduler's event
+//! channel, and the bounded respawn machinery that keeps a spawned
+//! pool at full strength. [`Workers`] is the one spawn path both front
+//! ends — the one-suite [`Coordinator`](crate::Coordinator) and the
+//! persistent replay service (`loopspec-svc`) — build their pool from.
 //!
-//! Two schedulers run on top of this today — the one-suite
-//! [`Coordinator`](crate::Coordinator) and the persistent replay
-//! service (`loopspec-svc`), which multiplexes many concurrent jobs
-//! over one pool. Both consume [`PoolEvent`]s; the service's scheduler
-//! merges them with client events, which is why the pool is generic
-//! over the channel's event type (`E: From<PoolEvent>`).
+//! Reader threads deliver [`PoolEvent`]s. The service merges them with
+//! client events on one channel, which is why the pool is generic over
+//! the channel's event type (`E: From<PoolEvent>`).
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -163,17 +163,104 @@ pub enum PoolEvent {
 
 /// How replacement worker processes are spawned after a worker death.
 /// The argument is the replacement's fresh slot index.
-pub type RespawnFn = Box<dyn FnMut(usize) -> Command + Send>;
+type RespawnFn = Box<dyn FnMut(usize) -> Command + Send>;
+
+/// The workers a pool starts with: connected links plus, for a spawned
+/// pool, the command hook that spawns replacements.
+pub struct Workers {
+    links: Vec<WorkerLink>,
+    respawn: Option<RespawnFn>,
+}
+
+impl fmt::Debug for Workers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Workers")
+            .field("links", &self.links.len())
+            .field("respawn", &self.respawn.is_some())
+            .finish()
+    }
+}
+
+impl Workers {
+    /// Already-connected links (worker threads on socket pairs,
+    /// pre-spawned processes). Such a pool cannot be replenished:
+    /// worker deaths shrink it to the survivors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `links` is empty.
+    pub fn connected(links: Vec<WorkerLink>) -> Self {
+        assert!(!links.is_empty(), "a pool needs at least one worker");
+        Workers {
+            links,
+            respawn: None,
+        }
+    }
+
+    /// Spawns `n` processes by re-invoking the current executable with
+    /// `--worker` — the binary must call
+    /// [`maybe_serve_stdio`](crate::worker::maybe_serve_stdio) first
+    /// thing in `main`. Workers lost later are replaced the same way.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Spawn`] when a worker cannot be started.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn spawn(n: usize) -> Result<Self, DistError> {
+        let exe = std::env::current_exe().map_err(|e| DistError::Spawn {
+            message: format!("cannot resolve the current executable: {e}"),
+        })?;
+        Self::spawn_with(n, move |_| {
+            let mut cmd = Command::new(&exe);
+            cmd.arg("--worker");
+            cmd
+        })
+    }
+
+    /// Spawns `n` processes from per-worker commands — the hook for
+    /// custom binaries, per-worker environment (the crash-injection
+    /// tests use it), or remote-execution wrappers. A replacement for a
+    /// lost worker is spawned with `command(i)`, where `i` is its fresh
+    /// slot index (≥ `n`).
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Spawn`] when a worker cannot be started.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn spawn_with(
+        n: usize,
+        mut command: impl FnMut(usize) -> Command + Send + 'static,
+    ) -> Result<Self, DistError> {
+        let links = (0..n)
+            .map(|i| WorkerLink::spawn(&mut command(i)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut workers = Self::connected(links);
+        workers.respawn = Some(Box::new(command));
+        Ok(workers)
+    }
+
+    /// Disables replenishment: worker deaths shrink the pool to the
+    /// survivors even for spawned workers.
+    pub fn no_respawn(mut self) -> Self {
+        self.respawn = None;
+        self
+    }
+}
 
 /// The pool proper: links, reader threads, respawn budget, loss
 /// counters. Scheduling state (which worker is busy with what) stays
-/// with the scheduler on top — the pool only knows transport.
+/// with the [`Scheduler`](crate::Scheduler) on top — the pool only
+/// knows transport.
 ///
 /// `E` is the scheduler's channel event type; reader threads deliver
-/// `E::from(PoolEvent)`, so a scheduler with its own event enum (the
-/// replay service, which also receives client submissions) shares the
-/// channel between pool and non-pool events.
-pub struct WorkerPool<E> {
+/// `E::from(PoolEvent)`.
+pub(crate) struct WorkerPool<E> {
     links: Vec<WorkerLink>,
     readers: Vec<std::thread::JoinHandle<()>>,
     tx: mpsc::Sender<E>,
@@ -207,22 +294,13 @@ impl<E: From<PoolEvent> + Send + 'static> WorkerPool<E> {
     /// initial slot — `false` means the handshake write already failed
     /// (counted as a loss) and the scheduler should treat that slot as
     /// dead from the start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `links` is empty.
-    pub fn start(
-        links: Vec<WorkerLink>,
-        respawn: Option<RespawnFn>,
-        tx: mpsc::Sender<E>,
-    ) -> (Self, Vec<bool>) {
-        assert!(!links.is_empty(), "a pool needs at least one worker");
-        let budget = 2 * links.len() as u32;
+    pub(crate) fn start(workers: Workers, tx: mpsc::Sender<E>) -> (Self, Vec<bool>) {
+        let budget = 2 * workers.links.len() as u32;
         let mut pool = WorkerPool {
-            links,
+            links: workers.links,
             readers: Vec::new(),
             tx,
-            respawn,
+            respawn: workers.respawn,
             budget,
             lost: 0,
             respawned: 0,
@@ -257,31 +335,25 @@ impl<E: From<PoolEvent> + Send + 'static> WorkerPool<E> {
         (pool, alive)
     }
 
-    /// Number of slots ever connected (including replacements; dead
-    /// workers keep their slot until the pool shuts down).
-    pub fn workers(&self) -> usize {
-        self.links.len()
-    }
-
     /// Worker connections lost so far (initial handshake failures,
     /// observed deaths, failed replacement handshakes).
-    pub fn lost(&self) -> u32 {
+    pub(crate) fn lost(&self) -> u32 {
         self.lost
     }
 
     /// Replacement processes spawned so far.
-    pub fn respawned(&self) -> u32 {
+    pub(crate) fn respawned(&self) -> u32 {
         self.respawned
     }
 
     /// Records a worker death the *scheduler* observed (a `Closed`
     /// event for a live slot, a job write that hit a broken pipe).
-    pub fn note_lost(&mut self) {
+    pub(crate) fn note_lost(&mut self) {
         self.lost += 1;
     }
 
     /// `true` when the pool knows how to spawn replacements.
-    pub fn can_respawn(&self) -> bool {
+    pub(crate) fn can_respawn(&self) -> bool {
         self.respawn.is_some()
     }
 
@@ -292,7 +364,7 @@ impl<E: From<PoolEvent> + Send + 'static> WorkerPool<E> {
     /// [`WireError::Io`] when the worker is gone (broken pipe) —
     /// retryable; [`WireError::Codec`] when the frame itself cannot be
     /// encoded (oversized) — deterministic, not retryable.
-    pub fn send(&mut self, w: usize, frame: &Frame) -> Result<(), WireError> {
+    pub(crate) fn send(&mut self, w: usize, frame: &Frame) -> Result<(), WireError> {
         write_frame(&mut self.links[w].writer, frame)
     }
 
@@ -306,7 +378,7 @@ impl<E: From<PoolEvent> + Send + 'static> WorkerPool<E> {
     /// shrink the pool. A pool that cannot respawn, a failed spawn, or
     /// an exhausted budget returns what it managed (possibly nothing),
     /// preserving the all-workers-dead error path.
-    pub fn respawn_worker(&mut self) -> Vec<(usize, bool)> {
+    pub(crate) fn respawn_worker(&mut self) -> Vec<(usize, bool)> {
         let mut created = Vec::new();
         // `make` is moved out and restored so the loop can push onto
         // `self.links` while holding it.
@@ -344,7 +416,7 @@ impl<E: From<PoolEvent> + Send + 'static> WorkerPool<E> {
     /// sender is dropped with the pool — callers should drain their
     /// receiver afterwards (reader drop-guards deliver a final
     /// `Closed` per worker).
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         for link in &mut self.links {
             link.writer.close();
         }

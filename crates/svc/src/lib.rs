@@ -2,12 +2,12 @@
 //!
 //! The distributed layer made one replay suite cheap to run across a
 //! worker pool; this crate makes *many* of them cheap to run
-//! **concurrently and repeatedly**. A [`Service`] is a persistent
-//! scheduler over the same [`WorkerPool`](loopspec_dist::WorkerPool) /
-//! [`run_shard`](loopspec_pipeline::run_shard) core every other driver
-//! uses, accepting typed [`JobSpec`](loopspec_dist::JobSpec)
-//! submissions from any number of clients and answering each with a
-//! full report grid:
+//! **concurrently and repeatedly**. A [`Service`] is a persistent front
+//! end over the same shard [`Scheduler`](loopspec_dist::Scheduler) the
+//! one-suite coordinator drives, accepting typed
+//! [`JobSpec`](loopspec_dist::JobSpec) submissions from any number of
+//! clients and answering each with a full report grid. The service
+//! adds only what is specific to serving many jobs:
 //!
 //! * **Content-addressed cache** — reports are stored under the spec's
 //!   FNV fingerprint (which deliberately ignores shard slicing: the
@@ -20,9 +20,11 @@
 //! * **Backpressure** — a bounded in-flight limit; beyond it,
 //!   submissions are rejected with an explicit retry signal instead of
 //!   queueing unboundedly.
-//! * **Fault isolation** — worker deaths requeue from the last good
-//!   snapshot and respawn under the pool's bounded budget; a poison
-//!   job fails alone; a fully dead pool still serves cache hits.
+//! * **Fault isolation** — the scheduler requeues a dead worker's
+//!   shard from its last good snapshot and respawns under the pool's
+//!   bounded budget; a failed chain (poison shard, every worker dead)
+//!   fails only its own job, a protocol violation quarantines only its
+//!   worker, and a fully dead pool still serves cache hits.
 //! * **Metrics** — a [`SvcStats`](loopspec_dist::SvcStats) snapshot
 //!   (also a wire frame) and a plain-text exposition endpoint,
 //!   [`Service::metrics_text`].

@@ -1,7 +1,6 @@
-//! The persistent replay service: a scheduler thread multiplexing many
-//! concurrent [`JobSpec`] submissions over one
-//! [`WorkerPool`], fronted by the
-//! content-addressed [`ReportCache`].
+//! The persistent replay service: one thread multiplexing many
+//! concurrent [`JobSpec`] submissions over the shared shard
+//! [`Scheduler`], fronted by the content-addressed [`ReportCache`].
 //!
 //! ## Job lifecycle
 //!
@@ -12,31 +11,32 @@
 //! if the number of distinct in-flight computations has reached the
 //! configured queue limit, the submission is rejected (backpressure —
 //! the client backs off and retries); else a new snapshot-linked chain
-//! is queued and dispatched shard by shard through the same
-//! [`run_shard`](loopspec_pipeline::run_shard) core every other driver
-//! uses.
+//! is submitted to the scheduler, which dispatches it shard by shard
+//! exactly as it does for the one-suite coordinator.
 //!
 //! ## Failure model
 //!
-//! Worker death mid-shard requeues the chain from its last good
-//! snapshot and spawns a replacement (bounded budget, exactly the
-//! coordinator's rules). A shard that kills two workers in a row while
-//! respawn is active fails **that job only** — a poison job cannot
-//! take the service down. Deterministic job failures (unknown
-//! workload, bad lane) likewise fail only their own waiters. Even with
-//! every worker dead the service keeps serving cache hits; misses fail
-//! fast with an explanatory error.
+//! The scheduler owns worker death, requeue, respawn and the poison
+//! rule (see [`loopspec_dist::scheduler`]). The service's reaction
+//! differs from the coordinator's because it serves many jobs at once:
+//! a failed chain (poison shard, deterministic job error, every worker
+//! dead) fails **that job's waiters only**, and a protocol violation
+//! quarantines the offending worker instead of failing anything. Even
+//! with every worker dead the service keeps serving cache hits; misses
+//! fail fast with an explanatory error.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::process::Command;
 use std::sync::mpsc;
 use std::time::Instant;
 
-use loopspec_dist::pool::{PoolEvent, RespawnFn, WorkerPool};
-use loopspec_dist::wire::{write_frame, Frame, FrameReader, Job};
-use loopspec_dist::{DistError, JobSpec, LaneSpec, Report, SvcStats, WireError, WorkerLink};
+use loopspec_dist::wire::{write_frame, Frame, FrameReader};
+use loopspec_dist::{
+    ChainSpec, DistError, JobSpec, Outcome, PoolEvent, Report, Scheduler, SvcStats, WireError,
+    WorkerLink, Workers,
+};
 use loopspec_obs::{self as obs, journal, EventKind};
 
 use crate::cache::ReportCache;
@@ -265,12 +265,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts a service over `config.workers` processes spawned by
-    /// re-invoking the current executable with `--worker` (the binary
-    /// must call
-    /// [`maybe_serve_stdio`](loopspec_dist::worker::maybe_serve_stdio)
-    /// first thing in `main`). Workers lost while serving are replaced
-    /// under the pool's bounded respawn budget.
+    /// Starts a service over `config.workers` processes re-invoking the
+    /// current executable; see [`Workers::spawn`].
     ///
     /// # Errors
     ///
@@ -280,20 +276,11 @@ impl Service {
     ///
     /// Panics if `config.workers == 0`.
     pub fn spawn(config: SvcConfig) -> Result<Self, DistError> {
-        let exe = std::env::current_exe().map_err(|e| DistError::Spawn {
-            message: format!("cannot resolve the current executable: {e}"),
-        })?;
-        Self::spawn_with(config, move |_| {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("--worker");
-            cmd
-        })
+        Ok(Self::start(config, Workers::spawn(config.workers)?))
     }
 
     /// Starts a service over `config.workers` processes from
-    /// per-worker commands — the hook for custom binaries or
-    /// per-worker environment. Replacements use the same hook with
-    /// fresh slot indices.
+    /// per-worker commands; see [`Workers::spawn_with`].
     ///
     /// # Errors
     ///
@@ -304,33 +291,28 @@ impl Service {
     /// Panics if `config.workers == 0`.
     pub fn spawn_with(
         config: SvcConfig,
-        mut command: impl FnMut(usize) -> Command + Send + 'static,
+        command: impl FnMut(usize) -> Command + Send + 'static,
     ) -> Result<Self, DistError> {
-        assert!(config.workers > 0, "a service needs at least one worker");
-        let links = (0..config.workers)
-            .map(|i| WorkerLink::spawn(&mut command(i)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::start(config, links, Some(Box::new(command))))
+        let workers = Workers::spawn_with(config.workers, command)?;
+        Ok(Self::start(config, workers))
     }
 
-    /// Starts a service over already-connected links (worker threads
-    /// on socket pairs, pre-spawned processes). Such a pool cannot be
-    /// replenished: worker deaths shrink it to the survivors.
+    /// Starts a service over already-connected links, which cannot be
+    /// replenished; see [`Workers::connected`].
     ///
     /// # Panics
     ///
     /// Panics if `links` is empty.
     pub fn with_links(config: SvcConfig, links: Vec<WorkerLink>) -> Self {
-        assert!(!links.is_empty(), "a service needs at least one worker");
-        Self::start(config, links, None)
+        Self::start(config, Workers::connected(links))
     }
 
-    fn start(config: SvcConfig, links: Vec<WorkerLink>, respawn: Option<RespawnFn>) -> Self {
+    fn start(config: SvcConfig, workers: Workers) -> Self {
         let (tx, rx) = mpsc::channel();
         let pool_tx = tx.clone();
         let scheduler = std::thread::spawn(move || {
-            let (pool, alive) = WorkerPool::start(links, respawn, pool_tx);
-            Scheduler::new(config, pool, &alive, rx).run();
+            let scheduler = Scheduler::start(workers, pool_tx);
+            ServiceLoop::new(config, scheduler, rx).run();
         });
         Service {
             tx,
@@ -434,43 +416,22 @@ pub fn render_metrics(stats: &SvcStats) -> String {
     out
 }
 
-/// Per-worker scheduling state (the pool only knows transport).
-#[derive(Debug, Clone, Copy)]
-enum WorkerState {
-    /// Handshake sent, echo not yet received.
-    Connecting,
-    /// Ready for a job.
-    Idle,
-    /// Running shard `job` of the run keyed by `fingerprint`.
-    Busy { job: u64, fingerprint: u64 },
-    /// Lost; the slot stays dead for the pool's lifetime.
-    Dead,
-}
-
-/// One in-flight computation: a snapshot-linked shard chain plus every
-/// submission waiting on its result.
+/// One in-flight computation: every submission waiting on the chain
+/// the scheduler runs under the spec's fingerprint.
 #[derive(Debug)]
 struct Run {
-    spec: JobSpec,
-    lanes: Vec<LaneSpec>,
-    shard: u32,
-    executed: u64,
-    snapshot: Option<Vec<u8>>,
-    /// Workers killed by the current shard with no completed shard in
-    /// between — the poison-job detector.
-    deaths: u32,
     /// Submission time of the miss that started this computation —
     /// telemetry only (the miss-latency histogram), never serialized.
     started: Instant,
     waiters: Vec<mpsc::Sender<Reply>>,
 }
 
-/// The scheduler's metric cells: a per-service [`obs::Registry`] (two
+/// The service's metric cells: a per-service [`obs::Registry`] (two
 /// services in one process never mix numbers) with every handle cached
 /// at startup, so each bookkeeping bump is one relaxed atomic add. The
-/// monotonic [`SvcStats`] counters live here; the live gauges (worker
-/// states, cache evictions, pool totals) are still derived from
-/// scheduler state at snapshot time.
+/// monotonic admission and cache counters live here; worker states,
+/// dispatch and handoff totals, queue depth and cache evictions are
+/// read from the scheduler and the cache at snapshot time.
 #[derive(Debug)]
 struct SvcMetrics {
     registry: obs::Registry,
@@ -483,9 +444,6 @@ struct SvcMetrics {
     cache_hits: obs::Counter,
     cache_misses: obs::Counter,
     coalesced: obs::Counter,
-    jobs_dispatched: obs::Counter,
-    handoff_bytes: obs::Counter,
-    queue_depth: obs::Gauge,
     hit_latency: obs::Histogram,
     miss_latency: obs::Histogram,
 }
@@ -503,9 +461,6 @@ impl SvcMetrics {
             cache_hits: registry.counter("svc_cache_hits"),
             cache_misses: registry.counter("svc_cache_misses"),
             coalesced: registry.counter("svc_coalesced"),
-            jobs_dispatched: registry.counter("svc_jobs_dispatched"),
-            handoff_bytes: registry.counter("svc_handoff_bytes"),
-            queue_depth: registry.gauge("svc_queue_depth"),
             hit_latency: registry.histogram("svc_cache_hit_latency_us"),
             miss_latency: registry.histogram("svc_cache_miss_latency_us"),
             registry,
@@ -513,55 +468,33 @@ impl SvcMetrics {
     }
 }
 
-struct Scheduler {
+/// The service thread's state: what is specific to the service —
+/// cache, coalescing, admission, waiters, metrics — over the shared
+/// shard [`Scheduler`].
+struct ServiceLoop {
     rx: mpsc::Receiver<SvcEvent>,
-    pool: WorkerPool<SvcEvent>,
-    states: Vec<WorkerState>,
-    /// In-flight computations by fingerprint.
+    scheduler: Scheduler<SvcEvent>,
+    /// In-flight computations by fingerprint (also their chain key).
     runs: HashMap<u64, Run>,
-    /// Fingerprints with a shard ready to dispatch.
-    queue: VecDeque<u64>,
     cache: ReportCache,
     queue_limit: usize,
     metrics: SvcMetrics,
-    next_job: u64,
 }
 
-impl Scheduler {
+impl ServiceLoop {
     fn new(
         config: SvcConfig,
-        pool: WorkerPool<SvcEvent>,
-        alive: &[bool],
+        scheduler: Scheduler<SvcEvent>,
         rx: mpsc::Receiver<SvcEvent>,
     ) -> Self {
-        let states = alive
-            .iter()
-            .map(|&ok| {
-                if ok {
-                    WorkerState::Connecting
-                } else {
-                    WorkerState::Dead
-                }
-            })
-            .collect::<Vec<_>>();
-        let mut scheduler = Scheduler {
+        ServiceLoop {
             rx,
-            pool,
-            states,
+            scheduler,
             runs: HashMap::new(),
-            queue: VecDeque::new(),
             cache: ReportCache::new(config.cache_capacity),
             queue_limit: config.queue_limit,
             metrics: SvcMetrics::new(),
-            next_job: 1,
-        };
-        // Replace initial workers that died before their handshake.
-        for i in 0..scheduler.states.len() {
-            if matches!(scheduler.states[i], WorkerState::Dead) {
-                scheduler.respawn();
-            }
         }
-        scheduler
     }
 
     fn run(mut self) {
@@ -586,7 +519,10 @@ impl Scheduler {
                     let _ = reply.send(self.cache.corrupt(fingerprint));
                 }
                 SvcEvent::Shutdown => break,
-                SvcEvent::Pool(ev) => self.on_pool(ev),
+                SvcEvent::Pool(ev) => {
+                    self.scheduler.on_event(ev);
+                    self.drain();
+                }
             }
         }
         // Fail whatever is still waiting, then tear the pool down.
@@ -594,7 +530,7 @@ impl Scheduler {
         for fp in fingerprints {
             self.finish_run(fp, &Err(SvcError::Disconnected));
         }
-        self.pool.shutdown();
+        self.scheduler.shutdown();
         while self.rx.try_recv().is_ok() {}
     }
 
@@ -653,7 +589,7 @@ impl Scheduler {
             }));
             return;
         }
-        if self.all_workers_dead() {
+        if self.scheduler.all_workers_dead() {
             // The cache outlives the pool, but a miss cannot compute.
             self.metrics.accepted.inc();
             self.metrics.failed.inc();
@@ -674,232 +610,47 @@ impl Scheduler {
         self.runs.insert(
             fingerprint,
             Run {
-                lanes: spec.lane_specs(),
-                spec,
-                shard: 0,
-                executed: 0,
-                snapshot: None,
-                deaths: 0,
                 started: arrived,
                 waiters: vec![reply],
             },
         );
-        self.queue.push_back(fingerprint);
-        self.note_queue_depth();
-        self.dispatch();
+        let chain = ChainSpec {
+            lanes: spec.lane_specs(),
+            workload: spec.workload,
+            scale: spec.scale,
+            plan: spec.plan,
+            total_fuel: spec.total_fuel,
+        };
+        self.scheduler.submit(fingerprint, chain);
+        self.drain();
     }
 
-    // ---- pool events --------------------------------------------------
-
-    fn on_pool(&mut self, event: PoolEvent) {
-        match event {
-            PoolEvent::Frame(w, Frame::Hello { .. })
-                if matches!(self.states[w], WorkerState::Connecting) =>
-            {
-                // Echo validation is the pool's job at handshake time;
-                // a wrong echo would already have surfaced as garbage.
-                self.states[w] = WorkerState::Idle;
-                self.dispatch();
-            }
-            PoolEvent::Frame(
-                w,
-                Frame::Snapshot {
-                    job,
-                    instructions,
-                    bytes,
-                },
-            ) => {
-                let Some(fp) = self.busy_fingerprint(w, job) else {
-                    self.quarantine(w);
-                    return;
-                };
-                self.metrics.handoff_bytes.add(bytes.len() as u64);
-                let run = self.runs.get_mut(&fp).expect("busy run exists");
-                run.executed = instructions;
-                run.shard += 1;
-                run.snapshot = Some(bytes);
-                // Progress clears poison suspicion: only deaths on the
-                // *same* shard count together.
-                run.deaths = 0;
-                self.queue.push_back(fp);
-                self.note_queue_depth();
-                self.states[w] = WorkerState::Idle;
-                self.dispatch();
-            }
-            PoolEvent::Frame(w, Frame::Report(mut report)) => {
-                let Some(fp) = self.busy_fingerprint(w, report.job) else {
-                    self.quarantine(w);
-                    return;
-                };
-                // The echoed wire job id is scheduler state, not report
-                // content: zero it so a cached answer is byte-identical
-                // to a fresh recompute of the same spec.
-                report.job = 0;
-                self.cache.insert(fp, &report);
-                self.finish_run(
-                    fp,
-                    &Ok(Completion {
+    /// Answers the scheduler's outcomes: a finished chain answers its
+    /// waiters (and fills the cache), a failed one fails only its own
+    /// waiters, and a protocol violation quarantines the worker.
+    fn drain(&mut self) {
+        while let Some(outcome) = self.scheduler.next_outcome() {
+            match outcome {
+                Outcome::Done {
+                    key, mut report, ..
+                } => {
+                    // The echoed wire job id is scheduler state, not
+                    // report content: zero it so a cached answer is
+                    // byte-identical to a fresh recompute of the spec.
+                    report.job = 0;
+                    self.cache.insert(key, &report);
+                    let done = Completion {
                         report,
                         cached: false,
-                    }),
-                );
-                self.states[w] = WorkerState::Idle;
-                self.dispatch();
-            }
-            PoolEvent::Frame(w, Frame::Error { job, message }) => {
-                let Some(fp) = self.busy_fingerprint(w, job) else {
-                    self.quarantine(w);
-                    return;
-                };
-                // Deterministic failure: retrying elsewhere would fail
-                // identically, so fail this job — and only this job.
-                self.finish_run(fp, &Err(SvcError::Failed { message }));
-                self.states[w] = WorkerState::Idle;
-                self.dispatch();
-            }
-            PoolEvent::Frame(w, _) | PoolEvent::Garbled(w, _) => {
-                // A worker speaking out of turn (or producing garbage)
-                // can no longer be trusted with jobs.
-                self.quarantine(w);
-            }
-            PoolEvent::Closed(w) => {
-                // A failed job write may already have marked this slot
-                // dead; only the first observation counts.
-                if !matches!(self.states[w], WorkerState::Dead) {
-                    self.pool.note_lost();
-                    self.worker_died(w);
-                }
-            }
-        }
-    }
-
-    /// Marks `w` dead (transport loss or protocol violation), requeues
-    /// its in-flight shard from the last good snapshot — or fails the
-    /// job if the shard looks poisonous — and spawns a replacement.
-    fn worker_died(&mut self, w: usize) {
-        let busy = match self.states[w] {
-            WorkerState::Busy { fingerprint, .. } => Some(fingerprint),
-            _ => None,
-        };
-        self.states[w] = WorkerState::Dead;
-        if let Some(fp) = busy {
-            let run = self.runs.get_mut(&fp).expect("busy run exists");
-            run.deaths += 1;
-            if run.deaths >= 2 && self.pool.can_respawn() {
-                // The replacement died on the same shard: a poison job
-                // would grind through fresh processes forever. Fail
-                // the job; the service (and every other job) lives.
-                let shard = run.shard;
-                let deaths = run.deaths;
-                self.finish_run(
-                    fp,
-                    &Err(SvcError::Failed {
-                        message: format!(
-                            "shard {shard} killed {deaths} workers in a row (no \
-                             completed shard in between): poison job"
-                        ),
-                    }),
-                );
-            } else {
-                self.queue.push_front(fp);
-                self.note_queue_depth();
-            }
-        }
-        self.respawn();
-        self.fail_if_all_dead();
-        self.dispatch();
-    }
-
-    /// A protocol violation from worker `w`: quarantine the slot like
-    /// a death. (The reader thread follows a garbled stream with a
-    /// `Closed`, which the dead-slot check then ignores.)
-    fn quarantine(&mut self, w: usize) {
-        if !matches!(self.states[w], WorkerState::Dead) {
-            self.pool.note_lost();
-            self.worker_died(w);
-        }
-    }
-
-    // ---- scheduling ---------------------------------------------------
-
-    /// Hands every ready chain head to an idle worker.
-    fn dispatch(&mut self) {
-        while let Some(&fp) = self.queue.front() {
-            let Some(w) = self
-                .states
-                .iter()
-                .position(|s| matches!(s, WorkerState::Idle))
-            else {
-                return;
-            };
-            self.queue.pop_front();
-            self.note_queue_depth();
-            let run = self.runs.get_mut(&fp).expect("queued run exists");
-            let job_id = self.next_job;
-            self.next_job += 1;
-            // The snapshot is *moved* into the job frame (it dominates
-            // the payload) and restored right after the write, so the
-            // run still holds its last good snapshot if this worker is
-            // later lost mid-shard.
-            let job = Frame::Job(Job {
-                id: job_id,
-                workload: run.spec.workload.clone(),
-                scale: run.spec.scale,
-                lanes: run.lanes.clone(),
-                shard: run.shard,
-                budget: run.spec.plan.budget(run.spec.total_fuel, run.executed),
-                total_fuel: run.spec.total_fuel,
-                last: run.spec.plan.is_last(run.shard as usize),
-                snapshot: run.snapshot.take(),
-            });
-            let wrote = self.pool.send(w, &job);
-            let Frame::Job(job) = job else { unreachable!() };
-            self.runs.get_mut(&fp).expect("queued run exists").snapshot = job.snapshot;
-            match wrote {
-                Ok(()) => {
-                    self.metrics.jobs_dispatched.inc();
-                    self.states[w] = WorkerState::Busy {
-                        job: job_id,
-                        fingerprint: fp,
                     };
+                    self.finish_run(key, &Ok(done));
                 }
-                Err(WireError::Codec(e)) => {
-                    // The job itself cannot be framed (e.g. a snapshot
-                    // over the frame limit): every worker would refuse
-                    // it identically — fail the job, not the worker.
-                    self.finish_run(
-                        fp,
-                        &Err(SvcError::Failed {
-                            message: format!("job could not be framed: {e}"),
-                        }),
-                    );
+                Outcome::Failed { key, cause } => {
+                    let message = cause.to_string();
+                    self.finish_run(key, &Err(SvcError::Failed { message }));
                 }
-                Err(WireError::Io(_)) => {
-                    // The worker died between frames; the job never
-                    // reached it, so this death does not count against
-                    // the run's poison detector.
-                    self.states[w] = WorkerState::Dead;
-                    self.pool.note_lost();
-                    self.queue.push_front(fp);
-                    self.note_queue_depth();
-                    self.respawn();
-                    if self.fail_if_all_dead() {
-                        return;
-                    }
-                }
+                Outcome::Violation { worker, .. } => self.scheduler.quarantine(worker),
             }
-        }
-    }
-
-    /// The run a busy worker's reply belongs to; `None` (protocol
-    /// violation) when the worker is not busy or echoes the wrong id.
-    fn busy_fingerprint(&self, w: usize, job: u64) -> Option<u64> {
-        match self.states[w] {
-            WorkerState::Busy {
-                job: expect,
-                fingerprint,
-            } if expect == job => Some(fingerprint),
-            _ => None,
         }
     }
 
@@ -909,8 +660,6 @@ impl Scheduler {
         let Some(run) = self.runs.remove(&fp) else {
             return;
         };
-        self.queue.retain(|&k| k != fp);
-        self.note_queue_depth();
         let n = run.waiters.len() as u64;
         self.metrics.in_flight.sub(n);
         match reply {
@@ -927,58 +676,15 @@ impl Scheduler {
         }
     }
 
-    /// Asks the pool for a replacement worker and mirrors the new
-    /// slots into the scheduler's state table.
-    fn respawn(&mut self) {
-        for (_, ok) in self.pool.respawn_worker() {
-            self.states.push(if ok {
-                WorkerState::Connecting
-            } else {
-                WorkerState::Dead
-            });
-        }
-    }
-
-    fn all_workers_dead(&self) -> bool {
-        self.states.iter().all(|s| matches!(s, WorkerState::Dead))
-    }
-
-    /// With no worker left nothing queued can ever complete: fail all
-    /// in-flight jobs now. The service itself keeps running — the
-    /// cache still answers hits. Returns whether the pool is dead.
-    fn fail_if_all_dead(&mut self) -> bool {
-        if !self.all_workers_dead() {
-            return false;
-        }
-        let fingerprints: Vec<u64> = self.runs.keys().copied().collect();
-        for fp in fingerprints {
-            self.finish_run(
-                fp,
-                &Err(SvcError::Failed {
-                    message: "all workers died".into(),
-                }),
-            );
-        }
-        self.queue.clear();
-        self.note_queue_depth();
-        true
-    }
-
-    /// Mirrors the ready-queue length into the registry gauge (the
-    /// [`SvcStats`] snapshot reads `queue.len()` directly; the gauge
-    /// keeps the registry's own view live between snapshots).
-    fn note_queue_depth(&self) {
-        self.metrics.queue_depth.set(self.queue.len() as u64);
-    }
-
     /// A consistent stats snapshot: the monotonic counters read back
-    /// out of the metric cells, plus the live gauges (queue depth,
-    /// worker states, cache/pool totals) derived from scheduler state.
-    /// The reconstructed struct feeds the PROTOCOL Stats frame, so the
-    /// wire encoding is bit-identical to the pre-telemetry bookkeeping.
+    /// out of the metric cells, plus the live values (queue depth,
+    /// worker states, dispatch and pool totals, cache evictions) read
+    /// from the scheduler and the cache. The struct feeds the PROTOCOL
+    /// Stats frame, so its wire encoding is unchanged.
     fn snapshot(&self) -> SvcStats {
         let m = &self.metrics;
-        let mut s = SvcStats {
+        let pool = self.scheduler.stats();
+        SvcStats {
             submitted: m.submitted.get(),
             accepted: m.accepted.get(),
             rejected: m.rejected.get(),
@@ -988,34 +694,16 @@ impl Scheduler {
             cache_hits: m.cache_hits.get(),
             cache_misses: m.cache_misses.get(),
             coalesced: m.coalesced.get(),
-            jobs_dispatched: m.jobs_dispatched.get(),
-            handoff_bytes: m.handoff_bytes.get(),
-            queue_depth: self.queue.len() as u64,
             evictions: self.cache.evictions(),
-            workers_lost: u64::from(self.pool.lost()),
-            workers_respawned: u64::from(self.pool.respawned()),
-            ..SvcStats::default()
-        };
-        for state in &self.states {
-            match state {
-                WorkerState::Idle => s.workers_idle += 1,
-                // A handshaking worker is not available for work yet.
-                WorkerState::Busy { .. } | WorkerState::Connecting => s.workers_busy += 1,
-                WorkerState::Dead => s.workers_dead += 1,
-            }
+            queue_depth: pool.queue_depth,
+            workers_idle: pool.idle,
+            workers_busy: pool.busy,
+            workers_dead: pool.dead,
+            workers_lost: pool.workers_lost,
+            workers_respawned: pool.workers_respawned,
+            jobs_dispatched: pool.jobs_dispatched,
+            handoff_bytes: pool.handoff_bytes,
         }
-        s
-    }
-}
-
-impl fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("pool", &self.pool)
-            .field("runs", &self.runs.len())
-            .field("queue", &self.queue.len())
-            .field("cache", &self.cache.len())
-            .finish()
     }
 }
 
@@ -1293,6 +981,54 @@ mod unix_tests {
         assert_eq!(stats.cache_misses, 2);
         assert_invariants(&stats);
         service.shutdown();
+    }
+
+    #[test]
+    fn a_wrong_handshake_echo_quarantines_only_that_worker() {
+        // Slot 0 echoes the handshake under another worker id; slot 1 is
+        // a real worker. The impostor is quarantined, never given a
+        // job, and the job completes on the good worker.
+        let (bad, theirs) = UnixStream::pair().expect("socketpair");
+        let impostor = std::thread::spawn(move || {
+            let mut frames = FrameReader::new(theirs.try_clone().expect("clone"));
+            let mut writer = theirs;
+            if let Ok(Some(Frame::Hello { protocol, worker })) = frames.read_frame() {
+                let wrong = Frame::Hello {
+                    protocol,
+                    worker: worker + 7,
+                };
+                write_frame(&mut writer, &wrong).unwrap();
+            }
+            while let Ok(Some(_)) = frames.read_frame() {}
+        });
+        let (good, theirs) = UnixStream::pair().expect("socketpair");
+        let worker = std::thread::spawn(move || {
+            let reader = theirs.try_clone().expect("clone");
+            let _ = Worker::new().serve(reader, theirs);
+        });
+        let links = vec![
+            WorkerLink::from_unix(bad).expect("clone"),
+            WorkerLink::from_unix(good).expect("clone"),
+        ];
+        let service = Service::with_links(SvcConfig::default(), links);
+        let done = service
+            .client()
+            .run(small_spec("compress"))
+            .expect("the job completes on the good worker");
+        assert!(!done.cached);
+        // The bad echo may be handled after the job finished.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        let mut stats = service.stats();
+        while stats.workers_lost == 0 && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            stats = service.stats();
+        }
+        assert_eq!(stats.workers_lost, 1, "{stats:?}");
+        assert_eq!((stats.workers_dead, stats.completed), (1, 1), "{stats:?}");
+        assert_invariants(&stats);
+        service.shutdown();
+        impostor.join().unwrap();
+        worker.join().unwrap();
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! `accepted == completed + failed + in_flight`) holding at the end.
 //! The same bar must hold with a worker rigged to die mid-run: the
 //! scheduler requeues from the last good snapshot, respawns under the
-//! pool budget, and no client observes the loss.
+//! pool budget, and no client observes the loss. A third scenario walks
+//! the failure model: a poison job and a fully dead pool each fail
+//! only their own job, and the cache outlives the pool.
 //!
 //! The worker processes are the `svc_run` binary in `--worker` mode
 //! (`CARGO_BIN_EXE_svc_run`) — the production path end to end.
@@ -18,6 +20,7 @@ use std::process::Command;
 
 use loopspec::dist::worker::CRASH_AFTER_ENV;
 use loopspec::dist::{single_pass_outcome, JobSpec, Policy, Report, WorkloadOutcome};
+use loopspec::obs::{journal, EventKind};
 use loopspec::prelude::*;
 
 const CLIENTS: usize = 3;
@@ -212,10 +215,98 @@ fn mixed_traffic_survives_a_worker_killed_mid_run() {
     let stats = run_mixed_traffic(service, "killed worker");
     assert_eq!(stats.workers_lost, 1, "exactly the rigged worker died");
     assert_eq!(stats.workers_respawned, 1, "the pool was replenished");
+    // The shared scheduler journals the loss like a coordinator run.
+    let records = journal::snapshot();
+    for kind in [
+        EventKind::WorkerDeath,
+        EventKind::Requeue,
+        EventKind::WorkerRespawn,
+    ] {
+        assert!(
+            records.iter().any(|r| r.kind == kind),
+            "journal lacks a {} record",
+            kind.name()
+        );
+    }
     // The service is gone; the stats query through a stale client
     // proves disconnection is an error, not a hang.
     assert!(
         probe.stats().is_err(),
         "clients outliving the service error"
     );
+}
+
+fn assert_invariants(s: &SvcStats, ctx: &str) {
+    assert_eq!(s.submitted, s.accepted + s.rejected, "{ctx}: {s:?}");
+    assert_eq!(
+        s.accepted,
+        s.completed + s.failed + s.in_flight,
+        "{ctx}: {s:?}"
+    );
+}
+
+fn expect_failure(result: Result<Completion, SvcError>, needle: &str, ctx: &str) {
+    match result {
+        Err(SvcError::Failed { message }) => {
+            assert!(message.contains(needle), "{ctx}: {message}");
+        }
+        other => panic!("{ctx}: expected a failure naming {needle:?}, got {other:?}"),
+    }
+}
+
+#[test]
+fn poison_and_dead_pool_fail_only_their_own_jobs_and_the_cache_outlives_the_pool() {
+    // One worker. Slot 0 serves one job and dies on its second; every
+    // replacement (slots 1 and 2 — the respawn budget is 2x the pool)
+    // dies on its first.
+    let service = Service::spawn_with(
+        SvcConfig {
+            workers: 1,
+            ..SvcConfig::default()
+        },
+        |i| {
+            let mut cmd = worker_command();
+            cmd.env(CRASH_AFTER_ENV, if i == 0 { "1" } else { "0" });
+            cmd
+        },
+    )
+    .expect("workers spawn");
+    let client = service.client();
+    // One-shard specs: each computation is exactly one job.
+    let spec = |workload: &str| {
+        JobSpec::new(workload)
+            .policies([Policy::Str])
+            .tus([4])
+            .plan(Plan::split(1))
+    };
+
+    let a = client.run(spec("compress")).expect("A completes on slot 0");
+    assert!(!a.cached, "A computes");
+    assert_invariants(&service.stats(), "after A");
+
+    // B kills slot 0, is requeued, then kills its replacement: poison.
+    expect_failure(client.run(spec("go")), "poison", "B");
+    assert_invariants(&service.stats(), "after B");
+
+    // C kills the last replacement; the budget is spent, so the pool
+    // is dead and C fails.
+    expect_failure(client.run(spec("li")), "all workers died", "C");
+    assert_invariants(&service.stats(), "after C");
+
+    let again = client.run(spec("compress")).expect("A is still served");
+    assert!(again.cached, "A is answered from the cache");
+    assert_eq!(again.report, a.report);
+    assert_invariants(&service.stats(), "after A again");
+
+    expect_failure(client.run(spec("ijpeg")), "no workers left alive", "miss");
+    let stats = service.stats();
+    assert_invariants(&stats, "after the last miss");
+    assert_eq!((stats.completed, stats.failed), (2, 3), "{stats:?}");
+    assert_eq!(
+        (stats.workers_lost, stats.workers_respawned),
+        (3, 2),
+        "{stats:?}"
+    );
+    assert_eq!(stats.workers_dead, 3, "{stats:?}");
+    service.shutdown();
 }
