@@ -2,20 +2,25 @@
 //!
 //! [`DecodedProgram`] pairs a [`Program`]'s entry point with its
 //! [`DecodedImage`] (see [`loopspec_isa::DecodedImage`] for what the
-//! decode and fusion passes precompute). [`Cpu::run_decoded`] /
+//! decode pass precomputes). [`Cpu::run_decoded`] /
 //! [`Cpu::resume_decoded`] execute that image with semantics
 //! **bit-identical** to the legacy [`Cpu::run`] / [`Cpu::resume`]:
 //!
 //! * the same [`InstrEvent`] sequence reaches the tracer, one event
-//!   per retired instruction, fused or not (modulo fields the tracer's
-//!   [`Demand`] mask waives);
+//!   per retired instruction (modulo fields the tracer's [`Demand`]
+//!   mask waives);
 //! * the same faults surface at the same retirement counts;
 //! * every pause — fuel exhaustion, halt, fault — lands at an
 //!   instruction boundary, so [`Cpu::save_state`] emits the same bytes
 //!   the legacy interpreter would. There is no mid-block cursor to
 //!   persist: the pc alone locates the resume point, and a resumed run
-//!   re-enters the middle of a fused run via the per-pc suffix
+//!   re-enters the middle of a straight-line run via the per-pc suffix
 //!   run-length table.
+//!
+//! Dispatch is one decision per pc: a non-zero run length retires a
+//! straight-line run, one [`FlatOp`] per instruction through
+//! [`Cpu::exec_flat_op`]; a zero run length (control transfer, halt,
+//! kernel call) retires one [`DecodedOp`] through [`Cpu::step`].
 //!
 //! What the decoded path *saves* per retirement: the fetch through
 //! `Option`, the `control_kind()` reclassification, the `reg_use()`
@@ -33,7 +38,6 @@ use loopspec_isa::{
 };
 
 use crate::cpu::{Completion, Cpu, CpuError, RunLimits, RunSummary};
-use crate::mem::Memory;
 use crate::tracer::{
     ArchReg, ControlOutcome, Demand, InstrEvent, MemAccess, RegRead, RegWrite, Tracer,
 };
@@ -46,28 +50,6 @@ use crate::tracer::{
 fn succ(pc: Addr) -> Addr {
     Addr::new(pc.index().wrapping_add(1))
 }
-
-/// [`AluOp`]s in [`FlatCode`] register-immediate block order, padded to
-/// 16 entries so indexing by a `sub` nibble (`sub & 15`, `sub >> 4`)
-/// needs no bounds check.
-const RI_OPS: [AluOp; 16] = [
-    AluOp::Add,
-    AluOp::Sub,
-    AluOp::Mul,
-    AluOp::Div,
-    AluOp::Rem,
-    AluOp::And,
-    AluOp::Or,
-    AluOp::Xor,
-    AluOp::Shl,
-    AluOp::Shr,
-    AluOp::Sar,
-    AluOp::SltS,
-    AluOp::SltU,
-    AluOp::Add,
-    AluOp::Add,
-    AluOp::Add,
-];
 
 /// A [`Program`] lowered to threaded code: the input of
 /// [`Cpu::run_decoded`].
@@ -98,7 +80,7 @@ pub struct DecodedProgram {
 }
 
 impl DecodedProgram {
-    /// Decodes `program` (including the superinstruction fusion pass).
+    /// Decodes `program`.
     pub fn new(program: &Program) -> DecodedProgram {
         DecodedProgram {
             image: DecodedImage::build(program.code()),
@@ -120,11 +102,6 @@ impl DecodedProgram {
     /// (same code words, same entry point).
     pub fn matches(&self, program: &Program) -> bool {
         self.entry == program.entry() && self.image.instrs() == program.code()
-    }
-
-    /// Number of fused superinstructions in the image.
-    pub fn fused_pairs(&self) -> usize {
-        self.image.fused_pairs()
     }
 }
 
@@ -152,8 +129,8 @@ impl Cpu {
     /// Resumption composes freely with the legacy interpreter: a run
     /// paused by either can be continued by the other, because every
     /// pause lands at an instruction boundary where the pc alone
-    /// locates the next dispatch (a budget cut inside a fused run
-    /// simply shortens the run via the suffix run-length table).
+    /// locates the next dispatch (a budget cut inside a straight-line
+    /// run simply shortens the run via the suffix run-length table).
     ///
     /// # Errors
     ///
@@ -173,63 +150,20 @@ impl Cpu {
 
         while self.retired - start_retired < budget {
             let pc = self.pc;
-            let mut pcu = pc.index() as usize;
+            let pcu = pc.index() as usize;
             if pcu >= len {
                 return Err(CpuError::PcOutOfRange { pc });
             }
-            let mut fuel = budget - (self.retired - start_retired);
-
-            // One packed-metadata load classifies the dispatch:
-            // straight-line superblock, fused pair, or single step.
-            let mut meta = img.meta(pcu);
+            let fuel = budget - (self.retired - start_retired);
 
             // Straight-line superblock: retire the whole control-free
             // run with a single fuel/pc check. Clamping to the
             // remaining fuel keeps every pause at an instruction
-            // boundary. Runs of one (value ops squeezed between
-            // branches) take this path too: it is the only dispatch
-            // that jumps straight off the flat opcode.
-            let run = ((meta >> 1) as u64).min(fuel) as usize;
+            // boundary.
+            let run = (img.run_len(pcu) as u64).min(fuel) as usize;
             if run >= 1 {
                 self.telem.record_superblock(run as u64);
-                if run as u32 == meta >> 1 {
-                    // Full suffix: every superinstruction fits the
-                    // window by construction, so the checked walk's
-                    // guards would be dead weight.
-                    self.exec_run_full(img, pcu, run, tracer, demand, limits.max_pages)?;
-                } else {
-                    self.exec_run(img, pcu, run, tracer, demand, limits.max_pages)?;
-                }
-                // Run→terminator glue: an *unclamped* run ends exactly
-                // at its terminator (a control op or fused-pair head —
-                // run length 0 by construction), so classify that next
-                // dispatch right here instead of repeating the loop-top
-                // bookkeeping. A fuel-clamped run, an exhausted budget,
-                // or a run falling off the end of code goes back to the
-                // loop top, which owns those exits.
-                fuel -= run as u64;
-                pcu += run;
-                if run as u32 != meta >> 1 || fuel == 0 || pcu >= len {
-                    continue;
-                }
-                meta = img.meta(pcu);
-            }
-
-            // Fused value→branch superinstruction (the counted-loop
-            // back edge): two retirements, one dispatch.
-            if meta & 1 != 0 && fuel >= 2 {
-                self.telem.fused_branch_pairs += 1;
-                self.exec_straight(img, pcu, tracer, demand, limits.max_pages)?;
-                let DecodedOp::Branch {
-                    cond,
-                    ra,
-                    rb,
-                    target,
-                } = img.op(pcu + 1)
-                else {
-                    unreachable!("fused pair tail must be a branch")
-                };
-                self.exec_branch(img, pcu + 1, cond, ra, rb, target, tracer, demand);
+                self.exec_run(img, pcu, run, tracer, demand, limits.max_pages)?;
                 continue;
             }
 
@@ -249,120 +183,10 @@ impl Cpu {
         })
     }
 
-    /// [`Cpu::exec_run`] for a run that is the *entire* straight-line
-    /// suffix at `pcu` (not clamped by fuel). The fusion pass only
-    /// plants a superinstruction whose span fits the suffix it was
-    /// built from, so on this path every fused op is known to fit the
-    /// window: the checked walk's window guards and its unfused
-    /// re-fetch fallback are dead weight and this walk omits them.
-    #[inline(always)]
-    fn exec_run_full<T: Tracer>(
-        &mut self,
-        img: &DecodedImage,
-        pcu: usize,
-        n: usize,
-        tracer: &mut T,
-        demand: Demand,
-        max_pages: usize,
-    ) -> Result<(), CpuError> {
-        let fused = &img.flat2()[pcu..pcu + n];
-        let instrs = &img.instrs()[pcu..pcu + n];
-        let uses = &img.uses()[pcu..pcu + n];
-        let seq0 = self.retired;
-        let mut i = 0;
-        while i < n {
-            let f = fused[i];
-            if f.code.fuses_two() {
-                self.telem.record_fused(f.code);
-                let r = if f.code.is_rep() {
-                    let k = f.sub as usize;
-                    // Literal `store` flags keep the forced element
-                    // opcode a constant inside each instantiation.
-                    let r = if f.code == FlatCode::StRep {
-                        self.exec_rep_mem(
-                            true,
-                            img,
-                            pcu + i,
-                            k,
-                            seq0 + i as u64,
-                            tracer,
-                            demand,
-                            max_pages,
-                        )
-                    } else {
-                        self.exec_rep_mem(
-                            false,
-                            img,
-                            pcu + i,
-                            k,
-                            seq0 + i as u64,
-                            tracer,
-                            demand,
-                            max_pages,
-                        )
-                    };
-                    if r.is_ok() {
-                        i += k;
-                        continue;
-                    }
-                    r
-                } else {
-                    let r = self.exec_flat_pair(
-                        f,
-                        instrs[i],
-                        &uses[i],
-                        instrs[i + 1],
-                        &uses[i + 1],
-                        pcu + i,
-                        seq0 + i as u64,
-                        tracer,
-                        demand,
-                        max_pages,
-                    );
-                    if r.is_ok() {
-                        i += 2;
-                        continue;
-                    }
-                    r
-                };
-                // Element `j` faulted; it did retire (the page-limit
-                // check runs post-retirement).
-                let (e, j) = r.unwrap_err();
-                self.retired = seq0 + (i + j) as u64 + 1;
-                self.pc = Addr::new((pcu + i + j) as u32);
-                return Err(e);
-            }
-            let pc = Addr::new((pcu + i) as u32);
-            if let Err(e) = self.exec_flat_op(
-                f,
-                instrs[i],
-                &uses[i],
-                pc,
-                seq0 + i as u64,
-                tracer,
-                demand,
-                max_pages,
-            ) {
-                self.retired = seq0 + i as u64 + 1;
-                self.pc = pc;
-                return Err(e);
-            }
-            i += 1;
-        }
-        self.retired = seq0 + n as u64;
-        self.pc = Addr::new((pcu + n) as u32);
-        Ok(())
-    }
-
     /// Executes `n` straight-line ops starting at `pcu` (the caller
     /// guarantees they are control-free and in bounds), then advances
     /// the pc past them. On a fault the pc is left at the faulting
     /// instruction, as the legacy interpreter does.
-    ///
-    /// This is the *windowed* walk for fuel-clamped runs: a
-    /// superinstruction cut off by the window tail re-fetches its
-    /// unfused form from `flat`. Full runs take
-    /// [`Cpu::exec_run_full`], which drops those guards.
     ///
     /// Inlined into the dispatcher: every straight-line op — including
     /// runs of one — executes from here, so the call boundary would be
@@ -380,7 +204,7 @@ impl Cpu {
         // Slice once up front: the per-op loop then walks the image
         // arrays with no further bounds checks (all the slices have
         // length exactly `n`, which the optimizer can see).
-        let fused = &img.flat2()[pcu..pcu + n];
+        let flat = &img.flat()[pcu..pcu + n];
         let instrs = &img.instrs()[pcu..pcu + n];
         let uses = &img.uses()[pcu..pcu + n];
         // Keep the retirement counter in a register across the run:
@@ -388,90 +212,10 @@ impl Cpu {
         // bumping `self.retired` through memory (a serial
         // load→inc→store chain the whole loop would wait on).
         let seq0 = self.retired;
-        let mut i = 0;
-        while i < n {
-            // Greedy superinstruction walk: dispatch the fused stream
-            // when the fuel window still covers every element, the
-            // plain stream otherwise. Unfused pcs execute straight
-            // from the fused stream (the two streams coincide there);
-            // only a superinstruction head cut off by the window tail
-            // re-fetches its unfused form from `flat`.
-            let mut f = fused[i];
-            if f.code.fuses_two() {
-                if f.code.is_rep() {
-                    let k = f.sub as usize;
-                    if i + k <= n {
-                        self.telem.record_fused(f.code);
-                        let r = if f.code == FlatCode::StRep {
-                            self.exec_rep_mem(
-                                true,
-                                img,
-                                pcu + i,
-                                k,
-                                seq0 + i as u64,
-                                tracer,
-                                demand,
-                                max_pages,
-                            )
-                        } else {
-                            self.exec_rep_mem(
-                                false,
-                                img,
-                                pcu + i,
-                                k,
-                                seq0 + i as u64,
-                                tracer,
-                                demand,
-                                max_pages,
-                            )
-                        };
-                        match r {
-                            Ok(()) => {
-                                i += k;
-                                continue;
-                            }
-                            Err((e, j)) => {
-                                // Element `j` faulted; it did retire
-                                // (the page-limit check runs
-                                // post-retirement).
-                                self.retired = seq0 + (i + j) as u64 + 1;
-                                self.pc = Addr::new((pcu + i + j) as u32);
-                                return Err(e);
-                            }
-                        }
-                    }
-                } else if i + 1 < n {
-                    self.telem.record_fused(f.code);
-                    match self.exec_flat_pair(
-                        f,
-                        instrs[i],
-                        &uses[i],
-                        instrs[i + 1],
-                        &uses[i + 1],
-                        pcu + i,
-                        seq0 + i as u64,
-                        tracer,
-                        demand,
-                        max_pages,
-                    ) {
-                        Ok(()) => {
-                            i += 2;
-                            continue;
-                        }
-                        Err((e, k)) => {
-                            // Sub-op `k` faulted; it did retire (the
-                            // page-limit check runs post-retirement).
-                            self.retired = seq0 + (i + k) as u64 + 1;
-                            self.pc = Addr::new((pcu + i + k) as u32);
-                            return Err(e);
-                        }
-                    }
-                }
-                f = img.flat()[pcu + i];
-            }
+        for i in 0..n {
             let pc = Addr::new((pcu + i) as u32);
             if let Err(e) = self.exec_flat_op(
-                f,
+                flat[i],
                 instrs[i],
                 &uses[i],
                 pc,
@@ -486,396 +230,17 @@ impl Cpu {
                 self.pc = pc;
                 return Err(e);
             }
-            i += 1;
         }
         self.retired = seq0 + n as u64;
         self.pc = Addr::new((pcu + n) as u32);
         Ok(())
     }
 
-    /// Retires the two architectural instructions packed into the
-    /// two-op superinstruction `f` (whose head sits at absolute index
-    /// `at`). Each half goes through [`Cpu::exec_flat_op`] with a
-    /// *constant* opcode, so the inner dispatch match constant-folds
-    /// away and the half's semantics — event layout, zero-register
-    /// guard, page-limit fault point — are the unfused ones by
-    /// construction; the pair saves the second jump-table hop and the
-    /// second round of loop overhead.
-    ///
-    /// On a fault, `Err((error, k))` names the faulting half (`k` is 0
-    /// or 1) so the caller can place the pc and retirement count at
-    /// the exact instruction, as the unfused path would.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_flat_pair<T: Tracer>(
-        &mut self,
-        f: FlatOp,
-        instr0: loopspec_isa::Instruction,
-        u0: &RegUse,
-        instr1: loopspec_isa::Instruction,
-        u1: &RegUse,
-        at: usize,
-        seq: u64,
-        tracer: &mut T,
-        demand: Demand,
-        max_pages: usize,
-    ) -> Result<(), (CpuError, usize)> {
-        use FlatCode::*;
-        // The packed immediates: two sign-extended i32 halves
-        // (low = first op's), except LiAdd, which keeps the load
-        // constant full-width in `imm`.
-        let lo = f.imm as u32 as i32 as i64 as u64;
-        let hi = (f.imm >> 32) as u32 as i32 as i64 as u64;
-        let op = |code, a, b, imm| FlatOp {
-            code,
-            a,
-            b,
-            c: 0,
-            d: 0,
-            sub: 0,
-            imm,
-        };
-        macro_rules! two_first {
-            ($first:expr) => {
-                self.exec_flat_op(
-                    $first,
-                    instr0,
-                    u0,
-                    Addr::new(at as u32),
-                    seq,
-                    tracer,
-                    demand,
-                    max_pages,
-                )
-                .map_err(|e| (e, 0))
-            };
-        }
-        macro_rules! two_second {
-            ($second:expr) => {
-                self.exec_flat_op(
-                    $second,
-                    instr1,
-                    u1,
-                    Addr::new((at + 1) as u32),
-                    seq + 1,
-                    tracer,
-                    demand,
-                    max_pages,
-                )
-                .map_err(|e| (e, 1))
-            };
-        }
-        macro_rules! two {
-            ($first:expr, $second:expr) => {{
-                two_first!($first)?;
-                two_second!($second)
-            }};
-        }
-        match f.code {
-            LiAdd => two!(
-                op(Li, f.a, 0, f.imm),
-                FlatOp {
-                    code: AddRR,
-                    a: f.b,
-                    b: f.c,
-                    c: f.d,
-                    d: 0,
-                    sub: 0,
-                    imm: 0,
-                }
-            ),
-            MulAnd => two!(op(MulRI, f.a, f.b, lo), op(AndRI, f.c, f.d, hi)),
-            LdAdd => two!(op(Ld, f.a, f.b, lo), op(AddRI, f.c, f.d, hi)),
-            LdLd => two!(op(Ld, f.a, f.b, lo), op(Ld, f.c, f.d, hi)),
-            ShlShr => two!(op(ShlRI, f.a, f.b, lo), op(ShrRI, f.c, f.d, hi)),
-            AddXor => two!(op(AddRI, f.a, f.b, lo), op(XorRI, f.c, f.d, hi)),
-            StSt => two!(op(St, f.a, f.b, lo), op(St, f.c, f.d, hi)),
-            StLi => two!(op(St, f.a, f.b, lo), op(Li, f.c, 0, hi)),
-            AddLi => two!(op(AddRI, f.a, f.b, lo), op(Li, f.c, 0, hi)),
-            LiLd => two!(op(Li, f.a, 0, lo), op(Ld, f.c, f.d, hi)),
-            AddSt => two!(op(AddRI, f.a, f.b, lo), op(St, f.c, f.d, hi)),
-            LdLi => two!(op(Ld, f.a, f.b, lo), op(Li, f.c, 0, hi)),
-            // Generic shapes: the ALU sub-op(s) come out of the packed
-            // `sub` nibbles at runtime via [`Cpu::exec_alu_ri_dyn`]
-            // rather than cloning the full 60-arm dispatch per half.
-            AluAlu => {
-                self.exec_alu_ri_dyn(
-                    RI_OPS[(f.sub & 15) as usize],
-                    f,
-                    false,
-                    lo,
-                    instr0,
-                    u0,
-                    at,
-                    seq,
-                    tracer,
-                    demand,
-                );
-                self.exec_alu_ri_dyn(
-                    RI_OPS[(f.sub >> 4) as usize],
-                    f,
-                    true,
-                    hi,
-                    instr1,
-                    u1,
-                    at + 1,
-                    seq + 1,
-                    tracer,
-                    demand,
-                );
-                Ok(())
-            }
-            AluLi => {
-                self.exec_alu_ri_dyn(
-                    RI_OPS[(f.sub & 15) as usize],
-                    f,
-                    false,
-                    lo,
-                    instr0,
-                    u0,
-                    at,
-                    seq,
-                    tracer,
-                    demand,
-                );
-                two_second!(op(Li, f.c, 0, hi))
-            }
-            AluLd => {
-                self.exec_alu_ri_dyn(
-                    RI_OPS[(f.sub & 15) as usize],
-                    f,
-                    false,
-                    lo,
-                    instr0,
-                    u0,
-                    at,
-                    seq,
-                    tracer,
-                    demand,
-                );
-                two_second!(op(Ld, f.c, f.d, hi))
-            }
-            LiAlu => {
-                two_first!(op(Li, f.a, 0, lo))?;
-                self.exec_alu_ri_dyn(
-                    RI_OPS[(f.sub >> 4) as usize],
-                    f,
-                    true,
-                    hi,
-                    instr1,
-                    u1,
-                    at + 1,
-                    seq + 1,
-                    tracer,
-                    demand,
-                );
-                Ok(())
-            }
-            _ => unreachable!("exec_flat_pair dispatched on a single-op code"),
-        }
-    }
-
-    /// Retires a same-code `St`/`Ld` block ([`FlatCode::StRep`] /
-    /// [`FlatCode::LdRep`]) in one dispatch: the count rides in the
-    /// superinstruction, each element's registers and immediate are
-    /// re-read from the unfused `flat` stream. Both call sites pass
-    /// `store` as a literal, so the forced opcode below is a constant
-    /// and each element executes the plain `St`/`Ld` arm of
-    /// [`Cpu::exec_flat_op`] — semantics, events, and fault points are
-    /// the unfused ones by construction.
-    ///
-    /// On a fault, `Err((error, j))` names the faulting element so the
-    /// caller can place the pc and retirement count exactly.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_rep_mem<T: Tracer>(
-        &mut self,
-        store: bool,
-        img: &DecodedImage,
-        at: usize,
-        k: usize,
-        seq: u64,
-        tracer: &mut T,
-        demand: Demand,
-        max_pages: usize,
-    ) -> Result<(), (CpuError, usize)> {
-        let elems = &img.flat()[at..at + k];
-        let instrs = &img.instrs()[at..at + k];
-        let uses = &img.uses()[at..at + k];
-        let code = if store { FlatCode::St } else { FlatCode::Ld };
-
-        // Same-page fast path: repeat blocks overwhelmingly stride one
-        // array window, so once element 0 has resolved its page, later
-        // elements whose addresses stay on that page are serviced
-        // straight from its slot, skipping per-element translation.
-        // Element 0 always runs through `exec_flat_op` so page
-        // materialisation, the memory limit, and fault placement stay
-        // exactly the unfused ones — same-page elements past the first
-        // can never allocate. Each element's address is computed from
-        // the *current* register file right where the generic walk
-        // would, so pointer-chasing load blocks (an earlier element's
-        // destination feeding a later base) need no special casing; the
-        // first off-page address drops the remaining elements onto the
-        // generic walk. Events remain per-element and demand-gated, so
-        // traces and snapshots are bit-identical; only the out-of-band
-        // MRU telemetry sees fewer probes.
-        let first = self.regs[(elems[0].b & 31) as usize].wrapping_add(elems[0].imm);
-        self.exec_flat_op(
-            FlatOp { code, ..elems[0] },
-            instrs[0],
-            &uses[0],
-            Addr::new(at as u32),
-            seq,
-            tracer,
-            demand,
-            max_pages,
-        )
-        .map_err(|e| (e, 0))?;
-        let page = Memory::page_of(first);
-        // After element 0 a store block's page is materialised; a
-        // load block's may still be absent (its words read as 0).
-        let slot = self.mem.page_slot(first);
-        for j in 1..k {
-            let e = elems[j];
-            let addr = self.regs[(e.b & 31) as usize].wrapping_add(e.imm);
-            if Memory::page_of(addr) != page {
-                // Off the page: the rest of the block walks the
-                // generic path (which re-resolves every address).
-                for jj in j..k {
-                    self.exec_flat_op(
-                        FlatOp { code, ..elems[jj] },
-                        instrs[jj],
-                        &uses[jj],
-                        Addr::new((at + jj) as u32),
-                        seq + jj as u64,
-                        tracer,
-                        demand,
-                        max_pages,
-                    )
-                    .map_err(|e| (e, jj))?;
-                }
-                return Ok(());
-            }
-            let pc = Addr::new((at + j) as u32);
-            let mut ev = InstrEvent {
-                seq: seq + j as u64,
-                pc,
-                instr: instrs[j],
-                control: ControlOutcome {
-                    kind: ControlKind::None,
-                    taken: false,
-                    target: succ(pc),
-                },
-                reads: [None; 5],
-                write: None,
-                mem_read: None,
-                mem_write: None,
-            };
-            if demand.reads() {
-                self.capture_reads_from(&uses[j], &mut ev);
-            }
-            if store {
-                let v = self.regs[(e.a & 31) as usize];
-                self.mem
-                    .slot_word_set(slot.expect("element 0's store materialised it"), addr, v);
-                if demand.mem() {
-                    ev.mem_write = Some(MemAccess { addr, value: v });
-                }
-            } else {
-                let v = match slot {
-                    Some(s) => self.mem.slot_word(s, addr),
-                    None => 0,
-                };
-                if demand.mem() {
-                    ev.mem_read = Some(MemAccess { addr, value: v });
-                }
-                self.write_int_flat(e.a, v, &mut ev, demand);
-            }
-            tracer.on_retire(&ev);
-        }
-        Ok(())
-    }
-
-    /// Retires one register-immediate ALU half of a generic fused pair
-    /// ([`FlatCode::AluAlu`] and friends), with the sub-op supplied at
-    /// runtime from the pair's packed `sub` byte. Mirrors the
-    /// [`Cpu::exec_flat_op`] RI path exactly — same event skeleton,
-    /// demand-gated read capture, zero-register guard — minus the store
-    /// bookkeeping an ALU op can never need. `second` selects the
-    /// pair's c/d register pair over a/b.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_alu_ri_dyn<T: Tracer>(
-        &mut self,
-        op: AluOp,
-        f: FlatOp,
-        second: bool,
-        imm: u64,
-        instr: loopspec_isa::Instruction,
-        u: &RegUse,
-        at: usize,
-        seq: u64,
-        tracer: &mut T,
-        demand: Demand,
-    ) {
-        let (dst, src) = if second { (f.c, f.d) } else { (f.a, f.b) };
-        let pc = Addr::new(at as u32);
-        let mut ev = InstrEvent {
-            seq,
-            pc,
-            instr,
-            control: ControlOutcome {
-                kind: ControlKind::None,
-                taken: false,
-                target: succ(pc),
-            },
-            reads: [None; 5],
-            write: None,
-            mem_read: None,
-            mem_write: None,
-        };
-        if demand.reads() {
-            self.capture_reads_from(u, &mut ev);
-        }
-        let v = op.eval(self.regs[(src & 31) as usize], imm);
-        self.write_int_flat(dst, v, &mut ev, demand);
-        tracer.on_retire(&ev);
-    }
-
-    /// Retires one non-control op at `pcu`, fetching its flat form
-    /// from the image (the indexed convenience form of
-    /// [`Cpu::exec_flat_op`] for the pair-head and fuel-tail paths,
-    /// which retire one op per dispatch anyway).
-    #[inline(always)]
-    fn exec_straight<T: Tracer>(
-        &mut self,
-        img: &DecodedImage,
-        pcu: usize,
-        tracer: &mut T,
-        demand: Demand,
-        max_pages: usize,
-    ) -> Result<(), CpuError> {
-        let r = self.exec_flat_op(
-            img.flat()[pcu],
-            img.instr(pcu),
-            img.reg_use(pcu),
-            Addr::new(pcu as u32),
-            self.retired,
-            tracer,
-            demand,
-            max_pages,
-        );
-        // Unconditional: the only fault (page limit) fires after the op
-        // has retired, exactly as on the legacy path.
-        self.retired += 1;
-        r
-    }
-
     /// Retires one non-control op from its flat execution form:
     /// execute (one jump-table dispatch — ALU sub-op and FP-compare
     /// condition are folded into the opcode), emit the (demand-trimmed)
     /// event, check the memory limit if a store ran. Does **not**
-    /// advance the pc — run/pair/step callers own the cursor.
+    /// advance the pc — [`Cpu::exec_run`] owns the cursor.
     ///
     /// Register operands index with `& 31`, which the image's lowering
     /// guarantees is the identity (see [`FlatOp`]) and which elides the
@@ -1046,27 +411,7 @@ impl Cpu {
                 let v = self.fregs[(f.b & 31) as usize] as i64 as u64;
                 self.write_int_flat(f.a, v, &mut ev, demand);
             }
-            FlatCode::Ctl
-            | FlatCode::LiAdd
-            | FlatCode::MulAnd
-            | FlatCode::LdAdd
-            | FlatCode::LdLd
-            | FlatCode::ShlShr
-            | FlatCode::AddXor
-            | FlatCode::StSt
-            | FlatCode::StLi
-            | FlatCode::AddLi
-            | FlatCode::LiLd
-            | FlatCode::AddSt
-            | FlatCode::AluAlu
-            | FlatCode::AluLi
-            | FlatCode::LiAlu
-            | FlatCode::AluLd
-            | FlatCode::LdLi
-            | FlatCode::StRep
-            | FlatCode::LdRep => {
-                unreachable!("control or fused op dispatched as a single straight-line op")
-            }
+            FlatCode::Ctl => unreachable!("control op dispatched as a straight-line op"),
         }
 
         // The caller owns the retirement counter (`seq` is the count
@@ -1086,7 +431,8 @@ impl Cpu {
     }
 
     /// Retires a conditional branch at `pcu` (already destructured by
-    /// the caller's dispatch — no second op load) and advances the pc.
+    /// [`Cpu::step`]'s dispatch — no second op load) and advances the
+    /// pc.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn exec_branch<T: Tracer>(
@@ -1130,9 +476,9 @@ impl Cpu {
         self.pc = next;
     }
 
-    /// Generic single-instruction dispatch (control transfers, halt,
-    /// kernel calls, fuel-tail straight-line ops). Returns `Ok(true)`
-    /// on halt. `fuel` is the remaining budget of the enclosing
+    /// Single-instruction dispatch for the ops whose run length is 0:
+    /// control transfers, halt and kernel calls. Returns `Ok(true)` on
+    /// halt. `fuel` is the remaining budget of the enclosing
     /// resume (≥ 1 by the loop invariant): only the kernel arm needs
     /// it, since every other dispatch retires exactly one instruction.
     /// Inlined: in call-heavy programs this is the second-hottest
@@ -1250,11 +596,7 @@ impl Cpu {
                 self.pc = next;
                 Ok(false)
             }
-            _ => {
-                self.exec_straight(img, pcu, tracer, demand, max_pages)?;
-                self.pc = succ(pc);
-                Ok(false)
-            }
+            _ => unreachable!("straight-line ops retire through exec_run"),
         }
     }
 
@@ -1364,7 +706,6 @@ mod tests {
         let p = mixed_program();
         let decoded = DecodedProgram::new(&p);
         assert!(decoded.matches(&p));
-        assert!(decoded.fused_pairs() > 0, "loop back edges should fuse");
 
         let mut legacy_cpu = Cpu::new();
         let mut legacy = Recorder::default();
@@ -1384,16 +725,14 @@ mod tests {
         assert_eq!(arch_state(&legacy_cpu), arch_state(&dec_cpu));
     }
 
-    /// The rep-block fast path must be invisible: same-page runs take
-    /// it, page-split runs and pointer-chasing load runs must bail to
-    /// the generic walk, and all of them retire events and state
-    /// bit-identical to the legacy interpreter. The stale-pointer
-    /// registers below are primed with *same-page* addresses so a fast
-    /// path that precomputed load addresses (skipping the base-written-
-    /// by-earlier-element hazard check) would read the wrong cells
-    /// rather than merely failing the page check.
+    /// Store and load blocks — same-page, page-split and
+    /// pointer-chasing — retire events and state bit-identical to the
+    /// legacy interpreter. The stale-pointer registers below are primed
+    /// with *same-page* addresses so an executor that precomputed load
+    /// addresses (skipping the base-written-by-earlier-element hazard)
+    /// would read the wrong cells rather than merely crossing a page.
     #[test]
-    fn rep_fast_path_matches_legacy_on_hazards_and_page_splits() {
+    fn memory_blocks_match_legacy_on_hazards_and_page_splits() {
         use loopspec_isa::Instruction as I;
         let mut b = ProgramBuilder::new();
         let base = b.alloc_reg();
@@ -1416,7 +755,7 @@ mod tests {
             });
         }
 
-        // Same-page store run: the fast path proper.
+        // Same-page store run.
         b.li(v, 7);
         for off in 8..12 {
             b.emit(I::Store {
@@ -1425,7 +764,7 @@ mod tests {
                 offset: off,
             });
         }
-        // Page-split store run: must bail to the generic walk.
+        // Page-split store run.
         b.emit(I::Store {
             src: v,
             base,
@@ -1442,7 +781,7 @@ mod tests {
             offset: 1,
         });
 
-        // Same-page load run with independent registers: fast path.
+        // Same-page load run with independent registers.
         b.emit(I::Load {
             rd: q0,
             base,
@@ -1459,7 +798,8 @@ mod tests {
             offset: 10,
         });
         // Pointer-chasing load run: p0/p1 hold stale same-page
-        // addresses, so only the hazard bail-out keeps this correct.
+        // addresses, so each load must use the base its predecessor
+        // just wrote.
         b.li(p0, a + 5);
         b.li(p1, a + 6);
         b.emit(I::Load {
@@ -1481,17 +821,6 @@ mod tests {
         let p = b.finish().unwrap();
 
         let decoded = DecodedProgram::new(&p);
-        let reps: Vec<FlatCode> = decoded
-            .image()
-            .flat2()
-            .iter()
-            .filter(|f| f.code.is_rep())
-            .map(|f| f.code)
-            .collect();
-        assert!(
-            reps.contains(&FlatCode::StRep) && reps.contains(&FlatCode::LdRep),
-            "expected both rep kinds to fuse, got {reps:?}"
-        );
 
         let mut legacy_cpu = Cpu::new();
         let mut legacy = Recorder::default();
@@ -1510,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn fuel_cuts_inside_fused_runs_resume_exactly() {
+    fn fuel_cuts_inside_straight_line_runs_resume_exactly() {
         let p = mixed_program();
         let decoded = DecodedProgram::new(&p);
 
@@ -1520,7 +849,8 @@ mod tests {
             .run(&p, &mut ref_rec, RunLimits::default())
             .unwrap();
 
-        // Odd fuel slices force pauses mid-run and mid-pair.
+        // Odd fuel slices force pauses mid-run and between a branch
+        // and the op feeding it.
         for fuel in [1u64, 2, 3, 5, 7] {
             let mut cpu = Cpu::new();
             let mut rec = Recorder::default();

@@ -46,7 +46,7 @@ pub use cpu::{Completion, Cpu, CpuError, RunLimits, RunSummary};
 pub use decoded::DecodedProgram;
 pub use kernel::KernelMode;
 pub use mem::Memory;
-pub use telemetry::{DecodedTelemetry, FUSED_SHAPES, FUSED_SHAPE_NAMES};
+pub use telemetry::DecodedTelemetry;
 pub use tracer::{
     ArchReg, ControlOutcome, CountingTracer, Demand, InstrEvent, MemAccess, NullTracer, RegRead,
     RegWrite, Tracer,

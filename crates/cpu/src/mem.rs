@@ -197,38 +197,6 @@ impl Memory {
         self.store.len()
     }
 
-    /// The page index containing `addr`, for same-page comparisons.
-    #[inline(always)]
-    pub(crate) fn page_of(addr: u64) -> u64 {
-        addr / PAGE_WORDS
-    }
-
-    /// Slot of `addr`'s page if it is materialised. A raw index probe:
-    /// no MRU lookup, install, or telemetry — for callers (the decoded
-    /// interpreter's same-page repeat fast path) that translate once
-    /// and then index the page directly for a whole block. Skipping
-    /// the MRU counters is fine because they are out-of-band (see
-    /// [`Memory::take_mru_telemetry`]); values never depend on them.
-    #[inline(always)]
-    pub(crate) fn page_slot(&self, addr: u64) -> Option<u32> {
-        self.index.get(&(addr / PAGE_WORDS)).copied()
-    }
-
-    /// Reads the word at `addr` through a slot obtained from
-    /// [`Memory::page_slot`] for `addr`'s page.
-    #[inline(always)]
-    pub(crate) fn slot_word(&self, slot: u32, addr: u64) -> u64 {
-        self.store[slot as usize][(addr & PAGE_MASK) as usize]
-    }
-
-    /// Writes the word at `addr` through a slot obtained from
-    /// [`Memory::page_slot`] for `addr`'s page (already materialised
-    /// by definition, so no allocation can be needed).
-    #[inline(always)]
-    pub(crate) fn slot_word_set(&mut self, slot: u32, addr: u64, value: u64) {
-        self.store[slot as usize][(addr & PAGE_MASK) as usize] = value;
-    }
-
     /// Telemetry: returns `(hits, misses)` of the MRU translation cache
     /// accumulated since the last take, and resets both to zero. The
     /// counters are out-of-band — excluded from [`Memory::save_state`]

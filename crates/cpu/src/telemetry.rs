@@ -1,9 +1,9 @@
 //! Out-of-band execution telemetry for the decoded front-end.
 //!
 //! [`DecodedTelemetry`] counts what the threaded-code dispatcher
-//! actually did — superblock runs and their lengths, superinstruction
-//! hits by shape — in plain (non-atomic) `u64` cells that the
-//! dispatcher bumps inline. Nothing here is architectural: the counters
+//! actually did — superblock runs and their lengths, kernel dispatches
+//! — in plain (non-atomic) `u64` cells that the dispatcher bumps
+//! inline. Nothing here is architectural: the counters
 //! are never serialized by [`Cpu::save_state`](crate::Cpu::save_state),
 //! never hashed into a fingerprint, and never influence execution, so
 //! instrumented runs stay bit-identical to uninstrumented ones.
@@ -14,19 +14,6 @@
 //! convenient boundary (end of a stream, end of a shard) and folds the
 //! returned struct into whatever aggregation it keeps — this crate has
 //! no dependency on the metrics registry.
-
-use loopspec_isa::FlatCode;
-
-/// Number of distinct superinstruction shapes ([`FlatCode::LiAdd`]
-/// through [`FlatCode::LdRep`], a contiguous discriminant range).
-pub const FUSED_SHAPES: usize = 18;
-
-/// Shape names in discriminant order, for labelling
-/// [`DecodedTelemetry::fused_hits`] in exported metrics.
-pub const FUSED_SHAPE_NAMES: [&str; FUSED_SHAPES] = [
-    "li_add", "mul_and", "ld_add", "ld_ld", "shl_shr", "add_xor", "st_st", "st_li", "add_li",
-    "li_ld", "add_st", "alu_alu", "alu_li", "li_alu", "alu_ld", "ld_li", "st_rep", "ld_rep",
-];
 
 /// Log2 bucket count for superblock run lengths (bucket `i` covers
 /// lengths in `(2^(i-1), 2^i]`, matching the metrics crate's histogram
@@ -46,11 +33,6 @@ pub struct DecodedTelemetry {
     pub superblock_len_buckets: [u64; LEN_BUCKETS],
     /// Total instructions retired inside superblock runs.
     pub superblock_instrs: u64,
-    /// Fused value→branch pair dispatches (the counted-loop back edge).
-    pub fused_branch_pairs: u64,
-    /// Superinstruction dispatches by shape, indexed in
-    /// [`FUSED_SHAPE_NAMES`] order.
-    pub fused_hits: [u64; FUSED_SHAPES],
     /// Kernel dispatches: fresh `KernelCall` entries (a mid-body
     /// fuel-pause resume re-enters without bumping this).
     pub kernel_calls: u64,
@@ -64,8 +46,6 @@ impl Default for DecodedTelemetry {
             superblock_runs: 0,
             superblock_len_buckets: [0; LEN_BUCKETS],
             superblock_instrs: 0,
-            fused_branch_pairs: 0,
-            fused_hits: [0; FUSED_SHAPES],
             kernel_calls: 0,
             kernel_instrs: 0,
         }
@@ -86,30 +66,11 @@ impl DecodedTelemetry {
         self.superblock_len_buckets[b.min(LEN_BUCKETS - 1)] += 1;
     }
 
-    /// Records one superinstruction dispatch. `code` must be a fused
-    /// code (`code.fuses_two()`); others are counted into shape 0,
-    /// which the dispatcher never passes.
-    #[inline(always)]
-    pub(crate) fn record_fused(&mut self, code: FlatCode) {
-        let i = (code as u8).saturating_sub(FlatCode::LiAdd as u8) as usize;
-        self.fused_hits[i.min(FUSED_SHAPES - 1)] += 1;
-    }
-
-    /// `(name, hits)` for every shape that fired at least once.
-    pub fn fused_shapes(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        FUSED_SHAPE_NAMES
-            .iter()
-            .zip(self.fused_hits)
-            .filter(|&(_, n)| n > 0)
-            .map(|(&name, n)| (name, n))
-    }
-
     /// Folds `other` into `self` (for harnesses aggregating across
     /// several CPUs).
     pub fn merge(&mut self, other: &DecodedTelemetry) {
         self.superblock_runs += other.superblock_runs;
         self.superblock_instrs += other.superblock_instrs;
-        self.fused_branch_pairs += other.fused_branch_pairs;
         self.kernel_calls += other.kernel_calls;
         self.kernel_instrs += other.kernel_instrs;
         for (a, b) in self
@@ -119,38 +80,17 @@ impl DecodedTelemetry {
         {
             *a += b;
         }
-        for (a, b) in self.fused_hits.iter_mut().zip(other.fused_hits) {
-            *a += b;
-        }
     }
 
     /// `true` when nothing has been recorded since the last take.
     pub fn is_empty(&self) -> bool {
-        self.superblock_runs == 0 && self.fused_branch_pairs == 0 && self.kernel_calls == 0
+        self.superblock_runs == 0 && self.kernel_calls == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shape_names_cover_the_fused_range() {
-        assert_eq!(
-            FUSED_SHAPES,
-            (FlatCode::LdRep as u8 - FlatCode::LiAdd as u8) as usize + 1
-        );
-        let mut t = DecodedTelemetry::default();
-        t.record_fused(FlatCode::LiAdd);
-        t.record_fused(FlatCode::LdRep);
-        t.record_fused(FlatCode::AluAlu);
-        let shapes: Vec<_> = t.fused_shapes().collect();
-        assert_eq!(
-            shapes,
-            vec![("li_add", 1), ("alu_alu", 1), ("ld_rep", 1)],
-            "in discriminant order"
-        );
-    }
 
     #[test]
     fn superblock_buckets_are_log2() {
@@ -173,16 +113,13 @@ mod tests {
     fn merge_accumulates_everything() {
         let mut a = DecodedTelemetry::default();
         a.record_superblock(4);
-        a.record_fused(FlatCode::StSt);
         let mut b = DecodedTelemetry::default();
         b.record_superblock(4);
-        b.fused_branch_pairs = 2;
-        b.record_fused(FlatCode::StSt);
+        b.kernel_calls = 2;
         a.merge(&b);
         assert_eq!(a.superblock_runs, 2);
         assert_eq!(a.superblock_len_buckets[2], 2);
-        assert_eq!(a.fused_branch_pairs, 2);
-        assert_eq!(a.fused_hits[6], 2); // st_st
+        assert_eq!(a.kernel_calls, 2);
         assert!(!a.is_empty());
     }
 }

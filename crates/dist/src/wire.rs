@@ -925,6 +925,30 @@ mod tests {
         }
     }
 
+    /// Hostile bytes never panic the decoder: every single-bit flip of
+    /// every sample payload (the `Submit` sample carries a `JobSpec`),
+    /// and a `u64::MAX` written over the 8 bytes at every offset — all
+    /// lengths and counts are fixed 8-byte `u64`s, so this hits each
+    /// prefix with the largest value it can hold. Any outcome but a
+    /// panic (or an oversized allocation) is fine.
+    #[test]
+    fn hostile_payloads_decode_or_error_without_panicking() {
+        for f in samples() {
+            let payload = f.encode();
+            for bit in 0..payload.len() * 8 {
+                let mut p = payload.clone();
+                p[bit / 8] ^= 1 << (bit % 8);
+                let _ = Frame::decode(&p);
+            }
+            for at in 0..payload.len() {
+                let mut p = payload.clone();
+                let end = (at + 8).min(p.len());
+                p[at..end].fill(0xff);
+                let _ = Frame::decode(&p);
+            }
+        }
+    }
+
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut payload = samples()[0].encode();

@@ -23,12 +23,12 @@
 //!   single fuel check, and because the table is per-*pc* (a suffix
 //!   run length, not a block-entry map) any branch target — even one
 //!   landing mid-block — starts a maximal run;
-//! * a peephole **fusion table** marking `alu→branch` /
-//!   `cmp→branch` pairs (the canonical counted-loop back edge:
-//!   `addi i, i, 1; b.lt i, n, top`) that the executor dispatches as
-//!   one superinstruction. Fusion is purely a dispatch-count
-//!   optimization: the fused pair still retires as two instructions
-//!   and emits the exact same two trace events as the unfused path.
+//! * a flat execution stream: one [`FlatOp`] per pc with the ALU
+//!   sub-op and FP-compare condition folded into a single opcode, the
+//!   form the straight-line executor dispatches on.
+//!
+//! There is no fusion pass: every straight-line op is one dispatch and
+//! every control transfer is one step. DESIGN.md §8 records why.
 //!
 //! Branch targets are *not* re-validated here: the assembler
 //! (`loopspec-asm`) only produces programs whose direct targets are in
@@ -212,7 +212,7 @@ pub enum DecodedOp {
         link: Reg,
     },
     /// Kernel dispatch (see [`crate::kernel`]). Dispatched as a single
-    /// step, never as part of a straight-line run or a fused pair.
+    /// step, never as part of a straight-line run.
     KernelCall {
         /// Registry id of the kernel to run.
         id: u32,
@@ -283,21 +283,6 @@ impl DecodedOp {
             Instruction::Ret { link } => DecodedOp::Ret { link },
             Instruction::KernelCall { id } => DecodedOp::KernelCall { id },
         }
-    }
-
-    /// `true` for register-only value ops that may lead a fused
-    /// `op→branch` superinstruction: non-control, non-memory, single
-    /// integer write. This is exactly the shape of counted-loop
-    /// back-edge producers (`addi`) and compare-and-branch feeders
-    /// (`fcmp`, `slt`-style ALU compares).
-    fn fusable_value_op(&self) -> bool {
-        matches!(
-            self,
-            DecodedOp::Alu { .. }
-                | DecodedOp::AluImm { .. }
-                | DecodedOp::LoadImm { .. }
-                | DecodedOp::FCmp { .. }
-        )
     }
 }
 
@@ -418,84 +403,6 @@ pub enum FlatCode {
     /// Control transfer or halt: never executed as straight-line code
     /// (its run length is 0); the dispatcher handles it structurally.
     Ctl,
-    // ------------------------------------------------------------------
-    // Two-op superinstructions: the straight-line fusion pass packs the
-    // hottest adjacent op pairs into one dispatch (two retirements,
-    // two events, one jump-table hop). They appear only in the
-    // [`DecodedImage::flat2`] stream — the per-pc [`flat`] stream keeps
-    // the unfused ops so a fuel cut can resume between the halves.
-    // Their discriminants sit at the end of the enum on purpose:
-    // `code >= LiAdd` is the executor's one-compare pair test (see
-    // [`FlatCode::fuses_two`]).
-    //
-    // Unless noted, `a`/`b` carry the first op's registers, `c`/`d`
-    // the second's, and `imm` packs both immediates as sign-extended
-    // `i32` halves (low = first).
-    // ------------------------------------------------------------------
-    /// `a <- imm` then `b <- c + d`. Exception to the packing rule:
-    /// `imm` is the full-width load constant (the add has none).
-    LiAdd,
-    /// `a <- b * imm.lo` then `c <- d & imm.hi`.
-    MulAnd,
-    /// `a <- mem[b + imm.lo]` then `c <- d + imm.hi`.
-    LdAdd,
-    /// `a <- mem[b + imm.lo]` then `c <- mem[d + imm.hi]`.
-    LdLd,
-    /// `a <- b << imm.lo` then `c <- d >> imm.hi` (logical).
-    ShlShr,
-    /// `a <- b + imm.lo` then `c <- d ^ imm.hi`.
-    AddXor,
-    /// `mem[b + imm.lo] <- a` then `mem[d + imm.hi] <- c`.
-    StSt,
-    /// `mem[b + imm.lo] <- a` then `c <- imm.hi`.
-    StLi,
-    /// `a <- b + imm.lo` then `c <- imm.hi`.
-    AddLi,
-    /// `a <- imm.lo` then `c <- mem[d + imm.hi]`.
-    LiLd,
-    /// `a <- b + imm.lo` then `mem[d + imm.hi] <- c`.
-    AddSt,
-    // Generic shapes for the long tail the specific patterns miss:
-    // the ALU sub-op(s) ride in the `sub` byte (low nibble = first
-    // half, high nibble = second), indexed in [`AluOp`] order.
-    /// `a <- b <op1> imm.lo` then `c <- d <op2> imm.hi`.
-    AluAlu,
-    /// `a <- b <op1> imm.lo` then `c <- imm.hi`.
-    AluLi,
-    /// `a <- imm.lo` then `c <- d <op2> imm.hi`.
-    LiAlu,
-    /// `a <- b <op1> imm.lo` then `c <- mem[d + imm.hi]`.
-    AluLd,
-    /// `a <- mem[b + imm.lo]` then `c <- imm.hi`.
-    LdLi,
-    // Same-code repeat superinstructions, for the block moves the pair
-    // shapes only halve: register save/restore frames, memcpy-style
-    // loops. `sub` holds the element count (3..=255); the elements'
-    // registers and immediates are re-read from the unfused [`flat`]
-    // stream at runtime, so the single operand word only carries the
-    // count. They sit after the pair codes so `is_rep` is one compare.
-    /// `sub` consecutive `St` ops in one dispatch.
-    StRep,
-    /// `sub` consecutive `Ld` ops in one dispatch.
-    LdRep,
-}
-
-impl FlatCode {
-    /// `true` for superinstructions — flat codes that retire *two or
-    /// more* architectural instructions per dispatch. Their
-    /// discriminants form the tail of the enum, so this is a single
-    /// compare on the dispatch path.
-    #[inline(always)]
-    pub fn fuses_two(self) -> bool {
-        self as u8 >= FlatCode::LiAdd as u8
-    }
-
-    /// `true` for same-code repeat superinstructions ([`FlatCode::StRep`],
-    /// [`FlatCode::LdRep`]), whose element count rides in `sub`.
-    #[inline(always)]
-    pub fn is_rep(self) -> bool {
-        self as u8 >= FlatCode::StRep as u8
-    }
 }
 
 /// The flat threaded-code form of one op: a [`FlatCode`] plus packed
@@ -504,9 +411,7 @@ impl FlatCode {
 /// Operand convention (see each [`FlatCode`] doc): `a` is the
 /// destination (source for stores), `b` and `c` are sources; register
 /// fields index `regs`/`fregs` and are always `< 32`, so executors may
-/// mask with `& 31` to elide bounds checks. Two-op superinstructions
-/// (see [`FlatCode::fuses_two`]) use all four register bytes and pack
-/// two `i32` immediates into `imm`.
+/// mask with `& 31` to elide bounds checks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatOp {
     /// Operation selector (single-level dispatch).
@@ -517,14 +422,8 @@ pub struct FlatOp {
     pub b: u8,
     /// Second source register index.
     pub c: u8,
-    /// Fourth register index, used only by two-op superinstructions.
-    pub d: u8,
-    /// Packed ALU sub-ops for the generic superinstruction shapes
-    /// (low nibble = first half, high nibble = second, in [`AluOp`]
-    /// order); `0` everywhere else.
-    pub sub: u8,
-    /// Pre-extended immediate: ALU operand, memory offset, constant
-    /// bits, or two packed `i32` halves in a superinstruction.
+    /// Pre-extended immediate: ALU operand, memory offset, or constant
+    /// bits.
     pub imm: u64,
 }
 
@@ -537,8 +436,6 @@ impl FlatOp {
                 a: a as u8,
                 b: b as u8,
                 c: c as u8,
-                d: 0,
-                sub: 0,
                 imm,
             }
         }
@@ -647,76 +544,11 @@ impl FlatOp {
             | DecodedOp::KernelCall { .. } => flat(FlatCode::Ctl, 0, 0, 0, 0),
         }
     }
-
-    /// Fuses two adjacent straight-line ops into one two-op
-    /// superinstruction, when the pair matches one of the profiled-hot
-    /// patterns and both immediates fit the packed encoding. The
-    /// executor decomposes the result back into exactly `first` then
-    /// `second`, so fusion is invisible to tracers.
-    fn fuse2(first: FlatOp, second: FlatOp) -> Option<FlatOp> {
-        use FlatCode::*;
-        // Two sign-extended i32 halves in one imm word (low = first's).
-        fn pack2(lo: u64, hi: u64) -> Option<u64> {
-            let l = i32::try_from(lo as i64).ok()? as u32;
-            let h = i32::try_from(hi as i64).ok()? as u32;
-            Some(l as u64 | (h as u64) << 32)
-        }
-        let duo = |code, a: u8, b: u8, c: u8, d: u8, sub: u8, imm| {
-            Some(FlatOp {
-                code,
-                a,
-                b,
-                c,
-                d,
-                sub,
-                imm,
-            })
-        };
-        // Register-immediate ALU codes map back to their [`AluOp`]
-        // index (the RI block is declared in `AluOp` order).
-        let ri = |code: FlatCode| {
-            let i = code as u8;
-            let base = AddRI as u8;
-            (base..base + 13).contains(&i).then(|| i - base)
-        };
-        let (f, s) = (first, second);
-        match (f.code, s.code) {
-            // The add carries no immediate, so the load constant keeps
-            // its full width and the add's three registers take b/c/d.
-            (Li, AddRR) => duo(LiAdd, f.a, s.a, s.b, s.c, 0, f.imm),
-            (MulRI, AndRI) => duo(MulAnd, f.a, f.b, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (Ld, AddRI) => duo(LdAdd, f.a, f.b, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (Ld, Ld) => duo(LdLd, f.a, f.b, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (ShlRI, ShrRI) => duo(ShlShr, f.a, f.b, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (AddRI, XorRI) => duo(AddXor, f.a, f.b, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (St, St) => duo(StSt, f.a, f.b, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (St, Li) => duo(StLi, f.a, f.b, s.a, 0, 0, pack2(f.imm, s.imm)?),
-            (AddRI, Li) => duo(AddLi, f.a, f.b, s.a, 0, 0, pack2(f.imm, s.imm)?),
-            (Li, Ld) => duo(LiLd, f.a, 0, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (AddRI, St) => duo(AddSt, f.a, f.b, s.a, s.b, 0, pack2(f.imm, s.imm)?),
-            (Ld, Li) => duo(LdLi, f.a, f.b, s.a, 0, 0, pack2(f.imm, s.imm)?),
-            // Generic tails: any remaining RI×RI / RI×Li / Li×RI /
-            // RI×Ld pair, sub-ops packed by nibble.
-            (x, y) => match (ri(x), ri(y)) {
-                (Some(i), Some(j)) => {
-                    duo(AluAlu, f.a, f.b, s.a, s.b, i | j << 4, pack2(f.imm, s.imm)?)
-                }
-                (Some(i), None) if y == Li => duo(AluLi, f.a, f.b, s.a, 0, i, pack2(f.imm, s.imm)?),
-                (Some(i), None) if y == Ld => {
-                    duo(AluLd, f.a, f.b, s.a, s.b, i, pack2(f.imm, s.imm)?)
-                }
-                (None, Some(j)) if x == Li => {
-                    duo(LiAlu, f.a, 0, s.a, s.b, j << 4, pack2(f.imm, s.imm)?)
-                }
-                _ => None,
-            },
-        }
-    }
 }
 
-/// The pre-decoded, fusion-annotated form of a program's code: one
-/// [`DecodedOp`] per code word plus the static per-pc metadata the
-/// dispatch loop and the tracer path consume.
+/// The pre-decoded form of a program's code: one [`DecodedOp`] per
+/// code word plus the static per-pc metadata the dispatch loop and the
+/// tracer path consume.
 ///
 /// Built once per program with [`DecodedImage::build`]; executed by
 /// `loopspec_cpu::Cpu::run_decoded`. The image holds a copy of the
@@ -730,97 +562,34 @@ pub struct DecodedImage {
     kinds: Vec<ControlKind>,
     uses: Vec<RegUse>,
     run_len: Vec<u32>,
-    pair: Vec<bool>,
-    meta: Vec<u32>,
     flat: Vec<FlatOp>,
-    flat2: Vec<FlatOp>,
 }
 
 impl DecodedImage {
-    /// Decodes a code slice and runs the fusion peephole pass.
+    /// Decodes a code slice.
     pub fn build(code: &[Instruction]) -> DecodedImage {
         let n = code.len();
         let ops: Vec<DecodedOp> = code.iter().map(|&i| DecodedOp::lower(i)).collect();
         let kinds: Vec<ControlKind> = code.iter().map(|i| i.control_kind()).collect();
         let uses: Vec<RegUse> = code.iter().map(|i| i.reg_use()).collect();
 
-        // Peephole: a fusable value op immediately feeding a
-        // conditional branch dispatches as one superinstruction.
-        let mut pair = vec![false; n];
-        for pc in 0..n.saturating_sub(1) {
-            pair[pc] =
-                ops[pc].fusable_value_op() && matches!(ops[pc + 1], DecodedOp::Branch { .. });
-        }
-
         // Suffix straight-line run lengths: run_len[pc] counts the
         // control-free ops from pc up to (not including) the block
-        // terminator. Control transfers, fused-pair heads and kernel
-        // dispatches have run length 0, which also makes them terminate
-        // the run of every preceding pc. (A `KernelCall` classifies as
+        // terminator. Control transfers and kernel dispatches have run
+        // length 0, which also makes them terminate the run of every
+        // preceding pc. (A `KernelCall` classifies as
         // `ControlKind::None` — it is invisible to the loop detector —
         // but it retires a whole body, so the dispatcher must reach it
         // as a single step, never mid-run.)
         let mut run_len = vec![0u32; n];
         for pc in (0..n).rev() {
-            if kinds[pc] == ControlKind::None
-                && !pair[pc]
-                && !matches!(code[pc], Instruction::KernelCall { .. })
+            if kinds[pc] == ControlKind::None && !matches!(code[pc], Instruction::KernelCall { .. })
             {
                 run_len[pc] = 1 + if pc + 1 < n { run_len[pc + 1] } else { 0 };
             }
         }
 
-        // Packed dispatch word: `run_len << 1 | pair`. The interpreter
-        // classifies every dispatch (long run / fused pair / single
-        // step) from this one load.
-        let meta = (0..n)
-            .map(|pc| run_len[pc] << 1 | pair[pc] as u32)
-            .collect();
-
-        let flat: Vec<FlatOp> = ops.iter().map(|&op| FlatOp::lower(op)).collect();
-
-        // Straight-line fusion: where adjacent ops of the same run
-        // match a hot pattern, flat2[pc] holds their superinstruction
-        // (elsewhere it mirrors flat[pc]). A same-code `St`/`Ld` block
-        // of three or more — a register save/restore frame, a block
-        // move — becomes a repeat op (count in `sub`, elements re-read
-        // from `flat`); otherwise two-op patterns fuse. The executor
-        // walks flat2 greedily; flat keeps the unfused ops so any pc —
-        // e.g. a fuel cut between the halves — is still a valid entry
-        // point.
-        let mut flat2 = flat.clone();
-        for pc in 0..n {
-            let within_run = run_len[pc] as usize;
-            if within_run < 2 {
-                continue;
-            }
-            let rep_code = match flat[pc].code {
-                FlatCode::St => Some(FlatCode::StRep),
-                FlatCode::Ld => Some(FlatCode::LdRep),
-                _ => None,
-            };
-            if let Some(rep) = rep_code {
-                let same = (1..within_run.min(255))
-                    .take_while(|&j| flat[pc + j].code == flat[pc].code)
-                    .count()
-                    + 1;
-                if same >= 3 {
-                    flat2[pc] = FlatOp {
-                        code: rep,
-                        a: 0,
-                        b: 0,
-                        c: 0,
-                        d: 0,
-                        sub: same as u8,
-                        imm: 0,
-                    };
-                    continue;
-                }
-            }
-            if let Some(fused) = FlatOp::fuse2(flat[pc], flat[pc + 1]) {
-                flat2[pc] = fused;
-            }
-        }
+        let flat = ops.iter().map(|&op| FlatOp::lower(op)).collect();
 
         DecodedImage {
             ops,
@@ -828,10 +597,7 @@ impl DecodedImage {
             kinds,
             uses,
             run_len,
-            pair,
-            meta,
             flat,
-            flat2,
         }
     }
 
@@ -869,32 +635,14 @@ impl DecodedImage {
         &self.uses[pc]
     }
 
-    /// Length of the straight-line (control-free, fusion-free) run
-    /// starting at `pc`; `0` at control transfers and fused-pair
-    /// heads.
+    /// Length of the straight-line (control-free) run starting at
+    /// `pc`; `0` at control transfers, halts and kernel calls.
     #[inline(always)]
     pub fn run_len(&self, pc: usize) -> u32 {
         self.run_len[pc]
     }
 
-    /// `true` when `pc` heads a fused `op→branch` superinstruction.
-    #[inline(always)]
-    pub fn is_pair(&self, pc: usize) -> bool {
-        self.pair[pc]
-    }
-
-    /// Packed dispatch word at `pc`: `run_len << 1 | fused_pair`. Zero
-    /// means "single-step this op" (control transfers, halt); the
-    /// interpreter's dispatcher classifies each pc from this one load
-    /// instead of touching the `run_len` and `pair` tables separately.
-    #[inline(always)]
-    pub fn meta(&self, pc: usize) -> u32 {
-        self.meta[pc]
-    }
-
-    /// All decoded ops, indexed by pc. The executor slices this once
-    /// per straight-line run so the per-op loop compiles to a pointer
-    /// walk with a single up-front bounds check.
+    /// All decoded ops, indexed by pc.
     #[inline(always)]
     pub fn ops(&self) -> &[DecodedOp] {
         &self.ops
@@ -915,34 +663,10 @@ impl DecodedImage {
         &self.flat
     }
 
-    /// The fusion-annotated flat stream, indexed by pc: at pcs heading
-    /// a fused straight-line pair this holds the two-op
-    /// superinstruction, elsewhere it mirrors [`DecodedImage::flat`].
-    /// Executors walk this stream greedily inside runs and fall back
-    /// to `flat` when the fuel window cuts a pair in half.
-    #[inline(always)]
-    pub fn flat2(&self) -> &[FlatOp] {
-        &self.flat2
-    }
-
     /// The instruction copy the image was built from, for verifying an
     /// image still matches a program.
     pub fn instrs(&self) -> &[Instruction] {
         &self.instrs
-    }
-
-    /// Number of fused `op→branch` superinstructions found by the
-    /// peephole pass (a decode-quality statistic).
-    pub fn fused_pairs(&self) -> usize {
-        self.pair.iter().filter(|&&p| p).count()
-    }
-
-    /// Number of two-op straight-line superinstructions in the
-    /// [`flat2`](DecodedImage::flat2) stream (a decode-quality
-    /// statistic; each replaces two dispatches with one when executed
-    /// from its head).
-    pub fn fused_straight(&self) -> usize {
-        self.flat2.iter().filter(|f| f.code.fuses_two()).count()
     }
 }
 
@@ -962,9 +686,9 @@ mod tests {
     /// A canonical counted loop:
     /// ```text
     /// 0: li   r1, 0
-    /// 1: addi r2, r2, 7    <- loop body (run of 2)
+    /// 1: addi r2, r2, 7    <- loop body (run of 3)
     /// 2: addi r2, r2, 9
-    /// 3: addi r1, r1, 1    <- fused pair head
+    /// 3: addi r1, r1, 1    <- last op of the run
     /// 4: b.lt r1, r3, @1
     /// 5: halt
     /// ```
@@ -1017,16 +741,15 @@ mod tests {
     }
 
     #[test]
-    fn back_edge_pair_is_fused_and_runs_stop_before_it() {
+    fn back_edge_runs_stop_at_the_branch() {
         let img = DecodedImage::build(&counted_loop());
-        assert!(img.is_pair(3), "addi feeding a branch fuses");
-        assert!(!img.is_pair(4));
-        assert_eq!(img.fused_pairs(), 1);
-        // The body run from the branch target covers pcs 1..=2 and
-        // stops at the fused pair.
-        assert_eq!(img.run_len(1), 2);
-        assert_eq!(img.run_len(2), 1);
-        assert_eq!(img.run_len(3), 0, "pair head is not part of a run");
+        // The body run from the branch target covers pcs 1..=3,
+        // including the counter bump that feeds the branch, and stops
+        // at the branch.
+        assert_eq!(img.run_len(0), 4);
+        assert_eq!(img.run_len(1), 3);
+        assert_eq!(img.run_len(2), 2);
+        assert_eq!(img.run_len(3), 1, "the branch's feeder ends the run");
         assert_eq!(img.run_len(4), 0, "control op");
         assert_eq!(img.run_len(5), 0, "halt");
     }
@@ -1040,8 +763,7 @@ mod tests {
             Instruction::Halt,
         ];
         let img = DecodedImage::build(&code);
-        // No branch follows, so nothing fuses; each pc sees the
-        // maximal remaining run.
+        // Each pc sees the maximal remaining run.
         assert_eq!(img.run_len(0), 3);
         assert_eq!(img.run_len(1), 2);
         assert_eq!(img.run_len(2), 1);
@@ -1049,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_ops_never_lead_a_fused_pair() {
+    fn a_load_before_a_branch_is_a_run_of_one() {
         let code = vec![
             Instruction::Load {
                 rd: Reg::R1,
@@ -1065,12 +787,11 @@ mod tests {
             Instruction::Halt,
         ];
         let img = DecodedImage::build(&code);
-        assert!(!img.is_pair(0), "loads keep their own mem-limit check");
         assert_eq!(img.run_len(0), 1);
     }
 
     #[test]
-    fn kernel_call_terminates_runs_and_never_fuses() {
+    fn kernel_call_terminates_runs() {
         let code = vec![
             addi(Reg::R1, Reg::R1, 1),
             addi(Reg::R2, Reg::R2, 1),
@@ -1084,8 +805,6 @@ mod tests {
         assert_eq!(img.run_len(0), 2, "run stops before the dispatch");
         assert_eq!(img.run_len(2), 0, "dispatch is a single step");
         assert_eq!(img.run_len(3), 1);
-        assert!(!img.is_pair(2));
-        assert_eq!(img.meta(2), 0);
         assert_eq!(img.flat()[2].code, FlatCode::Ctl);
     }
 

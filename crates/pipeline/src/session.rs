@@ -32,18 +32,12 @@ fn flush_cpu_telemetry(cpu: &mut Cpu) {
     if !t.is_empty() {
         obs::counter("cpu_superblock_runs").add(t.superblock_runs);
         obs::counter("cpu_superblock_instrs").add(t.superblock_instrs);
-        obs::counter("cpu_fused_branch_pairs").add(t.fused_branch_pairs);
         if t.kernel_calls > 0 {
             obs::counter(obs::names::CPU_KERNEL_CALLS).add(t.kernel_calls);
             obs::counter(obs::names::CPU_KERNEL_INSTRS).add(t.kernel_instrs);
         }
         obs::histogram("cpu_superblock_len")
             .merge_prebucketed(&t.superblock_len_buckets, t.superblock_instrs);
-        for (shape, hits) in t.fused_shapes() {
-            obs::global()
-                .counter(&format!("cpu_fused_{shape}"))
-                .add(hits);
-        }
     }
 }
 
@@ -114,8 +108,8 @@ enum Slot<'a> {
 /// globally with the `LOOPSPEC_INTERP=legacy` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Interp {
-    /// Pre-decoded threaded-code dispatch with superinstruction
-    /// fusion (the default).
+    /// Pre-decoded threaded-code dispatch over straight-line runs (the
+    /// default).
     #[default]
     Decoded,
     /// The legacy per-instruction fetch-decode-execute loop.

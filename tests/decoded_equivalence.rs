@@ -1,10 +1,10 @@
 //! The decoded front-end's bit-identity contract: the pre-decoded
-//! threaded-code interpreter (with superinstruction fusion) must be
-//! indistinguishable from the legacy fetch/decode loop — same
-//! [`InstrEvent`] streams under a full-demand tracer, same loop events
-//! and engine reports, and byte-identical snapshots across checkpoint
-//! cuts that land mid-fused-block and mid-chunk — on all 18 workloads
-//! and on randomly generated structured programs.
+//! threaded-code interpreter (one dispatch per instruction over
+//! straight-line runs) must be indistinguishable from the legacy
+//! fetch/decode loop — same [`InstrEvent`] streams under a full-demand
+//! tracer, same loop events and engine reports, and byte-identical
+//! snapshots across checkpoint cuts that land mid-block and mid-chunk —
+//! on all 18 workloads and on randomly generated structured programs.
 
 use loopspec::prelude::*;
 use loopspec_testutil::Rng;
@@ -33,8 +33,8 @@ fn arch_state(cpu: &Cpu) -> Vec<u8> {
 
 /// A compact random structured program: nested counted loops, two-sided
 /// conditionals, static loads/stores, float work and calls — enough
-/// variety to exercise every fused-pair shape and straight-line run the
-/// decoder emits.
+/// variety to exercise every flat opcode class and straight-line run
+/// shape the decoder emits.
 fn random_program(seed: u64) -> Program {
     let mut r = Rng::new(seed);
     let mut b = ProgramBuilder::with_seed(seed as i64);
@@ -116,7 +116,7 @@ fn random_programs_match_legacy_events_and_state() {
 #[test]
 fn random_programs_survive_odd_fuel_slices() {
     // Resume the decoded interpreter in fuel slices chosen to land
-    // inside fused pairs and straight-line runs; every pause must sit
+    // inside straight-line runs and before branches; every pause must sit
     // on an instruction boundary with state equal to the legacy
     // interpreter paused at the same count.
     for seed in 0..12u64 {
@@ -229,7 +229,8 @@ fn checkpoint_bytes_match_at_mid_block_and_mid_chunk_cuts() {
     let p = w.build(Scale::Test).expect("assembles");
     // 997 is odd and coprime to the 256-event chunk size, so cuts land
     // mid-chunk; and it is not a multiple of any basic-block length, so
-    // the decoded interpreter is forced to pause inside fused runs.
+    // the decoded interpreter is forced to pause inside straight-line
+    // runs.
     let (snaps_legacy, report_legacy) = checkpoint_chain(&p, Interp::Legacy, 997);
     let (snaps_decoded, report_decoded) = checkpoint_chain(&p, Interp::Decoded, 997);
     assert_eq!(snaps_legacy.len(), snaps_decoded.len());
