@@ -2,7 +2,7 @@
 //! the full CPU + detector pipeline.
 
 use loopspec_bench::timing::Suite;
-use loopspec_core::{Cls, EventCollector, LoopEvent};
+use loopspec_core::{Cls, EventCollector};
 use loopspec_cpu::{ControlOutcome, Cpu, RunLimits};
 use loopspec_isa::{Addr, ControlKind};
 use loopspec_workloads::{by_name, Scale};
@@ -42,12 +42,13 @@ fn bench_cls(s: &mut Suite) {
         Some(stream.len() as u64),
         || {
             let mut cls = Cls::default();
-            let mut out: Vec<LoopEvent> = Vec::with_capacity(8);
             for (k, (pc, outcome)) in stream.iter().enumerate() {
-                out.clear();
-                cls.on_control(*pc, outcome, k as u64, &mut out);
-                std::hint::black_box(&out);
+                if cls.on_control(*pc, outcome, k as u64) {
+                    std::hint::black_box(cls.buffered());
+                    cls.clear_buffered();
+                }
             }
+            std::hint::black_box(cls.buffered());
         },
     );
 }

@@ -1,9 +1,9 @@
 //! The Current Loop Stack (paper §2.2).
 
-use loopspec_cpu::ControlOutcome;
+use loopspec_cpu::{ControlOutcome, InstrEvent};
 use loopspec_isa::{Addr, ControlKind};
 
-use crate::{LoopEvent, LoopEventSink, LoopId};
+use crate::{LoopEvent, LoopId};
 
 /// One CLS entry: a loop currently executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,10 +28,9 @@ impl ClsEntry {
 /// The **Current Loop Stack**: all loops currently executing, innermost on
 /// top, with the update rules of paper §2.2.
 ///
-/// Feed it every committed control-transfer instruction via
-/// [`Cls::on_control`]; it appends [`LoopEvent`]s to the vector you pass.
-/// Use [`LoopDetector`](crate::LoopDetector) for the packaged
-/// per-instruction interface.
+/// Feed it every retired instruction via [`Cls::on_retire`] (or every
+/// committed control transfer via [`Cls::on_control`]); the
+/// [`LoopEvent`]s it produces accumulate in its event chunk.
 ///
 /// The five update rules (§2.2, implemented verbatim):
 ///
@@ -50,22 +49,55 @@ impl ClsEntry {
 /// On overflow the deepest (outermost) entry is discarded
 /// ([`LoopEvent::Evicted`]).
 ///
-/// ## Buffered (chunked) emission
+/// ## Chunked emission
 ///
-/// [`Cls::on_control`] hands every event to the sink immediately. The
-/// `*_buffered` variants instead append events to an internal chunk of
-/// up to [`chunk_capacity`](Cls::chunk_capacity) events (default
-/// [`DEFAULT_EVENT_CHUNK`](crate::DEFAULT_EVENT_CHUNK)) and report when
-/// the chunk is full, so a driver can fan a whole chunk out to many
-/// sinks with one [`LoopEventSink::on_loop_events`] call each instead of
-/// one virtual call per event per sink — the hot path of the streaming
-/// `Session`. See the [batching contract](crate::sink) for the
+/// Events are appended, in commit order, to an internal chunk of up to
+/// [`chunk_capacity`](Cls::chunk_capacity) events (default
+/// [`DEFAULT_EVENT_CHUNK`](crate::DEFAULT_EVENT_CHUNK)); every entry
+/// point reports when the chunk is full. The driver reads the chunk with
+/// [`buffered`](Cls::buffered) and empties it with
+/// [`clear_buffered`](Cls::clear_buffered) — whenever it likes: the
+/// streaming `Session` fans whole chunks out to many sinks with one
+/// [`LoopEventSink::on_loop_events`](crate::LoopEventSink::on_loop_events)
+/// call each, while a bare tracer such as
+/// [`EventCollector`](crate::EventCollector) drains it after every
+/// instruction. See the [batching contract](crate::sink) for the
 /// semantics chunked delivery must (and does) preserve.
+///
+/// ```
+/// use loopspec_asm::ProgramBuilder;
+/// use loopspec_cpu::{Cpu, RunLimits, Tracer};
+/// use loopspec_core::{Cls, LoopEvent};
+///
+/// struct IterationCounter {
+///     cls: Cls,
+///     iterations: u64,
+/// }
+/// impl Tracer for IterationCounter {
+///     fn on_retire(&mut self, ev: &loopspec_cpu::InstrEvent) {
+///         self.cls.on_retire(ev);
+///         for e in self.cls.buffered() {
+///             if matches!(e, LoopEvent::IterationStart { .. }) {
+///                 self.iterations += 1;
+///             }
+///         }
+///         self.cls.clear_buffered();
+///     }
+/// }
+///
+/// let mut b = ProgramBuilder::new();
+/// b.counted_loop(5, |b, _| b.work(1));
+/// let program = b.finish()?;
+/// let mut t = IterationCounter { cls: Cls::default(), iterations: 0 };
+/// Cpu::new().run(&program, &mut t, RunLimits::default())?;
+/// assert_eq!(t.iterations, 4); // iterations 2..=5 (the 1st is undetectable)
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct Cls {
     entries: Vec<ClsEntry>,
     capacity: usize,
-    /// Events awaiting chunked delivery (the `*_buffered` emission path).
+    /// Events awaiting delivery, in commit order.
     chunk: Vec<LoopEvent>,
     chunk_capacity: usize,
 }
@@ -87,8 +119,8 @@ impl Cls {
         }
     }
 
-    /// Sets the buffered-emission chunk size (builder style). Chunk size
-    /// 1 degenerates to per-event delivery; larger chunks amortize
+    /// Sets the event-chunk size (builder style). Chunk size 1
+    /// degenerates to per-event delivery; larger chunks amortize
     /// fan-out cost. Results are identical for any size (the
     /// `chunked_equivalence` property test).
     ///
@@ -101,43 +133,30 @@ impl Cls {
         self
     }
 
-    /// Events per chunk on the buffered emission path.
+    /// Events per chunk.
     #[inline]
     pub fn chunk_capacity(&self) -> usize {
         self.chunk_capacity
     }
 
-    /// The events buffered so far on the chunked emission path (in
-    /// commit order; drained by the driver via
-    /// [`clear_buffered`](Cls::clear_buffered)).
+    /// The events produced since the chunk was last cleared, in commit
+    /// order.
     #[inline]
     pub fn buffered(&self) -> &[LoopEvent] {
         &self.chunk
     }
 
-    /// Discards the buffered chunk (after the driver has delivered it).
+    /// Discards the chunk (after the driver has delivered it).
     #[inline]
     pub fn clear_buffered(&mut self) {
         self.chunk.clear();
     }
 
-    /// [`Cls::on_control`], but appending events to the internal chunk.
-    /// Returns `true` when the chunk has reached capacity and should be
+    /// `true` when the chunk has reached capacity and should be
     /// delivered (the chunk may exceed capacity by the handful of events
     /// one instruction produces; it is never split mid-instruction).
-    pub fn on_control_buffered(&mut self, pc: Addr, outcome: &ControlOutcome, pos: u64) -> bool {
-        let mut chunk = std::mem::take(&mut self.chunk);
-        self.on_control(pc, outcome, pos, &mut chunk);
-        self.chunk = chunk;
-        self.chunk.len() >= self.chunk_capacity
-    }
-
-    /// [`Cls::flush`], but appending events to the internal chunk.
-    /// Returns `true` when the chunk has reached capacity.
-    pub fn flush_buffered(&mut self, pos: u64) -> bool {
-        let mut chunk = std::mem::take(&mut self.chunk);
-        self.flush(pos, &mut chunk);
-        self.chunk = chunk;
+    #[inline]
+    fn chunk_full(&self) -> bool {
         self.chunk.len() >= self.chunk_capacity
     }
 
@@ -164,50 +183,61 @@ impl Cls {
         self.entries.last().map(|e| LoopId(e.t))
     }
 
-    /// Processes one committed control-transfer instruction.
+    /// Processes one retired instruction: a control transfer goes to
+    /// [`Cls::on_control`], a [`ControlKind::Halt`] closes every open
+    /// execution ([`Cls::flush`]), anything else is ignored. Returns
+    /// `true` when the chunk is full.
+    #[inline]
+    pub fn on_retire(&mut self, ev: &InstrEvent) -> bool {
+        match ev.control.kind {
+            ControlKind::None => self.chunk_full(),
+            ControlKind::Halt => self.flush(ev.next_pos()),
+            _ => self.on_control(ev.pc, &ev.control, ev.next_pos()),
+        }
+    }
+
+    /// Processes one committed control-transfer instruction and returns
+    /// `true` when the chunk is full.
     ///
     /// `pc` is the instruction's address, `outcome` its dynamic result and
     /// `pos` the stream position *after* it commits (see
     /// [`LoopEvent`](crate::LoopEvent) for the position convention).
-    /// Events are appended to `out` in commit order: inner executions end
-    /// before outer events at the same instruction.
-    pub fn on_control<S: LoopEventSink + ?Sized>(
-        &mut self,
-        pc: Addr,
-        outcome: &ControlOutcome,
-        pos: u64,
-        out: &mut S,
-    ) {
+    /// Events are appended in commit order: inner executions end before
+    /// outer events at the same instruction.
+    pub fn on_control(&mut self, pc: Addr, outcome: &ControlOutcome, pos: u64) -> bool {
         match outcome.kind {
             ControlKind::None | ControlKind::Halt => {}
             // Calls do not affect the CLS: subroutine activations belong
             // to the surrounding loop execution.
             ControlKind::Call { .. } | ControlKind::IndirectCall => {}
-            ControlKind::Ret => self.on_return(pc, pos, out),
+            // A `ret` ends every execution whose static body contains
+            // it: those loops were entered inside the returning
+            // activation and their closing branches can no longer
+            // execute.
+            ControlKind::Ret => self.remove_where(|e| e.body_contains(pc), pos),
             ControlKind::CondBranch { target } if !outcome.taken => {
-                self.on_not_taken_branch(pc, target, pos, out);
+                self.on_not_taken_branch(pc, target, pos);
             }
             ControlKind::CondBranch { .. }
             | ControlKind::Jump { .. }
             | ControlKind::IndirectJump => {
                 // Taken transfer; use the *dynamic* target so indirect
                 // jumps are handled uniformly.
-                self.on_taken_transfer(pc, outcome.target, pos, out);
+                self.on_taken_transfer(pc, outcome.target, pos);
             }
         }
+        self.chunk_full()
     }
 
-    /// Closes every open execution (used at program end; the paper notes
-    /// the CLS "is always empty at the end" for SPEC95, and suggests
-    /// periodic flushing for the pathological cases).
-    pub fn flush<S: LoopEventSink + ?Sized>(&mut self, pos: u64, out: &mut S) {
+    /// Closes every open execution at stream position `pos` and returns
+    /// `true` when the chunk is full (used at program end; the paper
+    /// notes the CLS "is always empty at the end" for SPEC95, and
+    /// suggests periodic flushing for the pathological cases).
+    pub fn flush(&mut self, pos: u64) -> bool {
         while let Some(e) = self.entries.pop() {
-            out.on_loop_event(&LoopEvent::ExecutionEnd {
-                loop_id: LoopId(e.t),
-                iterations: e.iter,
-                pos,
-            });
+            self.end(e, pos);
         }
+        self.chunk_full()
     }
 
     // ------------------------------------------------------------------
@@ -218,38 +248,31 @@ impl Cls {
 
     /// Pops entries with index > `i`, ending their executions
     /// (innermost first).
-    fn pop_above<S: LoopEventSink + ?Sized>(&mut self, i: usize, pos: u64, out: &mut S) {
+    fn pop_above(&mut self, i: usize, pos: u64) {
         while self.entries.len() > i + 1 {
             let e = self.entries.pop().expect("len > i+1 >= 1");
-            out.on_loop_event(&LoopEvent::ExecutionEnd {
-                loop_id: LoopId(e.t),
-                iterations: e.iter,
-                pos,
-            });
+            self.end(e, pos);
         }
     }
 
-    fn on_return<S: LoopEventSink + ?Sized>(&mut self, pc: Addr, pos: u64, out: &mut S) {
-        // A `ret` ends every execution whose static body contains it:
-        // those loops were entered inside the returning activation and
-        // their closing branches can no longer execute.
-        self.remove_where(|e| e.body_contains(pc), pos, out);
+    /// Emits the `ExecutionEnd` of a popped entry.
+    #[inline]
+    fn end(&mut self, e: ClsEntry, pos: u64) {
+        self.chunk.push(LoopEvent::ExecutionEnd {
+            loop_id: LoopId(e.t),
+            iterations: e.iter,
+            pos,
+        });
     }
 
-    fn on_not_taken_branch<S: LoopEventSink + ?Sized>(
-        &mut self,
-        pc: Addr,
-        target: Addr,
-        pos: u64,
-        out: &mut S,
-    ) {
+    fn on_not_taken_branch(&mut self, pc: Addr, target: Addr, pos: u64) {
         if !pc.is_backward_to(target) {
             return; // forward not-taken branch: no loop significance
         }
         match self.find(target) {
             None => {
                 // Rule 2: a loop with exactly one iteration executed.
-                out.on_loop_event(&LoopEvent::OneShot {
+                self.chunk.push(LoopEvent::OneShot {
                     loop_id: LoopId(target),
                     pos,
                     depth: self.depth() as u32 + 1,
@@ -259,13 +282,9 @@ impl Cls {
                 if self.entries[i].b <= pc {
                     // Rule 4: the closing branch fell through — iteration
                     // and execution of T finish; inner loops end too.
-                    self.pop_above(i, pos, out);
+                    self.pop_above(i, pos);
                     let e = self.entries.pop().expect("entry i exists");
-                    out.on_loop_event(&LoopEvent::ExecutionEnd {
-                        loop_id: LoopId(e.t),
-                        iterations: e.iter,
-                        pos,
-                    });
+                    self.end(e, pos);
                 }
                 // else: an internal backward branch before B fell
                 // through — the loop merely continues.
@@ -273,17 +292,11 @@ impl Cls {
         }
     }
 
-    fn on_taken_transfer<S: LoopEventSink + ?Sized>(
-        &mut self,
-        pc: Addr,
-        target: Addr,
-        pos: u64,
-        out: &mut S,
-    ) {
+    fn on_taken_transfer(&mut self, pc: Addr, target: Addr, pos: u64) {
         if pc.is_backward_to(target) {
             if let Some(i) = self.find(target) {
                 // Rule 3: new iteration of the loop at entry i.
-                self.pop_above(i, pos, out);
+                self.pop_above(i, pos);
                 let e = &mut self.entries[i];
                 if pc > e.b {
                     e.b = pc;
@@ -294,46 +307,38 @@ impl Cls {
                     iter: e.iter,
                     pos,
                 };
-                out.on_loop_event(&ev);
+                self.chunk.push(ev);
                 return;
             }
             // Rule 1 (with the rule-5 exit check first): a backward
             // transfer out of enclosing bodies ends them, then a new
             // execution is pushed.
-            self.remove_where(
-                |e| e.body_contains(pc) && !e.body_contains(target),
-                pos,
-                out,
-            );
-            self.push_new(target, pc, pos, out);
+            self.remove_where(|e| e.body_contains(pc) && !e.body_contains(target), pos);
+            self.push_new(target, pc, pos);
         } else {
             // Rule 5: a forward taken transfer leaving a body ends that
             // execution.
-            self.remove_where(
-                |e| e.body_contains(pc) && !e.body_contains(target),
-                pos,
-                out,
-            );
+            self.remove_where(|e| e.body_contains(pc) && !e.body_contains(target), pos);
         }
     }
 
-    fn push_new<S: LoopEventSink + ?Sized>(&mut self, t: Addr, b: Addr, pos: u64, out: &mut S) {
+    fn push_new(&mut self, t: Addr, b: Addr, pos: u64) {
         if self.entries.len() == self.capacity {
             // Overflow: sacrifice the deepest (outermost) entry.
             let e = self.entries.remove(0);
-            out.on_loop_event(&LoopEvent::Evicted {
+            self.chunk.push(LoopEvent::Evicted {
                 loop_id: LoopId(e.t),
                 iterations: e.iter,
                 pos,
             });
         }
         self.entries.push(ClsEntry { t, b, iter: 2 });
-        out.on_loop_event(&LoopEvent::ExecutionStart {
+        self.chunk.push(LoopEvent::ExecutionStart {
             loop_id: LoopId(t),
             pos,
             depth: self.entries.len() as u32,
         });
-        out.on_loop_event(&LoopEvent::IterationStart {
+        self.chunk.push(LoopEvent::IterationStart {
             loop_id: LoopId(t),
             iter: 2,
             pos,
@@ -342,23 +347,14 @@ impl Cls {
 
     /// Removes all entries matching `pred`, emitting `ExecutionEnd`s
     /// innermost-first.
-    fn remove_where<S: LoopEventSink + ?Sized>(
-        &mut self,
-        pred: impl Fn(&ClsEntry) -> bool,
-        pos: u64,
-        out: &mut S,
-    ) {
+    fn remove_where(&mut self, pred: impl Fn(&ClsEntry) -> bool, pos: u64) {
         // Collect from the top down so events come innermost-first.
         let mut idx = self.entries.len();
         while idx > 0 {
             idx -= 1;
             if pred(&self.entries[idx]) {
                 let e = self.entries.remove(idx);
-                out.on_loop_event(&LoopEvent::ExecutionEnd {
-                    loop_id: LoopId(e.t),
-                    iterations: e.iter,
-                    pos,
-                });
+                self.end(e, pos);
             }
         }
     }
@@ -460,22 +456,36 @@ mod tests {
         }
     }
 
+    /// Drives [`Cls::on_control`] and drains the chunk into `out`.
+    fn control(cls: &mut Cls, pc: u32, o: &ControlOutcome, pos: u64, out: &mut Vec<LoopEvent>) {
+        cls.on_control(Addr::new(pc), o, pos);
+        out.extend_from_slice(cls.buffered());
+        cls.clear_buffered();
+    }
+
+    /// Drives [`Cls::flush`] and drains the chunk into `out`.
+    fn flush(cls: &mut Cls, pos: u64, out: &mut Vec<LoopEvent>) {
+        cls.flush(pos);
+        out.extend_from_slice(cls.buffered());
+        cls.clear_buffered();
+    }
+
     #[test]
     fn simple_loop_lifecycle() {
         // Loop body [10, 20]; 3 iterations: taken, taken, not-taken.
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &taken_branch(10), 100, &mut out);
+        control(&mut cls, 20, &taken_branch(10), 100, &mut out);
         assert_eq!(cls.depth(), 1);
         assert!(matches!(out[0], LoopEvent::ExecutionStart { depth: 1, .. }));
         assert!(matches!(out[1], LoopEvent::IterationStart { iter: 2, .. }));
 
         out.clear();
-        cls.on_control(Addr::new(20), &taken_branch(10), 200, &mut out);
+        control(&mut cls, 20, &taken_branch(10), 200, &mut out);
         assert!(matches!(out[0], LoopEvent::IterationStart { iter: 3, .. }));
 
         out.clear();
-        cls.on_control(Addr::new(20), &not_taken_branch(10, 20), 300, &mut out);
+        control(&mut cls, 20, &not_taken_branch(10, 20), 300, &mut out);
         assert_eq!(cls.depth(), 0);
         assert!(matches!(
             out[0],
@@ -491,7 +501,7 @@ mod tests {
     fn one_shot_loop() {
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &not_taken_branch(10, 20), 50, &mut out);
+        control(&mut cls, 20, &not_taken_branch(10, 20), 50, &mut out);
         assert_eq!(cls.depth(), 0);
         assert!(matches!(out[0], LoopEvent::OneShot { depth: 1, .. }));
     }
@@ -501,15 +511,15 @@ mod tests {
         // Outer [10, 30], inner [15, 25].
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(30), &taken_branch(10), 1, &mut out); // outer detected
-        cls.on_control(Addr::new(25), &taken_branch(15), 2, &mut out); // inner detected
+        control(&mut cls, 30, &taken_branch(10), 1, &mut out); // outer detected
+        control(&mut cls, 25, &taken_branch(15), 2, &mut out); // inner detected
         assert_eq!(cls.depth(), 2);
         assert_eq!(cls.innermost(), Some(LoopId(Addr::new(15))));
 
         // Outer closing branch taken while inner still on the stack:
         // inner execution must end first, then the outer iteration starts.
         out.clear();
-        cls.on_control(Addr::new(30), &taken_branch(10), 3, &mut out);
+        control(&mut cls, 30, &taken_branch(10), 3, &mut out);
         assert_eq!(cls.depth(), 1);
         assert!(
             matches!(out[0], LoopEvent::ExecutionEnd { loop_id, iterations: 2, .. }
@@ -525,10 +535,10 @@ mod tests {
     fn inner_not_taken_closing_pops_only_inner() {
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(30), &taken_branch(10), 1, &mut out);
-        cls.on_control(Addr::new(25), &taken_branch(15), 2, &mut out);
+        control(&mut cls, 30, &taken_branch(10), 1, &mut out);
+        control(&mut cls, 25, &taken_branch(15), 2, &mut out);
         out.clear();
-        cls.on_control(Addr::new(25), &not_taken_branch(15, 25), 3, &mut out);
+        control(&mut cls, 25, &not_taken_branch(15, 25), 3, &mut out);
         assert_eq!(cls.depth(), 1);
         assert_eq!(cls.innermost(), Some(LoopId(Addr::new(10))));
     }
@@ -538,9 +548,9 @@ mod tests {
         // Loop [10, 20]; a `break`-style forward branch from 15 to 40.
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &taken_branch(10), 1, &mut out);
+        control(&mut cls, 20, &taken_branch(10), 1, &mut out);
         out.clear();
-        cls.on_control(Addr::new(15), &taken_branch(40), 2, &mut out);
+        control(&mut cls, 15, &taken_branch(40), 2, &mut out);
         assert_eq!(cls.depth(), 0);
         assert!(matches!(
             out[0],
@@ -552,10 +562,10 @@ mod tests {
     fn taken_branch_within_body_does_not_exit() {
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &taken_branch(10), 1, &mut out);
+        control(&mut cls, 20, &taken_branch(10), 1, &mut out);
         out.clear();
         // if/else inside the body: forward taken branch 12 -> 18.
-        cls.on_control(Addr::new(12), &taken_branch(18), 2, &mut out);
+        control(&mut cls, 12, &taken_branch(18), 2, &mut out);
         assert_eq!(cls.depth(), 1);
         assert!(out.is_empty());
     }
@@ -566,9 +576,9 @@ mod tests {
         // since B(=20) > 15, a fall-through at 15 does not end the loop.
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &taken_branch(10), 1, &mut out);
+        control(&mut cls, 20, &taken_branch(10), 1, &mut out);
         out.clear();
-        cls.on_control(Addr::new(15), &not_taken_branch(10, 15), 2, &mut out);
+        control(&mut cls, 15, &not_taken_branch(10, 15), 2, &mut out);
         assert_eq!(cls.depth(), 1);
         assert!(out.is_empty());
     }
@@ -578,14 +588,14 @@ mod tests {
         // Two closing branches: at 20 and at 25 (e.g. loop with `continue`).
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &taken_branch(10), 1, &mut out);
-        cls.on_control(Addr::new(25), &taken_branch(10), 2, &mut out);
+        control(&mut cls, 20, &taken_branch(10), 1, &mut out);
+        control(&mut cls, 25, &taken_branch(10), 2, &mut out);
         out.clear();
         // Now a not-taken at 20 must NOT end the loop (B=25 > 20)...
-        cls.on_control(Addr::new(20), &not_taken_branch(10, 20), 3, &mut out);
+        control(&mut cls, 20, &not_taken_branch(10, 20), 3, &mut out);
         assert_eq!(cls.depth(), 1);
         // ...but a not-taken at 25 does.
-        cls.on_control(Addr::new(25), &not_taken_branch(10, 25), 4, &mut out);
+        control(&mut cls, 25, &not_taken_branch(10, 25), 4, &mut out);
         assert_eq!(cls.depth(), 0);
     }
 
@@ -594,14 +604,14 @@ mod tests {
         // Loop [10, 20] inside a subroutine; `ret` at 15.
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &taken_branch(10), 1, &mut out);
+        control(&mut cls, 20, &taken_branch(10), 1, &mut out);
         // An unrelated caller loop [100, 200] is NOT popped (its body does
         // not contain the ret at 15) — push it first to check.
-        cls.on_control(Addr::new(200), &taken_branch(100), 2, &mut out);
+        control(&mut cls, 200, &taken_branch(100), 2, &mut out);
         out.clear();
         // Note: [100,200] was pushed after [10,20]; the ret at 15 is only
         // inside [10,20].
-        cls.on_control(Addr::new(15), &ret(21), 3, &mut out);
+        control(&mut cls, 15, &ret(21), 3, &mut out);
         assert_eq!(cls.depth(), 1);
         assert!(cls.contains(LoopId(Addr::new(100))));
         assert!(!cls.contains(LoopId(Addr::new(10))));
@@ -612,7 +622,7 @@ mod tests {
         // while-style loop closed by an unconditional backward jump.
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &jump(10), 1, &mut out);
+        control(&mut cls, 20, &jump(10), 1, &mut out);
         assert_eq!(cls.depth(), 1);
         assert!(matches!(out[0], LoopEvent::ExecutionStart { .. }));
     }
@@ -621,10 +631,10 @@ mod tests {
     fn overflow_evicts_outermost() {
         let mut cls = Cls::new(2);
         let mut out = Vec::new();
-        cls.on_control(Addr::new(100), &taken_branch(90), 1, &mut out); // L90
-        cls.on_control(Addr::new(80), &taken_branch(70), 2, &mut out); // L70
+        control(&mut cls, 100, &taken_branch(90), 1, &mut out); // L90
+        control(&mut cls, 80, &taken_branch(70), 2, &mut out); // L70
         out.clear();
-        cls.on_control(Addr::new(60), &taken_branch(50), 3, &mut out); // L50 evicts L90
+        control(&mut cls, 60, &taken_branch(50), 3, &mut out); // L50 evicts L90
         assert_eq!(cls.depth(), 2);
         assert!(matches!(out[0], LoopEvent::Evicted { loop_id, .. }
             if loop_id == LoopId(Addr::new(90))));
@@ -637,10 +647,10 @@ mod tests {
     fn flush_closes_everything() {
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(30), &taken_branch(10), 1, &mut out);
-        cls.on_control(Addr::new(25), &taken_branch(15), 2, &mut out);
+        control(&mut cls, 30, &taken_branch(10), 1, &mut out);
+        control(&mut cls, 25, &taken_branch(15), 2, &mut out);
         out.clear();
-        cls.flush(99, &mut out);
+        flush(&mut cls, 99, &mut out);
         assert_eq!(cls.depth(), 0);
         assert_eq!(out.len(), 2);
         // Innermost first.
@@ -655,10 +665,10 @@ mod tests {
         // the CLS while T2 sits above it, a new T1 iteration pops T2.
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(20), &taken_branch(10), 1, &mut out); // T1=[10,20]
-        cls.on_control(Addr::new(40), &taken_branch(30), 2, &mut out); // T2=[30,40]
+        control(&mut cls, 20, &taken_branch(10), 1, &mut out); // T1=[10,20]
+        control(&mut cls, 40, &taken_branch(30), 2, &mut out); // T2=[30,40]
         out.clear();
-        cls.on_control(Addr::new(20), &taken_branch(10), 3, &mut out); // T1 again
+        control(&mut cls, 20, &taken_branch(10), 3, &mut out); // T1 again
         assert!(matches!(out[0], LoopEvent::ExecutionEnd { loop_id, .. }
             if loop_id == LoopId(Addr::new(30))));
         assert!(
@@ -680,67 +690,33 @@ mod tests {
     }
 
     #[test]
-    fn buffered_emission_matches_direct() {
-        // The same control sequence through the direct and the buffered
-        // path must yield the same events, in the same order.
-        let drive = |cls: &mut Cls, direct: Option<&mut Vec<LoopEvent>>| {
-            let seq: [(u32, ControlOutcome, u64); 4] = [
-                (30, taken_branch(10), 1),
-                (25, taken_branch(15), 2),
-                (25, not_taken_branch(15, 25), 3),
-                (30, not_taken_branch(10, 30), 4),
-            ];
-            match direct {
-                Some(out) => {
-                    for (pc, o, pos) in &seq {
-                        cls.on_control(Addr::new(*pc), o, *pos, out);
-                    }
-                }
-                None => {
-                    for (pc, o, pos) in &seq {
-                        cls.on_control_buffered(Addr::new(*pc), o, *pos);
-                    }
-                }
-            }
-        };
-        let mut direct_cls = Cls::default();
-        let mut direct_out = Vec::new();
-        drive(&mut direct_cls, Some(&mut direct_out));
-
-        let mut buffered_cls = Cls::default();
-        drive(&mut buffered_cls, None);
-        assert_eq!(buffered_cls.buffered(), &direct_out[..]);
-        buffered_cls.clear_buffered();
-        assert!(buffered_cls.buffered().is_empty());
-    }
-
-    #[test]
     fn buffered_reports_full_at_chunk_capacity() {
         let mut cls = Cls::default().with_chunk_capacity(2);
         assert_eq!(cls.chunk_capacity(), 2);
         // First detection emits ExecutionStart + IterationStart: the
         // 2-event chunk fills in one call and is never split
         // mid-instruction.
-        let full = cls.on_control_buffered(Addr::new(20), &taken_branch(10), 1);
+        let full = cls.on_control(Addr::new(20), &taken_branch(10), 1);
         assert!(full);
         assert_eq!(cls.buffered().len(), 2);
         cls.clear_buffered();
+        assert!(cls.buffered().is_empty());
         // A mere iteration adds one event: not full yet.
-        let full = cls.on_control_buffered(Addr::new(20), &taken_branch(10), 2);
+        let full = cls.on_control(Addr::new(20), &taken_branch(10), 2);
         assert!(!full);
         assert_eq!(cls.buffered().len(), 1);
     }
 
     #[test]
-    fn flush_buffered_appends_to_chunk() {
+    fn flush_appends_to_chunk() {
         let mut cls = Cls::default();
-        cls.on_control_buffered(Addr::new(30), &taken_branch(10), 1);
-        cls.on_control_buffered(Addr::new(25), &taken_branch(15), 2);
+        cls.on_control(Addr::new(30), &taken_branch(10), 1);
+        cls.on_control(Addr::new(25), &taken_branch(15), 2);
         let before = cls.buffered().len();
-        cls.flush_buffered(99);
+        cls.flush(99);
         assert_eq!(cls.depth(), 0);
         assert_eq!(cls.buffered().len(), before + 2);
-        // Innermost first, as with the direct flush.
+        // Innermost first.
         assert_eq!(cls.buffered()[before].loop_id(), LoopId(Addr::new(15)));
         assert_eq!(cls.buffered()[before + 1].loop_id(), LoopId(Addr::new(10)));
     }
@@ -750,14 +726,14 @@ mod tests {
         // Overlapped: T1=10, B1=30; T2=20, B2=40 (T2>T1, B2>B1).
         let mut cls = Cls::default();
         let mut out = Vec::new();
-        cls.on_control(Addr::new(30), &taken_branch(10), 1, &mut out);
-        cls.on_control(Addr::new(40), &taken_branch(20), 2, &mut out);
+        control(&mut cls, 30, &taken_branch(10), 1, &mut out);
+        control(&mut cls, 40, &taken_branch(20), 2, &mut out);
         assert_eq!(cls.depth(), 2);
         out.clear();
         // Closing branch of T1 at 30: inside T2's body [20,40] and its
         // target 10 is outside T2 — T2's execution ends (rule 5 does not
         // fire here because T1 is *found*; the paper pops [top, i+1]).
-        cls.on_control(Addr::new(30), &taken_branch(10), 3, &mut out);
+        control(&mut cls, 30, &taken_branch(10), 3, &mut out);
         assert_eq!(cls.depth(), 1);
         assert!(cls.contains(LoopId(Addr::new(10))));
     }

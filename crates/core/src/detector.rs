@@ -1,153 +1,13 @@
-//! Packaged per-instruction loop detection.
+//! The event-collecting tracer: a [`Cls`] plus the event stream it
+//! produced.
 
 use loopspec_cpu::{Demand, InstrEvent, Tracer};
 use loopspec_isa::ControlKind;
 
 use crate::{Cls, LoopEvent, LoopEventSink};
 
-/// Per-instruction loop detector: wraps a [`Cls`] and turns retired
-/// instructions into [`LoopEvent`]s.
-///
-/// Use [`LoopDetector::process`] when driving it by hand (it returns the
-/// events produced by that instruction), or wrap it in an
-/// [`EventCollector`] to use it as a [`Tracer`] that accumulates the whole
-/// event stream.
-///
-/// ```
-/// use loopspec_asm::ProgramBuilder;
-/// use loopspec_cpu::{Cpu, RunLimits, Tracer};
-/// use loopspec_core::{LoopDetector, LoopEvent};
-///
-/// struct IterationCounter {
-///     det: LoopDetector,
-///     iterations: u64,
-/// }
-/// impl Tracer for IterationCounter {
-///     fn on_retire(&mut self, ev: &loopspec_cpu::InstrEvent) {
-///         for e in self.det.process(ev) {
-///             if matches!(e, LoopEvent::IterationStart { .. }) {
-///                 self.iterations += 1;
-///             }
-///         }
-///     }
-/// }
-///
-/// let mut b = ProgramBuilder::new();
-/// b.counted_loop(5, |b, _| b.work(1));
-/// let program = b.finish()?;
-/// let mut t = IterationCounter { det: LoopDetector::default(), iterations: 0 };
-/// Cpu::new().run(&program, &mut t, RunLimits::default())?;
-/// assert_eq!(t.iterations, 4); // iterations 2..=5 (the 1st is undetectable)
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct LoopDetector {
-    cls: Cls,
-    scratch: Vec<LoopEvent>,
-}
-
-impl Default for LoopDetector {
-    /// A detector with the paper's 16-entry CLS.
-    fn default() -> Self {
-        LoopDetector::new(Cls::default())
-    }
-}
-
-impl LoopDetector {
-    /// Creates a detector around an existing CLS (e.g. with a custom
-    /// capacity for the ablation experiments).
-    pub fn new(cls: Cls) -> Self {
-        LoopDetector {
-            cls,
-            scratch: Vec::with_capacity(8),
-        }
-    }
-
-    /// Processes one retired instruction and returns the loop events it
-    /// produced (empty for non-control instructions). The returned slice
-    /// is valid until the next call.
-    ///
-    /// A [`ControlKind::Halt`] flushes the CLS, closing any still-open
-    /// executions.
-    pub fn process(&mut self, ev: &InstrEvent) -> &[LoopEvent] {
-        self.scratch.clear();
-        match ev.control.kind {
-            ControlKind::None => {}
-            ControlKind::Halt => self.cls.flush(ev.next_pos(), &mut self.scratch),
-            _ => self
-                .cls
-                .on_control(ev.pc, &ev.control, ev.next_pos(), &mut self.scratch),
-        }
-        &self.scratch
-    }
-
-    /// Read access to the underlying CLS (depth inspection etc.).
-    pub fn cls(&self) -> &Cls {
-        &self.cls
-    }
-
-    /// Processes one retired instruction on the **buffered** emission
-    /// path: events accumulate in the CLS's internal chunk instead of
-    /// being returned. Returns `true` when the chunk has reached
-    /// capacity and should be delivered (read it with
-    /// [`buffered`](LoopDetector::buffered), then
-    /// [`clear_buffered`](LoopDetector::clear_buffered)).
-    ///
-    /// A [`ControlKind::Halt`] flushes the CLS into the chunk.
-    pub fn process_buffered(&mut self, ev: &InstrEvent) -> bool {
-        match ev.control.kind {
-            ControlKind::None => self.cls.buffered().len() >= self.cls.chunk_capacity(),
-            ControlKind::Halt => self.cls.flush_buffered(ev.next_pos()),
-            _ => self
-                .cls
-                .on_control_buffered(ev.pc, &ev.control, ev.next_pos()),
-        }
-    }
-
-    /// The events buffered so far on the chunked emission path.
-    #[inline]
-    pub fn buffered(&self) -> &[LoopEvent] {
-        self.cls.buffered()
-    }
-
-    /// Discards the buffered chunk (after delivery).
-    #[inline]
-    pub fn clear_buffered(&mut self) {
-        self.cls.clear_buffered();
-    }
-
-    /// Closes still-open executions at stream position `pos` into the
-    /// internal chunk (for streams that end without a `halt`); returns
-    /// `true` when the chunk has reached capacity.
-    pub fn flush_buffered(&mut self, pos: u64) -> bool {
-        self.cls.flush_buffered(pos)
-    }
-
-    /// Flushes open executions at stream position `pos` (for traces that
-    /// end without a `halt`).
-    pub fn flush(&mut self, pos: u64) -> &[LoopEvent] {
-        self.scratch.clear();
-        self.cls.flush(pos, &mut self.scratch);
-        &self.scratch
-    }
-}
-
-/// Delegates to the wrapped [`Cls`] (the scratch buffer is transient
-/// per-instruction state and never part of a retirement-boundary
-/// snapshot).
-impl crate::SnapshotState for LoopDetector {
-    fn save_state(&self, out: &mut crate::snap::Enc) {
-        self.cls.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut crate::snap::Dec<'_>) -> Result<(), crate::snap::SnapError> {
-        self.scratch.clear();
-        self.cls.load_state(src)
-    }
-}
-
-/// A [`Tracer`] that runs a [`LoopDetector`] over the instruction stream
-/// and collects every [`LoopEvent`] plus the total instruction count.
+/// A [`Tracer`] that runs a [`Cls`] over the instruction stream and
+/// collects every [`LoopEvent`] plus the total instruction count.
 ///
 /// This is the one-pass front-end of all experiments: run the CPU once,
 /// then replay the (much smaller) event stream into any number of
@@ -155,7 +15,7 @@ impl crate::SnapshotState for LoopDetector {
 /// annotator.
 #[derive(Debug, Default, Clone)]
 pub struct EventCollector {
-    detector: LoopDetector,
+    cls: Cls,
     events: Vec<LoopEvent>,
     instructions: u64,
 }
@@ -164,7 +24,7 @@ impl EventCollector {
     /// Creates a collector with a custom CLS.
     pub fn new(cls: Cls) -> Self {
         EventCollector {
-            detector: LoopDetector::new(cls),
+            cls,
             events: Vec::new(),
             instructions: 0,
         }
@@ -195,8 +55,9 @@ impl Tracer for EventCollector {
     fn on_retire(&mut self, ev: &InstrEvent) {
         self.instructions += 1;
         if !matches!(ev.control.kind, ControlKind::None) {
-            let events = self.detector.process(ev);
-            self.events.extend_from_slice(events);
+            self.cls.on_retire(ev);
+            self.events.extend_from_slice(self.cls.buffered());
+            self.cls.clear_buffered();
         }
     }
 
@@ -208,9 +69,9 @@ impl Tracer for EventCollector {
 }
 
 /// As a [`LoopEventSink`] the collector records events pushed by an
-/// *external* detector (e.g. a streaming `Session` that runs one shared
-/// CLS for many sinks); its internal detector is bypassed and the
-/// instruction count is taken from the end-of-stream callback.
+/// *external* CLS (e.g. a streaming `Session` that runs one shared CLS
+/// for many sinks); its own CLS is bypassed and the instruction count
+/// is taken from the end-of-stream callback.
 impl LoopEventSink for EventCollector {
     #[inline]
     fn on_loop_event(&mut self, ev: &LoopEvent) {
@@ -223,9 +84,9 @@ impl LoopEventSink for EventCollector {
 }
 
 /// Snapshots the collected events, the instruction count, **and** the
-/// internal detector. In a streaming `Session` (where the collector is
-/// a sink and the session's shared detector owns detection) the
-/// internal detector is idle and its section is a few fixed bytes; on
+/// collector's own CLS. In a streaming `Session` (where the collector is
+/// a sink and the session's shared CLS owns detection) the collector's
+/// CLS is idle and its section is a few fixed bytes; on
 /// the [`Tracer`] path the collector owns detection, and carrying the
 /// CLS state is what makes a `save_state` →
 /// [`Cpu::resume`](loopspec_cpu::Cpu::resume) → `load_state` round
@@ -234,13 +95,13 @@ impl crate::SnapshotState for EventCollector {
     fn save_state(&self, out: &mut crate::snap::Enc) {
         out.u64(self.instructions);
         crate::snap::write_events(out, &self.events);
-        self.detector.save_state(out);
+        self.cls.save_state(out);
     }
 
     fn load_state(&mut self, src: &mut crate::snap::Dec<'_>) -> Result<(), crate::snap::SnapError> {
         self.instructions = src.u64()?;
         self.events = crate::snap::read_events(src)?;
-        self.detector.load_state(src)
+        self.cls.load_state(src)
     }
 }
 
@@ -446,7 +307,7 @@ mod tests {
         let mut dec = crate::snap::Dec::new(&bytes);
         second.load_state(&mut dec).unwrap();
         dec.finish().unwrap();
-        assert_eq!(second.detector.cls().depth(), first.detector.cls().depth());
+        assert_eq!(second.cls.depth(), first.cls.depth());
 
         cpu.resume(&p, &mut second, RunLimits::default()).unwrap();
         assert_eq!(second.events(), reference.events());

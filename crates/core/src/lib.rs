@@ -56,7 +56,7 @@ mod stats;
 mod tables;
 
 pub use cls::Cls;
-pub use detector::{EventCollector, LoopDetector};
+pub use detector::EventCollector;
 pub use event::{LoopEvent, LoopId};
 pub use hitratio::{HitRatio, Replacement, TableHitSim, TableKind};
 pub use sink::{CountingSink, LoopEventSink};
@@ -71,9 +71,8 @@ pub use tables::LoopTable;
 /// is 11 (Table 1).
 pub const DEFAULT_CLS_CAPACITY: usize = 16;
 
-/// Default number of events per chunk on the buffered emission path
-/// (see [`Cls::on_control_buffered`] and the [`sink`] batching
-/// contract).
+/// Default number of events per [`Cls`] event chunk (see
+/// [`Cls::buffered`] and the [`sink`] batching contract).
 ///
 /// Large enough to amortize one virtual dispatch per sink over many
 /// events, small enough that a chunk stays cache-resident (256 events ×

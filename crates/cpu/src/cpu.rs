@@ -178,7 +178,7 @@ impl Cpu {
             retired: 0,
             telem: crate::DecodedTelemetry::default(),
             kernel: None,
-            kernel_mode: crate::KernelMode::from_env(),
+            kernel_mode: crate::KernelMode::Native,
         }
     }
 

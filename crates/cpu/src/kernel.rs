@@ -12,8 +12,8 @@
 //! snapshot bytes all come out bit-identical; only wall-clock time
 //! changes.
 //!
-//! Three execution modes ([`KernelMode`], default from the
-//! `LOOPSPEC_KERNEL_MODE` environment variable):
+//! Three execution modes ([`KernelMode`], selected per CPU with
+//! [`Cpu::set_kernel_mode`]; a new CPU starts in `native`):
 //!
 //! * **`native`** — the production path: a tight loop over the body
 //!   with pre-computed per-pc event metadata (the kernel twin of the
@@ -25,7 +25,7 @@
 //! * **`oracle`** — differential mode: run `native` on the real state
 //!   and `interp` on a clone, byte-compare the event streams and the
 //!   resulting architectural snapshots, and panic on any divergence.
-//!   The genfuzz harness runs under this mode in CI.
+//!   This module's unit tests select it.
 //!
 //! Fuel can run out mid-body. The pause is recorded as a
 //! [`KernelResume`] cursor (kernel id + body pc) — everything else the
@@ -51,19 +51,6 @@ pub enum KernelMode {
     Interp,
     /// Run both, byte-compare events and state, panic on divergence.
     Oracle,
-}
-
-impl KernelMode {
-    /// Resolves the process-wide default from `LOOPSPEC_KERNEL_MODE`
-    /// (`native` / `interp` / `oracle`; unset or unknown means
-    /// [`KernelMode::Native`]).
-    pub fn from_env() -> KernelMode {
-        match std::env::var("LOOPSPEC_KERNEL_MODE").as_deref() {
-            Ok("interp") => KernelMode::Interp,
-            Ok("oracle") => KernelMode::Oracle,
-            _ => KernelMode::Native,
-        }
-    }
 }
 
 /// Mid-body pause cursor: which kernel is in flight and the body pc to

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use loopspec_core::{LoopDetector, LoopEvent, LoopEventSink, LoopId};
+use loopspec_core::{Cls, LoopEvent, LoopEventSink, LoopId};
 use loopspec_cpu::{InstrEvent, Tracer};
 use loopspec_isa::ControlKind;
 
@@ -94,7 +94,7 @@ pub struct DataSpecReport {
 /// boundary half, so a `loopspec_pipeline::Session` can drive it from
 /// the **shared** CLS of the whole pass instead of a private duplicate.
 /// When driving a CPU directly, use [`DataSpecProfiler`], which bundles a
-/// detector and keeps the two halves synchronised.
+/// CLS and keeps the two halves synchronised.
 #[derive(Debug, Default)]
 pub struct LiveInProfiler {
     frames: Vec<IterFrame>,
@@ -238,17 +238,17 @@ impl LoopEventSink for LiveInProfiler {
 }
 
 /// ATOM-style tracer computing the paper's data-speculation statistics:
-/// a [`LiveInProfiler`] bundled with its own [`LoopDetector`] so a bare
+/// a [`LiveInProfiler`] bundled with its own [`Cls`] so a bare
 /// `Cpu::run` drives both halves in the right order.
 ///
 /// In a streaming `Session` (one shared CLS feeding many analyses),
-/// register a [`LiveInProfiler`] instead — running a second detector
-/// there would duplicate work.
+/// register a [`LiveInProfiler`] instead — running a second CLS there
+/// would duplicate work.
 ///
 /// See the [crate docs](crate) for an example.
 #[derive(Debug, Default)]
 pub struct DataSpecProfiler {
-    detector: LoopDetector,
+    cls: Cls,
     inner: LiveInProfiler,
 }
 
@@ -274,13 +274,12 @@ impl Tracer for DataSpecProfiler {
         // 1. Charge the instruction to every open iteration.
         self.inner.observe_instr(ev);
 
-        // 2. Roll iteration boundaries (the detector and the analysis are
-        //    disjoint fields, so the event slice can be consumed without
-        //    an intermediate buffer).
+        // 2. Roll iteration boundaries (the CLS and the analysis are
+        //    disjoint fields, so the chunk can be consumed in place).
         if !matches!(ev.control.kind, ControlKind::None) {
-            for e in self.detector.process(ev) {
-                self.inner.on_loop_event(e);
-            }
+            self.cls.on_retire(ev);
+            self.inner.on_loop_events(self.cls.buffered());
+            self.cls.clear_buffered();
         }
     }
 }

@@ -22,7 +22,6 @@ use std::io::{self, Read, Write};
 
 use loopspec_asm::Program;
 use loopspec_cpu::RunLimits;
-use loopspec_mt::EngineGrid;
 use loopspec_pipeline::{run_shard, Session, Snapshot};
 use loopspec_workloads::Scale;
 
@@ -152,28 +151,27 @@ fn execute_job(
         }
     };
 
-    let grid = LaneSpec::build_grid(&job.lanes).map_err(|e| format!("bad lane spec: {e}"))?;
-    // The session owns its sink: no borrow ties the grid's lifetime to
-    // this stack frame, and `into_sink` hands it back once the shard
-    // is done.
-    let mut session = Session::new();
-    session.add_sink(grid);
-    if let Some(bytes) = &job.snapshot {
-        let snapshot =
-            Snapshot::from_bytes(bytes).map_err(|e| format!("snapshot rejected: {e}"))?;
-        session
-            .resume(&snapshot)
-            .map_err(|e| format!("resume failed: {e}"))?;
-    }
-    let step = run_shard(
-        program,
-        RunLimits::with_fuel(job.total_fuel),
-        job.budget,
-        job.last,
-        &mut session,
-    )
-    .map_err(|e| format!("shard execution failed: {e}"))?;
-    let grid: EngineGrid = session.into_sink(0).expect("slot 0 owns the grid");
+    let mut grid = LaneSpec::build_grid(&job.lanes).map_err(|e| format!("bad lane spec: {e}"))?;
+    // The session borrows the grid only for this shard.
+    let step = {
+        let mut session = Session::new();
+        session.observe_checkpointable(&mut grid);
+        if let Some(bytes) = &job.snapshot {
+            let snapshot =
+                Snapshot::from_bytes(bytes).map_err(|e| format!("snapshot rejected: {e}"))?;
+            session
+                .resume(&snapshot)
+                .map_err(|e| format!("resume failed: {e}"))?;
+        }
+        run_shard(
+            program,
+            RunLimits::with_fuel(job.total_fuel),
+            job.budget,
+            job.last,
+            &mut session,
+        )
+        .map_err(|e| format!("shard execution failed: {e}"))?
+    };
 
     Ok(match step.handoff {
         Some(bytes) => Frame::Snapshot {

@@ -405,6 +405,27 @@ impl<P: SpeculationPolicy> EngineCore<P> {
             self.open_stack.push(src.u32()?);
         }
         self.live_total = src.u64()?;
+        // Squashes and verifications index the segment map through the
+        // live sets, and `idle` trusts `live_total`: a snapshot whose
+        // three views of the live threads disagree is refused here
+        // instead of panicking at the next squash.
+        let live: usize = self.spec.values().map(|st| st.live.len()).sum();
+        let agree = live == self.segments.len()
+            && self.spec.iter().all(|(&exec, st)| {
+                st.live
+                    .iter()
+                    .all(|&iter| self.segments.contains_key(&(exec, iter)))
+            });
+        if !agree {
+            return Err(SnapError::Corrupt {
+                what: "live sets and segment map disagree",
+            });
+        }
+        if self.live_total != self.segments.len() as u64 {
+            return Err(SnapError::Corrupt {
+                what: "live thread count",
+            });
+        }
         loopspec_core::SnapshotState::load_state(&mut self.predictor, src)?;
         self.stats = SpecStats {
             spec_actions: src.u64()?,
@@ -622,6 +643,7 @@ mod tests {
     use super::*;
     use crate::policy::{IdlePolicy, OraclePolicy, StrNestedPolicy, StrPolicy};
     use loopspec_asm::ProgramBuilder;
+    use loopspec_core::snap::{Dec, Enc, SnapError};
     use loopspec_core::EventCollector;
     use loopspec_cpu::{Cpu, RunLimits};
 
@@ -780,6 +802,71 @@ mod tests {
         assert!(r.cycles <= r.instructions);
         assert_eq!(r.policy, "STR");
         assert_eq!(r.tus, Some(4));
+    }
+
+    /// A STR@4 core driven through a counted loop until it holds live
+    /// speculative threads.
+    fn core_with_live_threads() -> EngineCore<StrPolicy> {
+        let trace = trace_of(|b| b.counted_loop(50, |b, _| b.work(10)));
+        let mut core = EngineCore::new(StrPolicy::new(), 4, Some(4));
+        for ev in &trace.events {
+            let info = trace.exec(ev.exec);
+            match ev.kind {
+                TraceEventKind::ExecStart => core.exec_start(ev.exec.0),
+                TraceEventKind::IterStart { iter } => core.iter_start(
+                    ev.exec.0,
+                    info.loop_id,
+                    iter,
+                    ev.pos,
+                    &|j| info.iter_pos(j),
+                    0,
+                ),
+                TraceEventKind::ExecEnd => {}
+            }
+            if !core.segments.is_empty() {
+                return core;
+            }
+        }
+        panic!("STR@4 never speculated");
+    }
+
+    /// Saves `core` and loads the bytes into a fresh STR@4 core.
+    fn reload(core: &EngineCore<StrPolicy>) -> Result<(), SnapError> {
+        let mut enc = Enc::new();
+        core.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut fresh = EngineCore::new(StrPolicy::new(), 4, Some(4));
+        fresh.load_state(&mut Dec::new(&bytes))
+    }
+
+    #[test]
+    fn snapshots_refuse_live_sets_that_disagree_with_the_segment_map() {
+        assert_eq!(reload(&core_with_live_threads()), Ok(()));
+        let corrupt = Err(SnapError::Corrupt {
+            what: "live sets and segment map disagree",
+        });
+        // A live thread with no segment (the count kept consistent).
+        let mut core = core_with_live_threads();
+        let (exec, iter) = *core.segments.keys().next().unwrap();
+        core.segments.remove(&(exec, iter));
+        core.live_total -= 1;
+        assert_eq!(reload(&core), corrupt);
+        // A segment no live set names.
+        let mut core = core_with_live_threads();
+        core.spec.get_mut(&exec).unwrap().live.remove(&iter);
+        assert_eq!(reload(&core), corrupt);
+    }
+
+    #[test]
+    fn snapshots_refuse_a_wrong_live_thread_count() {
+        let mut core = core_with_live_threads();
+        core.live_total += 1;
+        assert_eq!(
+            reload(&core),
+            Err(SnapError::Corrupt {
+                what: "live thread count"
+            })
+        );
     }
 
     #[test]

@@ -146,6 +146,13 @@ impl ExecSlab {
         self.slots.get_mut(i)?.as_mut()
     }
 
+    /// `true` when `exec` has a live annotation.
+    fn contains(&self, exec: u32) -> bool {
+        exec.checked_sub(self.base)
+            .and_then(|i| self.slots.get(i as usize))
+            .is_some_and(Option::is_some)
+    }
+
     fn remove(&mut self, exec: u32) -> Option<ExecAnn> {
         let i = exec.checked_sub(self.base)? as usize;
         let ann = self.slots.get_mut(i)?.take();
@@ -188,6 +195,17 @@ enum Pending {
         closed: bool,
         iterations: u32,
     },
+}
+
+impl Pending {
+    /// The execution ordinal the entry belongs to.
+    fn exec(&self) -> u32 {
+        match *self {
+            Pending::Start { exec } | Pending::Iter { exec, .. } | Pending::End { exec, .. } => {
+                exec
+            }
+        }
+    }
 }
 
 /// Appends one [`Pending`] entry (tag byte + fields).
@@ -408,6 +426,29 @@ impl Annotator {
         self.frontier = src.u64()?;
         self.buffered_iters = src.u64()? as usize;
         self.events_seen = src.u64()?;
+        // `ingest` and `close_leftovers` look open executions up in the
+        // slab, and pruning subtracts from `buffered_iters`.
+        if !self
+            .open_by_loop
+            .iter()
+            .all(|&(_, e)| self.execs.contains(e))
+        {
+            return Err(SnapError::Corrupt {
+                what: "open execution without annotation",
+            });
+        }
+        let retained: usize = self
+            .execs
+            .slots
+            .iter()
+            .flatten()
+            .map(|a| a.iters.len())
+            .sum();
+        if self.buffered_iters != retained {
+            return Err(SnapError::Corrupt {
+                what: "retained iteration count",
+            });
+        }
         Ok(())
     }
 
@@ -908,6 +949,24 @@ impl loopspec_core::SnapshotState for EngineGrid {
             self.shared.push_back(read_pending(src)?);
         }
         self.base_seq = src.u64()?;
+        // The lane pass indexes the queue by cursor and the annotation
+        // slab by each entry's ordinal: refuse what it would trip on.
+        let end = self.base_seq.checked_add(self.shared.len() as u64);
+        let in_queue = |c: u64| self.base_seq <= c && end.is_some_and(|end| c <= end);
+        if !self.lanes.iter().all(|l| in_queue(l.cursor)) {
+            return Err(SnapError::Corrupt {
+                what: "lane cursor outside the queue",
+            });
+        }
+        if !self
+            .shared
+            .iter()
+            .all(|p| self.ann.execs.contains(p.exec()))
+        {
+            return Err(SnapError::Corrupt {
+                what: "pending entry without annotation",
+            });
+        }
         self.peak_buffered = src.u64()? as usize;
         self.reports = if src.bool()? {
             let instructions = src.u64()?;
@@ -1234,6 +1293,85 @@ mod tests {
             load_into(oracle_grid(other), &bytes),
             Err(SnapError::Mismatch {
                 what: "oracle feed"
+            })
+        );
+    }
+
+    /// Feeds an IDLE@4 + STR@4 grid half of a nested-loop stream,
+    /// applies `tamper` to its state, and loads the resulting snapshot
+    /// bytes into a fresh grid.
+    fn load_tampered(tamper: impl FnOnce(&mut EngineGrid)) -> Result<(), SnapError> {
+        use loopspec_core::SnapshotState;
+        let (events, _) = events_of(|b| {
+            b.counted_loop(12, |b, _| {
+                b.counted_loop(30, |b, _| b.work(6));
+            })
+        });
+        let make = || {
+            let mut g = EngineGrid::new();
+            g.push_idle(4);
+            g.push_str(4);
+            g
+        };
+        let mut grid = make();
+        grid.on_loop_events(&events[..events.len() / 2]);
+        tamper(&mut grid);
+        let mut enc = Enc::new();
+        grid.save_state(&mut enc);
+        load_into(make(), &enc.into_bytes())
+    }
+
+    #[test]
+    fn snapshots_refuse_lane_cursors_outside_the_queue() {
+        assert_eq!(load_tampered(|_| {}), Ok(()));
+        let past_end = |g: &mut EngineGrid| {
+            g.lanes[0].cursor = g.base_seq + g.shared.len() as u64 + 1;
+        };
+        // The slowest lane's cursor sits at `base_seq` after every chunk.
+        let before_base = |g: &mut EngineGrid| g.base_seq += 1;
+        let corrupt = Err(SnapError::Corrupt {
+            what: "lane cursor outside the queue",
+        });
+        assert_eq!(load_tampered(past_end), corrupt);
+        assert_eq!(load_tampered(before_base), corrupt);
+    }
+
+    #[test]
+    fn snapshots_refuse_pending_entries_without_annotation() {
+        let dangling = |g: &mut EngineGrid| {
+            let exec = g.ann.next_exec + 7;
+            g.shared.push_back(Pending::Start { exec });
+        };
+        assert_eq!(
+            load_tampered(dangling),
+            Err(SnapError::Corrupt {
+                what: "pending entry without annotation"
+            })
+        );
+    }
+
+    #[test]
+    fn snapshots_refuse_open_executions_without_annotation() {
+        let dangling = |g: &mut EngineGrid| {
+            let exec = g.ann.next_exec + 7;
+            g.ann
+                .open_by_loop
+                .push((LoopId(loopspec_isa::Addr::new(3)), exec));
+        };
+        assert_eq!(
+            load_tampered(dangling),
+            Err(SnapError::Corrupt {
+                what: "open execution without annotation"
+            })
+        );
+    }
+
+    #[test]
+    fn snapshots_refuse_a_wrong_retained_iteration_count() {
+        assert_eq!(
+            load_tampered(|g| g.ann.buffered_iters += 1),
+            Err(SnapError::Corrupt {
+                what: "retained iteration count"
             })
         );
     }

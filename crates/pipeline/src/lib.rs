@@ -6,7 +6,7 @@
 //! point. This crate reproduces that shape in software. A [`Session`]
 //! drives the [`Cpu`](loopspec_cpu::Cpu) instruction by instruction,
 //! feeds every retired instruction through **one shared**
-//! [`LoopDetector`](loopspec_core::LoopDetector), and fans the
+//! [`Cls`](loopspec_core::Cls), and fans the
 //! resulting [`LoopEvent`](loopspec_core::LoopEvent)s out to any number
 //! of registered [`LoopEventSink`]s — all in a single pass, with memory
 //! bounded by the sinks themselves (the engine grid retains
@@ -92,8 +92,8 @@ pub use snapshot::{CheckpointSink, Snapshot, SnapshotError};
 mod tests {
     use super::*;
     use loopspec_asm::ProgramBuilder;
-    use loopspec_core::{Cls, CountingSink, EventCollector, LoopStats};
-    use loopspec_cpu::{CountingTracer, Cpu, RunLimits};
+    use loopspec_core::{Cls, CountingSink, EventCollector, LoopEvent, LoopStats};
+    use loopspec_cpu::{CountingTracer, Cpu, InstrEvent, RunLimits, Tracer};
     use loopspec_dataspec::{DataSpecProfiler, LiveInProfiler};
     use loopspec_mt::{AnnotatedTrace, Engine, EngineGrid, StrPolicy};
 
@@ -170,14 +170,26 @@ mod tests {
     #[test]
     fn instruction_tracers_see_every_retirement() {
         let p = program(|b| b.counted_loop(10, |b, _| b.work(3)));
-        let mut counter = CountingTracer::default();
+        // An instruction-only observer is a dual sink whose loop side
+        // ignores events.
+        #[derive(Default)]
+        struct Counter(CountingTracer);
+        impl Tracer for Counter {
+            fn on_retire(&mut self, ev: &InstrEvent) {
+                self.0.on_retire(ev);
+            }
+        }
+        impl LoopEventSink for Counter {
+            fn on_loop_event(&mut self, _: &LoopEvent) {}
+        }
+        let mut counter = Counter::default();
         let mut counting = CountingSink::default();
         let mut session = Session::new();
         session
-            .observe_instrs(&mut counter)
+            .observe_both(&mut counter)
             .observe_loops(&mut counting);
         let out = session.run(&p, RunLimits::default()).unwrap();
-        assert_eq!(counter.retired, out.instructions);
+        assert_eq!(counter.0.retired, out.instructions);
         assert!(counting.events > 0);
         assert_eq!(counting.instructions, out.instructions);
     }
@@ -347,90 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_sinks_match_borrowed_and_travel_across_threads() {
-        let p = program(|b| {
-            b.counted_loop(25, |b, _| {
-                b.counted_loop(9, |b, _| b.work(6));
-            });
-        });
-
-        let mut reference = str4();
-        let mut ref_events = EventCollector::default();
-        let mut session = Session::new();
-        session
-            .observe_checkpointable(&mut reference)
-            .observe_checkpointable(&mut ref_events);
-        session.run(&p, RunLimits::default()).unwrap();
-
-        // A fully owned session is 'static + Send: build it here, run it
-        // on another thread (the job-table shape the replay service uses).
-        let mut owned = Session::new();
-        owned.add_sink(str4()).add_sink(EventCollector::default());
-        let p2 = p.clone();
-        let mut owned = std::thread::spawn(move || {
-            owned.advance(&p2, RunLimits::default()).unwrap();
-            owned
-        })
-        .join()
-        .unwrap();
-        assert!(owned.is_ended());
-
-        // Accessors: right slot + right type only.
-        assert!(owned.sink::<EventCollector>(0).is_none(), "wrong type");
-        assert!(owned.sink::<EngineGrid>(2).is_none(), "no slot");
-        let engine = owned
-            .sink_mut::<EngineGrid>(0)
-            .expect("slot 0 is the engine");
-        assert_eq!(engine.reports(), reference.reports());
-        let events: EventCollector = owned.into_sink(1).expect("slot 1 is the collector");
-        assert_eq!(events.events(), ref_events.events());
-    }
-
-    #[test]
-    fn owned_sink_checkpoints_byte_identical_to_borrowed() {
-        let p = program(|b| {
-            b.counted_loop(25, |b, _| {
-                b.counted_loop(9, |b, _| b.work(6));
-            });
-        });
-
-        let mut borrowed = str4();
-        let mut session = Session::new();
-        session.observe_checkpointable(&mut borrowed);
-        session.advance(&p, RunLimits::with_fuel(777)).unwrap();
-        let reference_bytes = session.checkpoint().unwrap().to_bytes();
-
-        // Type-erased sinks register too (`Box<dyn CheckpointSink + Send>`
-        // is itself a `CheckpointSink`), and the owned slot contributes
-        // the same snapshot section as the borrowed registration.
-        let boxed: Box<dyn CheckpointSink + Send> = Box::new(str4());
-        let mut owned = Session::new();
-        owned.add_sink(boxed);
-        owned.advance(&p, RunLimits::with_fuel(777)).unwrap();
-        let bytes = owned.checkpoint().unwrap().to_bytes();
-        assert_eq!(bytes, reference_bytes);
-
-        // And an owned session resumes from a borrowed session's
-        // snapshot (the sections don't know how their sink is held).
-        let mut resumed = Session::new();
-        resumed.add_sink(str4());
-        resumed
-            .resume(&Snapshot::from_bytes(&reference_bytes).unwrap())
-            .unwrap();
-        let out = resumed.advance(&p, RunLimits::default()).unwrap();
-        assert!(out.halted());
-
-        let mut single = str4();
-        let mut single_session = Session::new();
-        single_session.observe_checkpointable(&mut single);
-        single_session.run(&p, RunLimits::default()).unwrap();
-        assert_eq!(
-            resumed.sink::<EngineGrid>(0).unwrap().reports(),
-            single.reports()
-        );
-    }
-
-    #[test]
     fn checkpoint_requires_checkpointable_sinks() {
         let p = program(|b| b.counted_loop(10, |b, _| b.work(3)));
         let mut counting = CountingSink::default();
@@ -555,29 +483,6 @@ mod tests {
                 assert!(out.handoff_bytes > 0);
             }
         }
-    }
-
-    #[test]
-    fn sharded_run_on_workers_matches_in_thread_run() {
-        let p = program(|b| {
-            b.counted_loop(60, |b, _| b.work(12));
-        });
-        let make = || str4();
-        let n = {
-            let mut e = make();
-            let mut s = Session::new();
-            s.observe_checkpointable(&mut e);
-            s.run(&p, RunLimits::default()).unwrap().instructions
-        };
-        let seq = ShardedRun::new(4)
-            .run(&p, RunLimits::with_fuel(n), make)
-            .unwrap();
-        let par = ShardedRun::new(4)
-            .run_on_workers(&p, RunLimits::with_fuel(n), make)
-            .unwrap();
-        assert_eq!(seq.sink.reports(), par.sink.reports());
-        assert_eq!(seq.shards_run, par.shards_run);
-        assert_eq!(seq.handoff_bytes, par.handoff_bytes);
     }
 
     #[test]

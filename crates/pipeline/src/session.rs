@@ -1,12 +1,11 @@
-//! The single-pass streaming session: one CPU run, one shared detector,
+//! The single-pass streaming session: one CPU run, one shared CLS,
 //! fan-out to any number of consumers — now resumable at any
 //! retired-instruction boundary.
 
-use std::any::Any;
 use std::fmt;
 
 use loopspec_core::snap::Enc;
-use loopspec_core::{Cls, LoopDetector, SnapshotState};
+use loopspec_core::{Cls, LoopEvent, SnapshotState};
 use loopspec_cpu::{Cpu, DecodedProgram, Demand, InstrEvent, RunLimits, RunSummary, Tracer};
 use loopspec_isa::ControlKind;
 
@@ -51,50 +50,12 @@ pub trait DualSink: Tracer + LoopEventSink {}
 
 impl<T: Tracer + LoopEventSink> DualSink for T {}
 
-/// An owned, checkpointable sink stored inside the session (no borrow,
-/// no `'a`): the object-safe shape behind [`Session::add_sink`].
-///
-/// The `Any` hooks let callers recover the concrete sink afterwards via
-/// [`Session::sink`] / [`Session::sink_mut`] / [`Session::into_sink`].
-/// Blanket-implemented for every `CheckpointSink + Send + 'static` —
-/// including `Box<dyn CheckpointSink + Send>` itself, so type-erased
-/// sinks can be registered too.
-trait OwnedSink: Send {
-    fn ckpt(&self) -> &dyn CheckpointSink;
-    fn ckpt_mut(&mut self) -> &mut dyn CheckpointSink;
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-impl<S: CheckpointSink + Send + 'static> OwnedSink for S {
-    fn ckpt(&self) -> &dyn CheckpointSink {
-        self
-    }
-    fn ckpt_mut(&mut self) -> &mut dyn CheckpointSink {
-        self
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 enum Slot<'a> {
     Loops(&'a mut (dyn LoopEventSink + Send)),
-    Instrs(&'a mut (dyn Tracer + Send)),
     Both(&'a mut (dyn DualSink + Send)),
     /// A loop sink whose state travels in session checkpoints. Delivery
     /// is identical to [`Slot::Loops`].
     Ckpt(&'a mut (dyn CheckpointSink + Send)),
-    /// An owned checkpointable sink ([`Session::add_sink`]). Delivery
-    /// and snapshot treatment are identical to [`Slot::Ckpt`].
-    Owned(Box<dyn OwnedSink>),
 }
 
 /// Which CPU front-end a [`Session`] drives.
@@ -157,25 +118,24 @@ impl SessionSummary {
     }
 }
 
-/// A single-pass execution session: one CPU run, one shared loop
-/// detector, any number of streaming consumers.
+/// A single-pass execution session: one CPU run, one shared [`Cls`],
+/// any number of streaming consumers.
 ///
-/// Register consumers with [`Session::observe_loops`] (loop events only),
-/// [`Session::observe_instrs`] (retired instructions only),
-/// [`Session::observe_both`], [`Session::observe_checkpointable`]
-/// (loop events, with state captured by [`Session::checkpoint`]), or
-/// [`Session::add_sink`] (like `observe_checkpointable` but **owned**:
-/// the session holds the sink itself, so it is `'static + Send` when
-/// all of its sinks are owned and can live in a job table); then
-/// call [`Session::run`]. Per retired instruction the dispatch order is
-/// fixed: first every instruction observer (in registration order), then
-/// the loop events that instruction produced — so a [`DualSink`] sees a
+/// Register consumers — three kinds — with [`Session::observe_loops`]
+/// (loop events only), [`Session::observe_checkpointable`] (loop events,
+/// with state captured by [`Session::checkpoint`]) or
+/// [`Session::observe_both`] (instructions and loop events, see
+/// [`DualSink`]; an instruction-only observer is a `DualSink` whose loop
+/// side does nothing); then call [`Session::run`]. Per retired
+/// instruction the dispatch order is fixed: first every dual sink's
+/// [`on_retire`](Tracer::on_retire) (in registration order), then the
+/// loop events that instruction produced — so a [`DualSink`] sees a
 /// closing branch *before* the iteration-end event it causes, matching
 /// the bundled [`DataSpecProfiler`](loopspec_dataspec::DataSpecProfiler)
 /// semantics.
 ///
 /// **Chunked fan-out.** Pure loop sinks do not receive events one at a
-/// time: the detector buffers them into fixed-size chunks (the session's
+/// time: the CLS buffers them into fixed-size chunks (the session's
 /// [`Cls`] chunk capacity, default
 /// [`DEFAULT_EVENT_CHUNK`](loopspec_core::DEFAULT_EVENT_CHUNK) events)
 /// and each full chunk is delivered with one
@@ -187,7 +147,7 @@ impl SessionSummary {
 /// events before the next retirement, as their analyses require.
 ///
 /// At end of stream (halt, or [`Session::finish`] after fuel-bounded
-/// segments) the detector is flushed, the final partial chunk is
+/// segments) the CLS is flushed, the final partial chunk is
 /// delivered, and every loop/dual sink receives
 /// [`on_stream_end`](LoopEventSink::on_stream_end) with the final
 /// instruction count.
@@ -203,7 +163,7 @@ impl SessionSummary {
 ///   exhaustion leaves the session paused at a retired-instruction
 ///   boundary.
 /// * [`Session::checkpoint`] captures a paused session — CPU cursor,
-///   detector (including the undelivered event chunk), and the state of
+///   CLS (including the undelivered event chunk), and the state of
 ///   every checkpointable sink — as a [`Snapshot`].
 /// * [`Session::resume`] restores a snapshot into a **fresh** session
 ///   with the same sinks registered in the same order.
@@ -254,7 +214,7 @@ impl SessionSummary {
 /// ```
 pub struct Session<'a> {
     cpu: Cpu,
-    detector: LoopDetector,
+    cls: Cls,
     slots: Vec<Slot<'a>>,
     started: bool,
     ended: bool,
@@ -267,7 +227,7 @@ pub struct Session<'a> {
 impl fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("detector", &self.detector)
+            .field("cls", &self.cls)
             .field("sinks", &self.slots.len())
             .field("position", &self.cpu.retired())
             .field("started", &self.started)
@@ -293,7 +253,7 @@ impl<'a> Session<'a> {
     pub fn with_cls(cls: Cls) -> Self {
         Session {
             cpu: Cpu::new(),
-            detector: LoopDetector::new(cls),
+            cls,
             slots: Vec::new(),
             started: false,
             ended: false,
@@ -315,20 +275,16 @@ impl<'a> Session<'a> {
     }
 
     /// Registers a loop-event consumer borrowed for the session's
-    /// lifetime. Thin wrapper over the slot table shared with
-    /// [`Session::add_sink`].
+    /// lifetime.
     pub fn observe_loops(&mut self, sink: &'a mut (dyn LoopEventSink + Send)) -> &mut Self {
-        self.register(Slot::Loops(sink))
-    }
-
-    /// Registers a per-instruction consumer (borrowed).
-    pub fn observe_instrs(&mut self, tracer: &'a mut (dyn Tracer + Send)) -> &mut Self {
-        self.register(Slot::Instrs(tracer))
+        self.slots.push(Slot::Loops(sink));
+        self
     }
 
     /// Registers a consumer of both streams (see [`DualSink`]; borrowed).
     pub fn observe_both(&mut self, sink: &'a mut (dyn DualSink + Send)) -> &mut Self {
-        self.register(Slot::Both(sink))
+        self.slots.push(Slot::Both(sink));
+        self
     }
 
     /// Registers a loop-event consumer whose state is captured by
@@ -337,86 +293,14 @@ impl<'a> Session<'a> {
     /// Event delivery is identical to [`Session::observe_loops`]; the
     /// only difference is that the sink contributes a state section to
     /// snapshots. A session can only be checkpointed when **every**
-    /// registered sink was registered this way or via
-    /// [`Session::add_sink`] — a snapshot missing one sink's state
-    /// could not resume faithfully.
+    /// registered sink was registered this way — a snapshot missing one
+    /// sink's state could not resume faithfully.
     pub fn observe_checkpointable(
         &mut self,
         sink: &'a mut (dyn CheckpointSink + Send),
     ) -> &mut Self {
-        self.register(Slot::Ckpt(sink))
-    }
-
-    /// Registers an **owned** checkpointable sink: the session takes the
-    /// sink by value, so a fully owned session is `'static`, [`Send`],
-    /// and can live in a job table or move across threads — no borrow
-    /// ties it to the caller's stack frame.
-    ///
-    /// Delivery and snapshot treatment are identical to
-    /// [`Session::observe_checkpointable`] (which, like every
-    /// `observe_*` method, is now a thin wrapper over the same slot
-    /// table). `Box<dyn CheckpointSink + Send>` works as `S` too, for
-    /// callers assembling sinks dynamically.
-    ///
-    /// Read the sink back with [`Session::sink`] / [`Session::sink_mut`]
-    /// while the session lives, or [`Session::into_sink`] to take it out
-    /// at the end.
-    ///
-    /// ```
-    /// use loopspec_asm::ProgramBuilder;
-    /// use loopspec_cpu::RunLimits;
-    /// use loopspec_mt::EngineGrid;
-    /// use loopspec_pipeline::Session;
-    ///
-    /// let mut b = ProgramBuilder::new();
-    /// b.counted_loop(100, |b, _| b.work(10));
-    /// let program = b.finish()?;
-    ///
-    /// let mut grid = EngineGrid::new();
-    /// grid.push_str(4);
-    /// let mut session = Session::new();
-    /// session.add_sink(grid);
-    /// session.advance(&program, RunLimits::default())?;
-    /// let grid: EngineGrid = session.into_sink(0).expect("slot 0");
-    /// assert!(grid.reports().is_some());
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn add_sink<S: CheckpointSink + Send + 'static>(&mut self, sink: S) -> &mut Self {
-        self.register(Slot::Owned(Box::new(sink)))
-    }
-
-    fn register(&mut self, slot: Slot<'a>) -> &mut Self {
-        self.slots.push(slot);
+        self.slots.push(Slot::Ckpt(sink));
         self
-    }
-
-    /// The owned sink registered at `index` (registration order, shared
-    /// with the `observe_*` methods), if that slot is owned and of
-    /// concrete type `S`. Borrowed slots return `None` — the caller
-    /// still holds those.
-    pub fn sink<S: 'static>(&self, index: usize) -> Option<&S> {
-        match self.slots.get(index)? {
-            Slot::Owned(s) => s.as_any().downcast_ref(),
-            _ => None,
-        }
-    }
-
-    /// Mutable twin of [`Session::sink`].
-    pub fn sink_mut<S: 'static>(&mut self, index: usize) -> Option<&mut S> {
-        match self.slots.get_mut(index)? {
-            Slot::Owned(s) => s.as_any_mut().downcast_mut(),
-            _ => None,
-        }
-    }
-
-    /// Consumes the session and takes back the owned sink at `index`
-    /// (`None` when the slot is borrowed or a different type). Usually
-    /// called after the stream ended to extract results.
-    pub fn into_sink<S: 'static>(self, index: usize) -> Option<S> {
-        match self.slots.into_iter().nth(index)? {
-            Slot::Owned(s) => s.into_any().downcast().ok().map(|b| *b),
-            _ => None,
-        }
     }
 
     /// Number of registered consumers.
@@ -478,7 +362,7 @@ impl<'a> Session<'a> {
     ///
     /// The first call starts at the program's entry point; later calls
     /// (or calls after [`Session::resume`]) continue where the previous
-    /// segment stopped. If the program halts, the stream ends (detector
+    /// segment stopped. If the program halts, the stream ends (CLS
     /// flushed, final chunk delivered,
     /// [`on_stream_end`](LoopEventSink::on_stream_end) fired). If the
     /// fuel runs out first, the session pauses at a retirement boundary
@@ -508,19 +392,17 @@ impl<'a> Session<'a> {
         let run = {
             let Session {
                 cpu,
-                detector,
+                cls,
                 slots,
                 interp,
                 decoded,
                 ..
             } = self;
-            let instr_observers = slots
-                .iter()
-                .any(|s| matches!(s, Slot::Instrs(_) | Slot::Both(_)));
+            let dual_sinks = slots.iter().any(|s| matches!(s, Slot::Both(_)));
             let mut dispatch = Dispatch {
-                detector,
+                cls,
                 slots,
-                instr_observers,
+                dual_sinks,
                 chunks: obs::counter("pipeline_chunks_delivered"),
             };
             match (*interp, decoded.as_ref()) {
@@ -563,7 +445,7 @@ impl<'a> Session<'a> {
 
     /// Flush + final chunk + end-of-stream callbacks (halt or explicit
     /// finish). A fuel-exhausted `advance` deliberately does **not**
-    /// call this: the partial chunk stays buffered in the detector,
+    /// call this: the partial chunk stays buffered in the CLS,
     /// which is what lets a checkpoint land mid-chunk.
     fn end_stream(&mut self) {
         let instructions = self.cpu.retired();
@@ -571,59 +453,36 @@ impl<'a> Session<'a> {
         // Dual sinks have already seen every currently buffered event
         // live (they get each instruction's fresh events immediately);
         // loop sinks have not. Flush-produced closes are new to both.
-        let seen = self.detector.buffered().len();
-        self.detector.flush_buffered(instructions);
-        let chunk = self.detector.buffered();
+        let seen = self.cls.buffered().len();
+        self.cls.flush(instructions);
+        let chunk = self.cls.buffered();
         let trailing = &chunk[seen..];
         if !chunk.is_empty() {
             obs::counter("pipeline_chunks_delivered").inc();
         }
         for slot in self.slots.iter_mut() {
             match slot {
-                Slot::Loops(s) => {
-                    if !chunk.is_empty() {
-                        s.on_loop_events(chunk);
-                    }
-                    s.on_stream_end(instructions);
-                }
-                Slot::Ckpt(s) => {
-                    if !chunk.is_empty() {
-                        s.on_loop_events(chunk);
-                    }
-                    s.on_stream_end(instructions);
-                }
-                Slot::Owned(s) => {
-                    let s = s.ckpt_mut();
-                    if !chunk.is_empty() {
-                        s.on_loop_events(chunk);
-                    }
-                    s.on_stream_end(instructions);
-                }
-                Slot::Both(d) => {
-                    if !trailing.is_empty() {
-                        d.on_loop_events(trailing);
-                    }
-                    d.on_stream_end(instructions);
-                }
-                Slot::Instrs(_) => {}
+                Slot::Loops(s) => end_loop_sink(&mut **s, chunk, instructions),
+                Slot::Ckpt(s) => end_loop_sink(&mut **s, chunk, instructions),
+                Slot::Both(d) => end_loop_sink(&mut **d, trailing, instructions),
             }
         }
-        self.detector.clear_buffered();
+        self.cls.clear_buffered();
         self.ended = true;
     }
 
     /// Captures the session at the current retired-instruction boundary
-    /// as a [`Snapshot`]: CPU cursor, detector state (CLS entries plus
-    /// the not-yet-delivered event chunk), and one state section per
+    /// as a [`Snapshot`]: CPU cursor, CLS state (entries plus the
+    /// not-yet-delivered event chunk), and one state section per
     /// registered sink.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::StreamEnded`] after the stream ended;
     /// [`SnapshotError::NotCheckpointable`] when any sink was registered
-    /// via a non-checkpointable `observe_*` method (dual and
-    /// instruction sinks interleave with the instruction stream and do
-    /// not currently serialize).
+    /// via a non-checkpointable `observe_*` method (dual sinks
+    /// interleave with the instruction stream and do not currently
+    /// serialize).
     pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
         if self.ended {
             return Err(SnapshotError::StreamEnded);
@@ -632,14 +491,13 @@ impl<'a> Session<'a> {
         for slot in &self.slots {
             match slot {
                 Slot::Ckpt(s) => sinks.push(Snapshot::section(|enc| s.save_state(enc))),
-                Slot::Owned(s) => sinks.push(Snapshot::section(|enc| s.ckpt().save_state(enc))),
                 _ => return Err(SnapshotError::NotCheckpointable),
             }
         }
         let mut cpu = Enc::new();
         self.cpu.save_state(&mut cpu);
         let mut detector = Enc::new();
-        self.detector.save_state(&mut detector);
+        self.cls.save_state(&mut detector);
         Ok(Snapshot {
             started: self.started,
             instructions: self.cpu.retired(),
@@ -670,7 +528,7 @@ impl<'a> Session<'a> {
         let ckpt = self
             .slots
             .iter()
-            .filter(|s| matches!(s, Slot::Ckpt(_) | Slot::Owned(_)))
+            .filter(|s| matches!(s, Slot::Ckpt(_)))
             .count();
         if ckpt != self.slots.len() {
             return Err(SnapshotError::NotCheckpointable);
@@ -682,25 +540,28 @@ impl<'a> Session<'a> {
             });
         }
         Snapshot::load_section(&snapshot.cpu, |dec| self.cpu.load_state(dec))?;
-        Snapshot::load_section(&snapshot.detector, |dec| self.detector.load_state(dec))?;
+        Snapshot::load_section(&snapshot.detector, |dec| self.cls.load_state(dec))?;
         for (slot, bytes) in self.slots.iter_mut().zip(&snapshot.sinks) {
-            match slot {
-                Slot::Ckpt(s) => Snapshot::load_section(bytes, |dec| s.load_state(dec))?,
-                Slot::Owned(s) => {
-                    Snapshot::load_section(bytes, |dec| s.ckpt_mut().load_state(dec))?
-                }
-                _ => unreachable!(),
-            }
+            let Slot::Ckpt(s) = slot else { unreachable!() };
+            Snapshot::load_section(bytes, |dec| s.load_state(dec))?;
         }
         self.started = snapshot.started;
         Ok(())
     }
 }
 
-/// The internal fan-out tracer: one detector, many consumers.
+/// Delivers the final chunk (if any) and the end-of-stream callback.
+fn end_loop_sink<S: LoopEventSink + ?Sized>(sink: &mut S, chunk: &[LoopEvent], instructions: u64) {
+    if !chunk.is_empty() {
+        sink.on_loop_events(chunk);
+    }
+    sink.on_stream_end(instructions);
+}
+
+/// The internal fan-out tracer: one CLS, many consumers.
 ///
-/// Loop events are delivered on the **chunked** path: the detector
-/// buffers them into its internal chunk (capacity from the session's
+/// Loop events are delivered in **chunks**: the CLS buffers them into
+/// its internal chunk (capacity from the session's
 /// [`Cls`], default
 /// [`DEFAULT_EVENT_CHUNK`](loopspec_core::DEFAULT_EVENT_CHUNK)) and each
 /// full chunk is fanned out with a single
@@ -711,12 +572,12 @@ impl<'a> Session<'a> {
 /// iteration that was open when it retired), so they receive each
 /// instruction's fresh events immediately, before the next retirement.
 struct Dispatch<'s, 'a> {
-    detector: &'s mut LoopDetector,
+    cls: &'s mut Cls,
     slots: &'s mut Vec<Slot<'a>>,
-    /// Whether any slot observes the instruction stream — when false
-    /// (the common grid case: loop sinks only) the per-retirement slot
-    /// walk is skipped entirely.
-    instr_observers: bool,
+    /// Whether any slot is a [`DualSink`] — when false (the common grid
+    /// case: loop sinks only) the per-retirement slot walk is skipped
+    /// entirely.
+    dual_sinks: bool,
     /// Full event chunks fanned out so far (out-of-band telemetry; the
     /// handle is cached here so the hot path never touches the registry
     /// lock).
@@ -724,36 +585,32 @@ struct Dispatch<'s, 'a> {
 }
 
 impl Tracer for Dispatch<'_, '_> {
-    /// The detector itself reads only always-populated event fields
-    /// (pc, seq, control outcome), so the session's demand is exactly
-    /// the union of its instruction observers' demands — an all-loop
-    /// grid session lets the interpreter skip event payload assembly
-    /// entirely.
+    /// The CLS itself reads only always-populated event fields (pc, seq,
+    /// control outcome), so the session's demand is exactly the union of
+    /// its dual sinks' demands — an all-loop grid session lets the
+    /// interpreter skip event payload assembly entirely.
     fn demand(&self) -> Demand {
         self.slots.iter().fold(Demand::NONE, |d, slot| match slot {
-            Slot::Instrs(t) => d.union(t.demand()),
             Slot::Both(b) => d.union(b.demand()),
-            Slot::Loops(_) | Slot::Ckpt(_) | Slot::Owned(_) => d,
+            Slot::Loops(_) | Slot::Ckpt(_) => d,
         })
     }
 
     fn on_retire(&mut self, ev: &InstrEvent) {
-        if self.instr_observers {
+        if self.dual_sinks {
             for slot in self.slots.iter_mut() {
-                match slot {
-                    Slot::Instrs(t) => t.on_retire(ev),
-                    Slot::Both(d) => d.on_retire(ev),
-                    Slot::Loops(_) | Slot::Ckpt(_) | Slot::Owned(_) => {}
+                if let Slot::Both(d) = slot {
+                    d.on_retire(ev);
                 }
             }
         }
         if matches!(ev.control.kind, ControlKind::None) {
             return;
         }
-        let before = self.detector.buffered().len();
-        let full = self.detector.process_buffered(ev);
-        if self.instr_observers {
-            let fresh = &self.detector.buffered()[before..];
+        let before = self.cls.buffered().len();
+        let full = self.cls.on_retire(ev);
+        if self.dual_sinks {
+            let fresh = &self.cls.buffered()[before..];
             if !fresh.is_empty() {
                 for slot in self.slots.iter_mut() {
                     if let Slot::Both(d) = slot {
@@ -764,16 +621,15 @@ impl Tracer for Dispatch<'_, '_> {
         }
         if full {
             self.chunks.inc();
-            let chunk = self.detector.buffered();
+            let chunk = self.cls.buffered();
             for slot in self.slots.iter_mut() {
                 match slot {
                     Slot::Loops(s) => s.on_loop_events(chunk),
                     Slot::Ckpt(s) => s.on_loop_events(chunk),
-                    Slot::Owned(s) => s.ckpt_mut().on_loop_events(chunk),
-                    Slot::Instrs(_) | Slot::Both(_) => {}
+                    Slot::Both(_) => {}
                 }
             }
-            self.detector.clear_buffered();
+            self.cls.clear_buffered();
         }
     }
 }

@@ -14,10 +14,9 @@
 //!   bytes* (so nothing survives a shard except the serialized handoff
 //!   — exactly what crossing a process boundary requires), advance one
 //!   slice, and either hand a new snapshot to the successor or end the
-//!   stream. Every shard driver in the workspace — [`ShardedRun::run`]
-//!   in-thread, [`ShardedRun::run_on_workers`] on worker threads, and
-//!   the multi-process `loopspec-dist` coordinator/worker pair — runs
-//!   shards through this one implementation.
+//!   stream. Both shard drivers in the workspace — [`ShardedRun::run`]
+//!   in-thread and the multi-process `loopspec-dist` coordinator/worker
+//!   pair — run shards through this one implementation.
 //! * [`ShardedRun`] — the packaged single-machine driver over a `Plan`.
 //!
 //! The merged result is **bit-identical** to a single-pass
@@ -388,106 +387,6 @@ impl ShardedRun {
             }
         }
         unreachable!("the final shard always ends the stream")
-    }
-
-    /// Executes `program` with each shard on its **own worker thread**,
-    /// streaming the serialized snapshots through channels — the
-    /// pipeline-style handoff a distributed deployment would use (the
-    /// shards remain serially dependent; what moves between workers is
-    /// only the snapshot bytes).
-    ///
-    /// Produces exactly the same outcome as [`ShardedRun::run`]; the
-    /// multi-process variant of the same shape lives in the
-    /// `loopspec-dist` crate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates CPU faults ([`SnapshotError::Cpu`]) and
-    /// checkpoint/restore failures from whichever worker hit them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread itself panics.
-    pub fn run_on_workers<S, F>(
-        &self,
-        program: &Program,
-        limits: RunLimits,
-        make_sink: F,
-    ) -> Result<ShardedOutcome<S>, SnapshotError>
-    where
-        S: CheckpointSink + Send,
-        F: Fn() -> S + Sync,
-    {
-        use std::sync::mpsc;
-
-        /// What travels between consecutive workers.
-        enum Baton {
-            /// Run your shard, resuming from these snapshot bytes (or
-            /// from scratch for the first shard).
-            Run(Option<Vec<u8>>),
-            /// The stream ended upstream; do nothing.
-            Done,
-        }
-
-        type WorkerResult<S> = Result<(u64, Option<(S, SessionSummary, usize)>), SnapshotError>;
-
-        let shards = self.shards();
-        let make_sink = &make_sink;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            let (first_tx, mut rx) = mpsc::channel::<Baton>();
-            first_tx.send(Baton::Run(None)).expect("receiver alive");
-            drop(first_tx);
-            for shard in 0..shards {
-                let (tx_next, rx_next) = mpsc::channel::<Baton>();
-                let plan = self.plan;
-                let rx_cur = std::mem::replace(&mut rx, rx_next);
-                handles.push(scope.spawn(move || -> WorkerResult<S> {
-                    // A closed channel means an upstream worker errored
-                    // out; its own result carries the error.
-                    let baton = rx_cur.recv().unwrap_or(Baton::Done);
-                    let Baton::Run(bytes) = baton else {
-                        let _ = tx_next.send(Baton::Done);
-                        return Ok((0, None));
-                    };
-                    let mut sink = make_sink();
-                    let step = {
-                        let mut session = Session::new();
-                        session.observe_checkpointable(&mut sink);
-                        plan.step(program, limits, shard, bytes.as_deref(), &mut session)?
-                    };
-                    match step.handoff {
-                        None => {
-                            let _ = tx_next.send(Baton::Done);
-                            Ok((0, Some((sink, step.summary, shard + 1))))
-                        }
-                        Some(bytes) => {
-                            let sent = bytes.len() as u64;
-                            let _ = tx_next.send(Baton::Run(Some(bytes)));
-                            Ok((sent, None))
-                        }
-                    }
-                }));
-            }
-            drop(rx);
-
-            let mut handoff_bytes = 0u64;
-            let mut outcome = None;
-            for handle in handles {
-                let (sent, done) = handle.join().expect("worker thread panicked")?;
-                handoff_bytes += sent;
-                if done.is_some() {
-                    outcome = done;
-                }
-            }
-            let (sink, summary, shards_run) = outcome.expect("one worker ends the stream");
-            Ok(ShardedOutcome {
-                sink,
-                summary,
-                shards_run,
-                handoff_bytes,
-            })
-        })
     }
 }
 

@@ -1032,6 +1032,110 @@ mod unix_tests {
     }
 
     #[test]
+    fn hostile_wire_clients_leave_a_well_behaved_one_unharmed() {
+        use std::io::{Read, Write};
+        use std::net::Shutdown;
+
+        let service = thread_service(2, SvcConfig::default());
+        // Serves one connection on its own thread; returns our end.
+        let connect = || {
+            let (ours, theirs) = UnixStream::pair().expect("socketpair");
+            let client = service.client();
+            let server = std::thread::spawn(move || {
+                let reader = theirs.try_clone().expect("clone");
+                client.serve(reader, theirs)
+            });
+            (ours, server)
+        };
+        let specs: Vec<JobSpec> = ["compress", "go", "li", "compress"]
+            .into_iter()
+            .map(small_spec)
+            .collect();
+        let mut submits = Vec::new();
+        for (id, spec) in specs.iter().enumerate() {
+            let submit = Frame::Submit {
+                id: id as u64,
+                spec: spec.clone(),
+            };
+            write_frame(&mut submits, &submit).unwrap();
+        }
+
+        let (mut garbage, garbage_server) = connect();
+        let (mut hello, hello_server) = connect();
+        let (mut stalled, stalled_server) = connect();
+        let (mut good, good_server) = connect();
+
+        // Deterministic xorshift noise; the server may hang up before
+        // all of it is written.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        let _ = garbage.write_all(&noise);
+        let _ = garbage.shutdown(Shutdown::Write);
+        let mut hello_frame = Vec::new();
+        let not_a_request = Frame::Hello {
+            protocol: loopspec_dist::PROTOCOL,
+            worker: 0,
+        };
+        write_frame(&mut hello_frame, &not_a_request).unwrap();
+        hello.write_all(&hello_frame).unwrap();
+        // Half a Submit frame, then silence with the connection open.
+        stalled.write_all(&submits[..submits.len() / 8]).unwrap();
+        good.write_all(&submits).unwrap();
+        good.shutdown(Shutdown::Write).unwrap();
+
+        let mut answers = Vec::new();
+        good.read_to_end(&mut answers).unwrap();
+        good_server
+            .join()
+            .unwrap()
+            .expect("the good client is served");
+        let mut frames = FrameReader::new(&answers[..]);
+        for (id, spec) in specs.iter().enumerate() {
+            let Some(Frame::Done {
+                id: got, report, ..
+            }) = frames.read_frame().unwrap()
+            else {
+                panic!("expected Done for job {id}");
+            };
+            assert_eq!(got, id as u64);
+            let reference = loopspec_dist::single_pass_outcome(
+                &spec.workload,
+                spec.scale,
+                &spec.lane_specs(),
+                spec.total_fuel,
+            )
+            .unwrap();
+            assert_eq!(report.instructions, reference.instructions, "job {id}");
+            assert_eq!(report.lanes, reference.lanes, "job {id}");
+            assert_eq!(report.state, reference.state, "job {id}");
+        }
+        assert_eq!(frames.read_frame().unwrap(), None);
+
+        assert!(garbage_server.join().unwrap().is_err(), "garbage refused");
+        assert!(hello_server.join().unwrap().is_err(), "non-request refused");
+        assert!(!stalled_server.is_finished(), "stalled peer still held");
+        drop(stalled);
+        assert!(
+            stalled_server.join().unwrap().is_err(),
+            "a frame cut by EOF is an error"
+        );
+        drop((garbage, hello));
+
+        let stats = service.stats();
+        assert_eq!(stats.submitted, specs.len() as u64, "{stats:?}");
+        assert_eq!(stats.completed, specs.len() as u64, "{stats:?}");
+        assert_invariants(&stats);
+        service.shutdown();
+    }
+
+    #[test]
     fn errors_display_their_cause() {
         assert!(SvcError::Rejected { queue_depth: 3 }
             .to_string()

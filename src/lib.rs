@@ -94,8 +94,8 @@ pub use loopspec_workloads as workloads;
 pub mod prelude {
     pub use loopspec_asm::{Operand, Program, ProgramBuilder};
     pub use loopspec_core::{
-        Cls, CountingSink, EventCollector, LoopDetector, LoopEvent, LoopEventSink, LoopId,
-        LoopStats, TableHitSim, TableKind,
+        Cls, CountingSink, EventCollector, LoopEvent, LoopEventSink, LoopId, LoopStats,
+        TableHitSim, TableKind,
     };
     pub use loopspec_cpu::{Cpu, DecodedProgram, Demand, InstrEvent, RunLimits, Tracer};
     pub use loopspec_dataspec::{DataSpecProfiler, LiveInProfiler};

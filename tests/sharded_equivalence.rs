@@ -112,8 +112,9 @@ fn sharded_replay_matches_single_pass_on_all_workloads() {
 
 #[test]
 fn worker_thread_handoff_matches_in_thread_sharding() {
-    // The pipeline-style worker handoff (snapshot bytes through
-    // channels) is the same computation as the in-thread loop.
+    // Each shard on its own thread, with only the snapshot bytes
+    // crossing between threads, is the same computation as the
+    // in-thread loop.
     for name in ["compress", "li"] {
         let w = workload_by_name(name).unwrap();
         let program = w.build(Scale::Test).unwrap();
@@ -129,10 +130,35 @@ fn worker_thread_handoff_matches_in_thread_sharding() {
         let seq = ShardedRun::new(4)
             .run(&program, RunLimits::with_fuel(n), Sinks::new)
             .unwrap();
-        let par = ShardedRun::new(4)
-            .run_on_workers(&program, RunLimits::with_fuel(n), Sinks::new)
-            .unwrap();
-        assert_eq!(seq.sink.grid.reports(), par.sink.grid.reports(), "{name}");
-        assert_eq!(seq.handoff_bytes, par.handoff_bytes, "{name}");
+        let plan = ShardedRun::new(4).plan();
+        let (mut handoff, mut handoff_bytes, mut shard) = (None::<Vec<u8>>, 0, 0);
+        let par = loop {
+            let bytes = handoff.take();
+            let (sink, step) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut sink = Sinks::new();
+                    let mut session = Session::new();
+                    session.observe_checkpointable(&mut sink);
+                    let limits = RunLimits::with_fuel(n);
+                    let step = plan.step(&program, limits, shard, bytes.as_deref(), &mut session);
+                    drop(session);
+                    (sink, step.unwrap())
+                })
+                .join()
+                .unwrap()
+            });
+            match step.handoff {
+                Some(bytes) => {
+                    handoff_bytes += bytes.len() as u64;
+                    handoff = Some(bytes);
+                    shard += 1;
+                }
+                None => break sink,
+            }
+        };
+        assert_eq!(seq.sink.grid.reports(), par.grid.reports(), "{name}");
+        assert_eq!(seq.sink.events.events(), par.events.events(), "{name}");
+        assert_eq!(seq.shards_run, shard + 1, "{name}");
+        assert_eq!(seq.handoff_bytes, handoff_bytes, "{name}");
     }
 }
