@@ -27,12 +27,11 @@
 //!   (policy × TU-count) lanes, buffering only a bounded run-ahead
 //!   window.
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 use loopspec_core::LoopId;
 
 use crate::annotate::{AnnotatedTrace, TraceEventKind};
-use crate::hash::FastMap;
 use crate::policy::{SpecContext, SpeculationPolicy};
 use crate::predictor::IterPredictor;
 use crate::stats::SpecStats;
@@ -88,15 +87,21 @@ struct Segment {
     spawn_pos: u64,
 }
 
-/// Per-execution speculation bookkeeping.
-#[derive(Debug, Default)]
-struct ExecSpec {
-    /// Live speculated iteration indices (consecutive, all in the
-    /// future).
-    live: BTreeSet<u32>,
+/// One open loop execution and its speculation bookkeeping.
+#[derive(Debug)]
+struct OpenExec {
+    exec: u32,
+    /// Live speculated iterations with their threads, in ascending
+    /// iteration order. All lie in the future; the run-ahead skip can
+    /// leave holes between them. The front is the next to verify.
+    live: VecDeque<(u32, Segment)>,
     /// Non-speculated loop executions detected nested inside this one
     /// while it had live threads (the STR(i) counter).
     nested_nonspec: u32,
+    /// Set once the policy first asked to speculate for this execution:
+    /// such executions carry a `spec` entry in the snapshot, live
+    /// threads or not.
+    spec: bool,
 }
 
 /// The driver-independent speculation state machine.
@@ -112,6 +117,11 @@ struct ExecSpec {
 /// * the streaming driver must delay an iteration event until the stream
 ///   frontier passes [`EngineCore::iter_start_horizon`], the highest
 ///   position the spawn decision can consult.
+///
+/// All per-execution state lives on one stack of open executions in
+/// detection order. Nesting is shallow (the CLS holds 16 loops) and the
+/// execution an event names is almost always the top, so every lookup
+/// scans from the top.
 #[derive(Debug)]
 pub(crate) struct EngineCore<P> {
     policy: P,
@@ -119,9 +129,10 @@ pub(crate) struct EngineCore<P> {
     tus_label: Option<usize>,
     nesting_limit: Option<u32>,
     cur: CurThread,
-    segments: FastMap<(u32, u32), Segment>,
-    spec: FastMap<u32, ExecSpec>,
-    open_stack: Vec<u32>,
+    open: Vec<OpenExec>,
+    /// Emptied live sets of ended executions, reused by the next
+    /// `exec_start` so a lane does not allocate per execution.
+    spare: Vec<VecDeque<(u32, Segment)>>,
     live_total: u64,
     predictor: IterPredictor,
     stats: SpecStats,
@@ -143,9 +154,8 @@ impl<P: SpeculationPolicy> EngineCore<P> {
                 spawn_time: 0,
                 handoff_time: 0,
             },
-            segments: FastMap::default(),
-            spec: FastMap::default(),
-            open_stack: Vec::new(),
+            open: Vec::new(),
+            spare: Vec::new(),
             live_total: 0,
             predictor: IterPredictor::new(),
             stats: SpecStats::default(),
@@ -157,9 +167,20 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         self.total_tus.saturating_sub(1 + self.live_total)
     }
 
+    /// Stack index of open execution `exec`.
+    #[inline]
+    fn find(&self, exec: u32) -> Option<usize> {
+        self.open.iter().rposition(|o| o.exec == exec)
+    }
+
     /// A new loop execution was detected.
     pub(crate) fn exec_start(&mut self, exec: u32) {
-        self.open_stack.push(exec);
+        self.open.push(OpenExec {
+            exec,
+            live: self.spare.pop().unwrap_or_default(),
+            nested_nonspec: 0,
+            spec: false,
+        });
     }
 
     /// The highest stream position the decision at an
@@ -170,7 +191,8 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     /// positions `< horizon` must all be known).
     pub(crate) fn iter_start_horizon(&self, exec: u32, iter: u32, pos: u64) -> u64 {
         let t = self.cur.time_at(pos);
-        if let Some(seg) = self.segments.get(&(exec, iter)) {
+        let front = self.find(exec).and_then(|k| self.open[k].live.front());
+        if let Some(&(_, seg)) = front.filter(|&&(j, _)| j == iter) {
             let seg_virtual = seg.spawn_time as i128 - pos as i128;
             let cur_virtual = self.cur.spawn_time as i128 - self.cur.start_pos as i128;
             if seg_virtual <= cur_virtual {
@@ -199,18 +221,22 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         iter_pos: &dyn Fn(u32) -> Option<u64>,
         remaining_from_feed: u32,
     ) {
+        // Drivers only deliver iterations of open executions.
+        let Some(k) = self.find(exec) else {
+            return;
+        };
         let t = self.cur.time_at(pos);
 
         // --- Verification: handoff to the speculated thread for this
-        // iteration, if one exists. A segment whose self-paced progress
-        // lags the current thread's run-ahead is *stale* (its work is
-        // redundant) and is discarded instead of taking over the
-        // frontier.
-        if let Some(seg) = self.segments.remove(&(exec, iter)) {
+        // iteration, if one exists. Iterations arrive in order, so no
+        // live one lies below `iter` and only the front can match. A
+        // segment whose self-paced progress lags the current thread's
+        // run-ahead is *stale* (its work is redundant) and is discarded
+        // instead of taking over the frontier.
+        let live = &mut self.open[k].live;
+        if let Some(&(_, seg)) = live.front().filter(|&&(j, _)| j == iter) {
+            live.pop_front();
             self.live_total -= 1;
-            if let Some(st) = self.spec.get_mut(&exec) {
-                st.live.remove(&iter);
-            }
             self.stats.instr_to_outcome_sum += pos - seg.spawn_pos;
             self.policy.on_thread_outcome(loop_id, true);
             let seg_virtual = seg.spawn_time as i128 - pos as i128;
@@ -228,42 +254,29 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         }
 
         // --- Speculation attempt.
-        let spawned =
-            self.attempt_spawn(exec, loop_id, iter, pos, t, iter_pos, remaining_from_feed);
+        let spawned = self.attempt_spawn(k, loop_id, iter, pos, t, iter_pos, remaining_from_feed);
 
         // --- STR(i): a newly detected execution that could not speculate
         // counts against enclosing speculated loops; exceeding the limit
         // squashes the outermost one and retries.
         if spawned == 0 && iter == 2 {
             if let Some(limit) = self.nesting_limit {
-                let mut victim: Option<u32> = None;
-                for k in 0..self.open_stack.len() {
-                    let g = self.open_stack[k];
-                    if g == exec {
+                let mut victim: Option<usize> = None;
+                for (g, o) in self.open.iter_mut().enumerate() {
+                    if g == k || o.live.is_empty() {
                         continue;
                     }
-                    if let Some(st) = self.spec.get_mut(&g) {
-                        if !st.live.is_empty() {
-                            st.nested_nonspec += 1;
-                            if st.nested_nonspec > limit && victim.is_none() {
-                                victim = Some(g);
-                            }
-                        }
+                    o.nested_nonspec += 1;
+                    if o.nested_nonspec > limit && victim.is_none() {
+                        victim = Some(g);
                     }
                 }
                 if let Some(g) = victim {
                     // Policy squashes sacrifice *correct* speculation;
                     // they do not count against a loop's suitability.
-                    let _ = self.squash_exec(g, pos, false);
-                    let _ = self.attempt_spawn(
-                        exec,
-                        loop_id,
-                        iter,
-                        pos,
-                        t,
-                        iter_pos,
-                        remaining_from_feed,
-                    );
+                    let _ = self.squash(g, pos, false);
+                    let _ =
+                        self.attempt_spawn(k, loop_id, iter, pos, t, iter_pos, remaining_from_feed);
                 }
             }
         }
@@ -280,12 +293,14 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         closed: bool,
         total_iters: u32,
     ) {
-        self.open_stack.retain(|&g| g != exec);
-        let squashed = self.squash_exec(exec, pos, true);
-        for _ in 0..squashed {
-            self.policy.on_thread_outcome(loop_id, false);
+        if let Some(k) = self.find(exec) {
+            let squashed = self.squash(k, pos, true);
+            for _ in 0..squashed {
+                self.policy.on_thread_outcome(loop_id, false);
+            }
+            let ended = self.open.remove(k);
+            self.spare.push(ended.live);
         }
-        self.spec.remove(&exec);
         if closed {
             self.predictor.record_execution(loop_id, total_iters);
         }
@@ -296,9 +311,10 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     /// speculation bookkeeping, the open-execution stack, the iteration
     /// predictor (LET) and the statistics counters. Policies are
     /// reconstructed by the owner, not serialized: every policy a grid
-    /// lane runs is stateless. Map contents are written sorted by key so
-    /// equal state yields equal bytes. The configuration (TU count, nesting
-    /// limit) is echoed for verification at load time.
+    /// lane runs is stateless. Segments are written sorted by
+    /// `(exec, iter)` and speculation entries by `exec`, so equal state
+    /// yields equal bytes. The configuration (TU count, nesting limit) is
+    /// echoed for verification at load time.
     pub(crate) fn save_state(&self, out: &mut loopspec_core::snap::Enc) {
         out.u64(self.total_tus);
         out.u64(self.tus_label.map_or(u64::MAX, |t| t as u64));
@@ -307,31 +323,35 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         out.u64(self.cur.spawn_time);
         out.u64(self.cur.handoff_time);
 
-        let mut segments: Vec<(&(u32, u32), &Segment)> = self.segments.iter().collect();
-        segments.sort_unstable_by_key(|(k, _)| **k);
+        let mut segments: Vec<(u32, u32, Segment)> = self
+            .open
+            .iter()
+            .flat_map(|o| o.live.iter().map(|&(iter, seg)| (o.exec, iter, seg)))
+            .collect();
+        segments.sort_unstable_by_key(|&(exec, iter, _)| (exec, iter));
         out.u64(segments.len() as u64);
-        for (&(exec, iter), seg) in segments {
+        for (exec, iter, seg) in segments {
             out.u32(exec);
             out.u32(iter);
             out.u64(seg.spawn_time);
             out.u64(seg.spawn_pos);
         }
 
-        let mut spec: Vec<(&u32, &ExecSpec)> = self.spec.iter().collect();
-        spec.sort_unstable_by_key(|(k, _)| **k);
+        let mut spec: Vec<&OpenExec> = self.open.iter().filter(|o| o.spec).collect();
+        spec.sort_unstable_by_key(|o| o.exec);
         out.u64(spec.len() as u64);
-        for (&exec, st) in spec {
-            out.u32(exec);
-            out.u64(st.live.len() as u64);
-            for &iter in &st.live {
+        for o in spec {
+            out.u32(o.exec);
+            out.u64(o.live.len() as u64);
+            for &(iter, _) in &o.live {
                 out.u32(iter);
             }
-            out.u32(st.nested_nonspec);
+            out.u32(o.nested_nonspec);
         }
 
-        out.u64(self.open_stack.len() as u64);
-        for &exec in &self.open_stack {
-            out.u32(exec);
+        out.u64(self.open.len() as u64);
+        for o in &self.open {
+            out.u32(o.exec);
         }
         out.u64(self.live_total);
         loopspec_core::SnapshotState::save_state(&self.predictor, out);
@@ -346,11 +366,18 @@ impl<P: SpeculationPolicy> EngineCore<P> {
 
     /// Restores state written by [`EngineCore::save_state`] into a core
     /// constructed with the **same configuration** (policy, TU count).
+    ///
+    /// Refuses, as [`SnapError::Corrupt`](loopspec_core::snap::SnapError),
+    /// any state the open-execution stack cannot hold: duplicate open
+    /// executions or segments, segments or speculation entries of
+    /// executions that are not open, live sets out of order or at odds
+    /// with the segments, and a wrong live-thread count.
     pub(crate) fn load_state(
         &mut self,
         src: &mut loopspec_core::snap::Dec<'_>,
     ) -> Result<(), loopspec_core::snap::SnapError> {
         use loopspec_core::snap::SnapError;
+        let corrupt = |what| Err(SnapError::Corrupt { what });
         if src.u64()? != self.total_tus {
             return Err(SnapError::Mismatch { what: "TU count" });
         }
@@ -368,63 +395,86 @@ impl<P: SpeculationPolicy> EngineCore<P> {
             handoff_time: src.u64()?,
         };
 
-        let n = src.count()?;
-        self.segments.clear();
-        for _ in 0..n {
-            let exec = src.u32()?;
-            let iter = src.u32()?;
+        let mut segments = Vec::new();
+        for _ in 0..src.count()? {
+            let key = (src.u32()?, src.u32()?);
             let seg = Segment {
                 spawn_time: src.u64()?,
                 spawn_pos: src.u64()?,
             };
-            self.segments.insert((exec, iter), seg);
+            segments.push((key, seg));
         }
-
-        let n = src.count()?;
-        self.spec.clear();
-        for _ in 0..n {
+        let mut spec = Vec::new();
+        for _ in 0..src.count()? {
             let exec = src.u32()?;
-            let live_n = src.count()?;
-            let mut live = BTreeSet::new();
-            for _ in 0..live_n {
-                live.insert(src.u32()?);
+            let mut live = Vec::new();
+            for _ in 0..src.count()? {
+                live.push(src.u32()?);
             }
-            let nested_nonspec = src.u32()?;
-            self.spec.insert(
-                exec,
-                ExecSpec {
-                    live,
-                    nested_nonspec,
-                },
-            );
+            spec.push((exec, live, src.u32()?));
         }
-
-        let n = src.count()?;
-        self.open_stack.clear();
-        for _ in 0..n {
-            self.open_stack.push(src.u32()?);
+        self.open.clear();
+        for _ in 0..src.count()? {
+            self.exec_start(src.u32()?);
         }
         self.live_total = src.u64()?;
-        // Squashes and verifications index the segment map through the
-        // live sets, and `idle` trusts `live_total`: a snapshot whose
-        // three views of the live threads disagree is refused here
-        // instead of panicking at the next squash.
-        let live: usize = self.spec.values().map(|st| st.live.len()).sum();
-        let agree = live == self.segments.len()
-            && self.spec.iter().all(|(&exec, st)| {
-                st.live
-                    .iter()
-                    .all(|&iter| self.segments.contains_key(&(exec, iter)))
-            });
-        if !agree {
-            return Err(SnapError::Corrupt {
-                what: "live sets and segment map disagree",
-            });
+
+        // Stack index of every open execution, sorted for lookups.
+        let mut index: Vec<(u32, usize)> = self
+            .open
+            .iter()
+            .enumerate()
+            .map(|(k, o)| (o.exec, k))
+            .collect();
+        index.sort_unstable();
+        if index.windows(2).any(|w| w[0].0 == w[1].0) {
+            return corrupt("duplicate open execution");
         }
-        if self.live_total != self.segments.len() as u64 {
-            return Err(SnapError::Corrupt {
-                what: "live thread count",
-            });
+        let stack_index = |exec: u32| -> Option<usize> {
+            let i = index.binary_search_by_key(&exec, |&(e, _)| e).ok()?;
+            Some(index[i].1)
+        };
+        segments.sort_unstable_by_key(|&(key, _)| key);
+        if segments.windows(2).any(|w| w[0].0 == w[1].0) {
+            return corrupt("duplicate segment");
+        }
+        if segments
+            .iter()
+            .any(|&((exec, _), _)| stack_index(exec).is_none())
+        {
+            return corrupt("segment of an execution that is not open");
+        }
+        // Every live iteration takes its segment; together with the
+        // count check below, each segment belongs to exactly one live
+        // set.
+        let mut claimed = 0usize;
+        for (exec, live, nested_nonspec) in spec {
+            let Some(k) = stack_index(exec) else {
+                return corrupt("speculation entry of an execution that is not open");
+            };
+            let o = &mut self.open[k];
+            if o.spec {
+                return corrupt("duplicate speculation entry");
+            }
+            o.spec = true;
+            o.nested_nonspec = nested_nonspec;
+            if live.windows(2).any(|w| w[0] >= w[1]) {
+                return corrupt("live set order");
+            }
+            for iter in live {
+                let Ok(i) = segments.binary_search_by_key(&(exec, iter), |&(key, _)| key) else {
+                    return corrupt("live sets and segment map disagree");
+                };
+                o.live.push_back((iter, segments[i].1));
+                claimed += 1;
+            }
+        }
+        if claimed != segments.len() {
+            return corrupt("live sets and segment map disagree");
+        }
+        // `idle` trusts the count.
+        if self.live_total != segments.len() as u64 {
+            return corrupt("live thread count");
         }
         loopspec_core::SnapshotState::load_state(&mut self.predictor, src)?;
         self.stats = SpecStats {
@@ -450,7 +500,9 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         }
     }
 
-    /// Launches new speculative threads per the policy; returns how many.
+    /// Launches new speculative threads per the policy for the execution
+    /// at stack index `k`; returns how many. The policy's request is
+    /// clamped to the idle TUs.
     ///
     /// Iterations whose start the current thread's speculative run-ahead
     /// has already executed are not spawned — a TU pointed at work the
@@ -459,7 +511,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     #[allow(clippy::too_many_arguments)]
     fn attempt_spawn(
         &mut self,
-        exec: u32,
+        k: usize,
         loop_id: LoopId,
         iter: u32,
         pos: u64,
@@ -471,12 +523,12 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         if idle == 0 {
             return 0;
         }
-        let already = self.spec.get(&exec).map_or(0, |s| s.live.len()) as u32;
+        let o = &mut self.open[k];
         let ctx = SpecContext {
             loop_id,
             current_iter: iter,
             idle_tus: idle,
-            already_speculated: already,
+            already_speculated: o.live.len() as u32,
             predictor: &self.predictor,
             remaining_from_feed,
         };
@@ -484,61 +536,56 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         if n == 0 {
             return 0;
         }
+        o.spec = true;
         // Self-paced position the current thread has reached by time t.
         let covered = self.cur.start_pos + (t - self.cur.spawn_time);
-        let st = self.spec.entry(exec).or_default();
-        let next = st.live.iter().next_back().copied().unwrap_or(iter) + 1;
-        let mut spawned = 0u64;
-        for j in next..next + n as u32 {
-            if let Some(p) = iter_pos(j) {
-                if p < covered {
-                    continue; // already executed by the run-ahead
-                }
+        let next = o.live.back().map_or(iter, |&(j, _)| j) + 1;
+        let end = next + n as u32;
+        // Iteration starts ascend, so the candidates the run-ahead has
+        // already executed form a prefix: search for its end.
+        let (mut first, mut hi) = (next, end);
+        while first < hi {
+            let mid = first + (hi - first) / 2;
+            if iter_pos(mid).is_some_and(|p| p < covered) {
+                first = mid + 1;
+            } else {
+                hi = mid;
             }
-            self.segments.insert(
-                (exec, j),
-                Segment {
-                    spawn_time: t,
-                    spawn_pos: pos,
-                },
-            );
-            st.live.insert(j);
-            spawned += 1;
         }
-        if spawned == 0 {
+        if first == end {
             return 0;
         }
+        let seg = Segment {
+            spawn_time: t,
+            spawn_pos: pos,
+        };
+        o.live.extend((first..end).map(|j| (j, seg)));
+        let spawned = u64::from(end - first);
         // Speculating resets the exec's STR(i) pressure counter.
-        st.nested_nonspec = 0;
+        o.nested_nonspec = 0;
         self.live_total += spawned;
         self.stats.spec_actions += 1;
         self.stats.threads_spawned += spawned;
         spawned
     }
 
-    /// Squashes every live thread of `exec`, freeing its TUs.
-    /// `misspec = true` for loop-end squashes (phantom iterations),
-    /// `false` for STR(i) policy squashes (correct work sacrificed).
-    fn squash_exec(&mut self, exec: u32, pos: u64, misspec: bool) -> u64 {
-        let Some(st) = self.spec.get_mut(&exec) else {
-            return 0;
-        };
-        let mut squashed = 0;
-        for iter in std::mem::take(&mut st.live) {
-            let seg = self
-                .segments
-                .remove(&(exec, iter))
-                .expect("live set and segment map agree");
-            self.live_total -= 1;
+    /// Squashes every live thread of the execution at stack index `k`,
+    /// freeing its TUs. `misspec = true` for loop-end squashes (phantom
+    /// iterations), `false` for STR(i) policy squashes (correct work
+    /// sacrificed).
+    fn squash(&mut self, k: usize, pos: u64, misspec: bool) -> u64 {
+        let o = &mut self.open[k];
+        let squashed = o.live.len() as u64;
+        for (_, seg) in o.live.drain(..) {
             self.stats.instr_to_outcome_sum += pos - seg.spawn_pos;
-            if misspec {
-                self.stats.squashed_misspec += 1;
-            } else {
-                self.stats.squashed_policy += 1;
-            }
-            squashed += 1;
         }
-        st.nested_nonspec = 0;
+        o.nested_nonspec = 0;
+        self.live_total -= squashed;
+        if misspec {
+            self.stats.squashed_misspec += squashed;
+        } else {
+            self.stats.squashed_policy += squashed;
+        }
         squashed
     }
 }
@@ -804,10 +851,10 @@ mod tests {
         assert_eq!(r.tus, Some(4));
     }
 
-    /// A STR@4 core driven through a counted loop until it holds live
-    /// speculative threads.
+    /// A STR@4 core driven through a loop nest until it holds live
+    /// speculative threads with two executions open.
     fn core_with_live_threads() -> EngineCore<StrPolicy> {
-        let trace = trace_of(|b| b.counted_loop(50, |b, _| b.work(10)));
+        let trace = trace_of(|b| b.counted_loop(3, |b, _| b.counted_loop(50, |b, _| b.work(10))));
         let mut core = EngineCore::new(StrPolicy::new(), 4, Some(4));
         for ev in &trace.events {
             let info = trace.exec(ev.exec);
@@ -821,52 +868,238 @@ mod tests {
                     &|j| info.iter_pos(j),
                     0,
                 ),
-                TraceEventKind::ExecEnd => {}
+                TraceEventKind::ExecEnd => core.exec_end(
+                    ev.exec.0,
+                    info.loop_id,
+                    ev.pos,
+                    info.closed,
+                    info.total_iters,
+                ),
             }
-            if !core.segments.is_empty() {
+            if core.live_total > 0 && core.open.len() >= 2 {
                 return core;
             }
         }
-        panic!("STR@4 never speculated");
+        panic!("STR@4 never speculated inside a nest");
     }
 
-    /// Saves `core` and loads the bytes into a fresh STR@4 core.
-    fn reload(core: &EngineCore<StrPolicy>) -> Result<(), SnapError> {
-        let mut enc = Enc::new();
-        core.save_state(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut fresh = EngineCore::new(StrPolicy::new(), 4, Some(4));
-        fresh.load_state(&mut Dec::new(&bytes))
+    /// The engine's snapshot section, decoded field by field so a test
+    /// can corrupt it and encode the result in the same (v3) layout.
+    #[derive(Debug, Clone)]
+    struct Section {
+        /// Configuration echo and the current thread's cursor.
+        head: Vec<u8>,
+        /// `(exec, iter, spawn_time, spawn_pos)`.
+        segments: Vec<(u32, u32, u64, u64)>,
+        /// `(exec, live iterations, nested_nonspec)`.
+        spec: Vec<(u32, Vec<u32>, u32)>,
+        open: Vec<u32>,
+        live_total: u64,
+        /// Predictor and statistics.
+        tail: Vec<u8>,
+    }
+
+    impl Section {
+        fn of(core: &EngineCore<StrPolicy>) -> Section {
+            let mut enc = Enc::new();
+            core.save_state(&mut enc);
+            let bytes = enc.into_bytes();
+            let mut src = Dec::new(&bytes);
+            let head_len = 8 + 8 + 4 + 3 * 8;
+            for _ in 0..head_len {
+                src.u8().unwrap();
+            }
+            let segments = (0..src.count().unwrap())
+                .map(|_| {
+                    let (exec, iter) = (src.u32().unwrap(), src.u32().unwrap());
+                    (exec, iter, src.u64().unwrap(), src.u64().unwrap())
+                })
+                .collect();
+            let spec = (0..src.count().unwrap())
+                .map(|_| {
+                    let exec = src.u32().unwrap();
+                    let live = (0..src.count().unwrap())
+                        .map(|_| src.u32().unwrap())
+                        .collect();
+                    (exec, live, src.u32().unwrap())
+                })
+                .collect();
+            let open = (0..src.count().unwrap())
+                .map(|_| src.u32().unwrap())
+                .collect();
+            let live_total = src.u64().unwrap();
+            let tail = bytes[bytes.len() - src.remaining()..].to_vec();
+            let section = Section {
+                head: bytes[..head_len].to_vec(),
+                segments,
+                spec,
+                open,
+                live_total,
+                tail,
+            };
+            assert_eq!(section.encode(), bytes, "the test decoder is faithful");
+            section
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut out = Enc::new();
+            for &b in &self.head {
+                out.u8(b);
+            }
+            out.u64(self.segments.len() as u64);
+            for &(exec, iter, spawn_time, spawn_pos) in &self.segments {
+                out.u32(exec);
+                out.u32(iter);
+                out.u64(spawn_time);
+                out.u64(spawn_pos);
+            }
+            out.u64(self.spec.len() as u64);
+            for (exec, live, nested_nonspec) in &self.spec {
+                out.u32(*exec);
+                out.u64(live.len() as u64);
+                for &iter in live {
+                    out.u32(iter);
+                }
+                out.u32(*nested_nonspec);
+            }
+            out.u64(self.open.len() as u64);
+            for &exec in &self.open {
+                out.u32(exec);
+            }
+            out.u64(self.live_total);
+            let mut bytes = out.into_bytes();
+            bytes.extend_from_slice(&self.tail);
+            bytes
+        }
+
+        /// Loads the encoded section into a fresh STR@4 core; a load
+        /// that succeeds must round-trip to the same bytes.
+        fn load(&self) -> Result<(), SnapError> {
+            let bytes = self.encode();
+            let mut fresh = EngineCore::new(StrPolicy::new(), 4, Some(4));
+            let mut src = Dec::new(&bytes);
+            fresh.load_state(&mut src)?;
+            src.finish()?;
+            let mut again = Enc::new();
+            fresh.save_state(&mut again);
+            assert_eq!(
+                again.into_bytes(),
+                bytes,
+                "loaded state re-saves identically"
+            );
+            Ok(())
+        }
+
+        /// The first live segment and the execution owning it.
+        fn live_segment(&self) -> (u32, u32) {
+            let (exec, iter, _, _) = self.segments[0];
+            (exec, iter)
+        }
+    }
+
+    fn corrupt(what: &'static str) -> Result<(), SnapError> {
+        Err(SnapError::Corrupt { what })
+    }
+
+    #[test]
+    fn snapshots_round_trip_the_open_stack() {
+        let core = core_with_live_threads();
+        let section = Section::of(&core);
+        assert_eq!(section.load(), Ok(()));
+        assert!(section.open.len() >= 2 && !section.segments.is_empty());
+        // Empty speculation entries survive too.
+        let mut section = Section::of(&core);
+        let idle = *section
+            .open
+            .iter()
+            .find(|e| section.spec.iter().all(|s| s.0 != **e))
+            .expect("an open execution without a speculation entry");
+        section.spec.push((idle, Vec::new(), 0));
+        section.spec.sort_by_key(|s| s.0);
+        assert_eq!(section.load(), Ok(()));
     }
 
     #[test]
     fn snapshots_refuse_live_sets_that_disagree_with_the_segment_map() {
-        assert_eq!(reload(&core_with_live_threads()), Ok(()));
-        let corrupt = Err(SnapError::Corrupt {
-            what: "live sets and segment map disagree",
-        });
+        let pristine = Section::of(&core_with_live_threads());
+        assert_eq!(pristine.load(), Ok(()));
+        let (exec, iter) = pristine.live_segment();
         // A live thread with no segment (the count kept consistent).
-        let mut core = core_with_live_threads();
-        let (exec, iter) = *core.segments.keys().next().unwrap();
-        core.segments.remove(&(exec, iter));
-        core.live_total -= 1;
-        assert_eq!(reload(&core), corrupt);
+        let mut section = pristine.clone();
+        section.segments.remove(0);
+        section.live_total -= 1;
+        assert_eq!(
+            section.load(),
+            corrupt("live sets and segment map disagree")
+        );
         // A segment no live set names.
-        let mut core = core_with_live_threads();
-        core.spec.get_mut(&exec).unwrap().live.remove(&iter);
-        assert_eq!(reload(&core), corrupt);
+        let mut section = pristine.clone();
+        let st = section.spec.iter_mut().find(|s| s.0 == exec).unwrap();
+        st.1.retain(|&j| j != iter);
+        assert_eq!(
+            section.load(),
+            corrupt("live sets and segment map disagree")
+        );
     }
 
     #[test]
     fn snapshots_refuse_a_wrong_live_thread_count() {
-        let mut core = core_with_live_threads();
-        core.live_total += 1;
+        let mut section = Section::of(&core_with_live_threads());
+        section.live_total += 1;
+        assert_eq!(section.load(), corrupt("live thread count"));
+    }
+
+    #[test]
+    fn snapshots_refuse_state_outside_the_open_stack() {
+        let pristine = Section::of(&core_with_live_threads());
+        let stranger = pristine.open.iter().max().unwrap() + 1;
+        // A segment of an execution that is not open (counted, but no
+        // live set names it).
+        let mut section = pristine.clone();
+        section.segments.push((stranger, 3, 0, 0));
+        section.live_total += 1;
         assert_eq!(
-            reload(&core),
-            Err(SnapError::Corrupt {
-                what: "live thread count"
-            })
+            section.load(),
+            corrupt("segment of an execution that is not open")
         );
+        // A speculation entry of an execution that is not open.
+        let mut section = pristine.clone();
+        section.spec.push((stranger, Vec::new(), 0));
+        assert_eq!(
+            section.load(),
+            corrupt("speculation entry of an execution that is not open")
+        );
+    }
+
+    #[test]
+    fn snapshots_refuse_duplicates_the_stack_cannot_hold() {
+        let pristine = Section::of(&core_with_live_threads());
+        // The same execution open twice.
+        let mut section = pristine.clone();
+        section.open.push(section.open[0]);
+        assert_eq!(section.load(), corrupt("duplicate open execution"));
+        // The same `(exec, iter)` segment twice.
+        let mut section = pristine.clone();
+        section.segments.insert(0, section.segments[0]);
+        section.live_total += 1;
+        assert_eq!(section.load(), corrupt("duplicate segment"));
+        // Two speculation entries for one execution.
+        let mut section = pristine.clone();
+        let (exec, _) = section.live_segment();
+        section.spec.push((exec, Vec::new(), 0));
+        assert_eq!(section.load(), corrupt("duplicate speculation entry"));
+    }
+
+    #[test]
+    fn snapshots_refuse_live_sets_out_of_order() {
+        let mut section = Section::of(&core_with_live_threads());
+        let st = section
+            .spec
+            .iter_mut()
+            .find(|s| s.1.len() >= 2)
+            .expect("an execution with two live threads");
+        st.1.reverse();
+        assert_eq!(section.load(), corrupt("live set order"));
     }
 
     #[test]

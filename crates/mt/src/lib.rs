@@ -67,7 +67,6 @@
 mod annotate;
 mod engine;
 mod grid;
-mod hash;
 mod ideal;
 mod oracle;
 mod policy;

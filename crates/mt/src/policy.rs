@@ -31,10 +31,11 @@ pub struct SpecContext<'a> {
 
 /// A thread-count speculation policy.
 ///
-/// Returns how many *new* speculative threads to launch for consecutive
-/// future iterations of `ctx.loop_id`, given `ctx.idle_tus` free TUs. The
-/// engine clamps nothing: returning more than `idle_tus` is a policy bug
-/// (debug-asserted by the engine).
+/// Returns how many *new* speculative threads to launch for future
+/// iterations of `ctx.loop_id`, given `ctx.idle_tus` free TUs. The engine
+/// clamps the request to `idle_tus`, and it skips candidate iterations
+/// the non-speculative thread's run-ahead has already executed, so fewer
+/// threads may launch than requested.
 pub trait SpeculationPolicy {
     /// Display name (used in reports).
     fn name(&self) -> &'static str;
