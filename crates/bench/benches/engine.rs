@@ -1,9 +1,10 @@
 //! Throughput of the speculation engine across policies and TU counts.
 
-use loopspec_bench::experiments::{run_engine, PolicyKind};
+use loopspec_bench::experiments::run_engine;
 use loopspec_bench::run::{ExecuteOptions, WorkloadRun};
 use loopspec_bench::timing::Suite;
 use loopspec_mt::ideal_tpc;
+use loopspec_mt::Policy;
 use loopspec_workloads::{by_name, Scale};
 
 fn bench_policies(s: &mut Suite) {
@@ -19,7 +20,7 @@ fn bench_policies(s: &mut Suite) {
     let trace = run.annotate();
     let events = trace.events.len() as u64;
 
-    for policy in PolicyKind::ALL {
+    for policy in Policy::ALL {
         s.bench(
             "engine",
             &format!("policy/{}", policy.name()),
@@ -29,7 +30,7 @@ fn bench_policies(s: &mut Suite) {
     }
     for tus in [2usize, 16, 256] {
         s.bench("engine", &format!("tus/{tus}"), Some(events), || {
-            std::hint::black_box(run_engine(&trace, PolicyKind::Str, tus).tpc())
+            std::hint::black_box(run_engine(&trace, Policy::Str, tus).tpc())
         });
     }
     s.bench("engine", "ideal", Some(events), || {

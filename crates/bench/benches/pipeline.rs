@@ -27,15 +27,13 @@
 //!   into a null sink: the pre-decoded threaded-code front-end against
 //!   the legacy fetch/decode loop (gated: decoded must stay faster).
 
-use loopspec_bench::experiments::{
-    grid_points, run_engine, PolicyKind, FIG5_PREFIX_FRACTION, TU_COUNTS,
-};
+use loopspec_bench::experiments::{grid_points, run_engine, FIG5_PREFIX_FRACTION, TU_COUNTS};
 use loopspec_bench::timing::Suite;
 use loopspec_core::EventCollector;
 use loopspec_cpu::{Cpu, DecodedProgram, NullTracer, RunLimits};
 use loopspec_mt::{
     ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, AnnotatedTrace, EngineGrid,
-    IterationCountLog,
+    IterationCountLog, Policy,
 };
 use loopspec_pipeline::{Session, ShardedRun};
 use loopspec_workloads::{by_name, Scale};
@@ -47,7 +45,7 @@ const SHARDS: usize = 4;
 /// A one-lane grid: STR at 4 TUs, the single-engine streaming case.
 fn str4_grid() -> EngineGrid {
     let mut grid = EngineGrid::new();
-    grid.push_str(4);
+    Policy::Str.add_to_grid(&mut grid, 4);
     grid
 }
 
@@ -217,7 +215,7 @@ fn main() {
                     .expect("runs");
                 let (events, n) = collector.into_parts();
                 let trace = AnnotatedTrace::build(&events, n);
-                std::hint::black_box(run_engine(&trace, PolicyKind::Str, 4).tpc())
+                std::hint::black_box(run_engine(&trace, Policy::Str, 4).tpc())
             },
         );
 
@@ -246,7 +244,7 @@ fn main() {
                 let (events, n) = collector.into_parts();
                 let trace = AnnotatedTrace::build(&events, n);
                 let mut acc = 0.0;
-                for policy in PolicyKind::ALL {
+                for policy in Policy::ALL {
                     for tus in TU_COUNTS {
                         acc += run_engine(&trace, policy, tus).tpc();
                     }
@@ -438,7 +436,10 @@ fn main() {
                 std::hint::black_box(dist_run(
                     name,
                     Scale::Huge,
-                    vec![loopspec_dist::LaneSpec::Str { tus: 4 }],
+                    vec![loopspec_dist::LaneSpec {
+                        policy: Policy::Str,
+                        tus: 4,
+                    }],
                     HUGE_SHARD_FUEL,
                     Some(HUGE_FUEL),
                 ))

@@ -17,7 +17,6 @@ use loopspec_bench::experiments::{self, cls_ablation};
 use loopspec_bench::report;
 use loopspec_bench::run::{execute_all, ExecuteOptions, WorkloadRun};
 use loopspec_core::Replacement;
-use loopspec_pipeline::Interp;
 use loopspec_workloads::{all, Scale};
 
 const USAGE: &str =
@@ -106,10 +105,8 @@ fn main() -> ExitCode {
 
     eprintln!(
         "repro: executing {} workloads at {scale:?} scale \
-         (dataspec: {need_dataspec}, oracle: {need_oracle}, \
-         interpreter: {}) ...",
+         (dataspec: {need_dataspec}, oracle: {need_oracle}) ...",
         workloads.len(),
-        Interp::from_env(),
     );
     let t0 = Instant::now();
     let runs: Vec<WorkloadRun> = execute_all(

@@ -3,9 +3,7 @@
 use loopspec_core::{Cls, EventCollector, LoopStatsReport, Replacement, TableHitSim, TableKind};
 use loopspec_cpu::{Cpu, RunLimits};
 use loopspec_dataspec::DataSpecReport;
-use loopspec_mt::{
-    AnnotatedTrace, Engine, EngineGrid, EngineReport, IdlePolicy, StrNestedPolicy, StrPolicy,
-};
+use loopspec_mt::{AnnotatedTrace, Engine, EngineReport, Policy};
 use loopspec_workloads::{PaperRow, Scale, Workload};
 
 use crate::run::WorkloadRun;
@@ -16,68 +14,24 @@ pub const TABLE_SIZES: [usize; 4] = [2, 4, 8, 16];
 /// TU counts swept in Figures 6 and 7.
 pub const TU_COUNTS: [usize; 4] = [2, 4, 8, 16];
 
-/// A speculation policy choice, as a value (the engine itself is generic
-/// over policy types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Grab every idle TU.
-    Idle,
-    /// Stride-predicted burst sizing.
-    Str,
-    /// STR with the nesting limit `i`.
-    StrNested(u32),
-}
-
-impl PolicyKind {
-    /// All policies of Figure 7, in the paper's bar order.
-    pub const ALL: [PolicyKind; 5] = [
-        PolicyKind::Idle,
-        PolicyKind::Str,
-        PolicyKind::StrNested(1),
-        PolicyKind::StrNested(2),
-        PolicyKind::StrNested(3),
-    ];
-
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Idle => "IDLE",
-            PolicyKind::Str => "STR",
-            PolicyKind::StrNested(1) => "STR(1)",
-            PolicyKind::StrNested(2) => "STR(2)",
-            PolicyKind::StrNested(3) => "STR(3)",
-            PolicyKind::StrNested(_) => "STR(i)",
-        }
-    }
-
-    /// Adds a lane for this policy to a shared-annotation
-    /// [`EngineGrid`]; returns the lane index.
-    pub fn add_to_grid(self, grid: &mut EngineGrid, tus: usize) -> usize {
-        match self {
-            PolicyKind::Idle => grid.push_idle(tus),
-            PolicyKind::Str => grid.push_str(tus),
-            PolicyKind::StrNested(i) => grid.push_str_nested(i, tus),
-        }
-    }
-}
+/// The policy type of the experiments, under its earlier name. Kept
+/// because the benchmark crate names its reports with it; it is
+/// [`Policy`] itself.
+pub type PolicyKind = Policy;
 
 /// The full experiment grid, in report order: every policy of
-/// [`PolicyKind::ALL`] at every TU count of [`TU_COUNTS`].
-pub fn grid_points() -> impl Iterator<Item = (PolicyKind, usize)> {
-    PolicyKind::ALL
+/// [`Policy::ALL`] at every TU count of [`TU_COUNTS`].
+pub fn grid_points() -> impl Iterator<Item = (Policy, usize)> {
+    Policy::ALL
         .iter()
         .flat_map(|&p| TU_COUNTS.iter().map(move |&tus| (p, tus)))
 }
 
-/// Runs the batch speculation engine for a policy given by value — used
-/// for ad-hoc sweeps and as the reference the streaming grid is checked
-/// against; the figures themselves read `WorkloadRun::report`.
-pub fn run_engine(trace: &AnnotatedTrace, policy: PolicyKind, tus: usize) -> EngineReport {
-    match policy {
-        PolicyKind::Idle => Engine::new(trace, IdlePolicy::new(), tus).run(),
-        PolicyKind::Str => Engine::new(trace, StrPolicy::new(), tus).run(),
-        PolicyKind::StrNested(i) => Engine::new(trace, StrNestedPolicy::new(i), tus).run(),
-    }
+/// Runs the batch speculation engine — the reference the streaming
+/// grid is checked against; the figures themselves read
+/// `WorkloadRun::report`. Kept because the benchmark crate calls it.
+pub fn run_engine(trace: &AnnotatedTrace, policy: Policy, tus: usize) -> EngineReport {
+    Engine::new(trace, policy, tus).run()
 }
 
 // ---------------------------------------------------------------------
@@ -209,7 +163,7 @@ pub fn fig6(runs: &[WorkloadRun]) -> Vec<Fig6Row> {
         .map(|r| {
             let mut tpc = [0.0; 4];
             for (k, tus) in TU_COUNTS.iter().enumerate() {
-                tpc[k] = r.report(PolicyKind::Str, *tus).tpc();
+                tpc[k] = r.report(Policy::Str, *tus).tpc();
             }
             Fig6Row {
                 name: r.workload.name,
@@ -265,8 +219,7 @@ pub fn gen_fig6(seeds: u64, scale: Scale) -> Vec<GenFig6Row> {
                 let (events, n) = collector.into_parts();
                 let trace = AnnotatedTrace::build(&events, n);
                 for (k, tus) in TU_COUNTS.iter().enumerate() {
-                    tpc[k] +=
-                        Engine::new(&trace, StrPolicy::new(), *tus).run().tpc() / seeds as f64;
+                    tpc[k] += Engine::new(&trace, Policy::Str, *tus).run().tpc() / seeds as f64;
                 }
             }
             GenFig6Row {
@@ -289,7 +242,7 @@ pub fn gen_fig6(seeds: u64, scale: Scale) -> Vec<GenFig6Row> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Row {
     /// The policy.
-    pub policy: PolicyKind,
+    pub policy: Policy,
     /// Average TPC at 2, 4, 8 and 16 TUs.
     pub avg_tpc: [f64; 4],
 }
@@ -297,7 +250,7 @@ pub struct Fig7Row {
 /// Reproduces Figure 7: average TPC for IDLE, STR, STR(1..3), read from
 /// the streaming grid computed during the shared single pass.
 pub fn fig7(runs: &[WorkloadRun]) -> Vec<Fig7Row> {
-    PolicyKind::ALL
+    Policy::ALL
         .iter()
         .map(|&policy| {
             let mut avg_tpc = [0.0; 4];
@@ -336,7 +289,7 @@ pub struct Table2Row {
 pub fn table2(runs: &[WorkloadRun]) -> Vec<Table2Row> {
     runs.iter()
         .map(|r| {
-            let report = r.report(PolicyKind::StrNested(3), 4);
+            let report = r.report(Policy::StrNested(3), 4);
             Table2Row {
                 name: r.workload.name,
                 spec: report.spec.spec_actions,
@@ -483,6 +436,21 @@ mod tests {
                 ..ExecuteOptions::default()
             },
         )
+    }
+
+    #[test]
+    fn bench_and_dist_grids_hold_the_same_points() {
+        // The bench grid is policy-major and the wire grid TU-major;
+        // both orders are pinned elsewhere, the point sets must agree.
+        use std::collections::HashSet;
+        let bench: HashSet<(Policy, u32)> = grid_points().map(|(p, tus)| (p, tus as u32)).collect();
+        let dist: HashSet<(Policy, u32)> = loopspec_dist::default_lanes()
+            .iter()
+            .map(|l| (l.policy, l.tus))
+            .collect();
+        assert_eq!(bench.len(), 20);
+        assert_eq!(dist.len(), 20);
+        assert_eq!(bench, dist);
     }
 
     #[test]

@@ -28,12 +28,12 @@ use loopspec_cpu::RunLimits;
 use loopspec_dataspec::{DataSpecReport, LiveInProfiler};
 use loopspec_mt::{
     ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, AnnotatedTrace, EngineGrid,
-    EngineReport, IdealReport, IterationCountLog,
+    EngineReport, IdealReport, IterationCountLog, Policy,
 };
 use loopspec_pipeline::Session;
 use loopspec_workloads::{Scale, Workload};
 
-use crate::experiments::{grid_points, PolicyKind, FIG5_PREFIX_FRACTION};
+use crate::experiments::{grid_points, FIG5_PREFIX_FRACTION};
 
 /// One workload's Figure 5 data points, computed by the two-phase
 /// streaming oracle (no materialized trace).
@@ -59,7 +59,7 @@ pub struct WorkloadRun {
     pub dataspec: Option<DataSpecReport>,
     /// Streaming engine reports for every (policy, TUs) grid point,
     /// computed in the same pass as the event stream.
-    reports: Vec<(PolicyKind, usize, EngineReport)>,
+    reports: Vec<(Policy, usize, EngineReport)>,
     /// Figure 5 ideal-machine reports (two-phase streaming oracle), if
     /// the oracle study was enabled.
     ideal: Option<IdealPair>,
@@ -91,20 +91,6 @@ impl Default for ExecuteOptions {
             dataspec: false,
             engine_grid: true,
             oracle: true,
-        }
-    }
-}
-
-impl From<&loopspec_dist::JobSpec> for ExecuteOptions {
-    /// Derives the artifacts a [`loopspec_dist::JobSpec`] asks for. A
-    /// job's lane grid always runs (that is what the spec's fingerprint
-    /// promises), so `engine_grid` is unconditionally on; the optional
-    /// oracle and data-speculation studies map straight through.
-    fn from(spec: &loopspec_dist::JobSpec) -> Self {
-        ExecuteOptions {
-            dataspec: spec.dataspec,
-            engine_grid: true,
-            oracle: spec.oracle,
         }
     }
 }
@@ -152,7 +138,7 @@ impl WorkloadRun {
         // chunk for all 20 grid points, the annotation bookkeeping runs
         // once instead of per engine, and the per-lane fan-out
         // dispatches statically.
-        let points: Vec<(PolicyKind, usize)> = if opts.engine_grid {
+        let points: Vec<(Policy, usize)> = if opts.engine_grid {
             grid_points().collect()
         } else {
             Vec::new()
@@ -226,10 +212,10 @@ impl WorkloadRun {
     /// # Panics
     ///
     /// Panics when the point is outside the precomputed grid
-    /// ([`PolicyKind::ALL`] × [`TU_COUNTS`](crate::experiments::TU_COUNTS),
+    /// ([`Policy::ALL`] × [`TU_COUNTS`](crate::experiments::TU_COUNTS),
     /// empty when the run was executed with
     /// [`ExecuteOptions::engine_grid`] off).
-    pub fn report(&self, policy: PolicyKind, tus: usize) -> &EngineReport {
+    pub fn report(&self, policy: Policy, tus: usize) -> &EngineReport {
         self.reports
             .iter()
             .find(|(p, t, _)| *p == policy && *t == tus)
@@ -238,7 +224,7 @@ impl WorkloadRun {
     }
 
     /// All precomputed (policy, TUs, report) grid points.
-    pub fn reports(&self) -> impl Iterator<Item = (PolicyKind, usize, &EngineReport)> {
+    pub fn reports(&self) -> impl Iterator<Item = (Policy, usize, &EngineReport)> {
         self.reports.iter().map(|(p, t, r)| (*p, *t, r))
     }
 
@@ -367,7 +353,7 @@ mod tests {
             );
             checked += 1;
         }
-        assert_eq!(checked, PolicyKind::ALL.len() * TU_COUNTS.len());
+        assert_eq!(checked, Policy::ALL.len() * TU_COUNTS.len());
     }
 
     #[test]
@@ -427,20 +413,7 @@ mod tests {
     #[should_panic(expected = "no precomputed report")]
     fn off_grid_report_panics() {
         let run = WorkloadRun::execute(by_name("compress").unwrap(), Scale::Test, false);
-        let _ = run.report(PolicyKind::Str, 3);
-    }
-
-    #[test]
-    fn job_spec_maps_to_execute_options() {
-        let spec = loopspec_dist::JobSpec::new("compress")
-            .oracle(true)
-            .dataspec(true);
-        let opts = ExecuteOptions::from(&spec);
-        assert!(opts.dataspec && opts.engine_grid && opts.oracle);
-
-        let lean = loopspec_dist::JobSpec::new("compress");
-        let opts = ExecuteOptions::from(&lean);
-        assert!(!opts.dataspec && opts.engine_grid && !opts.oracle);
+        let _ = run.report(Policy::Str, 3);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * `loopspec_mt::EngineGrid` — the single-pass speculation engines,
 //!   one lane per (policy × TU-count) configuration;
 //! * `loopspec_dataspec::LiveInProfiler` — live-in value profiling;
-//! * fan-out combinators (tuples up to arity 8, `&mut S`) so one
-//!   detector can feed many analyses in the same pass.
+//! * `&mut S`, so a borrowed sink is a sink too. One detector feeds
+//!   many analyses in the same pass through the sink list of a
+//!   `loopspec_pipeline::Session`, the only fan-out.
 //!
 //! ## The batching contract
 //!
@@ -125,38 +126,6 @@ impl<S: LoopEventSink + ?Sized> LoopEventSink for Box<S> {
     }
 }
 
-/// Fans the stream out to every element of a tuple, in field order.
-/// One macro generates arities 2 through 8 — wide enough for the
-/// experiment grid without nesting pairs.
-macro_rules! impl_sink_for_tuple {
-    ($($T:ident => $idx:tt),+) => {
-        impl<$($T: LoopEventSink),+> LoopEventSink for ($($T,)+) {
-            #[inline]
-            fn on_loop_event(&mut self, ev: &LoopEvent) {
-                $(self.$idx.on_loop_event(ev);)+
-            }
-
-            #[inline]
-            fn on_loop_events(&mut self, events: &[LoopEvent]) {
-                $(self.$idx.on_loop_events(events);)+
-            }
-
-            #[inline]
-            fn on_stream_end(&mut self, instructions: u64) {
-                $(self.$idx.on_stream_end(instructions);)+
-            }
-        }
-    };
-}
-
-impl_sink_for_tuple!(A => 0, B => 1);
-impl_sink_for_tuple!(A => 0, B => 1, C => 2);
-impl_sink_for_tuple!(A => 0, B => 1, C => 2, D => 3);
-impl_sink_for_tuple!(A => 0, B => 1, C => 2, D => 3, E => 4);
-impl_sink_for_tuple!(A => 0, B => 1, C => 2, D => 3, E => 4, F => 5);
-impl_sink_for_tuple!(A => 0, B => 1, C => 2, D => 3, E => 4, F => 5, G => 6);
-impl_sink_for_tuple!(A => 0, B => 1, C => 2, D => 3, E => 4, F => 5, G => 6, H => 7);
-
 /// A sink that only counts events — useful for throughput measurements
 /// and as the cheapest possible pipeline endpoint.
 #[derive(Debug, Default, Clone, Copy)]
@@ -229,39 +198,6 @@ mod tests {
         s.on_loop_events(&[ev(4), ev(9)]);
         assert_eq!(s.0, Some(9));
         assert_eq!(s.1, 2);
-    }
-
-    #[test]
-    fn tuple_sinks_fan_out() {
-        let mut pair = (Vec::new(), CountingSink::default());
-        pair.on_loop_event(&ev(1));
-        pair.on_stream_end(7);
-        assert_eq!(pair.0.len(), 1);
-        assert_eq!(pair.1.events, 1);
-        assert_eq!(pair.1.instructions, 7);
-    }
-
-    #[test]
-    fn wide_tuples_fan_out_batches() {
-        // Arity 8, mixed element types, batch delivery.
-        let mut sinks = (
-            Vec::new(),
-            CountingSink::default(),
-            CountingSink::default(),
-            Vec::new(),
-            CountingSink::default(),
-            CountingSink::default(),
-            CountingSink::default(),
-            CountingSink::default(),
-        );
-        sinks.on_loop_events(&[ev(1), ev(2)]);
-        sinks.on_stream_end(5);
-        assert_eq!(sinks.0.len(), 2);
-        assert_eq!(sinks.3.len(), 2);
-        for c in [sinks.1, sinks.2, sinks.4, sinks.5, sinks.6, sinks.7] {
-            assert_eq!(c.events, 2);
-            assert_eq!(c.instructions, 5);
-        }
     }
 
     #[test]

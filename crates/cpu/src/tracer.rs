@@ -119,9 +119,9 @@ impl InstrEvent {
 /// * [`MEM`](Demand::MEM) — `mem_read` / `mem_write` records.
 ///
 /// A tracer that declares a field un-demanded must not read it: the
-/// interpreter is free to leave it `None`. Composite tracers (tuples,
-/// `&mut`) take the union of their parts, so under-declaring is the
-/// only way to go wrong.
+/// interpreter is free to leave it `None`. Composite tracers (such as
+/// a `loopspec_pipeline::Session`'s sink list) take the union of their
+/// parts, so under-declaring is the only way to go wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Demand(u8);
 
@@ -165,8 +165,8 @@ impl Demand {
 /// Per-retired-instruction analysis callback — the ATOM substitute.
 ///
 /// Implementations must be cheap: they run inline in the interpreter
-/// loop. Compose several analyses with the tuple impl:
-/// `(&mut detector, &mut profiler)`.
+/// loop. To run several analyses in one pass, register them with a
+/// `loopspec_pipeline::Session`, whose sink list is the one fan-out.
 pub trait Tracer {
     /// Called once per retired instruction, in program order.
     fn on_retire(&mut self, ev: &InstrEvent);
@@ -253,34 +253,6 @@ impl<T: Tracer + ?Sized> Tracer for &mut T {
     }
 }
 
-impl<A: Tracer, B: Tracer> Tracer for (A, B) {
-    #[inline]
-    fn on_retire(&mut self, ev: &InstrEvent) {
-        self.0.on_retire(ev);
-        self.1.on_retire(ev);
-    }
-
-    fn demand(&self) -> Demand {
-        self.0.demand().union(self.1.demand())
-    }
-}
-
-impl<A: Tracer, B: Tracer, C: Tracer> Tracer for (A, B, C) {
-    #[inline]
-    fn on_retire(&mut self, ev: &InstrEvent) {
-        self.0.on_retire(ev);
-        self.1.on_retire(ev);
-        self.2.on_retire(ev);
-    }
-
-    fn demand(&self) -> Demand {
-        self.0
-            .demand()
-            .union(self.1.demand())
-            .union(self.2.demand())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,14 +272,6 @@ mod tests {
             mem_read: None,
             mem_write: None,
         }
-    }
-
-    #[test]
-    fn tuple_tracers_fan_out() {
-        let mut pair = (CountingTracer::default(), CountingTracer::default());
-        pair.on_retire(&dummy_event());
-        assert_eq!(pair.0.retired, 1);
-        assert_eq!(pair.1.retired, 1);
     }
 
     #[test]
@@ -342,13 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn composite_tracers_union_their_demand() {
+    fn tracers_declare_and_forward_their_demand() {
         assert_eq!(NullTracer.demand(), Demand::NONE);
         assert_eq!(CountingTracer::default().demand(), Demand::MEM);
-        let pair = (NullTracer, CountingTracer::default());
-        assert_eq!(pair.demand(), Demand::MEM);
-        let triple = (NullTracer, NullTracer, CountingTracer::default());
-        assert_eq!(triple.demand(), Demand::MEM);
         let mut c = CountingTracer::default();
         let r: &mut CountingTracer = &mut c;
         assert_eq!(r.demand(), Demand::MEM);

@@ -30,6 +30,7 @@ use std::sync::mpsc;
 use loopspec_core::snap::Enc;
 use loopspec_core::SnapshotState;
 use loopspec_cpu::RunLimits;
+use loopspec_mt::Policy;
 use loopspec_pipeline::{Plan, Session};
 use loopspec_workloads::Scale;
 
@@ -112,17 +113,12 @@ impl From<io::Error> for DistError {
 }
 
 /// The 20-lane experiment grid — every (policy × TU-count) point of the
-/// paper's evaluation, as wire lane specs.
+/// paper's evaluation, as wire lane specs, TU-major.
 pub fn default_lanes() -> Vec<LaneSpec> {
-    let mut lanes = Vec::with_capacity(20);
-    for tus in [2u32, 4, 8, 16] {
-        lanes.push(LaneSpec::Idle { tus });
-        lanes.push(LaneSpec::Str { tus });
-        for limit in 1..=3 {
-            lanes.push(LaneSpec::StrNested { limit, tus });
-        }
-    }
-    lanes
+    [2u32, 4, 8, 16]
+        .into_iter()
+        .flat_map(|tus| Policy::ALL.map(|policy| LaneSpec { policy, tus }))
+        .collect()
 }
 
 /// What to replay, how to slice it, and through which lanes.
@@ -492,7 +488,16 @@ mod unix_tests {
         SuiteSpec::new(
             ["compress", "li"],
             Scale::Test,
-            vec![LaneSpec::Str { tus: 4 }, LaneSpec::Idle { tus: 4 }],
+            vec![
+                LaneSpec {
+                    policy: Policy::Str,
+                    tus: 4,
+                },
+                LaneSpec {
+                    policy: Policy::Idle,
+                    tus: 4,
+                },
+            ],
             Plan::sliced(20_000),
         )
     }
@@ -536,7 +541,10 @@ mod unix_tests {
         let spec = SuiteSpec::new(
             ["specmark"],
             Scale::Test,
-            vec![LaneSpec::Str { tus: 4 }],
+            vec![LaneSpec {
+                policy: Policy::Str,
+                tus: 4,
+            }],
             Plan::sliced(10_000),
         );
         let (coordinator, handles) = thread_coordinator(1);

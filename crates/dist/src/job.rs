@@ -12,7 +12,7 @@
 //! use loopspec_dist::{JobSpec, Policy};
 //!
 //! let spec = JobSpec::new("compress")
-//!     .policies([Policy::Str, Policy::StrNested { limit: 2 }])
+//!     .policies([Policy::Str, Policy::StrNested(2)])
 //!     .tus([4, 16]);
 //! assert_eq!(spec.lane_specs().len(), 4); // policies × tus
 //! ```
@@ -30,7 +30,7 @@ use std::fmt;
 
 use loopspec_core::snap::{fnv1a, Dec, Enc, SnapError};
 use loopspec_cpu::RunLimits;
-use loopspec_mt::StreamError;
+use loopspec_mt::{Policy, StreamError};
 use loopspec_pipeline::Plan;
 use loopspec_workloads::Scale;
 
@@ -83,32 +83,6 @@ impl From<StreamError> for JobError {
     }
 }
 
-/// One speculation policy of a [`JobSpec`] grid — [`LaneSpec`] without
-/// the thread-unit count (the spec crosses policies with its TU list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// No speculation (the baseline lane).
-    Idle,
-    /// Plain STR: speculate on the backward target.
-    Str,
-    /// STR(i): nested speculation up to `limit` levels.
-    StrNested {
-        /// Nesting limit (1 = innermost loops only).
-        limit: u32,
-    },
-}
-
-impl Policy {
-    /// The [`LaneSpec`] for this policy at `tus` thread units.
-    pub fn lane(self, tus: u32) -> LaneSpec {
-        match self {
-            Policy::Idle => LaneSpec::Idle { tus },
-            Policy::Str => LaneSpec::Str { tus },
-            Policy::StrNested { limit } => LaneSpec::StrNested { limit, tus },
-        }
-    }
-}
-
 /// A complete, typed description of one replay job: which workload, at
 /// what scale, through which (policy × TU) engine grid, under what
 /// fuel budget and shard plan. See the [module docs](self).
@@ -130,12 +104,6 @@ pub struct JobSpec {
     pub plan: Plan,
     /// Total instruction budget.
     pub total_fuel: u64,
-    /// Ask drivers that support it (the bench path) for the two-phase
-    /// Figure 5 oracle alongside the grid.
-    pub oracle: bool,
-    /// Ask drivers that support it (the bench path) for the live-in
-    /// data profile alongside the grid.
-    pub dataspec: bool,
     /// Fingerprint of the kernel registry this spec was built against
     /// (see [`loopspec_isa::kernel::registry_fingerprint`]). Part of
     /// the report fingerprint — a `KernelCall`-bearing workload retires
@@ -155,19 +123,11 @@ impl JobSpec {
         JobSpec {
             workload: workload.into(),
             scale: Scale::Test,
-            policies: vec![
-                Policy::Idle,
-                Policy::Str,
-                Policy::StrNested { limit: 1 },
-                Policy::StrNested { limit: 2 },
-                Policy::StrNested { limit: 3 },
-            ],
+            policies: Policy::ALL.to_vec(),
             tus: vec![2, 4, 8, 16],
             lanes: None,
             plan: Plan::sliced(25_000),
             total_fuel: RunLimits::default().max_instrs,
-            oracle: false,
-            dataspec: false,
             kernel_registry: loopspec_isa::kernel::registry_fingerprint(),
         }
     }
@@ -209,18 +169,6 @@ impl JobSpec {
         self
     }
 
-    /// Requests the Figure 5 oracle (bench path only).
-    pub fn oracle(mut self, oracle: bool) -> Self {
-        self.oracle = oracle;
-        self
-    }
-
-    /// Requests the live-in data profile (bench path only).
-    pub fn dataspec(mut self, dataspec: bool) -> Self {
-        self.dataspec = dataspec;
-        self
-    }
-
     /// The lane grid this spec describes: the explicit [`Self::lanes`]
     /// override if set, else the `tus × policies` cross product (outer
     /// loop over TUs — the [`default_lanes`](crate::default_lanes)
@@ -232,17 +180,17 @@ impl JobSpec {
         let mut lanes = Vec::with_capacity(self.tus.len() * self.policies.len());
         for &tus in &self.tus {
             for &policy in &self.policies {
-                lanes.push(policy.lane(tus));
+                lanes.push(LaneSpec { policy, tus });
             }
         }
         lanes
     }
 
     /// Checks everything a worker or service would otherwise reject
-    /// mid-run: a known workload name (a calibrated kernel, a
-    /// well-formed `gen:<family>:<seed>` scenario, or a `kern:<kernel>`
-    /// native driver), a non-empty valid lane grid, a non-zero fuel
-    /// budget, and a kernel registry matching this build.
+    /// mid-run or silently ignore: a known workload name (a calibrated
+    /// kernel, a well-formed `gen:<family>:<seed>` scenario, or a
+    /// `kern:<kernel>` native driver), a non-empty valid lane grid, a
+    /// non-zero fuel budget, and a kernel registry matching this build.
     ///
     /// # Errors
     ///
@@ -304,8 +252,11 @@ impl JobSpec {
             lane.save(enc);
         }
         enc.u64(self.total_fuel);
-        enc.bool(self.oracle);
-        enc.bool(self.dataspec);
+        // Two retired study flags (oracle, dataspec): replay jobs only
+        // ever compute the lane grid. Their constant bytes keep every
+        // fingerprint and frame as it was.
+        enc.bool(false);
+        enc.bool(false);
         enc.u64(self.kernel_registry);
     }
 
@@ -329,8 +280,14 @@ impl JobSpec {
             lanes.push(LaneSpec::load(dec)?);
         }
         let total_fuel = dec.u64()?;
-        let oracle = dec.bool()?;
-        let dataspec = dec.bool()?;
+        for what in [
+            "oracle flag (replay jobs compute the grid only)",
+            "dataspec flag (replay jobs compute the grid only)",
+        ] {
+            if dec.bool()? {
+                return Err(SnapError::Corrupt { what });
+            }
+        }
         let kernel_registry = dec.u64()?;
         let plan = Plan::load(dec)?;
         Ok(JobSpec {
@@ -341,8 +298,6 @@ impl JobSpec {
             lanes: Some(lanes),
             plan,
             total_fuel,
-            oracle,
-            dataspec,
             kernel_registry,
         })
     }
@@ -376,22 +331,26 @@ mod tests {
     #[test]
     fn builder_crosses_policies_with_tus() {
         let spec = JobSpec::new("go")
-            .policies([Policy::Idle, Policy::StrNested { limit: 2 }])
+            .policies([Policy::Idle, Policy::StrNested(2)])
             .tus([4, 8]);
+        let lane = |policy, tus| LaneSpec { policy, tus };
         assert_eq!(
             spec.lane_specs(),
             vec![
-                LaneSpec::Idle { tus: 4 },
-                LaneSpec::StrNested { limit: 2, tus: 4 },
-                LaneSpec::Idle { tus: 8 },
-                LaneSpec::StrNested { limit: 2, tus: 8 },
+                lane(Policy::Idle, 4),
+                lane(Policy::StrNested(2), 4),
+                lane(Policy::Idle, 8),
+                lane(Policy::StrNested(2), 8),
             ]
         );
     }
 
     #[test]
     fn explicit_lanes_override_the_cross_product() {
-        let lanes = vec![LaneSpec::Str { tus: 32 }];
+        let lanes = vec![LaneSpec {
+            policy: Policy::Str,
+            tus: 32,
+        }];
         let spec = JobSpec::new("compress").lanes(lanes.clone());
         assert_eq!(spec.lane_specs(), lanes);
     }
@@ -408,8 +367,6 @@ mod tests {
             base.clone().tus([2, 4]),
             base.clone().policies([Policy::Str]),
             base.clone().total_fuel(999),
-            base.clone().oracle(true),
-            base.clone().dataspec(true),
         ] {
             assert_ne!(base.fingerprint(), other.fingerprint(), "{other:?}");
         }
@@ -426,11 +383,10 @@ mod tests {
     fn wire_round_trip_preserves_fingerprint_and_grid() {
         let spec = JobSpec::new("compress")
             .scale(Scale::Small)
-            .policies([Policy::Str, Policy::StrNested { limit: 3 }])
+            .policies([Policy::Str, Policy::StrNested(3)])
             .tus([2, 16])
             .plan(Plan::split(4))
-            .total_fuel(1_000_000)
-            .oracle(true);
+            .total_fuel(1_000_000);
         let mut enc = Enc::new();
         spec.save(&mut enc);
         let bytes = enc.into_bytes();
@@ -441,7 +397,6 @@ mod tests {
         assert_eq!(back.lane_specs(), spec.lane_specs());
         assert_eq!(back.plan, spec.plan);
         assert_eq!(back.total_fuel, spec.total_fuel);
-        assert_eq!((back.oracle, back.dataspec), (spec.oracle, spec.dataspec));
     }
 
     #[test]
@@ -450,6 +405,27 @@ mod tests {
         assert!(JobSpec::new("compress").tus([]).validate().is_err());
         assert!(JobSpec::new("compress").tus([1]).validate().is_err());
         assert!(JobSpec::new("compress").total_fuel(0).validate().is_err());
+    }
+
+    #[test]
+    fn wire_decode_refuses_a_set_study_flag() {
+        // The oracle and dataspec bytes sit between the fuel budget and
+        // the 8-byte kernel registry; no replay driver computes either
+        // study, so a frame asking for one must not decode.
+        let spec = JobSpec::new("compress");
+        let mut enc = Enc::new();
+        spec.save_report_fields(&mut enc);
+        let flags_at = enc.into_bytes().len() - 10;
+        let mut enc = Enc::new();
+        spec.save(&mut enc);
+        let bytes = enc.into_bytes();
+        for (at, field) in [(flags_at, "oracle flag"), (flags_at + 1, "dataspec flag")] {
+            let mut set = bytes.clone();
+            assert_eq!(set[at], 0);
+            set[at] = 1;
+            let err = JobSpec::load(&mut Dec::new(&set)).unwrap_err();
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -66,7 +66,8 @@ pub use coordinator::{
     default_lanes, single_pass_outcome, Coordinator, DistError, DistOutcome, SuiteSpec, WorkerLink,
     WorkloadOutcome,
 };
-pub use job::{JobError, JobSpec, Policy};
+pub use job::{JobError, JobSpec};
+pub use loopspec_mt::Policy;
 pub use pool::{PoolEvent, Workers};
 pub use scheduler::{ChainSpec, Failure, Outcome, Scheduler, SchedulerStats};
 pub use wire::{

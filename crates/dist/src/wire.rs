@@ -34,7 +34,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use loopspec_core::snap::{fnv1a, Dec, Enc, FrameBuf, SnapError};
-use loopspec_mt::{EngineGrid, EngineReport, StreamError};
+use loopspec_mt::{EngineGrid, EngineReport, Policy, StreamError};
 use loopspec_workloads::Scale;
 
 use crate::job::JobSpec;
@@ -60,37 +60,18 @@ pub const PROTOCOL: u32 = 3;
 /// corrupt length prefix cannot balloon memory.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// One engine-lane configuration inside a [`Frame::Job`] — the wire
-/// twin of the three `EngineGrid::push_*` constructors.
+/// One engine-lane configuration inside a [`Frame::Job`]: a
+/// [`Policy`] at a thread-unit count, the wire twin of
+/// [`Policy::add_to_grid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneSpec {
-    /// `EngineGrid::push_idle(tus)`.
-    Idle {
-        /// Thread units.
-        tus: u32,
-    },
-    /// `EngineGrid::push_str(tus)`.
-    Str {
-        /// Thread units.
-        tus: u32,
-    },
-    /// `EngineGrid::push_str_nested(limit, tus)`.
-    StrNested {
-        /// The STR(i) nesting limit.
-        limit: u32,
-        /// Thread units.
-        tus: u32,
-    },
+pub struct LaneSpec {
+    /// The speculation policy.
+    pub policy: Policy,
+    /// Thread units.
+    pub tus: u32,
 }
 
 impl LaneSpec {
-    /// The thread-unit count of this lane.
-    pub fn tus(&self) -> u32 {
-        match *self {
-            LaneSpec::Idle { tus } | LaneSpec::Str { tus } | LaneSpec::StrNested { tus, .. } => tus,
-        }
-    }
-
     /// Checks the invariants `EngineGrid` would otherwise panic on, so
     /// a worker can reject a malformed job with a [`Frame::Error`]
     /// instead of dying.
@@ -98,16 +79,7 @@ impl LaneSpec {
         // Route through the grid's single TU-range check so admission
         // control and `EngineGrid`'s lane constructors reject the same
         // input with the same message.
-        loopspec_mt::validate_tus(self.tus() as usize)
-    }
-
-    /// Appends this lane to `grid`.
-    pub fn add_to(&self, grid: &mut EngineGrid) {
-        match *self {
-            LaneSpec::Idle { tus } => grid.push_idle(tus as usize),
-            LaneSpec::Str { tus } => grid.push_str(tus as usize),
-            LaneSpec::StrNested { limit, tus } => grid.push_str_nested(limit, tus as usize),
-        };
+        loopspec_mt::validate_tus(self.tus as usize)
     }
 
     /// Builds an [`EngineGrid`] with one lane per spec, in order.
@@ -119,42 +91,39 @@ impl LaneSpec {
         let mut grid = EngineGrid::new();
         for lane in lanes {
             lane.validate()?;
-            lane.add_to(&mut grid);
+            lane.policy.add_to_grid(&mut grid, lane.tus as usize);
         }
         Ok(grid)
     }
 
+    /// Appends the lane: a family tag (0 IDLE, 1 STR, 2 STR(i)), the
+    /// STR(i) limit, then the TU count.
     pub(crate) fn save(&self, enc: &mut Enc) {
-        match *self {
-            LaneSpec::Idle { tus } => {
-                enc.u8(0);
-                enc.u32(tus);
-            }
-            LaneSpec::Str { tus } => {
-                enc.u8(1);
-                enc.u32(tus);
-            }
-            LaneSpec::StrNested { limit, tus } => {
+        match self.policy {
+            Policy::Idle => enc.u8(0),
+            Policy::Str => enc.u8(1),
+            Policy::StrNested(limit) => {
                 enc.u8(2);
                 enc.u32(limit);
-                enc.u32(tus);
             }
         }
+        enc.u32(self.tus);
     }
 
     pub(crate) fn load(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match dec.u8()? {
-            0 => LaneSpec::Idle { tus: dec.u32()? },
-            1 => LaneSpec::Str { tus: dec.u32()? },
-            2 => LaneSpec::StrNested {
-                limit: dec.u32()?,
-                tus: dec.u32()?,
-            },
+        let policy = match dec.u8()? {
+            0 => Policy::Idle,
+            1 => Policy::Str,
+            2 => Policy::StrNested(dec.u32()?),
             _ => {
                 return Err(SnapError::Corrupt {
                     what: "lane spec tag",
                 })
             }
+        };
+        Ok(LaneSpec {
+            policy,
+            tus: dec.u32()?,
         })
     }
 }
@@ -820,9 +789,18 @@ mod tests {
                 workload: "compress".into(),
                 scale: Scale::Test,
                 lanes: vec![
-                    LaneSpec::Idle { tus: 4 },
-                    LaneSpec::Str { tus: 8 },
-                    LaneSpec::StrNested { limit: 3, tus: 2 },
+                    LaneSpec {
+                        policy: Policy::Idle,
+                        tus: 4,
+                    },
+                    LaneSpec {
+                        policy: Policy::Str,
+                        tus: 8,
+                    },
+                    LaneSpec {
+                        policy: Policy::StrNested(3),
+                        tus: 2,
+                    },
                 ],
                 shard: 2,
                 budget: 25_000,
@@ -1020,16 +998,41 @@ mod tests {
 
     #[test]
     fn lane_spec_validation_and_grid_building() {
-        assert!(LaneSpec::Str { tus: 4 }.validate().is_ok());
-        assert!(LaneSpec::Str { tus: 1 }.validate().is_err());
-        assert!(LaneSpec::Idle { tus: 5000 }.validate().is_err());
+        assert!(LaneSpec {
+            policy: Policy::Str,
+            tus: 4
+        }
+        .validate()
+        .is_ok());
+        assert!(LaneSpec {
+            policy: Policy::Str,
+            tus: 1
+        }
+        .validate()
+        .is_err());
+        assert!(LaneSpec {
+            policy: Policy::Idle,
+            tus: 5000
+        }
+        .validate()
+        .is_err());
         let grid = LaneSpec::build_grid(&[
-            LaneSpec::Idle { tus: 4 },
-            LaneSpec::StrNested { limit: 2, tus: 4 },
+            LaneSpec {
+                policy: Policy::Idle,
+                tus: 4,
+            },
+            LaneSpec {
+                policy: Policy::StrNested(2),
+                tus: 4,
+            },
         ])
         .unwrap();
         assert_eq!(grid.len(), 2);
-        assert!(LaneSpec::build_grid(&[LaneSpec::Str { tus: 0 }]).is_err());
+        assert!(LaneSpec::build_grid(&[LaneSpec {
+            policy: Policy::Str,
+            tus: 0
+        }])
+        .is_err());
     }
 
     #[test]

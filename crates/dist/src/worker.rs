@@ -229,6 +229,7 @@ pub fn maybe_serve_stdio() {
 mod tests {
     use super::*;
     use crate::wire::LaneSpec;
+    use loopspec_mt::Policy;
 
     /// Drives a worker over in-memory byte streams: scripted
     /// coordinator frames in, worker answers out.
@@ -259,7 +260,10 @@ mod tests {
             id,
             workload: "compress".into(),
             scale: Scale::Test,
-            lanes: vec![LaneSpec::Str { tus: 4 }],
+            lanes: vec![LaneSpec {
+                policy: Policy::Str,
+                tus: 4,
+            }],
             shard: 0,
             budget,
             total_fuel: RunLimits::default().max_instrs,
@@ -347,7 +351,10 @@ mod tests {
         // Invalid lane.
         let mut bad = job(10, 100, None);
         if let Frame::Job(j) = &mut bad {
-            j.lanes = vec![LaneSpec::Str { tus: 1 }];
+            j.lanes = vec![LaneSpec {
+                policy: Policy::Str,
+                tus: 1,
+            }];
         }
         let answers = converse(&[hello(), bad]);
         assert!(

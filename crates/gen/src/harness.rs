@@ -26,7 +26,7 @@ use std::fmt;
 
 use loopspec_core::{EventCollector, LoopEvent, LoopId};
 use loopspec_cpu::{Cpu, DecodedProgram, RunLimits};
-use loopspec_mt::{ideal_tpc, AnnotatedTrace, Engine, EngineGrid, StrNestedPolicy, StrPolicy};
+use loopspec_mt::{ideal_tpc, AnnotatedTrace, Engine, EngineGrid, Policy};
 use loopspec_pipeline::{Interp, Session, ShardedRun};
 
 use crate::family::{families, Family};
@@ -136,10 +136,10 @@ pub fn check_events(events: &[LoopEvent]) -> Result<(), String> {
 /// baseline, STR at two TU counts, and nested STR.
 fn make_grid() -> EngineGrid {
     let mut g = EngineGrid::new();
-    g.push_idle(4);
-    g.push_str(2);
-    g.push_str(4);
-    g.push_str_nested(2, 4);
+    Policy::Idle.add_to_grid(&mut g, 4);
+    Policy::Str.add_to_grid(&mut g, 2);
+    Policy::Str.add_to_grid(&mut g, 4);
+    Policy::StrNested(2).add_to_grid(&mut g, 4);
     g
 }
 
@@ -236,7 +236,7 @@ pub fn check_program(family: &Family, seed: u64, size: u32) -> Result<ProgramChe
         return Err(fail(format!("ideal TPC {} below 1", ideal.tpc)));
     }
     for tus in [2usize, 4, 8, 16] {
-        let r = Engine::new(&trace, StrPolicy::new(), tus).run();
+        let r = Engine::new(&trace, Policy::Str, tus).run();
         if r.spec.threads_spawned != r.spec.resolved() {
             return Err(fail(format!(
                 "STR@{tus}: {} spawned vs {} resolved",
@@ -256,7 +256,7 @@ pub fn check_program(family: &Family, seed: u64, size: u32) -> Result<ProgramChe
         }
     }
     {
-        let r = Engine::new(&trace, StrNestedPolicy::new(2), 4).run();
+        let r = Engine::new(&trace, Policy::StrNested(2), 4).run();
         if r.spec.threads_spawned != r.spec.resolved() {
             return Err(fail("STR-nested@4: spawned != resolved".into()));
         }

@@ -20,8 +20,8 @@
 //! front ends that produce bit-identical [`EngineReport`]s:
 //!
 //! * [`Engine`] — the batch driver: replays a fully built
-//!   [`AnnotatedTrace`] (required for oracle policies, which consult
-//!   future iteration counts);
+//!   [`AnnotatedTrace`], which also answers the oracle's questions about
+//!   future iteration counts;
 //! * [`EngineGrid`](crate::EngineGrid) — the streaming driver: consumes
 //!   raw `LoopEvent`s as the detector emits them for any number of
 //!   (policy × TU-count) lanes, buffering only a bounded run-ahead
@@ -32,7 +32,8 @@ use std::collections::VecDeque;
 use loopspec_core::LoopId;
 
 use crate::annotate::{AnnotatedTrace, TraceEventKind};
-use crate::policy::{SpecContext, SpeculationPolicy};
+use crate::grid::check_tus;
+use crate::policy::{IdleRule, OracleRule, Policy, Rule, SpecContext, StrNestedRule, StrRule};
 use crate::predictor::IterPredictor;
 use crate::stats::SpecStats;
 
@@ -118,13 +119,14 @@ struct OpenExec {
 ///   frontier passes [`EngineCore::iter_start_horizon`], the highest
 ///   position the spawn decision can consult.
 ///
-/// All per-execution state lives on one stack of open executions in
-/// detection order. Nesting is shallow (the CLS holds 16 loops) and the
-/// execution an event names is almost always the top, so every lookup
-/// scans from the top.
+/// `R` is the policy family's rule, so each family's core is
+/// monomorphized. All per-execution state lives on one stack of open
+/// executions in detection order. Nesting is shallow (the CLS holds 16
+/// loops) and the execution an event names is almost always the top, so
+/// every lookup scans from the top.
 #[derive(Debug)]
-pub(crate) struct EngineCore<P> {
-    policy: P,
+pub(crate) struct EngineCore<R> {
+    rule: R,
     total_tus: u64,
     tus_label: Option<usize>,
     nesting_limit: Option<u32>,
@@ -138,14 +140,11 @@ pub(crate) struct EngineCore<P> {
     stats: SpecStats,
 }
 
-/// Hard cap on finite TU counts (far above the paper's 16).
-const MAX_TUS: usize = 4096;
-
-impl<P: SpeculationPolicy> EngineCore<P> {
-    pub(crate) fn new(policy: P, total_tus: u64, tus_label: Option<usize>) -> Self {
-        let nesting_limit = policy.max_nonspec_nested();
+impl<R: Rule> EngineCore<R> {
+    pub(crate) fn new(rule: R, total_tus: u64, tus_label: Option<usize>) -> Self {
+        let nesting_limit = rule.nesting_limit();
         EngineCore {
-            policy,
+            rule,
             total_tus,
             tus_label,
             nesting_limit,
@@ -208,17 +207,18 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     /// `iter_pos` answers "at which stream position does iteration `j` of
     /// this execution start?" for any `j` up to the horizon (`None` when
     /// the iteration does not exist or starts at/after the horizon).
-    /// `remaining_from_feed` is ground truth for oracle policies — the
-    /// batch driver reads it off the annotated trace, streaming drivers
-    /// off an [`OracleFeed`](crate::OracleFeed) (feed-less streaming
-    /// drivers pass 0 and refuse future-knowledge policies).
+    /// `remaining_from_feed` is ground truth for the oracle — the batch
+    /// driver reads it off the annotated trace, streaming oracle lanes
+    /// off an [`OracleFeed`](crate::OracleFeed); history lanes pass 0.
+    /// `iter_pos` is generic, not `&dyn`: the spawn decision's binary
+    /// search calls it per probe, and each driver's lookup must inline.
     pub(crate) fn iter_start(
         &mut self,
         exec: u32,
         loop_id: LoopId,
         iter: u32,
         pos: u64,
-        iter_pos: &dyn Fn(u32) -> Option<u64>,
+        iter_pos: &impl Fn(u32) -> Option<u64>,
         remaining_from_feed: u32,
     ) {
         // Drivers only deliver iterations of open executions.
@@ -238,7 +238,6 @@ impl<P: SpeculationPolicy> EngineCore<P> {
             live.pop_front();
             self.live_total -= 1;
             self.stats.instr_to_outcome_sum += pos - seg.spawn_pos;
-            self.policy.on_thread_outcome(loop_id, true);
             let seg_virtual = seg.spawn_time as i128 - pos as i128;
             let cur_virtual = self.cur.spawn_time as i128 - self.cur.start_pos as i128;
             if seg_virtual <= cur_virtual {
@@ -272,9 +271,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
                     }
                 }
                 if let Some(g) = victim {
-                    // Policy squashes sacrifice *correct* speculation;
-                    // they do not count against a loop's suitability.
-                    let _ = self.squash(g, pos, false);
+                    self.squash(g, pos, false);
                     let _ =
                         self.attempt_spawn(k, loop_id, iter, pos, t, iter_pos, remaining_from_feed);
                 }
@@ -294,10 +291,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         total_iters: u32,
     ) {
         if let Some(k) = self.find(exec) {
-            let squashed = self.squash(k, pos, true);
-            for _ in 0..squashed {
-                self.policy.on_thread_outcome(loop_id, false);
-            }
+            self.squash(k, pos, true);
             let ended = self.open.remove(k);
             self.spare.push(ended.live);
         }
@@ -309,9 +303,9 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     /// Serializes the decision-machine state: the current thread's
     /// timing cursor, every live speculative segment, per-execution
     /// speculation bookkeeping, the open-execution stack, the iteration
-    /// predictor (LET) and the statistics counters. Policies are
-    /// reconstructed by the owner, not serialized: every policy a grid
-    /// lane runs is stateless. Segments are written sorted by
+    /// predictor (LET) and the statistics counters. Rules are
+    /// reconstructed by the owner, not serialized: every rule is
+    /// stateless. Segments are written sorted by
     /// `(exec, iter)` and speculation entries by `exec`, so equal state
     /// yields equal bytes. The configuration (TU count, nesting limit) is
     /// echoed for verification at load time.
@@ -365,7 +359,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     }
 
     /// Restores state written by [`EngineCore::save_state`] into a core
-    /// constructed with the **same configuration** (policy, TU count).
+    /// constructed with the **same configuration** (rule, TU count).
     ///
     /// Refuses, as [`SnapError::Corrupt`](loopspec_core::snap::SnapError),
     /// any state the open-execution stack cannot hold: duplicate open
@@ -495,13 +489,13 @@ impl<P: SpeculationPolicy> EngineCore<P> {
             instructions,
             cycles: self.cur.time_at(instructions),
             spec: self.stats,
-            policy: self.policy.name(),
+            policy: self.rule.name(),
             tus: self.tus_label,
         }
     }
 
-    /// Launches new speculative threads per the policy for the execution
-    /// at stack index `k`; returns how many. The policy's request is
+    /// Launches new speculative threads per the rule for the execution
+    /// at stack index `k`; returns how many. The rule's request is
     /// clamped to the idle TUs.
     ///
     /// Iterations whose start the current thread's speculative run-ahead
@@ -516,7 +510,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         iter: u32,
         pos: u64,
         t: u64,
-        iter_pos: &dyn Fn(u32) -> Option<u64>,
+        iter_pos: &impl Fn(u32) -> Option<u64>,
         remaining_from_feed: u32,
     ) -> u64 {
         let idle = self.idle();
@@ -532,7 +526,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
             predictor: &self.predictor,
             remaining_from_feed,
         };
-        let n = self.policy.threads_to_spawn(&ctx).min(idle);
+        let n = self.rule.threads_to_spawn(&ctx).min(idle);
         if n == 0 {
             return 0;
         }
@@ -573,7 +567,7 @@ impl<P: SpeculationPolicy> EngineCore<P> {
     /// freeing its TUs. `misspec = true` for loop-end squashes (phantom
     /// iterations), `false` for STR(i) policy squashes (correct work
     /// sacrificed).
-    fn squash(&mut self, k: usize, pos: u64, misspec: bool) -> u64 {
+    fn squash(&mut self, k: usize, pos: u64, misspec: bool) {
         let o = &mut self.open[k];
         let squashed = o.live.len() as u64;
         for (_, seg) in o.live.drain(..) {
@@ -586,39 +580,65 @@ impl<P: SpeculationPolicy> EngineCore<P> {
         } else {
             self.stats.squashed_policy += squashed;
         }
-        squashed
     }
 }
 
 /// The multithreaded control-speculation engine (paper §3.1), batch
 /// driver: replays a prebuilt [`AnnotatedTrace`].
 ///
-/// Drive it with [`Engine::run`]; it never mutates the trace and can be
-/// re-created cheaply for policy/TU sweeps. See the
-/// [crate docs](crate) for an end-to-end example and the module docs for
-/// the timing model. For single-pass processing without a materialized
-/// trace, use [`EngineGrid`](crate::EngineGrid) — both drivers
-/// produce identical reports.
+/// Build it with [`Engine::new`] for a history [`Policy`], or with
+/// [`Engine::oracle`] / [`Engine::oracle_unbounded`] for the Figure 5
+/// oracle, whose future knowledge the trace supplies. Drive it with
+/// [`Engine::run`]; it never mutates the trace and can be re-created
+/// cheaply for policy/TU sweeps. See the [crate docs](crate) for an
+/// end-to-end example and the module docs for the timing model. For
+/// single-pass processing without a materialized trace, use
+/// [`EngineGrid`](crate::EngineGrid) — both drivers produce identical
+/// reports.
 #[derive(Debug)]
-pub struct Engine<'a, P> {
+pub struct Engine<'a> {
     trace: &'a AnnotatedTrace,
-    policy: P,
+    /// `None` runs the oracle.
+    policy: Option<Policy>,
     total_tus: u64,
     tus_label: Option<usize>,
 }
 
-impl<'a, P: SpeculationPolicy> Engine<'a, P> {
-    /// Creates an engine with `num_tus` thread units (one of which is
-    /// always the non-speculative one).
+impl<'a> Engine<'a> {
+    /// Creates an engine running `policy` with `num_tus` thread units
+    /// (one of which is always the non-speculative one).
     ///
     /// # Panics
     ///
     /// Panics unless `2 <= num_tus <= 4096`.
-    pub fn new(trace: &'a AnnotatedTrace, policy: P, num_tus: usize) -> Self {
-        assert!(
-            (2..=MAX_TUS).contains(&num_tus),
-            "num_tus must be in 2..=4096 (got {num_tus}); use Engine::unbounded for the ideal machine"
-        );
+    pub fn new(trace: &'a AnnotatedTrace, policy: impl Into<Policy>, num_tus: usize) -> Self {
+        Engine::bounded(trace, Some(policy.into()), num_tus)
+    }
+
+    /// Creates an oracle engine with `num_tus` thread units: at every
+    /// iteration start it spawns exactly the execution's actual
+    /// remaining iterations, read off the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= num_tus <= 4096`.
+    pub fn oracle(trace: &'a AnnotatedTrace, num_tus: usize) -> Self {
+        Engine::bounded(trace, None, num_tus)
+    }
+
+    /// Creates an oracle engine with an unbounded TU pool — the ideal
+    /// machine of the paper's Figure 5.
+    pub fn oracle_unbounded(trace: &'a AnnotatedTrace) -> Self {
+        Engine {
+            trace,
+            policy: None,
+            total_tus: u64::MAX,
+            tus_label: None,
+        }
+    }
+
+    fn bounded(trace: &'a AnnotatedTrace, policy: Option<Policy>, num_tus: usize) -> Self {
+        check_tus(num_tus);
         Engine {
             trace,
             policy,
@@ -627,37 +647,19 @@ impl<'a, P: SpeculationPolicy> Engine<'a, P> {
         }
     }
 
-    /// Creates an engine with an unbounded TU pool — the ideal machine of
-    /// the paper's Figure 5.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the policy could over-speculate without a TU bound
-    /// (only oracle-style policies report
-    /// [`SpeculationPolicy::supports_unbounded_tus`]).
-    pub fn unbounded(trace: &'a AnnotatedTrace, policy: P) -> Self {
-        assert!(
-            policy.supports_unbounded_tus(),
-            "policy {} cannot run with unbounded TUs",
-            policy.name()
-        );
-        Engine {
-            trace,
-            policy,
-            total_tus: u64::MAX,
-            tus_label: None,
+    /// Runs the engine over the whole trace.
+    pub fn run(self) -> EngineReport {
+        match self.policy {
+            Some(Policy::Idle) => self.drive(IdleRule),
+            Some(Policy::Str) => self.drive(StrRule),
+            Some(Policy::StrNested(i)) => self.drive(StrNestedRule(i)),
+            None => self.drive(OracleRule),
         }
     }
 
-    /// Runs the engine over the whole trace.
-    pub fn run(self) -> EngineReport {
-        let Engine {
-            trace,
-            policy,
-            total_tus,
-            tus_label,
-        } = self;
-        let mut core = EngineCore::new(policy, total_tus, tus_label);
+    fn drive<R: Rule>(self, rule: R) -> EngineReport {
+        let trace = self.trace;
+        let mut core = EngineCore::new(rule, self.total_tus, self.tus_label);
 
         for ev in &trace.events {
             let exec = ev.exec.0;
@@ -688,7 +690,7 @@ impl<'a, P: SpeculationPolicy> Engine<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{IdlePolicy, OraclePolicy, StrNestedPolicy, StrPolicy};
+    use crate::policy::{Policy, StrRule};
     use loopspec_asm::ProgramBuilder;
     use loopspec_core::snap::{Dec, Enc, SnapError};
     use loopspec_core::EventCollector;
@@ -709,7 +711,7 @@ mod tests {
     #[test]
     fn sequential_trace_has_tpc_one() {
         let trace = trace_of(|b| b.work(50));
-        let r = Engine::new(&trace, StrPolicy::new(), 4).run();
+        let r = Engine::new(&trace, Policy::Str, 4).run();
         assert_eq!(r.cycles, r.instructions);
         assert!((r.tpc() - 1.0).abs() < 1e-12);
         assert_eq!(r.spec.threads_spawned, 0);
@@ -740,7 +742,7 @@ mod tests {
             pos: 100,
         });
         let trace = AnnotatedTrace::build(&ev, 100);
-        let r = Engine::unbounded(&trace, OraclePolicy::new()).run();
+        let r = Engine::oracle_unbounded(&trace).run();
         // Critical path: 10 cycles to reach the loop detection point plus
         // 10 cycles for every thread to finish its 10-instruction
         // iteration — all iterations overlap.
@@ -753,7 +755,7 @@ mod tests {
     #[test]
     fn two_tus_cap_tpc_at_two() {
         let trace = trace_of(|b| b.counted_loop(200, |b, _| b.work(30)));
-        let r = Engine::new(&trace, IdlePolicy::new(), 2).run();
+        let r = Engine::new(&trace, Policy::Idle, 2).run();
         assert!(r.tpc() > 1.4, "tpc = {}", r.tpc());
         assert!(r.tpc() <= 2.0 + 1e-9);
     }
@@ -761,9 +763,9 @@ mod tests {
     #[test]
     fn more_tus_do_not_hurt_a_simple_loop() {
         let trace = trace_of(|b| b.counted_loop(100, |b, _| b.work(25)));
-        let r2 = Engine::new(&trace, StrPolicy::new(), 2).run();
-        let r4 = Engine::new(&trace, StrPolicy::new(), 4).run();
-        let r8 = Engine::new(&trace, StrPolicy::new(), 8).run();
+        let r2 = Engine::new(&trace, Policy::Str, 2).run();
+        let r4 = Engine::new(&trace, Policy::Str, 4).run();
+        let r8 = Engine::new(&trace, Policy::Str, 8).run();
         assert!(r4.tpc() >= r2.tpc() - 1e-9);
         assert!(r8.tpc() >= r4.tpc() - 1e-9);
         assert!(r8.tpc() > 3.0, "single hot loop should scale: {}", r8.tpc());
@@ -778,7 +780,7 @@ mod tests {
                 b.counted_loop(20, |b, _| b.work(10));
             });
         });
-        let r = Engine::new(&trace, IdlePolicy::new(), 8).run();
+        let r = Engine::new(&trace, Policy::Idle, 8).run();
         assert!(
             r.spec.squashed_misspec > 0,
             "IDLE should overshoot: {:?}",
@@ -800,8 +802,8 @@ mod tests {
                 b.call_func("kernel");
             }
         });
-        let idle = Engine::new(&trace, IdlePolicy::new(), 8).run();
-        let strp = Engine::new(&trace, StrPolicy::new(), 8).run();
+        let idle = Engine::new(&trace, Policy::Idle, 8).run();
+        let strp = Engine::new(&trace, Policy::Str, 8).run();
         assert!(
             strp.spec.squashed_misspec < idle.spec.squashed_misspec,
             "STR {:?} vs IDLE {:?}",
@@ -823,8 +825,8 @@ mod tests {
                 }
             });
         });
-        let str_plain = Engine::new(&trace, StrPolicy::new(), 4).run();
-        let str1 = Engine::new(&trace, StrNestedPolicy::new(1), 4).run();
+        let str_plain = Engine::new(&trace, Policy::Str, 4).run();
+        let str1 = Engine::new(&trace, Policy::StrNested(1), 4).run();
         assert_eq!(str_plain.spec.squashed_policy, 0);
         assert!(
             str1.spec.squashed_policy > 0,
@@ -840,7 +842,7 @@ mod tests {
                 b.counted_loop(10, |b, _| b.work(5));
             });
         });
-        let r = Engine::new(&trace, StrPolicy::new(), 4).run();
+        let r = Engine::new(&trace, Policy::Str, 4).run();
         assert_eq!(
             r.spec.threads_spawned,
             r.spec.resolved(),
@@ -853,9 +855,9 @@ mod tests {
 
     /// A STR@4 core driven through a loop nest until it holds live
     /// speculative threads with two executions open.
-    fn core_with_live_threads() -> EngineCore<StrPolicy> {
+    fn core_with_live_threads() -> EngineCore<StrRule> {
         let trace = trace_of(|b| b.counted_loop(3, |b, _| b.counted_loop(50, |b, _| b.work(10))));
-        let mut core = EngineCore::new(StrPolicy::new(), 4, Some(4));
+        let mut core = EngineCore::new(StrRule, 4, Some(4));
         for ev in &trace.events {
             let info = trace.exec(ev.exec);
             match ev.kind {
@@ -900,7 +902,7 @@ mod tests {
     }
 
     impl Section {
-        fn of(core: &EngineCore<StrPolicy>) -> Section {
+        fn of(core: &EngineCore<StrRule>) -> Section {
             let mut enc = Enc::new();
             core.save_state(&mut enc);
             let bytes = enc.into_bytes();
@@ -976,7 +978,7 @@ mod tests {
         /// that succeeds must round-trip to the same bytes.
         fn load(&self) -> Result<(), SnapError> {
             let bytes = self.encode();
-            let mut fresh = EngineCore::new(StrPolicy::new(), 4, Some(4));
+            let mut fresh = EngineCore::new(StrRule, 4, Some(4));
             let mut src = Dec::new(&bytes);
             fresh.load_state(&mut src)?;
             src.finish()?;
@@ -1106,20 +1108,13 @@ mod tests {
     #[should_panic(expected = "num_tus must be in 2..=4096")]
     fn rejects_one_tu() {
         let trace = trace_of(|b| b.work(1));
-        let _ = Engine::new(&trace, StrPolicy::new(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot run with unbounded TUs")]
-    fn rejects_unbounded_idle() {
-        let trace = trace_of(|b| b.work(1));
-        let _ = Engine::unbounded(&trace, IdlePolicy::new());
+        let _ = Engine::new(&trace, Policy::Str, 1);
     }
 
     #[test]
     fn empty_trace_reports_tpc_one() {
         let trace = AnnotatedTrace::build(&[], 0);
-        let r = Engine::new(&trace, StrPolicy::new(), 4).run();
+        let r = Engine::new(&trace, Policy::Str, 4).run();
         assert_eq!(r.cycles, 0);
         assert_eq!(r.tpc(), 1.0);
     }

@@ -46,7 +46,7 @@ use loopspec_core::{LoopEvent, LoopEventSink, LoopId};
 
 use crate::engine::{EngineCore, EngineReport};
 use crate::oracle::OracleFeed;
-use crate::policy::{IdlePolicy, OraclePolicy, StrNestedPolicy, StrPolicy};
+use crate::policy::{IdleRule, OracleRule, Policy, StrNestedRule, StrRule};
 
 /// Why a lane configuration was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +72,9 @@ impl std::error::Error for StreamError {}
 
 /// Validates a finite TU count — the single source of the supported
 /// range and of the [`StreamError::BadTus`] error, shared by the
-/// grid's lane constructors and by the `dist` layer's job admission, so
-/// a bad TU count reads identically wherever it is rejected.
+/// grid's lane constructors, the batch [`Engine`](crate::Engine) and
+/// the `dist` layer's job admission, so a bad TU count reads
+/// identically wherever it is rejected.
 pub fn validate_tus(num_tus: usize) -> Result<(), StreamError> {
     if (2..=4096).contains(&num_tus) {
         Ok(())
@@ -82,12 +83,12 @@ pub fn validate_tus(num_tus: usize) -> Result<(), StreamError> {
     }
 }
 
-/// Panicking form of [`validate_tus`] for the lane constructors.
+/// Panicking form of [`validate_tus`] for the engine constructors.
 ///
 /// # Panics
 ///
 /// Panics unless `2 <= num_tus <= 4096`.
-fn check_tus(num_tus: usize) {
+pub(crate) fn check_tus(num_tus: usize) {
     if let Err(e) = validate_tus(num_tus) {
         panic!("{e}");
     }
@@ -481,15 +482,15 @@ struct Lane {
 }
 
 /// The paper's three history-based policy families plus the two-phase
-/// oracle, monomorphized. An oracle lane carries its own
+/// oracle, one monomorphized core each. An oracle lane carries its own
 /// [`OracleFeed`] — the phase-1 recording it answers future-knowledge
 /// questions from.
 #[derive(Debug)]
 enum LaneCore {
-    Idle(EngineCore<IdlePolicy>),
-    Str(EngineCore<StrPolicy>),
-    StrNested(EngineCore<StrNestedPolicy>),
-    Oracle(EngineCore<OraclePolicy>, OracleFeed),
+    Idle(EngineCore<IdleRule>),
+    Str(EngineCore<StrRule>),
+    StrNested(EngineCore<StrNestedRule>),
+    Oracle(EngineCore<OracleRule>, OracleFeed),
 }
 
 impl LaneCore {
@@ -520,7 +521,7 @@ impl LaneCore {
         loop_id: LoopId,
         iter: u32,
         pos: u64,
-        iter_pos: &dyn Fn(u32) -> Option<u64>,
+        iter_pos: &impl Fn(u32) -> Option<u64>,
     ) {
         match self {
             LaneCore::Idle(c) => c.iter_start(exec, loop_id, iter, pos, iter_pos, 0),
@@ -595,16 +596,15 @@ impl LaneCore {
 /// A set of streaming speculation engines sharing one annotation pass —
 /// the experiment grid (or a single engine) as one [`LoopEventSink`].
 ///
-/// Add lanes with [`EngineGrid::push_idle`], [`EngineGrid::push_str`],
-/// [`EngineGrid::push_str_nested`], [`EngineGrid::push_oracle`] and
-/// [`EngineGrid::push_oracle_unbounded`] (each returns the lane's
+/// Add lanes with [`Policy::add_to_grid`], [`EngineGrid::push_oracle`]
+/// and [`EngineGrid::push_oracle_unbounded`] (each returns the lane's
 /// index), register the grid in a `loopspec_pipeline::Session` (or feed
 /// it events directly), and read the per-lane reports after the stream
 /// ends.
 ///
 /// ```
 /// use loopspec_core::LoopEventSink;
-/// use loopspec_mt::EngineGrid;
+/// use loopspec_mt::{EngineGrid, Policy};
 /// # use loopspec_asm::ProgramBuilder;
 /// # use loopspec_core::EventCollector;
 /// # use loopspec_cpu::{Cpu, RunLimits};
@@ -616,8 +616,8 @@ impl LaneCore {
 /// # Cpu::new().run(&program, &mut c, RunLimits::default())?;
 /// # let (events, n) = c.into_parts();
 /// let mut grid = EngineGrid::new();
-/// let str4 = grid.push_str(4);
-/// let idle8 = grid.push_idle(8);
+/// let str4 = Policy::Str.add_to_grid(&mut grid, 4);
+/// let idle8 = Policy::Idle.add_to_grid(&mut grid, 8);
 /// grid.on_loop_events(&events);
 /// grid.on_stream_end(n);
 /// assert!(grid.report(str4).unwrap().tpc() > 1.0);
@@ -653,52 +653,15 @@ impl EngineGrid {
         self.lanes.len() - 1
     }
 
-    /// Adds an IDLE-policy lane with `tus` thread units; returns its
-    /// lane index.
+    /// Adds an STR lane with `tus` thread units; returns its lane index.
+    /// A forward to [`Policy::add_to_grid`], kept because the benchmark
+    /// crate builds its one-lane grids with it.
     ///
     /// # Panics
     ///
-    /// Panics unless `2 <= tus <= 4096`, or if events were already
-    /// delivered.
-    pub fn push_idle(&mut self, tus: usize) -> usize {
-        check_tus(tus);
-        self.push_lane(LaneCore::Idle(EngineCore::new(
-            IdlePolicy::new(),
-            tus as u64,
-            Some(tus),
-        )))
-    }
-
-    /// Adds an STR-policy lane with `tus` thread units; returns its lane
-    /// index.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= tus <= 4096`, or if events were already
-    /// delivered.
+    /// As [`Policy::add_to_grid`].
     pub fn push_str(&mut self, tus: usize) -> usize {
-        check_tus(tus);
-        self.push_lane(LaneCore::Str(EngineCore::new(
-            StrPolicy::new(),
-            tus as u64,
-            Some(tus),
-        )))
-    }
-
-    /// Adds an STR(`limit`)-policy lane with `tus` thread units; returns
-    /// its lane index.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= tus <= 4096`, or if events were already
-    /// delivered.
-    pub fn push_str_nested(&mut self, limit: u32, tus: usize) -> usize {
-        check_tus(tus);
-        self.push_lane(LaneCore::StrNested(EngineCore::new(
-            StrNestedPolicy::new(limit),
-            tus as u64,
-            Some(tus),
-        )))
+        Policy::Str.add_to_grid(self, tus)
     }
 
     /// Adds a two-phase-oracle lane with `tus` thread units, answering
@@ -713,7 +676,7 @@ impl EngineGrid {
     pub fn push_oracle(&mut self, tus: usize, feed: OracleFeed) -> usize {
         check_tus(tus);
         self.push_lane(LaneCore::Oracle(
-            EngineCore::new(OraclePolicy::new(), tus as u64, Some(tus)),
+            EngineCore::new(OracleRule, tus as u64, Some(tus)),
             feed,
         ))
     }
@@ -727,7 +690,7 @@ impl EngineGrid {
     /// Panics if events were already delivered.
     pub fn push_oracle_unbounded(&mut self, feed: OracleFeed) -> usize {
         self.push_lane(LaneCore::Oracle(
-            EngineCore::new(OraclePolicy::new(), u64::MAX, None),
+            EngineCore::new(OracleRule, u64::MAX, None),
             feed,
         ))
     }
@@ -859,6 +822,28 @@ impl EngineGrid {
     }
 }
 
+impl Policy {
+    /// Adds a lane running this policy with `tus` thread units to
+    /// `grid`; returns its lane index. The one constructor of
+    /// history-policy lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= tus <= 4096`, or if events were already
+    /// delivered.
+    pub fn add_to_grid(self, grid: &mut EngineGrid, tus: usize) -> usize {
+        check_tus(tus);
+        let (total, label) = (tus as u64, Some(tus));
+        grid.push_lane(match self {
+            Policy::Idle => LaneCore::Idle(EngineCore::new(IdleRule, total, label)),
+            Policy::Str => LaneCore::Str(EngineCore::new(StrRule, total, label)),
+            Policy::StrNested(i) => {
+                LaneCore::StrNested(EngineCore::new(StrNestedRule(i), total, label))
+            }
+        })
+    }
+}
+
 /// Serializes the whole grid: the shared annotation state, the shared
 /// annotated-event queue, and each lane's read cursor plus decision-core
 /// state. The lane list itself (policy families, TU counts) is
@@ -871,7 +856,7 @@ impl EngineGrid {
 /// ```
 /// use loopspec_core::snap::{Dec, Enc};
 /// use loopspec_core::{LoopEventSink, SnapshotState};
-/// use loopspec_mt::EngineGrid;
+/// use loopspec_mt::{EngineGrid, Policy};
 /// # use loopspec_asm::ProgramBuilder;
 /// # use loopspec_core::EventCollector;
 /// # use loopspec_cpu::{Cpu, RunLimits};
@@ -884,7 +869,7 @@ impl EngineGrid {
 /// # let (events, n) = c.into_parts();
 /// let make = || {
 ///     let mut g = EngineGrid::new();
-///     g.push_str(4);
+///     Policy::Str.add_to_grid(&mut g, 4);
 ///     g
 /// };
 /// let mut grid = make();
@@ -1023,7 +1008,6 @@ mod tests {
     use super::*;
     use crate::annotate::AnnotatedTrace;
     use crate::engine::Engine;
-    use crate::policy::{IdlePolicy, StrNestedPolicy, StrPolicy};
     use loopspec_core::EventCollector;
     use loopspec_cpu::{Cpu, RunLimits};
 
@@ -1038,32 +1022,17 @@ mod tests {
         c.into_parts()
     }
 
-    fn full_grid() -> (EngineGrid, Vec<&'static str>) {
+    /// The paper's 20-lane grid and its `(policy, tus)` points.
+    fn full_grid() -> (EngineGrid, Vec<(Policy, usize)>) {
         let mut grid = EngineGrid::new();
-        let mut labels = Vec::new();
+        let mut points = Vec::new();
         for tus in [2usize, 4, 8, 16] {
-            grid.push_idle(tus);
-            labels.push("IDLE");
-            grid.push_str(tus);
-            labels.push("STR");
-            for i in 1..=3 {
-                grid.push_str_nested(i, tus);
-                labels.push("STR(i)");
+            for p in Policy::ALL {
+                p.add_to_grid(&mut grid, tus);
+                points.push((p, tus));
             }
         }
-        (grid, labels)
-    }
-
-    fn batch_for(trace: &AnnotatedTrace, label: &str, lane: usize) -> EngineReport {
-        let tus = [2usize, 4, 8, 16][lane / 5];
-        match label {
-            "IDLE" => Engine::new(trace, IdlePolicy::new(), tus).run(),
-            "STR" => Engine::new(trace, StrPolicy::new(), tus).run(),
-            _ => {
-                let i = (lane % 5 - 1) as u32;
-                Engine::new(trace, StrNestedPolicy::new(i), tus).run()
-            }
-        }
+        (grid, points)
     }
 
     #[test]
@@ -1077,18 +1046,19 @@ mod tests {
         });
         let trace = AnnotatedTrace::build(&events, n);
         for chunk in [1usize, 7, 256, events.len()] {
-            let (mut grid, labels) = full_grid();
+            let (mut grid, points) = full_grid();
             assert_eq!(grid.len(), 20);
             for c in events.chunks(chunk) {
                 grid.on_loop_events(c);
             }
             grid.on_stream_end(n);
             assert_eq!(grid.events_seen(), events.len() as u64);
-            for (lane, label) in labels.iter().enumerate() {
+            for (lane, &(p, tus)) in points.iter().enumerate() {
                 assert_eq!(
                     grid.report(lane).unwrap(),
-                    &batch_for(&trace, label, lane),
-                    "lane {lane} ({label}) @ chunk {chunk}"
+                    &Engine::new(&trace, p, tus).run(),
+                    "lane {lane} ({}) @ chunk {chunk}",
+                    p.name()
                 );
             }
         }
@@ -1108,12 +1078,12 @@ mod tests {
         });
         let trace = AnnotatedTrace::build(&events, n);
         let mut grid = EngineGrid::new();
-        let lane = grid.push_str(8);
+        let lane = Policy::Str.add_to_grid(&mut grid, 8);
         assert!(grid.report(lane).is_none(), "no report before stream end");
         grid.on_loop_events(&events);
         grid.on_stream_end(n);
         let report = grid.report(lane).unwrap();
-        assert_eq!(report, &Engine::new(&trace, StrPolicy::new(), 8).run());
+        assert_eq!(report, &Engine::new(&trace, Policy::Str, 8).run());
         assert!(report.spec.verified > 0);
     }
 
@@ -1121,7 +1091,7 @@ mod tests {
     fn sequential_stream_has_tpc_one() {
         let (events, n) = events_of(|b| b.work(50));
         let mut grid = EngineGrid::new();
-        let lane = grid.push_str(4);
+        let lane = Policy::Str.add_to_grid(&mut grid, 4);
         grid.on_loop_events(&events);
         grid.on_stream_end(n);
         let report = grid.report(lane).unwrap();
@@ -1141,12 +1111,12 @@ mod tests {
         let trace = AnnotatedTrace::build(&events, n);
 
         let mut grid = EngineGrid::new();
-        let lane = grid.push_str(4);
+        let lane = Policy::Str.add_to_grid(&mut grid, 4);
         grid.on_loop_events(&events);
         grid.on_stream_end(n);
         assert_eq!(
             grid.report(lane).unwrap(),
-            &Engine::new(&trace, StrPolicy::new(), 4).run()
+            &Engine::new(&trace, Policy::Str, 4).run()
         );
     }
 
@@ -1183,7 +1153,6 @@ mod tests {
     #[test]
     fn oracle_lanes_match_batch_oracle() {
         use crate::oracle::IterationCountLog;
-        use crate::policy::OraclePolicy;
 
         let (events, n) = events_of(|b| {
             b.counted_loop(8, |b, _| {
@@ -1204,24 +1173,24 @@ mod tests {
             let mut grid = EngineGrid::new();
             let o4 = grid.push_oracle(4, feed.clone());
             let ideal = grid.push_oracle_unbounded(feed.clone());
-            let str4 = grid.push_str(4);
+            let str4 = Policy::Str.add_to_grid(&mut grid, 4);
             for c in events.chunks(chunk) {
                 grid.on_loop_events(c);
             }
             grid.on_stream_end(n);
             assert_eq!(
                 grid.report(o4).unwrap(),
-                &Engine::new(&trace, OraclePolicy::new(), 4).run(),
+                &Engine::oracle(&trace, 4).run(),
                 "ORACLE@4 chunk {chunk}"
             );
             assert_eq!(
                 grid.report(ideal).unwrap(),
-                &Engine::unbounded(&trace, OraclePolicy::new()).run(),
+                &Engine::oracle_unbounded(&trace).run(),
                 "ideal chunk {chunk}"
             );
             assert_eq!(
                 grid.report(str4).unwrap(),
-                &Engine::new(&trace, StrPolicy::new(), 4).run(),
+                &Engine::new(&trace, Policy::Str, 4).run(),
                 "STR@4 beside oracle lanes, chunk {chunk}"
             );
         }
@@ -1245,23 +1214,23 @@ mod tests {
         let (events, _) = events_of(|b| b.counted_loop(20, |b, _| b.work(8)));
         let idle_str = || {
             let mut g = EngineGrid::new();
-            g.push_idle(4);
-            g.push_str(4);
+            Policy::Idle.add_to_grid(&mut g, 4);
+            Policy::Str.add_to_grid(&mut g, 4);
             g
         };
         let bytes = snapshot_of(idle_str(), &events);
         load_into(idle_str(), &bytes).expect("same lanes restore");
 
         let mut one_lane = EngineGrid::new();
-        one_lane.push_idle(4);
+        Policy::Idle.add_to_grid(&mut one_lane, 4);
         assert_eq!(
             load_into(one_lane, &bytes),
             Err(SnapError::Mismatch { what: "lane count" })
         );
 
         let mut reordered = EngineGrid::new();
-        reordered.push_str(4);
-        reordered.push_idle(4);
+        Policy::Str.add_to_grid(&mut reordered, 4);
+        Policy::Idle.add_to_grid(&mut reordered, 4);
         assert_eq!(
             load_into(reordered, &bytes),
             Err(SnapError::Mismatch {
@@ -1309,8 +1278,8 @@ mod tests {
         });
         let make = || {
             let mut g = EngineGrid::new();
-            g.push_idle(4);
-            g.push_str(4);
+            Policy::Idle.add_to_grid(&mut g, 4);
+            Policy::Str.add_to_grid(&mut g, 4);
             g
         };
         let mut grid = make();
@@ -1387,7 +1356,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "num_tus must be in 2..=4096")]
     fn rejects_one_tu() {
-        let _ = EngineGrid::new().push_str(1);
+        let _ = Policy::Str.add_to_grid(&mut EngineGrid::new(), 1);
     }
 
     #[test]
@@ -1395,8 +1364,8 @@ mod tests {
     fn rejects_late_lanes() {
         let (events, _) = events_of(|b| b.counted_loop(5, |b, _| b.work(3)));
         let mut grid = EngineGrid::new();
-        grid.push_str(4);
+        Policy::Str.add_to_grid(&mut grid, 4);
         grid.on_loop_events(&events);
-        grid.push_idle(4);
+        Policy::Idle.add_to_grid(&mut grid, 4);
     }
 }

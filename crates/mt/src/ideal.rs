@@ -16,7 +16,6 @@ use crate::annotate::AnnotatedTrace;
 use crate::engine::Engine;
 use crate::grid::EngineGrid;
 use crate::oracle::{IterationCountLog, OracleFeed};
-use crate::policy::OraclePolicy;
 
 /// Result of the ideal-machine experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +66,7 @@ impl From<crate::engine::EngineReport> for IdealReport {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn ideal_tpc(trace: &AnnotatedTrace) -> IdealReport {
-    Engine::unbounded(trace, OraclePolicy::new()).run().into()
+    Engine::oracle_unbounded(trace).run().into()
 }
 
 /// The two-phase streaming Figure 5: phase 1 streams `events` through an

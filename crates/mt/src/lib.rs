@@ -16,9 +16,12 @@
 //!   event list;
 //! * [`IterPredictor`] — the LET-backed iteration-count stride predictor
 //!   with a two-bit confidence counter (the paper's STR machinery);
-//! * [`SpeculationPolicy`] — IDLE, STR and STR(i) from §3.1.2, plus the
-//!   oracle used for the infinite-TU potential study (Figure 5), which
-//!   runs streaming through the **two-phase oracle** ([`IterationCountLog`]
+//! * [`Policy`] — IDLE, STR and STR(i) from §3.1.2, the one policy
+//!   type from the engine to the wire. The oracle of the infinite-TU
+//!   potential study (Figure 5) is not a `Policy`: it is built only by
+//!   constructors that supply its future knowledge
+//!   ([`Engine::oracle`], [`EngineGrid::push_oracle`]), and it runs
+//!   streaming through the **two-phase oracle** ([`IterationCountLog`]
 //!   records per-execution iteration counts in a forward pass, an
 //!   [`OracleFeed`] replays them into oracle lanes in a second
 //!   streaming pass);
@@ -45,7 +48,7 @@
 //! use loopspec_asm::ProgramBuilder;
 //! use loopspec_cpu::{Cpu, RunLimits};
 //! use loopspec_core::EventCollector;
-//! use loopspec_mt::{AnnotatedTrace, Engine, StrPolicy};
+//! use loopspec_mt::{AnnotatedTrace, Engine, Policy};
 //!
 //! let mut b = ProgramBuilder::new();
 //! b.counted_loop(50, |b, _| b.work(20));
@@ -56,7 +59,7 @@
 //! let (events, n) = c.into_parts();
 //! let trace = AnnotatedTrace::build(&events, n);
 //!
-//! let report = Engine::new(&trace, StrPolicy::new(), 4).run();
+//! let report = Engine::new(&trace, Policy::Str, 4).run();
 //! assert!(report.tpc() > 1.5, "4 TUs should overlap iterations");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -78,9 +81,6 @@ pub use engine::{Engine, EngineReport};
 pub use grid::{validate_tus, EngineGrid, StreamError};
 pub use ideal::{ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, IdealReport};
 pub use oracle::{IterationCountLog, OracleFeed};
-pub use policy::{
-    IdlePolicy, OraclePolicy, SpecContext, SpeculationPolicy, StrNestedPolicy, StrPolicy,
-    SuitabilityFilter,
-};
+pub use policy::{Policy, StrPolicy};
 pub use predictor::{IterPrediction, IterPredictor};
 pub use stats::SpecStats;

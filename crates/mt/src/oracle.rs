@@ -1,9 +1,8 @@
 //! The two-phase streaming oracle (paper Figure 5 without a
 //! materialized trace).
 //!
-//! Oracle policies consult the *future*: when an iteration starts,
-//! [`OraclePolicy`](crate::OraclePolicy) spawns exactly the actual
-//! remaining iterations of that execution. The batch
+//! The oracle consults the *future*: when an iteration starts, it
+//! spawns exactly the actual remaining iterations of that execution. The batch
 //! [`Engine`](crate::Engine) answers that question from a fully built
 //! [`AnnotatedTrace`](crate::AnnotatedTrace) — O(trace) memory, a
 //! second materialized pass. This module replaces that with the shape
@@ -23,8 +22,7 @@
 //!   [`push_oracle_unbounded`](crate::EngineGrid::push_oracle_unbounded).
 //!   At every
 //!   iteration start the driver looks the execution's total up in the
-//!   feed and hands the policy its ground truth through
-//!   [`SpecContext::remaining_from_feed`](crate::SpecContext).
+//!   feed and hands the oracle its ground truth.
 //!
 //! Reports are **bit-identical** to the batch oracle (the
 //! `oracle_equivalence` suite proves it on all 18 workloads): the feed

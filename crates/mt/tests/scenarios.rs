@@ -1,13 +1,10 @@
 //! Engine scenarios on assembled programs: predictor warm-up, STR(i)
-//! rescue of inner loops, the suitability filter, and stale-thread
-//! handling.
+//! rescue of inner loops, and stale-thread handling.
 
 use loopspec_asm::ProgramBuilder;
 use loopspec_core::EventCollector;
 use loopspec_cpu::{Cpu, RunLimits};
-use loopspec_mt::{
-    AnnotatedTrace, Engine, IdlePolicy, StrNestedPolicy, StrPolicy, SuitabilityFilter,
-};
+use loopspec_mt::{AnnotatedTrace, Engine, Policy};
 
 fn trace_of(build: impl FnOnce(&mut ProgramBuilder)) -> AnnotatedTrace {
     let mut b = ProgramBuilder::new();
@@ -38,8 +35,8 @@ fn repeated_kernel(reps: usize, trips: i64) -> AnnotatedTrace {
 #[test]
 fn predictor_eliminates_phantoms_after_warmup() {
     let trace = repeated_kernel(10, 20);
-    let idle = Engine::new(&trace, IdlePolicy::new(), 8).run();
-    let strp = Engine::new(&trace, StrPolicy::new(), 8).run();
+    let idle = Engine::new(&trace, Policy::Idle, 8).run();
+    let strp = Engine::new(&trace, Policy::Str, 8).run();
     // IDLE overshoots every execution's end; STR only the first
     // (untrained) one.
     assert!(idle.spec.squashed_misspec >= 9 * 2);
@@ -64,8 +61,8 @@ fn str_nested_rescues_inner_loops_from_a_hoarding_outer() {
         });
     };
     let trace = trace_of(build);
-    let plain = Engine::new(&trace, StrPolicy::new(), 4).run();
-    let nested = Engine::new(&trace, StrNestedPolicy::new(1), 4).run();
+    let plain = Engine::new(&trace, Policy::Str, 4).run();
+    let nested = Engine::new(&trace, Policy::StrNested(1), 4).run();
     assert_eq!(plain.spec.squashed_policy, 0);
     assert!(nested.spec.squashed_policy > 0, "{:?}", nested.spec);
     // The inner loops got speculation opportunities under STR(1): more
@@ -76,35 +73,6 @@ fn str_nested_rescues_inner_loops_from_a_hoarding_outer() {
         nested.spec.spec_actions,
         plain.spec.spec_actions
     );
-}
-
-#[test]
-fn suitability_filter_stops_chronic_misspeculators() {
-    // A loop whose trip count is erratic (driven by the guest LCG): STR
-    // keeps misspeculating; the filter benches it after enough misses.
-    let build = |b: &mut ProgramBuilder| {
-        b.define_func("erratic", |b| {
-            let n = b.alloc_reg();
-            b.rng_below(n, 12);
-            b.addi(n, n, 1);
-            b.counted_loop(n, |b, _| b.work(6));
-            b.free_reg(n);
-        });
-        for _ in 0..40 {
-            b.call_func("erratic");
-        }
-    };
-    let trace = trace_of(build);
-    let plain = Engine::new(&trace, StrPolicy::new(), 4).run();
-    let filtered = Engine::new(&trace, SuitabilityFilter::new(StrPolicy::new(), 12, 0.3), 4).run();
-    assert!(
-        filtered.spec.squashed_misspec < plain.spec.squashed_misspec,
-        "filter {:?} vs plain {:?}",
-        filtered.spec,
-        plain.spec
-    );
-    assert!(filtered.spec.threads_spawned < plain.spec.threads_spawned);
-    assert_eq!(filtered.policy, "STR+FILT");
 }
 
 #[test]
@@ -119,7 +87,7 @@ fn stale_threads_are_counted_not_handed_off() {
             b.counted_loop(12, |b, _| b.work(8));
         });
     });
-    let r = Engine::new(&trace, IdlePolicy::new(), 16).run();
+    let r = Engine::new(&trace, Policy::Idle, 16).run();
     assert_eq!(
         r.spec.threads_spawned,
         r.spec.verified + r.spec.squashed_misspec + r.spec.squashed_policy + r.spec.squashed_stale,
@@ -131,7 +99,7 @@ fn stale_threads_are_counted_not_handed_off() {
 #[test]
 fn prefix_traces_report_lower_or_equal_instructions() {
     let trace = repeated_kernel(6, 30);
-    let r_full = Engine::new(&trace, StrPolicy::new(), 4).run();
+    let r_full = Engine::new(&trace, Policy::Str, 4).run();
     // Rebuild a half trace through the public API.
     let half_events: Vec<_> = trace.events.clone();
     let _ = half_events; // events themselves are not re-consumable here;
@@ -157,7 +125,7 @@ fn engine_handles_truncated_traces() {
     let trace = AnnotatedTrace::build(&events, n);
     assert!(!trace.execs.is_empty());
     assert!(!trace.execs[0].closed);
-    let r = Engine::new(&trace, StrPolicy::new(), 4).run();
+    let r = Engine::new(&trace, Policy::Str, 4).run();
     assert_eq!(r.spec.threads_spawned, r.spec.resolved());
     assert!(r.cycles <= n);
 }
@@ -174,20 +142,17 @@ fn sixteen_tus_saturate_a_sixteen_iteration_loop() {
             b.call_func("k");
         }
     });
-    let r = Engine::new(&trace, StrPolicy::new(), 16).run();
+    let r = Engine::new(&trace, Policy::Str, 16).run();
     assert!(r.tpc() > 5.0, "tpc = {}", r.tpc());
 }
 
 #[test]
 fn policies_report_their_names() {
     let trace = repeated_kernel(2, 5);
+    assert_eq!(Engine::new(&trace, Policy::Idle, 2).run().policy, "IDLE");
+    assert_eq!(Engine::new(&trace, Policy::Str, 2).run().policy, "STR");
     assert_eq!(
-        Engine::new(&trace, IdlePolicy::new(), 2).run().policy,
-        "IDLE"
-    );
-    assert_eq!(Engine::new(&trace, StrPolicy::new(), 2).run().policy, "STR");
-    assert_eq!(
-        Engine::new(&trace, StrNestedPolicy::new(2), 2).run().policy,
+        Engine::new(&trace, Policy::StrNested(2), 2).run().policy,
         "STR(2)"
     );
 }

@@ -51,7 +51,7 @@
 //! use loopspec_asm::ProgramBuilder;
 //! use loopspec_core::LoopStats;
 //! use loopspec_cpu::RunLimits;
-//! use loopspec_mt::EngineGrid;
+//! use loopspec_mt::{EngineGrid, Policy};
 //! use loopspec_pipeline::Session;
 //!
 //! let mut b = ProgramBuilder::new();
@@ -60,7 +60,7 @@
 //!
 //! let mut stats = LoopStats::new();
 //! let mut grid = EngineGrid::new();
-//! let str4 = grid.push_str(4);
+//! let str4 = Policy::Str.add_to_grid(&mut grid, 4);
 //!
 //! let mut session = Session::new();
 //! session.observe_loops(&mut stats).observe_loops(&mut grid);
@@ -95,12 +95,12 @@ mod tests {
     use loopspec_core::{Cls, CountingSink, EventCollector, LoopEvent, LoopStats};
     use loopspec_cpu::{CountingTracer, Cpu, InstrEvent, RunLimits, Tracer};
     use loopspec_dataspec::{DataSpecProfiler, LiveInProfiler};
-    use loopspec_mt::{AnnotatedTrace, Engine, EngineGrid, StrPolicy};
+    use loopspec_mt::{AnnotatedTrace, Engine, EngineGrid, Policy};
 
     /// A one-lane grid: STR at 4 TUs.
     fn str4() -> EngineGrid {
         let mut g = EngineGrid::new();
-        g.push_str(4);
+        Policy::Str.add_to_grid(&mut g, 4);
         g
     }
 
@@ -108,6 +108,16 @@ mod tests {
         let mut b = ProgramBuilder::new();
         build(&mut b);
         b.finish().expect("assembles")
+    }
+
+    #[test]
+    fn sessions_default_to_the_decoded_interpreter() {
+        // The decoded front end is the production path; the legacy
+        // loop is reached only by pinning it per session.
+        assert_eq!(Session::new().interp(), Interp::Decoded);
+        let mut session = Session::with_cls(Cls::new(1));
+        assert_eq!(session.interp(), Interp::Decoded);
+        assert_eq!(session.set_interp(Interp::Legacy).interp(), Interp::Legacy);
     }
 
     #[test]
@@ -124,7 +134,7 @@ mod tests {
             .run(&p, &mut legacy, RunLimits::default())
             .unwrap();
         let (events, n) = legacy.into_parts();
-        let batch = Engine::new(&AnnotatedTrace::build(&events, n), StrPolicy::new(), 4).run();
+        let batch = Engine::new(&AnnotatedTrace::build(&events, n), Policy::Str, 4).run();
 
         // Streaming: everything in one pass.
         let mut collected = EventCollector::default();
@@ -417,7 +427,7 @@ mod tests {
 
         // Differently configured sink: a grid where a collector was.
         let mut grid = EngineGrid::new();
-        grid.push_str(4);
+        Policy::Str.add_to_grid(&mut grid, 4);
         let mut fresh = Session::new();
         fresh.observe_checkpointable(&mut grid);
         assert!(matches!(
@@ -461,9 +471,9 @@ mod tests {
         });
         let make_grid = || {
             let mut g = EngineGrid::new();
-            g.push_idle(4);
-            g.push_str(4);
-            g.push_str_nested(2, 4);
+            Policy::Idle.add_to_grid(&mut g, 4);
+            Policy::Str.add_to_grid(&mut g, 4);
+            Policy::StrNested(2).add_to_grid(&mut g, 4);
             g
         };
 

@@ -65,8 +65,7 @@ enum Slot<'a> {
 /// [`DecodedProgram`]) and is observably identical to the legacy
 /// fetch-decode-execute loop — same events, same faults, same snapshot
 /// bytes. The legacy interpreter stays available as a cross-check
-/// oracle, selected per session with [`Session::set_interp`] or
-/// globally with the `LOOPSPEC_INTERP=legacy` environment variable.
+/// oracle, selected per session with [`Session::set_interp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Interp {
     /// Pre-decoded threaded-code dispatch over straight-line runs (the
@@ -75,27 +74,6 @@ pub enum Interp {
     Decoded,
     /// The legacy per-instruction fetch-decode-execute loop.
     Legacy,
-}
-
-impl Interp {
-    /// The interpreter selected by the `LOOPSPEC_INTERP` environment
-    /// variable: `legacy` picks [`Interp::Legacy`], anything else (or
-    /// unset) the default [`Interp::Decoded`].
-    pub fn from_env() -> Interp {
-        match std::env::var("LOOPSPEC_INTERP") {
-            Ok(v) if v.eq_ignore_ascii_case("legacy") => Interp::Legacy,
-            _ => Interp::Decoded,
-        }
-    }
-}
-
-impl fmt::Display for Interp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Interp::Decoded => f.write_str("decoded"),
-            Interp::Legacy => f.write_str("legacy"),
-        }
-    }
 }
 
 /// Result of a [`Session::run`] or [`Session::advance`].
@@ -177,7 +155,7 @@ impl SessionSummary {
 /// ```
 /// use loopspec_asm::ProgramBuilder;
 /// use loopspec_cpu::RunLimits;
-/// use loopspec_mt::EngineGrid;
+/// use loopspec_mt::{EngineGrid, Policy};
 /// use loopspec_pipeline::{Session, Snapshot};
 ///
 /// let mut b = ProgramBuilder::new();
@@ -185,7 +163,7 @@ impl SessionSummary {
 /// let program = b.finish()?;
 /// let str4 = || {
 ///     let mut grid = EngineGrid::new();
-///     grid.push_str(4);
+///     Policy::Str.add_to_grid(&mut grid, 4);
 ///     grid
 /// };
 ///
@@ -257,7 +235,7 @@ impl<'a> Session<'a> {
             slots: Vec::new(),
             started: false,
             ended: false,
-            interp: Interp::from_env(),
+            interp: Interp::Decoded,
             decoded: None,
         }
     }

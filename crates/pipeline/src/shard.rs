@@ -286,7 +286,7 @@ pub fn run_shard(
 /// ```
 /// use loopspec_asm::ProgramBuilder;
 /// use loopspec_cpu::RunLimits;
-/// use loopspec_mt::EngineGrid;
+/// use loopspec_mt::{EngineGrid, Policy};
 /// use loopspec_pipeline::{Session, ShardedRun};
 ///
 /// let mut b = ProgramBuilder::new();
@@ -294,7 +294,7 @@ pub fn run_shard(
 /// let program = b.finish()?;
 /// let str4 = || {
 ///     let mut grid = EngineGrid::new();
-///     grid.push_str(4);
+///     Policy::Str.add_to_grid(&mut grid, 4);
 ///     grid
 /// };
 ///

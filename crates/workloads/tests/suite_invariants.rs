@@ -120,12 +120,12 @@ fn hit_ratio_personality_survives_speculation() {
     // The paper's Table 2 splits the suite into regular (hit > 95%) and
     // irregular (hit < 80%) programs. Run STR(3) at 4 TUs and check the
     // groups keep their order (group means, not individual values).
-    use loopspec_mt::{AnnotatedTrace, Engine, StrNestedPolicy};
+    use loopspec_mt::{AnnotatedTrace, Engine, Policy};
     let hit = |name: &str| {
         let w = by_name(name).unwrap();
         let (events, n) = events_of(&w, Scale::Test);
         let trace = AnnotatedTrace::build(&events, n);
-        Engine::new(&trace, StrNestedPolicy::new(3), 4)
+        Engine::new(&trace, Policy::StrNested(3), 4)
             .run()
             .spec
             .hit_ratio_percent()

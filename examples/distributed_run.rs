@@ -25,9 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ["compress", "go", "li", "swim"],
         Scale::Test,
         vec![
-            LaneSpec::Idle { tus: 4 },
-            LaneSpec::Str { tus: 4 },
-            LaneSpec::StrNested { limit: 3, tus: 4 },
+            LaneSpec {
+                policy: Policy::Idle,
+                tus: 4,
+            },
+            LaneSpec {
+                policy: Policy::Str,
+                tus: 4,
+            },
+            LaneSpec {
+                policy: Policy::StrNested(3),
+                tus: 4,
+            },
         ],
         Plan::sliced(20_000),
     );

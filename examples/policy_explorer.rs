@@ -8,23 +8,7 @@
 //! cargo run --release --example policy_explorer -- perl small
 //! ```
 
-use loopspec::mt::{EngineReport, SpeculationPolicy};
 use loopspec::prelude::*;
-
-fn run_policy(
-    trace: &AnnotatedTrace,
-    policy: &str,
-    tus: usize,
-) -> Result<EngineReport, Box<dyn std::error::Error>> {
-    Ok(match policy {
-        "IDLE" => Engine::new(trace, IdlePolicy::new(), tus).run(),
-        "STR" => Engine::new(trace, StrPolicy::new(), tus).run(),
-        "STR(1)" => Engine::new(trace, StrNestedPolicy::new(1), tus).run(),
-        "STR(2)" => Engine::new(trace, StrNestedPolicy::new(2), tus).run(),
-        "STR(3)" => Engine::new(trace, StrNestedPolicy::new(3), tus).run(),
-        other => return Err(format!("unknown policy {other}").into()),
-    })
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -61,22 +45,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ideal_tpc_streaming(&events, instructions).tpc
     );
 
-    let policies = ["IDLE", "STR", "STR(1)", "STR(2)", "STR(3)"];
     println!(
         "{:>8} {:>8} {:>8} {:>8} {:>8}",
         "policy", "2 TUs", "4 TUs", "8 TUs", "16 TUs"
     );
-    for p in policies {
-        print!("{p:>8}");
+    for p in Policy::ALL {
+        print!("{:>8}", p.name());
         for tus in [2, 4, 8, 16] {
-            let r = run_policy(&trace, p, tus)?;
-            print!(" {:>8.3}", r.tpc());
+            print!(" {:>8.3}", Engine::new(&trace, p, tus).run().tpc());
         }
         println!();
     }
 
     println!("\nSTR(3) @ 4 TUs detail (the paper's Table 2 view):");
-    let r = run_policy(&trace, "STR(3)", 4)?;
+    let r = Engine::new(&trace, Policy::StrNested(3), 4).run();
     println!(
         "  speculations        {:>10}\n  threads/speculation {:>10.2}\n  hit ratio           {:>9.2}%\n  instr to verify     {:>10.1}\n  TPC                 {:>10.2}",
         r.spec.spec_actions,
@@ -85,7 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r.spec.instr_to_verif(),
         r.tpc()
     );
-    // The StrPolicy type also exposes its paper name:
-    assert_eq!(StrPolicy::new().name(), "STR");
+    assert_eq!(r.policy, Policy::StrNested(3).name());
     Ok(())
 }

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Thread-level parallelism under the paper's STR policy.
     let trace = AnnotatedTrace::build(&events, instructions);
     for tus in [2, 4, 8] {
-        let engine = Engine::new(&trace, StrPolicy::new(), tus).run();
+        let engine = Engine::new(&trace, Policy::Str, tus).run();
         println!(
             "{tus} thread units: TPC = {:.2} ({} threads verified, {} squashed)",
             engine.tpc(),

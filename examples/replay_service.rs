@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|w| {
             JobSpec::new(*w)
-                .policies([Policy::Str, Policy::StrNested { limit: 3 }])
+                .policies([Policy::Str, Policy::StrNested(3)])
                 .tus([4, 16])
         })
         .collect();

@@ -21,9 +21,9 @@ use loopspec::prelude::*;
 
 fn engines() -> EngineGrid {
     let mut grid = EngineGrid::new();
-    grid.push_idle(4);
-    grid.push_str(4);
-    grid.push_str_nested(3, 4);
+    Policy::Idle.add_to_grid(&mut grid, 4);
+    Policy::Str.add_to_grid(&mut grid, 4);
+    Policy::StrNested(3).add_to_grid(&mut grid, 4);
     grid
 }
 

@@ -45,7 +45,7 @@
 //!
 //! // 2. Run it once; every analysis taps the same committed stream.
 //! let mut grid = EngineGrid::new();
-//! let str4 = grid.push_str(4);
+//! let str4 = Policy::Str.add_to_grid(&mut grid, 4);
 //! let mut stats = LoopStats::new();
 //! let mut session = Session::new();
 //! session.observe_loops(&mut grid).observe_loops(&mut stats);
@@ -100,8 +100,8 @@ pub mod prelude {
     pub use loopspec_cpu::{Cpu, DecodedProgram, Demand, InstrEvent, RunLimits, Tracer};
     pub use loopspec_dataspec::{DataSpecProfiler, LiveInProfiler};
     pub use loopspec_dist::{
-        Coordinator, DistError, DistOutcome, JobSpec, LaneReport, LaneSpec, Policy, SuiteSpec,
-        SvcStats, WorkerLink,
+        Coordinator, DistError, DistOutcome, JobSpec, LaneReport, LaneSpec, SuiteSpec, SvcStats,
+        WorkerLink,
     };
     pub use loopspec_gen::{
         arb_program, compile as compile_ast, families, family_by_name, ArbConfig, AstProgram,
@@ -110,8 +110,7 @@ pub mod prelude {
     pub use loopspec_isa::{Addr, AluOp, Cond, Instruction, Reg};
     pub use loopspec_mt::{
         ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, AnnotatedTrace, Engine,
-        EngineGrid, EngineReport, IdlePolicy, IterationCountLog, OracleFeed, OraclePolicy,
-        StrNestedPolicy, StrPolicy, StreamError,
+        EngineGrid, EngineReport, IterationCountLog, OracleFeed, Policy, StreamError,
     };
     pub use loopspec_pipeline::{
         CheckpointSink, Interp, Plan, Session, SessionSummary, ShardedRun, Snapshot, SnapshotState,

@@ -15,7 +15,7 @@ fn streaming_engine_buffering_is_bounded_on_a_large_run() {
     let program = w.build(Scale::Full).expect("assembles");
 
     let mut engine = EngineGrid::new();
-    let str4 = engine.push_str(4);
+    let str4 = Policy::Str.add_to_grid(&mut engine, 4);
     let mut counter = CountingSink::default();
     let mut session = Session::new();
     session
@@ -66,7 +66,7 @@ fn streaming_engine_buffering_is_bounded_on_a_large_run() {
     let (events, n) = collector.into_parts();
     assert_eq!(n, out.instructions);
     assert_eq!(events.len() as u64, counter.events);
-    let batch = Engine::new(&AnnotatedTrace::build(&events, n), StrPolicy::new(), 4).run();
+    let batch = Engine::new(&AnnotatedTrace::build(&events, n), Policy::Str, 4).run();
     assert_eq!(engine.report(str4).unwrap(), &batch);
 }
 
@@ -87,7 +87,7 @@ fn deep_nesting_bounds_track_cls_depth() {
     let program = b.finish().expect("assembles");
 
     let mut engine = EngineGrid::new();
-    engine.push_str_nested(2, 8);
+    Policy::StrNested(2).add_to_grid(&mut engine, 8);
     let mut counter = CountingSink::default();
     let mut session = Session::new();
     session

@@ -52,9 +52,9 @@ fn random_program(r: &mut Rng) -> Program {
 
 fn make_grid() -> EngineGrid {
     let mut g = EngineGrid::new();
-    g.push_idle(4);
-    g.push_str(4);
-    g.push_str_nested(1, 2);
+    Policy::Idle.add_to_grid(&mut g, 4);
+    Policy::Str.add_to_grid(&mut g, 4);
+    Policy::StrNested(1).add_to_grid(&mut g, 2);
     g
 }
 
@@ -67,7 +67,7 @@ struct Sinks {
 impl Sinks {
     fn new() -> Self {
         let mut engine = EngineGrid::new();
-        engine.push_str(4);
+        Policy::Str.add_to_grid(&mut engine, 4);
         Sinks {
             events: EventCollector::default(),
             engine,

@@ -56,11 +56,11 @@ fn one_lane(push: impl FnOnce(&mut EngineGrid) -> usize) -> EngineGrid {
 /// same pass.
 fn run_with_chunk(program: &Program, chunk: usize, limits: RunLimits) -> Outcome {
     let mut collected = EventCollector::default();
-    let mut str4 = one_lane(|g| g.push_str(4));
-    let mut idle2 = one_lane(|g| g.push_idle(2));
+    let mut str4 = one_lane(|g| Policy::Str.add_to_grid(g, 4));
+    let mut idle2 = one_lane(|g| Policy::Idle.add_to_grid(g, 2));
     let mut grid = EngineGrid::new();
-    grid.push_str(8);
-    grid.push_str_nested(2, 4);
+    Policy::Str.add_to_grid(&mut grid, 8);
+    Policy::StrNested(2).add_to_grid(&mut grid, 4);
 
     let mut session = Session::with_cls(Cls::default().with_chunk_capacity(chunk));
     session
@@ -85,7 +85,7 @@ fn run_with_chunk(program: &Program, chunk: usize, limits: RunLimits) -> Outcome
 /// time (chunk size 1 *at the sink boundary*, not just in the session)
 /// and close it, then compare against a batch replay too.
 fn check_against_reference(o: &Outcome, seed: u64) {
-    let mut str4 = one_lane(|g| g.push_str(4));
+    let mut str4 = one_lane(|g| Policy::Str.add_to_grid(g, 4));
     for ev in &o.events {
         str4.on_loop_event(ev);
     }
@@ -98,22 +98,22 @@ fn check_against_reference(o: &Outcome, seed: u64) {
 
     let trace = AnnotatedTrace::build(&o.events, o.instructions);
     assert_eq!(
-        Engine::new(&trace, StrPolicy::new(), 4).run(),
+        Engine::new(&trace, Policy::Str, 4).run(),
         o.str4,
         "seed {seed}: batch STR@4"
     );
     assert_eq!(
-        Engine::new(&trace, IdlePolicy::new(), 2).run(),
+        Engine::new(&trace, Policy::Idle, 2).run(),
         o.idle2,
         "seed {seed}: batch IDLE@2"
     );
     assert_eq!(
-        Engine::new(&trace, StrPolicy::new(), 8).run(),
+        Engine::new(&trace, Policy::Str, 8).run(),
         o.grid[0],
         "seed {seed}: batch STR@8 (grid lane 0)"
     );
     assert_eq!(
-        Engine::new(&trace, StrNestedPolicy::new(2), 4).run(),
+        Engine::new(&trace, Policy::StrNested(2), 4).run(),
         o.grid[1],
         "seed {seed}: batch STR(2)@4 (grid lane 1)"
     );
@@ -184,7 +184,7 @@ fn raw_sink_chunking_matches_for_any_split() {
             .expect("runs");
         let (events, n) = c.into_parts();
 
-        let str1 = || one_lane(|g| g.push_str_nested(1, 4));
+        let str1 = || one_lane(|g| Policy::StrNested(1).add_to_grid(g, 4));
         let reference = {
             let mut e = str1();
             for ev in &events {

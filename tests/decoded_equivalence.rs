@@ -170,9 +170,9 @@ fn random_programs_survive_odd_fuel_slices() {
 fn session_pass(p: &Program, interp: Interp) -> (Vec<LoopEvent>, u64, Vec<EngineReport>) {
     let mut events = EventCollector::default();
     let mut grid = EngineGrid::new();
-    grid.push_idle(4);
-    grid.push_str(4);
-    grid.push_str_nested(2, 4);
+    Policy::Idle.add_to_grid(&mut grid, 4);
+    Policy::Str.add_to_grid(&mut grid, 4);
+    Policy::StrNested(2).add_to_grid(&mut grid, 4);
     let mut session = Session::new();
     session.set_interp(interp);
     session.observe_loops(&mut events).observe_loops(&mut grid);
@@ -199,7 +199,7 @@ fn all_workloads_match_legacy_sessions() {
 
 fn make_engine() -> EngineGrid {
     let mut grid = EngineGrid::new();
-    grid.push_str(4);
+    Policy::Str.add_to_grid(&mut grid, 4);
     grid
 }
 
@@ -280,7 +280,7 @@ fn snapshots_resume_across_interpreters() {
         assert_eq!(
             engine_b.report(0).expect("finished"),
             &expected,
-            "{from}->{to}"
+            "{from:?}->{to:?}"
         );
     }
 }
@@ -291,8 +291,8 @@ fn sharded_runs_match_across_interpreters() {
     let p = w.build(Scale::Test).expect("assembles");
     let make_grid = || {
         let mut g = EngineGrid::new();
-        g.push_idle(4);
-        g.push_str(4);
+        Policy::Idle.add_to_grid(&mut g, 4);
+        Policy::Str.add_to_grid(&mut g, 4);
         g
     };
 

@@ -22,9 +22,18 @@ use loopspec::prelude::*;
 /// grid is priced by the bench; equivalence only needs coverage).
 fn lanes() -> Vec<LaneSpec> {
     vec![
-        LaneSpec::Idle { tus: 4 },
-        LaneSpec::Str { tus: 4 },
-        LaneSpec::StrNested { limit: 3, tus: 4 },
+        LaneSpec {
+            policy: Policy::Idle,
+            tus: 4,
+        },
+        LaneSpec {
+            policy: Policy::Str,
+            tus: 4,
+        },
+        LaneSpec {
+            policy: Policy::StrNested(3),
+            tus: 4,
+        },
     ]
 }
 

@@ -28,17 +28,26 @@ use loopspec::prelude::*;
 /// Engine lanes: one per policy family (coverage, not the full grid).
 fn lanes() -> Vec<LaneSpec> {
     vec![
-        LaneSpec::Idle { tus: 4 },
-        LaneSpec::Str { tus: 4 },
-        LaneSpec::StrNested { limit: 3, tus: 4 },
+        LaneSpec {
+            policy: Policy::Idle,
+            tus: 4,
+        },
+        LaneSpec {
+            policy: Policy::Str,
+            tus: 4,
+        },
+        LaneSpec {
+            policy: Policy::StrNested(3),
+            tus: 4,
+        },
     ]
 }
 
 fn grid() -> EngineGrid {
     let mut g = EngineGrid::new();
-    g.push_idle(4);
-    g.push_str(4);
-    g.push_str_nested(3, 4);
+    Policy::Idle.add_to_grid(&mut g, 4);
+    Policy::Str.add_to_grid(&mut g, 4);
+    Policy::StrNested(3).add_to_grid(&mut g, 4);
     g
 }
 

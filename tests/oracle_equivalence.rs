@@ -72,24 +72,24 @@ fn oracle_lane_reports_bit_identical_on_all_18_workloads() {
         let mut grid = EngineGrid::new();
         let o4 = grid.push_oracle(4, feed.clone());
         let ideal = grid.push_oracle_unbounded(feed.clone());
-        let str4 = grid.push_str(4);
+        let str4 = Policy::Str.add_to_grid(&mut grid, 4);
         grid.on_loop_events(&events);
         grid.on_stream_end(n);
         assert_eq!(
             grid.report(o4).unwrap(),
-            &Engine::new(&trace, OraclePolicy::new(), 4).run(),
+            &Engine::oracle(&trace, 4).run(),
             "{}: grid ORACLE@4",
             w.name
         );
         assert_eq!(
             grid.report(ideal).unwrap(),
-            &Engine::unbounded(&trace, OraclePolicy::new()).run(),
+            &Engine::oracle_unbounded(&trace).run(),
             "{}: grid unbounded oracle",
             w.name
         );
         assert_eq!(
             grid.report(str4).unwrap(),
-            &Engine::new(&trace, StrPolicy::new(), 4).run(),
+            &Engine::new(&trace, Policy::Str, 4).run(),
             "{}: STR lane beside oracle lanes",
             w.name
         );
@@ -101,7 +101,7 @@ fn oracle_lane_reports_bit_identical_on_all_18_workloads() {
         single.on_stream_end(n);
         assert_eq!(
             single.report(o8).unwrap(),
-            &Engine::new(&trace, OraclePolicy::new(), 8).run(),
+            &Engine::oracle(&trace, 8).run(),
             "{}: one-lane ORACLE@8",
             w.name
         );
@@ -182,7 +182,7 @@ fn sharded_oracle_run_matches_single_pass() {
                 let mut g = EngineGrid::new();
                 g.push_oracle(4, feed.clone());
                 g.push_oracle_unbounded(feed.clone());
-                g.push_str(4);
+                Policy::Str.add_to_grid(&mut g, 4);
                 g
             }
         };

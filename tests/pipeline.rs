@@ -77,9 +77,9 @@ fn engine_conservation_laws_hold_across_policies() {
         let ideal = ideal_tpc(&trace);
         for tus in [2usize, 4, 16] {
             for report in [
-                Engine::new(&trace, IdlePolicy::new(), tus).run(),
-                Engine::new(&trace, StrPolicy::new(), tus).run(),
-                Engine::new(&trace, StrNestedPolicy::new(2), tus).run(),
+                Engine::new(&trace, Policy::Idle, tus).run(),
+                Engine::new(&trace, Policy::Str, tus).run(),
+                Engine::new(&trace, Policy::StrNested(2), tus).run(),
             ] {
                 // Every launched thread resolves exactly once.
                 assert_eq!(
@@ -110,7 +110,7 @@ fn str_tpc_is_monotone_in_thread_units() {
         let trace = AnnotatedTrace::build(&events, n);
         let mut prev = 0.0;
         for tus in [2usize, 4, 8, 16] {
-            let tpc = Engine::new(&trace, StrPolicy::new(), tus).run().tpc();
+            let tpc = Engine::new(&trace, Policy::Str, tus).run().tpc();
             assert!(
                 tpc >= prev - 0.05,
                 "{name}: TPC fell from {prev} to {tpc} at {tus} TUs"

@@ -71,7 +71,7 @@ fn engine_laws_hold_on_random_programs() {
         let ideal = ideal_tpc(&trace);
         assert!(ideal.tpc >= 1.0 - 1e-9);
         for tus in [2usize, 4] {
-            let r = Engine::new(&trace, StrPolicy::new(), tus).run();
+            let r = Engine::new(&trace, Policy::Str, tus).run();
             assert_eq!(r.spec.threads_spawned, r.spec.resolved());
             assert!(r.cycles <= n);
             assert!(r.tpc() >= 1.0 - 1e-9);
@@ -93,12 +93,12 @@ fn streaming_engine_matches_batch_on_random_programs() {
         let trace = AnnotatedTrace::build(&events, n);
         for tus in [2usize, 4] {
             let mut streaming = EngineGrid::new();
-            let lane = streaming.push_str_nested(2, tus);
+            let lane = Policy::StrNested(2).add_to_grid(&mut streaming, tus);
             for e in &events {
                 streaming.on_loop_event(e);
             }
             streaming.on_stream_end(n);
-            let batch = Engine::new(&trace, StrNestedPolicy::new(2), tus).run();
+            let batch = Engine::new(&trace, Policy::StrNested(2), tus).run();
             assert_eq!(
                 streaming.report(lane),
                 Some(&batch),

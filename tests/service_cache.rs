@@ -26,7 +26,7 @@ const SHARD_FUEL: u64 = 30_000;
 /// bench; cache correctness only needs coverage).
 fn spec_for(name: &str) -> JobSpec {
     JobSpec::new(name)
-        .policies([Policy::Idle, Policy::Str, Policy::StrNested { limit: 3 }])
+        .policies([Policy::Idle, Policy::Str, Policy::StrNested(3)])
         .tus([4])
         .plan(Plan::sliced(SHARD_FUEL))
 }

@@ -36,7 +36,7 @@ fn spawn_service() -> Service {
 
 fn gen_spec(name: &str) -> JobSpec {
     JobSpec::new(name)
-        .policies([Policy::Str, Policy::StrNested { limit: 2 }])
+        .policies([Policy::Str, Policy::StrNested(2)])
         .tus([4])
 }
 

@@ -38,7 +38,7 @@ fn specs() -> Vec<JobSpec> {
         .iter()
         .map(|w| {
             JobSpec::new(*w)
-                .policies([Policy::Idle, Policy::Str, Policy::StrNested { limit: 3 }])
+                .policies([Policy::Idle, Policy::Str, Policy::StrNested(3)])
                 .tus([4])
                 .plan(Plan::sliced(SHARD_FUEL))
         })

@@ -10,9 +10,9 @@ use loopspec::prelude::*;
 /// The policy lanes every comparison checks: one per policy family.
 fn make_grid() -> EngineGrid {
     let mut g = EngineGrid::new();
-    g.push_idle(4);
-    g.push_str(4);
-    g.push_str_nested(3, 4);
+    Policy::Idle.add_to_grid(&mut g, 4);
+    Policy::Str.add_to_grid(&mut g, 4);
+    Policy::StrNested(3).add_to_grid(&mut g, 4);
     g
 }
 

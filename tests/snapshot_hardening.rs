@@ -29,9 +29,9 @@ fn sample_snapshot() -> Vec<u8> {
     let program = w.build(Scale::Test).expect("assembles");
     let mut events = EventCollector::default();
     let mut grid = EngineGrid::new();
-    grid.push_idle(4);
-    grid.push_str(4);
-    grid.push_str_nested(3, 4);
+    Policy::Idle.add_to_grid(&mut grid, 4);
+    Policy::Str.add_to_grid(&mut grid, 4);
+    Policy::StrNested(3).add_to_grid(&mut grid, 4);
     let mut session = Session::new();
     session
         .observe_checkpointable(&mut events)
@@ -49,9 +49,9 @@ fn try_resume(bytes: &[u8]) -> Result<(), String> {
     let snapshot = Snapshot::from_bytes(bytes).map_err(|e| e.to_string())?;
     let mut events = EventCollector::default();
     let mut grid = EngineGrid::new();
-    grid.push_idle(4);
-    grid.push_str(4);
-    grid.push_str_nested(3, 4);
+    Policy::Idle.add_to_grid(&mut grid, 4);
+    Policy::Str.add_to_grid(&mut grid, 4);
+    Policy::StrNested(3).add_to_grid(&mut grid, 4);
     let mut session = Session::new();
     session
         .observe_checkpointable(&mut events)

@@ -8,26 +8,7 @@
 use loopspec::prelude::*;
 
 /// The policies the acceptance criteria name: IDLE, STR, STR(i).
-const POLICIES: [&str; 3] = ["IDLE", "STR", "STR(3)"];
-
-/// Adds the lane for `name` at `tus` thread units to `grid`.
-fn push_lane(grid: &mut EngineGrid, name: &str, tus: usize) {
-    match name {
-        "IDLE" => grid.push_idle(tus),
-        "STR" => grid.push_str(tus),
-        "STR(3)" => grid.push_str_nested(3, tus),
-        other => panic!("unknown policy {other}"),
-    };
-}
-
-fn batch_report(trace: &AnnotatedTrace, name: &str, tus: usize) -> EngineReport {
-    match name {
-        "IDLE" => Engine::new(trace, IdlePolicy::new(), tus).run(),
-        "STR" => Engine::new(trace, StrPolicy::new(), tus).run(),
-        "STR(3)" => Engine::new(trace, StrNestedPolicy::new(3), tus).run(),
-        other => panic!("unknown policy {other}"),
-    }
-}
+const POLICIES: [Policy; 3] = [Policy::Idle, Policy::Str, Policy::StrNested(3)];
 
 /// Runs one workload once; checks every policy at `tus` thread units,
 /// through both fan-out shapes: one single-lane grid per policy, each
@@ -42,13 +23,13 @@ fn check_workload(name: &str, tus: usize) {
         .iter()
         .map(|policy| {
             let mut single = EngineGrid::new();
-            push_lane(&mut single, policy, tus);
+            policy.add_to_grid(&mut single, tus);
             single
         })
         .collect();
     let mut grid = EngineGrid::new();
     for policy in POLICIES {
-        push_lane(&mut grid, policy, tus);
+        policy.add_to_grid(&mut grid, tus);
     }
     let mut session = Session::new();
     session.observe_loops(&mut collector);
@@ -65,19 +46,19 @@ fn check_workload(name: &str, tus: usize) {
     assert_eq!(n, out.instructions);
     let trace = AnnotatedTrace::build(&events, n);
 
-    for (lane, (policy, engine)) in POLICIES.iter().zip(&engines).enumerate() {
+    for (lane, (&policy, engine)) in POLICIES.iter().zip(&engines).enumerate() {
         let streamed = engine
             .report(0)
-            .unwrap_or_else(|| panic!("{name}/{policy}: stream did not end"));
-        let batch = batch_report(&trace, policy, tus);
+            .unwrap_or_else(|| panic!("{name}/{policy:?}: stream did not end"));
+        let batch = Engine::new(&trace, policy, tus).run();
         assert_eq!(
             *streamed, batch,
-            "{name}: streaming vs batch diverged for {policy} @ {tus} TUs"
+            "{name}: streaming vs batch diverged for {policy:?} @ {tus} TUs"
         );
         assert_eq!(
             grid.report(lane).expect("grid finished"),
             &batch,
-            "{name}: grid lane vs batch diverged for {policy} @ {tus} TUs"
+            "{name}: grid lane vs batch diverged for {policy:?} @ {tus} TUs"
         );
     }
 }
