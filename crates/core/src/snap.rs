@@ -24,7 +24,7 @@
 //!   root enforce this end to end.
 
 pub use loopspec_isa::snap::{
-    fnv1a, fnv1a_update, frame, seal, unseal, Dec, Enc, FrameBuf, SnapError, FNV1A_INIT,
+    checksum, fnv1a, fnv1a_update, seal, unseal, Dec, Enc, FrameBuf, SnapError, FNV1A_INIT,
     FRAME_HEADER, FRAME_TRAILER,
 };
 

@@ -10,10 +10,13 @@
 //! Prophet-style CMP speculation, where loop-level work units ship to
 //! independent execution contexts with only small state handoffs:
 //!
-//! * [`wire`] — a std-only, length-prefixed, FNV-checksummed frame
-//!   protocol (`Hello`/`Job`/`Snapshot`/`Report`/`Error`, with a
+//! * [`wire`] — a std-only, length-prefixed frame protocol
+//!   (`Hello`/`Job`/`Snapshot`/`Report`/`Error`, with a
 //!   protocol-version echo) over any byte stream: the stdio pipes of a
-//!   spawned worker, or a Unix socket.
+//!   spawned worker, or a Unix socket. Every frame closes with the
+//!   XXH64 integrity checksum, which runs at memory speed over
+//!   megabyte snapshots; FNV-1a is kept as the identity hash behind
+//!   [`JobSpec::fingerprint`], whose values must never move.
 //! * [`worker`] — the serve loop: receive a workload + lane
 //!   configuration + fuel budget + optional predecessor snapshot,
 //!   resume a fresh `Session`, run one shard through the shared

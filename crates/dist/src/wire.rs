@@ -2,13 +2,16 @@
 //!
 //! Everything that crosses a worker boundary is a [`Frame`]: a tagged
 //! payload encoded with the `isa::snap` [`Enc`]/[`Dec`] primitives and
-//! wrapped in the length-prefixed, FNV-checksummed frame container
-//! (`len | payload | fnv1a`, see [`loopspec_core::snap::frame`]), so
-//! the byte stream (a pipe to a spawned process, or a Unix socket) is
-//! self-delimiting and self-checking. Incremental decoding reuses
-//! [`FrameBuf`], which verifies declared
-//! lengths against a limit *before* allocating — a corrupt or hostile
-//! length prefix can never trigger an OOM-sized reservation.
+//! wrapped in the length-prefixed, checksummed frame container
+//! (`len: u32 | payload | checksum(payload): u64`, written by
+//! [`write_frame`]), so the byte stream (a pipe to a spawned process,
+//! or a Unix socket) is self-delimiting and self-checking. The trailer
+//! is the XXH64 integrity [`checksum`]; FNV-1a stays the identity hash
+//! behind [`JobSpec::fingerprint`], so cache keys do not depend on the
+//! frame container. Incremental decoding reuses [`FrameBuf`], which
+//! verifies declared lengths against a limit *before* allocating — a
+//! corrupt or hostile length prefix can never trigger an OOM-sized
+//! reservation — and hands each finished payload over without a copy.
 //!
 //! The conversation (see [`Frame`] for each frame's fields):
 //!
@@ -33,7 +36,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use loopspec_core::snap::{fnv1a, Dec, Enc, FrameBuf, SnapError};
+use loopspec_core::snap::{checksum, Dec, Enc, FrameBuf, SnapError, FRAME_HEADER, FRAME_TRAILER};
 use loopspec_mt::{EngineGrid, EngineReport, Policy, StreamError};
 use loopspec_workloads::Scale;
 
@@ -53,7 +56,10 @@ use crate::job::JobSpec;
 /// worker built with different kernel registries must never exchange
 /// jobs, because their "identical" workloads would retire different
 /// instruction streams.
-pub const PROTOCOL: u32 = 3;
+///
+/// v4 closes every frame with the XXH64 [`checksum`] instead of FNV-1a;
+/// payload encodings are unchanged.
+pub const PROTOCOL: u32 = 4;
 
 /// Default [`FrameBuf`] payload limit: large enough for any snapshot a
 /// workload produces (CPU memory pages dominate), small enough that a
@@ -458,11 +464,41 @@ pub(crate) fn load_scale(dec: &mut Dec<'_>) -> Result<Scale, SnapError> {
 }
 
 impl Frame {
-    /// Encodes the frame payload (tag + body). Wrap with
-    /// [`loopspec_core::snap::frame`] — or use [`write_frame`] — before
-    /// putting it on a stream.
+    /// Encodes the frame payload (tag + body); [`write_frame`] puts it
+    /// on a stream. The buffer is sized once for the payload plus an
+    /// 8-byte trailer, so [`seal`](loopspec_core::snap::seal)ing it
+    /// does not reallocate.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        let mut enc = Enc::with_capacity(self.size_hint() + FRAME_TRAILER);
+        self.encode_into(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// An upper bound on the encoded payload size for the frames that
+    /// carry megabytes (snapshots and sink state); a small guess for
+    /// the rest, which grow like any `Vec`.
+    fn size_hint(&self) -> usize {
+        const SMALL: usize = 64;
+        let lanes =
+            |lanes: &[LaneReport]| -> usize { lanes.iter().map(|l| 88 + l.policy.len()).sum() };
+        SMALL
+            + match self {
+                Frame::Job(job) => {
+                    job.workload.len()
+                        + 9 * job.lanes.len()
+                        + job.snapshot.as_ref().map_or(0, Vec::len)
+                }
+                Frame::Snapshot { bytes, .. } => bytes.len(),
+                Frame::Report(report) | Frame::Done { report, .. } => {
+                    lanes(&report.lanes) + report.state.len()
+                }
+                Frame::Error { message, .. } => message.len(),
+                _ => 0,
+            }
+    }
+
+    /// Appends the frame payload to `enc`.
+    fn encode_into(&self, enc: &mut Enc) {
         match self {
             Frame::Hello { protocol, worker } => {
                 enc.u8(1);
@@ -472,11 +508,11 @@ impl Frame {
             Frame::Job(job) => {
                 enc.u8(2);
                 enc.u64(job.id);
-                save_str(&mut enc, &job.workload);
-                save_scale(&mut enc, job.scale);
+                save_str(enc, &job.workload);
+                save_scale(enc, job.scale);
                 enc.u64(job.lanes.len() as u64);
                 for lane in &job.lanes {
-                    lane.save(&mut enc);
+                    lane.save(enc);
                 }
                 enc.u32(job.shard);
                 enc.u64(job.budget);
@@ -506,19 +542,19 @@ impl Frame {
                 enc.u64(report.instructions);
                 enc.u64(report.lanes.len() as u64);
                 for lane in &report.lanes {
-                    lane.save(&mut enc);
+                    lane.save(enc);
                 }
                 enc.bytes(&report.state);
             }
             Frame::Error { job, message } => {
                 enc.u8(5);
                 enc.u64(*job);
-                save_str(&mut enc, message);
+                save_str(enc, message);
             }
             Frame::Submit { id, spec } => {
                 enc.u8(6);
                 enc.u64(*id);
-                spec.save(&mut enc);
+                spec.save(enc);
             }
             Frame::Done { id, cached, report } => {
                 enc.u8(7);
@@ -528,7 +564,7 @@ impl Frame {
                 enc.u64(report.instructions);
                 enc.u64(report.lanes.len() as u64);
                 for lane in &report.lanes {
-                    lane.save(&mut enc);
+                    lane.save(enc);
                 }
                 enc.bytes(&report.state);
             }
@@ -537,7 +573,7 @@ impl Frame {
             }
             Frame::Stats(stats) => {
                 enc.u8(9);
-                stats.save(&mut enc);
+                stats.save(enc);
             }
             Frame::Rejected { id, queue_depth } => {
                 enc.u8(10);
@@ -545,7 +581,6 @@ impl Frame {
                 enc.u64(*queue_depth);
             }
         }
-        enc.into_bytes()
     }
 
     /// Decodes a payload written by [`Frame::encode`].
@@ -702,29 +737,34 @@ impl From<SnapError> for WireError {
 /// failure, distinguishable from a dead peer: a coordinator must fail
 /// the job instead of requeueing it into the same wall).
 pub fn write_frame(w: &mut impl Write, f: &Frame) -> Result<(), WireError> {
-    let payload = f.encode();
-    if payload.len() > MAX_FRAME {
+    // The whole frame is encoded into one buffer, sized once for
+    // header, payload and trailer: encoding copies the snapshot bytes
+    // anyway, and one buffer makes that the only copy and the frame one
+    // write.
+    let mut enc = Enc::with_capacity(FRAME_HEADER + f.size_hint() + FRAME_TRAILER);
+    enc.u32(0);
+    f.encode_into(&mut enc);
+    let mut frame = enc.into_bytes();
+    let len = frame.len() - FRAME_HEADER;
+    if len > MAX_FRAME {
         return Err(WireError::Codec(SnapError::Corrupt {
             what: "frame length",
         }));
     }
-    // Header, payload and trailer are written separately instead of
-    // concatenated into one buffer: the payload is dominated by
-    // snapshot bytes (up to MAX_FRAME), and this path runs once per
-    // shard — no point copying megabytes to save two small writes.
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&fnv1a(&payload).to_le_bytes())?;
+    frame[..FRAME_HEADER].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = checksum(&frame[FRAME_HEADER..]);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
-    // Out-of-band transport telemetry (header + payload + trailer);
-    // once per frame, never on the retirement path.
-    loopspec_obs::counter("dist_frame_bytes_out").add(payload.len() as u64 + 8);
+    // Out-of-band transport telemetry (payload + trailer); once per
+    // frame, never on the retirement path.
+    loopspec_obs::counter("dist_frame_bytes_out").add(len as u64 + 8);
     Ok(())
 }
 
-/// Blocking frame reader over any [`Read`] transport: an 8 KiB read
-/// buffer feeding a [`FrameBuf`], popping one decoded [`Frame`] at a
-/// time.
+/// Blocking frame reader over any [`Read`] transport: a [`FrameBuf`]
+/// reading straight from the transport in pipe-sized pieces, popping
+/// one decoded [`Frame`] at a time.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
@@ -749,13 +789,12 @@ impl<R: Read> FrameReader<R> {
     /// cuts a frame in half — and [`WireError::Codec`] when the stream
     /// decodes to garbage.
     pub fn read_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let mut chunk = [0u8; 8192];
         loop {
             if let Some(payload) = self.buf.next_frame()? {
                 loopspec_obs::counter("dist_frame_bytes_in").add(payload.len() as u64 + 8);
                 return Ok(Some(Frame::decode(&payload)?));
             }
-            match self.inner.read(&mut chunk) {
+            match self.buf.read_from(&mut self.inner) {
                 Ok(0) => {
                     return if self.buf.is_empty() {
                         Ok(None)
@@ -766,7 +805,7 @@ impl<R: Read> FrameReader<R> {
                         )))
                     };
                 }
-                Ok(n) => self.buf.extend(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(WireError::Io(e)),
             }
@@ -887,6 +926,8 @@ mod tests {
             assert_eq!(Frame::decode(&payload).unwrap(), f);
             // Encoding is deterministic.
             assert_eq!(payload, f.encode());
+            // Sealing the payload appends its trailer in place.
+            assert!(payload.capacity() >= payload.len() + FRAME_TRAILER, "{f:?}");
         }
     }
 

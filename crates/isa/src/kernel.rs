@@ -345,6 +345,12 @@ pub fn save_state(enc: &mut Enc) {
     enc.u64(registry_fingerprint());
 }
 
+/// Bytes [`save_state`] writes: tag, count, 12 bytes per kernel, and
+/// the folded fingerprint.
+pub fn state_len() -> usize {
+    1 + 4 + 12 * registry().len() + 8
+}
+
 /// Verifies a section written by [`save_state`] against the live
 /// registry.
 ///
@@ -450,6 +456,7 @@ mod tests {
         let mut enc = Enc::new();
         save_state(&mut enc);
         let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), state_len());
         check_state(&mut Dec::new(&bytes)).unwrap();
         // A flipped fingerprint byte is a mismatch, not a panic.
         let mut bad = bytes.clone();

@@ -7,9 +7,17 @@
 //! boundary. This module provides the wire primitives those snapshots
 //! are written in: a byte [`Enc`]oder and a bounds-checked
 //! [`Dec`]oder over fixed-width little-endian fields, plus the
-//! length-prefixed, checksummed [`frame`] container and its incremental
-//! [`FrameBuf`] decoder used when encoded state crosses a byte stream
-//! (a pipe or socket) instead of a function boundary.
+//! incremental [`FrameBuf`] decoder for length-prefixed, checksummed
+//! frames, used when encoded state crosses a byte stream (a pipe or
+//! socket) instead of a function boundary.
+//!
+//! Two hashes, two jobs. [`checksum`] (XXH64, seed 0) is the
+//! *integrity* trailer on every frame, [`seal`]ed entry and snapshot
+//! container: it runs over every handed-off byte, so it must run at
+//! memory speed, and it may change with the container versions.
+//! [`fnv1a`] is the *identity* hash behind job fingerprints, the
+//! kernel-registry echo and oracle-feed fingerprints: cache keys and
+//! golden digests derive from it, so its values never move.
 //!
 //! Design rules, chosen so snapshots can cross process boundaries and
 //! be compared byte-for-byte:
@@ -42,6 +50,7 @@
 //! ```
 
 use std::fmt;
+use std::io::{self, Read};
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,63 +114,135 @@ pub fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64 over `bytes` — the workspace's shared integrity hash. It
-/// catches truncation and bit rot, not tampering; snapshot containers
-/// and wire frames both close with it.
+/// FNV-1a 64 over `bytes` — the workspace's *identity* hash. Job
+/// fingerprints (and so the report-cache keys), the kernel-registry
+/// echo and oracle-feed fingerprints are FNV-1a digests, so their
+/// values must never move. It is byte-serial, one multiply per byte;
+/// integrity trailers use [`checksum`] instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV1A_INIT, bytes)
 }
 
-/// Bytes a [`frame`] adds in front of the payload (the `u32` length).
-pub const FRAME_HEADER: usize = 4;
-/// Bytes a [`frame`] adds after the payload (the `u64` FNV-1a sum).
-pub const FRAME_TRAILER: usize = 8;
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
 
-/// Wraps `payload` in the stream frame container:
-/// `len: u32 LE | payload | fnv1a(payload): u64 LE`.
-///
-/// Frames are the unit of transmission when encoded state crosses a
-/// byte stream — a pipe to a worker process, a Unix socket — where the
-/// receiver sees arbitrary read boundaries instead of whole buffers.
-/// [`FrameBuf`] is the matching incremental decoder.
-///
-/// ```
-/// use loopspec_isa::snap::{frame, FrameBuf};
-///
-/// let wire = frame(b"hello");
-/// let mut buf = FrameBuf::new(1024);
-/// buf.extend(&wire[..3]); // arbitrary split: no frame yet
-/// assert_eq!(buf.next_frame()?, None);
-/// buf.extend(&wire[3..]);
-/// assert_eq!(buf.next_frame()?.as_deref(), Some(&b"hello"[..]));
-/// # Ok::<(), loopspec_isa::snap::SnapError>(())
-/// ```
-///
-/// # Panics
-///
-/// Panics if `payload` exceeds `u32::MAX` bytes.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("frame payload fits in u32");
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out
+#[inline(always)]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
 }
 
-/// Seals `payload` for storage at rest by appending its FNV-1a sum:
-/// `payload | fnv1a(payload): u64 LE`.
+#[inline(always)]
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+#[inline(always)]
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 with seed 0 over `bytes` — the workspace's *integrity*
+/// checksum. Every trailer closes with it: stream frames
+/// ([`FrameBuf`]), [`seal`]ed entries and pipeline snapshot
+/// containers. It catches truncation and bit rot, not tampering.
 ///
-/// This is the cache-entry twin of [`frame`]: entries that sit in a
-/// content-addressed store (rather than crossing a stream) need no
+/// Integrity and identity use different hashes on purpose. A trailer
+/// is recomputed over every handed-off byte (megabytes per snapshot),
+/// and XXH64's four independent 8-byte lanes run at memory speed where
+/// byte-serial [`fnv1a`] does not. A word-wise FNV-1a would be fast
+/// but weak: multiplication carries only upward, so in
+/// `h = (h ^ w) * P` two flips of bit 63 in different words cancel.
+/// XXH64's rotations mix every bit into the low half, and it is a
+/// published algorithm with published test values.
+///
+/// ```
+/// use loopspec_isa::snap::checksum;
+///
+/// assert_eq!(checksum(b""), 0xef46_db37_51d8_e999);
+/// assert_eq!(checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+/// ```
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            0u64.wrapping_sub(XXH_P1),
+        ];
+        for s in &mut stripes {
+            v[0] = xxh_round(v[0], le_u64(&s[0..]));
+            v[1] = xxh_round(v[1], le_u64(&s[8..]));
+            v[2] = xxh_round(v[2], le_u64(&s[16..]));
+            v[3] = xxh_round(v[3], le_u64(&s[24..]));
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for acc in v {
+            h = xxh_merge(h, acc);
+        }
+        h
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h ^= xxh_round(0, le_u64(tail));
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let w = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h ^= (w as u64).wrapping_mul(XXH_P1);
+        h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h ^= (b as u64).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// Bytes a stream frame carries in front of the payload (the `u32`
+/// length).
+pub const FRAME_HEADER: usize = 4;
+/// Bytes a stream frame or a [`seal`]ed entry carries after the payload
+/// (the `u64` [`checksum`]).
+pub const FRAME_TRAILER: usize = 8;
+/// The largest transport read [`FrameBuf::read_from`] issues: one pipe
+/// buffer.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Seals `payload` for storage at rest by appending its [`checksum`]:
+/// `payload | checksum(payload): u64 LE`.
+///
+/// This is the cache-entry twin of a stream frame: entries that sit in
+/// a content-addressed store (rather than crossing a stream) need no
 /// length prefix — the container they live in delimits them — but they
 /// do need the integrity trailer, so a flipped bit surfaces as a clean
 /// [`SnapError::Corrupt`] on [`unseal`] instead of a misparse. Sealing
 /// is deterministic: equal payloads seal to equal bytes, so sealed
 /// entries can be compared and deduplicated like the payloads
-/// themselves.
+/// themselves. Reserve [`FRAME_TRAILER`] spare bytes in `payload` to
+/// keep the trailer from reallocating it.
 pub fn seal(mut payload: Vec<u8>) -> Vec<u8> {
-    let sum = fnv1a(&payload);
+    let sum = checksum(&payload);
     payload.extend_from_slice(&sum.to_le_bytes());
     payload
 }
@@ -179,8 +260,7 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapError> {
         return Err(SnapError::Truncated { at: bytes.len() });
     }
     let (payload, trailer) = bytes.split_at(bytes.len() - FRAME_TRAILER);
-    let expect = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    if fnv1a(payload) != expect {
+    if checksum(payload) != le_u64(trailer) {
         return Err(SnapError::Corrupt {
             what: "sealed entry checksum",
         });
@@ -188,20 +268,56 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapError> {
     Ok(payload)
 }
 
-/// Incremental decoder for a stream of [`frame`]s.
+/// Incremental decoder for a stream of frames, each
+/// `len: u32 LE | payload | checksum(payload): u64 LE`.
 ///
-/// Feed it whatever byte slices the transport delivers with
-/// [`FrameBuf::extend`]; [`FrameBuf::next_frame`] pops one complete,
-/// checksum-verified payload at a time, or `None` while a frame is
-/// still partial. A declared length larger than the construction limit
-/// is rejected *before* any allocation, so a corrupt or hostile length
-/// prefix can never trigger an OOM-sized reservation.
+/// Frames are the unit of transmission when encoded state crosses a
+/// byte stream — a pipe to a worker process, a Unix socket — where the
+/// receiver sees arbitrary read boundaries instead of whole buffers.
+/// [`FrameBuf::read_from`] reads straight from the transport;
+/// [`FrameBuf::next_frame`] pops one complete, checksum-verified
+/// payload at a time, or `None` while a frame is still partial.
+///
+/// The frame in progress is assembled in its own buffer, which grows
+/// only as bytes arrive and never past the frame's declared size, and
+/// is handed to the caller as the payload without a copy. A declared
+/// length larger than the construction limit is rejected *before* any
+/// allocation, so a corrupt or hostile length prefix can never trigger
+/// an OOM-sized reservation.
+///
+/// ```
+/// use loopspec_isa::snap::{checksum, FrameBuf};
+///
+/// // The writer's side of the container (the dist wire's `write_frame`).
+/// let frame = |payload: &[u8]| {
+///     let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+///     out.extend_from_slice(payload);
+///     out.extend_from_slice(&checksum(payload).to_le_bytes());
+///     out
+/// };
+/// let wire = frame(b"hello");
+/// let mut buf = FrameBuf::new(1024);
+/// buf.read_from(&mut &wire[..3])?; // arbitrary split: no frame yet
+/// assert_eq!(buf.next_frame()?, None);
+/// buf.read_from(&mut &wire[3..])?;
+/// assert_eq!(buf.next_frame()?.as_deref(), Some(&b"hello"[..]));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug)]
 pub struct FrameBuf {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted once it outgrows the live
-    /// suffix, so long sessions don't accumulate dead bytes).
-    start: usize,
+    /// Header of the frame in progress; `head_len` bytes are filled.
+    head: [u8; FRAME_HEADER],
+    head_len: usize,
+    /// Payload and trailer of the frame in progress, once its header is
+    /// complete: `body[..rcvd]` has arrived, the rest is initialized
+    /// room for the next read.
+    body: Vec<u8>,
+    rcvd: usize,
+    /// Bytes received but not yet claimed by a frame: `spill[lo..hi]`
+    /// is live, the rest initialized scratch for the next read.
+    spill: Vec<u8>,
+    lo: usize,
+    hi: usize,
     limit: usize,
 }
 
@@ -209,24 +325,50 @@ impl FrameBuf {
     /// A decoder accepting payloads up to `limit` bytes.
     pub fn new(limit: usize) -> Self {
         FrameBuf {
-            buf: Vec::new(),
-            start: 0,
+            head: [0; FRAME_HEADER],
+            head_len: 0,
+            body: Vec::new(),
+            rcvd: 0,
+            spill: Vec::new(),
+            lo: 0,
+            hi: 0,
             limit,
         }
     }
 
-    /// Appends transport bytes (any split the stream happened to make).
-    pub fn extend(&mut self, bytes: &[u8]) {
-        if self.start > 0 && self.start >= self.buf.len().saturating_sub(self.start) {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    /// Reads once from `r`, at most 64 KiB (one pipe buffer), and returns
+    /// how many arrived (`0` at end of stream). While a frame's payload
+    /// is outstanding the read lands directly in that frame's buffer
+    /// and stops at its end; otherwise it lands in a scratch buffer
+    /// that [`FrameBuf::next_frame`] drains.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `r.read` returns.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if let (Ok(Some(frame)), true) = (self.frame_len(), self.lo == self.hi) {
+            if self.rcvd < frame {
+                let n = READ_CHUNK.min(frame - self.rcvd);
+                let got = r.read(room_within(&mut self.body, self.rcvd, n, frame))?;
+                self.rcvd += got;
+                return Ok(got);
+            }
         }
-        self.buf.extend_from_slice(bytes);
+        // Move the unclaimed bytes to the front first, so consumed
+        // ones never accumulate over a long stream.
+        self.spill.copy_within(self.lo..self.hi, 0);
+        (self.lo, self.hi) = (0, self.hi - self.lo);
+        if self.spill.len() < self.hi + READ_CHUNK {
+            self.spill.resize(self.hi + READ_CHUNK, 0);
+        }
+        let got = r.read(&mut self.spill[self.hi..self.hi + READ_CHUNK])?;
+        self.hi += got;
+        Ok(got)
     }
 
     /// Bytes buffered but not yet returned as a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.head_len + self.rcvd + (self.hi - self.lo)
     }
 
     /// `true` when no partial frame is pending — the clean state a
@@ -245,31 +387,63 @@ impl FrameBuf {
     /// unrecoverable at that point (framing is lost) and the caller
     /// should drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, SnapError> {
-        let live = &self.buf[self.start..];
-        if live.len() < FRAME_HEADER {
+        let take = (FRAME_HEADER - self.head_len).min(self.hi - self.lo);
+        self.head[self.head_len..self.head_len + take]
+            .copy_from_slice(&self.spill[self.lo..self.lo + take]);
+        self.head_len += take;
+        self.lo += take;
+        let Some(frame) = self.frame_len()? else {
+            return Ok(None);
+        };
+        let take = (frame - self.rcvd).min(self.hi - self.lo);
+        room_within(&mut self.body, self.rcvd, take, frame)
+            .copy_from_slice(&self.spill[self.lo..self.lo + take]);
+        self.rcvd += take;
+        self.lo += take;
+        if self.rcvd < frame {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(live[..4].try_into().expect("4 bytes")) as usize;
+        let len = frame - FRAME_TRAILER;
+        if checksum(&self.body[..len]) != le_u64(&self.body[len..]) {
+            return Err(SnapError::Corrupt {
+                what: "frame checksum",
+            });
+        }
+        let mut payload = std::mem::take(&mut self.body);
+        payload.truncate(len);
+        (self.head_len, self.rcvd) = (0, 0);
+        Ok(Some(payload))
+    }
+
+    /// Payload plus trailer bytes of the frame in progress, once its
+    /// header is complete.
+    fn frame_len(&self) -> Result<Option<usize>, SnapError> {
+        if self.head_len < FRAME_HEADER {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(self.head) as usize;
         if len > self.limit {
             return Err(SnapError::Corrupt {
                 what: "frame length",
             });
         }
-        let total = FRAME_HEADER + len + FRAME_TRAILER;
-        if live.len() < total {
-            return Ok(None);
-        }
-        let payload = &live[FRAME_HEADER..FRAME_HEADER + len];
-        let sum = u64::from_le_bytes(live[FRAME_HEADER + len..total].try_into().expect("8 bytes"));
-        if fnv1a(payload) != sum {
-            return Err(SnapError::Corrupt {
-                what: "frame checksum",
-            });
-        }
-        let payload = payload.to_vec();
-        self.start += total;
-        Ok(Some(payload))
+        Ok(Some(len + FRAME_TRAILER))
     }
+}
+
+/// Makes `body[at..at + n]` initialized room, growing the buffer by
+/// doubling as `Vec` would but never past `frame` bytes — the most the
+/// frame in progress will ever hold.
+fn room_within(body: &mut Vec<u8>, at: usize, n: usize, frame: usize) -> &mut [u8] {
+    let need = at + n;
+    if need > body.len() {
+        if need > body.capacity() {
+            let cap = (body.capacity() * 2).max(need).min(frame);
+            body.reserve_exact(cap - body.len());
+        }
+        body.resize(need, 0);
+    }
+    &mut body[at..need]
 }
 
 /// A snapshot byte encoder: fixed-width little-endian fields appended to
@@ -283,6 +457,15 @@ impl Enc {
     /// An empty encoder.
     pub fn new() -> Self {
         Enc::default()
+    }
+
+    /// An empty encoder with room for `bytes` bytes — size it for the
+    /// whole output, trailer included, so a multi-megabyte buffer is
+    /// allocated once instead of doubled.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Bytes written so far.
@@ -466,6 +649,37 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
 
+    /// Frames `payload` the way the dist wire writes it:
+    /// `len | payload | checksum(payload)`.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&checksum(payload).to_le_bytes());
+        out
+    }
+
+    /// Delivers all of `bytes` to `buf` through its transport reads.
+    fn feed(buf: &mut FrameBuf, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            buf.read_from(&mut bytes).unwrap();
+        }
+    }
+
+    /// A transport that delivers at most `max` bytes per read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        max: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.max.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
     #[test]
     fn round_trips_every_primitive() {
         let mut e = Enc::new();
@@ -573,8 +787,8 @@ mod tests {
         // Feed every prefix-split of the concatenated stream.
         for split in 0..wire.len() {
             let mut buf = FrameBuf::new(1024);
-            buf.extend(&wire[..split]);
-            buf.extend(&wire[split..]);
+            feed(&mut buf, &wire[..split]);
+            feed(&mut buf, &wire[split..]);
             for p in payloads {
                 assert_eq!(buf.next_frame().unwrap().as_deref(), Some(p));
             }
@@ -585,7 +799,7 @@ mod tests {
         let mut buf = FrameBuf::new(1024);
         let mut got = Vec::new();
         for &b in &wire {
-            buf.extend(&[b]);
+            feed(&mut buf, &[b]);
             while let Some(p) = buf.next_frame().unwrap() {
                 got.push(p);
             }
@@ -598,7 +812,7 @@ mod tests {
         // A hostile length prefix claiming 4 GiB must error immediately,
         // not wait for (or reserve) 4 GiB.
         let mut buf = FrameBuf::new(1 << 20);
-        buf.extend(&u32::MAX.to_le_bytes());
+        feed(&mut buf, &u32::MAX.to_le_bytes());
         assert_eq!(
             buf.next_frame(),
             Err(SnapError::Corrupt {
@@ -613,7 +827,7 @@ mod tests {
         // Truncation: never an error, just "not yet complete".
         for cut in 0..wire.len() {
             let mut buf = FrameBuf::new(1024);
-            buf.extend(&wire[..cut]);
+            feed(&mut buf, &wire[..cut]);
             assert_eq!(buf.next_frame().unwrap(), None, "cut {cut}");
             assert_eq!(buf.buffered(), cut);
         }
@@ -622,7 +836,7 @@ mod tests {
             let mut bad = wire.clone();
             bad[byte] ^= 0x10;
             let mut buf = FrameBuf::new(1024);
-            buf.extend(&bad);
+            feed(&mut buf, &bad);
             assert_eq!(
                 buf.next_frame(),
                 Err(SnapError::Corrupt {
@@ -635,15 +849,48 @@ mod tests {
 
     #[test]
     fn frame_buf_compacts_consumed_prefix() {
-        let mut buf = FrameBuf::new(1024);
-        for i in 0..100u8 {
-            buf.extend(&frame(&[i; 64]));
-            assert_eq!(buf.next_frame().unwrap().unwrap(), vec![i; 64]);
+        // 100 frames of 2 KiB in one stream: each read pulls dozens of
+        // frames into the scratch buffer at once.
+        let wire: Vec<u8> = (0..100u8).flat_map(|i| frame(&[i; 2048])).collect();
+        let mut src = &wire[..];
+        let mut buf = FrameBuf::new(4096);
+        let mut i = 0u8;
+        while buf.read_from(&mut src).unwrap() > 0 {
+            while let Some(p) = buf.next_frame().unwrap() {
+                assert_eq!(p, vec![i; 2048]);
+                i += 1;
+            }
         }
+        assert_eq!(i, 100);
         assert!(buf.is_empty());
-        // The internal buffer must not have grown to hold all 100
-        // frames: the consumed prefix is dropped as the stream drains.
-        assert!(buf.buf.capacity() < 100 * 64);
+        // The scratch buffer must not have grown to hold the whole
+        // stream: the consumed prefix is dropped as the stream drains.
+        assert!(buf.spill.capacity() <= READ_CHUNK);
+    }
+
+    #[test]
+    fn transport_reads_fill_the_frame_and_never_overshoot_it() {
+        let payloads: [&[u8]; 4] = [b"", b"hello", &[0x5a; 200_000], &[7; 3]];
+        let wire: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        for max in [1, 5, 4096, READ_CHUNK, usize::MAX] {
+            let mut src = Trickle { bytes: &wire, max };
+            let mut buf = FrameBuf::new(1 << 20);
+            let mut got = Vec::new();
+            loop {
+                if let Some(p) = buf.next_frame().unwrap() {
+                    // The payload is the frame buffer itself, grown
+                    // only as far as the frame reached.
+                    assert!(p.capacity() <= p.len() + FRAME_TRAILER, "max {max}");
+                    got.push(p);
+                    continue;
+                }
+                if buf.read_from(&mut src).unwrap() == 0 {
+                    break;
+                }
+            }
+            assert!(buf.is_empty(), "max {max}");
+            assert_eq!(got, payloads, "max {max}");
+        }
     }
 
     #[test]
@@ -652,6 +899,60 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn checksum_matches_xxh64_reference_vectors() {
+        // Published XXH64 (seed 0) values; the last input is longer
+        // than one 32-byte stripe, so it covers the four-lane loop.
+        assert_eq!(checksum(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            checksum(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn checksum_catches_paired_top_bit_flips() {
+        // The cancellation a word-wise multiplicative hash misses:
+        // bit 63 flipped in two different words.
+        let data = [0x3cu8; 96];
+        for (a, b) in [(0, 1), (0, 11), (3, 7)] {
+            let mut poked = data;
+            poked[a * 8 + 7] ^= 0x80;
+            poked[b * 8 + 7] ^= 0x80;
+            assert_ne!(checksum(&poked), checksum(&data), "words {a} and {b}");
+        }
+    }
+
+    #[test]
+    fn one_flipped_trailer_bit_fails_frames_and_seals() {
+        let wire = frame(b"payload");
+        let sealed = seal(b"payload".to_vec());
+        for bit in 0..FRAME_TRAILER * 8 {
+            let mut bad = wire.clone();
+            bad[wire.len() - FRAME_TRAILER + bit / 8] ^= 1 << (bit % 8);
+            let mut buf = FrameBuf::new(1024);
+            feed(&mut buf, &bad);
+            assert_eq!(
+                buf.next_frame(),
+                Err(SnapError::Corrupt {
+                    what: "frame checksum"
+                }),
+                "trailer bit {bit}"
+            );
+            let mut bad = sealed.clone();
+            bad[sealed.len() - FRAME_TRAILER + bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                unseal(&bad),
+                Err(SnapError::Corrupt {
+                    what: "sealed entry checksum"
+                }),
+                "trailer bit {bit}"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use std::fmt;
 
-use loopspec_core::snap::{fnv1a, Dec, Enc, SnapError};
+use loopspec_core::snap::{checksum, Dec, Enc, SnapError, FRAME_TRAILER};
 use loopspec_core::{LoopEventSink, SnapshotState};
 use loopspec_cpu::CpuError;
 
@@ -142,7 +142,10 @@ const MAGIC: u32 = 0x4c53_4e50;
 /// container gained a kernel-registry echo (ids + body fingerprints),
 /// so a checkpoint taken mid-`KernelCall` resumes only against the
 /// same registered kernel bodies; v2 containers are rejected cleanly.
-const VERSION: u32 = 3;
+/// v4: the trailer is the XXH64 integrity [`checksum`] instead of
+/// FNV-1a; the magic and version words are read before the trailer is
+/// verified, so a v3 container is refused as a version mismatch.
+const VERSION: u32 = 4;
 
 impl Snapshot {
     /// Stream position of the checkpoint: instructions retired before
@@ -162,7 +165,17 @@ impl Snapshot {
     /// container. The encoding is deterministic: checkpointing equal
     /// state twice yields equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        // Sized once, trailer included: the CPU pages make this
+        // megabytes, and a doubling for the last 8 bytes would copy
+        // them all again.
+        let sections = [&self.cpu, &self.detector]
+            .into_iter()
+            .chain(&self.sinks)
+            .map(|s| 8 + s.len())
+            .sum::<usize>();
+        let mut enc = Enc::with_capacity(
+            8 + loopspec_isa::kernel::state_len() + 1 + 8 + sections + 8 + FRAME_TRAILER,
+        );
         enc.u32(MAGIC);
         enc.u32(VERSION);
         // Registry echo: a snapshot taken mid-kernel references body
@@ -177,7 +190,7 @@ impl Snapshot {
         for s in &self.sinks {
             enc.bytes(s);
         }
-        let sum = fnv1a(enc.as_slice());
+        let sum = checksum(enc.as_slice());
         enc.u64(sum);
         enc.into_bytes()
     }
@@ -187,19 +200,16 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`SnapshotError::Codec`] when the magic, version or checksum do
-    /// not match, or the container is truncated/corrupt.
+    /// not match, or the container is truncated/corrupt. Magic and
+    /// version are compared first, so a container of another version
+    /// (whose trailer is another hash) is refused as a version
+    /// mismatch; no section byte is decoded before the trailer
+    /// verifies.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        if bytes.len() < 8 {
+        if bytes.len() < FRAME_TRAILER {
             return Err(SnapError::Truncated { at: 0 }.into());
         }
-        let (payload, sum) = bytes.split_at(bytes.len() - 8);
-        let expect = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
-        if fnv1a(payload) != expect {
-            return Err(SnapError::Corrupt {
-                what: "snapshot checksum",
-            }
-            .into());
-        }
+        let (payload, sum) = bytes.split_at(bytes.len() - FRAME_TRAILER);
         let mut dec = Dec::new(payload);
         if dec.u32()? != MAGIC {
             return Err(SnapError::Corrupt {
@@ -210,6 +220,13 @@ impl Snapshot {
         if dec.u32()? != VERSION {
             return Err(SnapError::Mismatch {
                 what: "snapshot version",
+            }
+            .into());
+        }
+        let expect = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+        if checksum(payload) != expect {
+            return Err(SnapError::Corrupt {
+                what: "snapshot checksum",
             }
             .into());
         }
@@ -294,10 +311,33 @@ mod tests {
     }
 
     #[test]
+    fn one_flipped_trailer_bit_fails_the_checksum() {
+        let bytes = sample().to_bytes();
+        let trailer = bytes.len() - FRAME_TRAILER;
+        for bit in 0..FRAME_TRAILER * 8 {
+            let mut bad = bytes.clone();
+            bad[trailer + bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                Snapshot::from_bytes(&bad),
+                Err(SnapshotError::Codec(SnapError::Corrupt {
+                    what: "snapshot checksum"
+                })),
+                "trailer bit {bit}"
+            );
+        }
+    }
+
+    #[test]
+    fn container_buffer_is_sized_once() {
+        let bytes = sample().to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len());
+    }
+
+    #[test]
     fn wrong_magic_is_rejected_even_with_valid_checksum() {
         let mut enc = Enc::new();
         enc.u32(0x1234_5678);
-        let sum = fnv1a(enc.as_slice());
+        let sum = checksum(enc.as_slice());
         enc.u64(sum);
         let bytes = enc.into_bytes();
         assert_eq!(

@@ -2,7 +2,9 @@
 //!
 //! Entries are keyed by [`JobSpec::fingerprint`](loopspec_dist::JobSpec::fingerprint)
 //! and stored **sealed**: the report's deterministic wire encoding
-//! wrapped in the `seal`/`unseal` checksum envelope from `isa::snap`.
+//! wrapped in the `seal`/`unseal` envelope from `isa::snap`, whose
+//! trailer is the XXH64 integrity checksum (the key stays the FNV-1a
+//! identity fingerprint).
 //! A sealed entry is self-verifying — a corrupted byte anywhere in the
 //! stored blob fails `unseal`, the entry is evicted, and the lookup
 //! reports a miss, so the service falls back to recomputing instead of

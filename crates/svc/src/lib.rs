@@ -13,8 +13,8 @@
 //!   FNV fingerprint (which deliberately ignores shard slicing: the
 //!   bit-identity proof makes slicing report-invariant). A repeated
 //!   query is O(1) and never touches a worker; entries are sealed with
-//!   a checksum, so a corrupted entry is detected, evicted, and
-//!   recomputed — never served.
+//!   the XXH64 integrity checksum, so a corrupted entry is detected,
+//!   evicted, and recomputed — never served.
 //! * **Coalescing** — identical jobs submitted while the first is
 //!   computing share one computation and all get the same answer.
 //! * **Backpressure** — a bounded in-flight limit; beyond it,

@@ -9,16 +9,19 @@
 //! — this suite is the paranoia those paths deserve. Three layers are
 //! attacked, all with the seeded testutil RNG:
 //!
-//! 1. the outer container (`Snapshot::from_bytes`): its FNV checksum
-//!    must catch every truncation and bit flip;
+//! 1. the outer container (`Snapshot::from_bytes`): its XXH64
+//!    checksum must catch every truncation and bit flip;
 //! 2. the inner sections (`Session::resume`): with the checksum
 //!    *recomputed* after corruption, the flipped bytes reach the
 //!    per-layer `load_state` decoders — which must error (or accept a
-//!    still-valid state) without panicking;
+//!    still-valid state) without panicking. Every resealing test also
+//!    proves that some of its inputs got past the checksum, so none of
+//!    them can pass only because the trailer rejected everything;
 //! 3. the dist frame layer (`FrameBuf`): corrupt lengths and payloads
 //!    are rejected before any allocation.
 
-use loopspec::core::snap::{fnv1a, FrameBuf, SnapError};
+use loopspec::core::snap::{checksum, fnv1a, FrameBuf, SnapError};
+use loopspec::pipeline::SnapshotError;
 use loopspec::prelude::*;
 use loopspec_testutil::Rng;
 
@@ -45,8 +48,8 @@ fn sample_snapshot() -> Vec<u8> {
 /// Tries to resume `bytes` into a freshly configured session; the
 /// result may be `Ok` (the corruption landed in a don't-care or
 /// still-valid spot) or `Err` — anything but a panic.
-fn try_resume(bytes: &[u8]) -> Result<(), String> {
-    let snapshot = Snapshot::from_bytes(bytes).map_err(|e| e.to_string())?;
+fn try_resume(bytes: &[u8]) -> Result<(), SnapshotError> {
+    let snapshot = Snapshot::from_bytes(bytes)?;
     let mut events = EventCollector::default();
     let mut grid = EngineGrid::new();
     Policy::Idle.add_to_grid(&mut grid, 4);
@@ -56,15 +59,40 @@ fn try_resume(bytes: &[u8]) -> Result<(), String> {
     session
         .observe_checkpointable(&mut events)
         .observe_checkpointable(&mut grid);
-    session.resume(&snapshot).map_err(|e| e.to_string())
+    session.resume(&snapshot)
 }
 
 /// Re-seals a container whose payload was mutated, so the corruption
-/// penetrates past the checksum into the section decoders.
+/// penetrates past the checksum into the section decoders. Uses the
+/// container's own trailer hash; `resealing_pristine_bytes_changes_nothing`
+/// keeps the two from drifting apart.
 fn reseal(bytes: &mut [u8]) {
     let payload_len = bytes.len() - 8;
-    let sum = fnv1a(&bytes[..payload_len]);
+    let sum = checksum(&bytes[..payload_len]);
     bytes[payload_len..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// `true` unless the outcome is the container's checksum refusal — the
+/// input reached the decoders behind it.
+fn past_checksum(outcome: &Result<(), SnapshotError>) -> bool {
+    !matches!(
+        outcome,
+        Err(SnapshotError::Codec(SnapError::Corrupt {
+            what: "snapshot checksum"
+        }))
+    )
+}
+
+#[test]
+fn resealing_pristine_bytes_changes_nothing() {
+    for pristine in [sample_snapshot(), kernel_snapshot()] {
+        let mut bytes = pristine.clone();
+        reseal(&mut bytes);
+        assert_eq!(
+            bytes, pristine,
+            "reseal must be the container's own checksum"
+        );
+    }
 }
 
 #[test]
@@ -105,6 +133,7 @@ fn resealed_corruption_reaches_section_decoders_without_panicking() {
     let bytes = sample_snapshot();
     let mut rng = Rng::new(0xdead_0003);
     let mut survived = 0u32;
+    let mut past = 0u32;
     for _ in 0..512 {
         let mut bad = bytes.clone();
         // 1 to 4 independent flips, then a recomputed checksum: the
@@ -115,7 +144,9 @@ fn resealed_corruption_reaches_section_decoders_without_panicking() {
             bad[byte] ^= 1 << rng.below(8);
         }
         reseal(&mut bad);
-        if try_resume(&bad).is_ok() {
+        let outcome = try_resume(&bad);
+        past += past_checksum(&outcome) as u32;
+        if outcome.is_ok() {
             survived += 1; // flipped a don't-care or still-valid value
         }
     }
@@ -123,6 +154,7 @@ fn resealed_corruption_reaches_section_decoders_without_panicking() {
     // unbounded allocation". But a decoder that accepted *everything*
     // would mean the echoes and tags verify nothing.
     assert!(survived < 512, "some corruption must be detected");
+    assert!(past > 0, "no resealed input got past the checksum");
 }
 
 #[test]
@@ -143,6 +175,7 @@ fn hostile_length_prefixes_cannot_oversize_allocations() {
     // input instead of allocating.
     let bytes = sample_snapshot();
     let mut rng = Rng::new(0xdead_0005);
+    let mut past = 0u32;
     for _ in 0..256 {
         let mut bad = bytes.clone();
         // Overwrite 8 aligned-ish bytes somewhere in the payload with a
@@ -151,13 +184,16 @@ fn hostile_length_prefixes_cannot_oversize_allocations() {
         let at = rng.below((bad.len() - 16) as u64) as usize;
         bad[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         reseal(&mut bad);
-        let _ = try_resume(&bad); // must not panic or OOM
+        // Must not panic or OOM.
+        past += past_checksum(&try_resume(&bad)) as u32;
     }
+    assert!(past > 0, "no resealed input got past the checksum");
 
     // Same property at the dist frame layer, where the length prefix
     // is fully attacker-controlled.
     let mut buf = FrameBuf::new(1 << 20);
-    buf.extend(&u32::MAX.to_le_bytes());
+    buf.read_from(&mut &u32::MAX.to_le_bytes()[..])
+        .expect("in-memory read");
     assert_eq!(
         buf.next_frame(),
         Err(SnapError::Corrupt {
@@ -200,12 +236,12 @@ fn kernel_snapshot() -> Vec<u8> {
 }
 
 /// Resumes kernel-snapshot `bytes` into a matching session.
-fn try_resume_kernel(bytes: &[u8]) -> Result<(), String> {
-    let snapshot = Snapshot::from_bytes(bytes).map_err(|e| e.to_string())?;
+fn try_resume_kernel(bytes: &[u8]) -> Result<(), SnapshotError> {
+    let snapshot = Snapshot::from_bytes(bytes)?;
     let mut events = EventCollector::default();
     let mut session = Session::new();
     session.observe_checkpointable(&mut events);
-    session.resume(&snapshot).map_err(|e| e.to_string())
+    session.resume(&snapshot)
 }
 
 /// Byte length of the kernel-registry echo, which spans
@@ -218,9 +254,6 @@ fn kernel_section_len() -> usize {
 
 #[test]
 fn v2_containers_are_rejected_with_a_clean_typed_error() {
-    use loopspec::core::snap::SnapError;
-    use loopspec::pipeline::SnapshotError;
-
     let mut bytes = kernel_snapshot();
     // The version word sits at payload bytes [4..8], after the magic.
     bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
@@ -234,6 +267,25 @@ fn v2_containers_are_rejected_with_a_clean_typed_error() {
             })
         ),
         "want a typed version mismatch, got {err:?}"
+    );
+}
+
+#[test]
+fn v3_containers_are_rejected_as_a_version_mismatch() {
+    // A real v3 container: version word 3 and an FNV-1a trailer. The
+    // version is read before the trailer is verified, so the refusal
+    // names the version, not the (foreign) checksum.
+    let mut bytes = kernel_snapshot();
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    let payload_len = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..payload_len]);
+    bytes[payload_len..].copy_from_slice(&sum.to_le_bytes());
+    let err = Snapshot::from_bytes(&bytes).expect_err("v3 must not decode");
+    assert_eq!(
+        err,
+        SnapshotError::Codec(SnapError::Mismatch {
+            what: "snapshot version"
+        })
     );
 }
 
@@ -258,6 +310,7 @@ fn kernel_section_bitflips_never_panic_and_are_mostly_caught() {
     let klen = kernel_section_len();
     let mut rng = Rng::new(0xdead_0006);
     let mut survived = 0u32;
+    let mut past = 0u32;
     const TRIES: u32 = 512;
     for _ in 0..TRIES {
         let mut bad = bytes.clone();
@@ -266,10 +319,13 @@ fn kernel_section_bitflips_never_panic_and_are_mostly_caught() {
         let byte = 8 + rng.below(klen as u64) as usize;
         bad[byte] ^= 1 << rng.below(8);
         reseal(&mut bad);
-        if try_resume_kernel(&bad).is_ok() {
+        let outcome = try_resume_kernel(&bad);
+        past += past_checksum(&outcome) as u32;
+        if outcome.is_ok() {
             survived += 1;
         }
     }
+    assert!(past > 0, "no resealed input got past the checksum");
     // A corrupted registry echo (count, id, or fingerprint) must not
     // resume against the built-in registry. Don't demand zero
     // survivors — a flip can land in a don't-care encoding corner —

@@ -14,7 +14,8 @@ use loopspec::workloads::Scale;
 
 #[test]
 fn protocol_version_is_pinned() {
-    assert_eq!(PROTOCOL, 3);
+    // v4: frames close with the XXH64 checksum instead of FNV-1a.
+    assert_eq!(PROTOCOL, 4);
 }
 
 #[test]
