@@ -346,12 +346,16 @@ impl FrameBuf {
     ///
     /// Whatever `r.read` returns.
     pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
-        if let (Ok(Some(frame)), true) = (self.frame_len(), self.lo == self.hi) {
-            if self.rcvd < frame {
-                let n = READ_CHUNK.min(frame - self.rcvd);
-                let got = r.read(room_within(&mut self.body, self.rcvd, n, frame))?;
-                self.rcvd += got;
-                return Ok(got);
+        // Scratch bytes not yet claimed come first; with none left, an
+        // outstanding payload reads straight into its frame.
+        if self.lo == self.hi {
+            if let Ok(Some(frame)) = self.frame_len() {
+                if self.rcvd < frame {
+                    let n = READ_CHUNK.min(frame - self.rcvd);
+                    let got = r.read(room_within(&mut self.body, self.rcvd, n, frame))?;
+                    self.rcvd += got;
+                    return Ok(got);
+                }
             }
         }
         // Move the unclaimed bytes to the front first, so consumed
