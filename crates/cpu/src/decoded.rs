@@ -20,7 +20,8 @@
 //! Dispatch is one decision per pc: a non-zero run length retires a
 //! straight-line run, one [`FlatOp`] per instruction through
 //! [`Cpu::exec_flat_op`]; a zero run length (control transfer, halt,
-//! kernel call) retires one [`DecodedOp`] through [`Cpu::step`].
+//! kernel call) retires the image's [`Instruction`] through
+//! [`Cpu::step`].
 //!
 //! What the decoded path *saves* per retirement: the fetch through
 //! `Option`, the `control_kind()` reclassification, the `reg_use()`
@@ -33,8 +34,8 @@ use std::time::Instant;
 
 use loopspec_asm::Program;
 use loopspec_isa::{
-    Addr, AluOp, ControlKind, DecodedImage, DecodedOp, FAluOp, FReg, FUnOp, FlatCode, FlatOp, Reg,
-    RegUse,
+    Addr, AluOp, ControlKind, DecodedImage, FAluOp, FReg, FUnOp, FlatCode, FlatOp, Instruction,
+    Reg, RegUse,
 };
 
 use crate::cpu::{Completion, Cpu, CpuError, RunLimits, RunSummary};
@@ -242,7 +243,7 @@ impl Cpu {
     /// event, check the memory limit if a store ran. Does **not**
     /// advance the pc — [`Cpu::exec_run`] owns the cursor.
     ///
-    /// Register operands index with `& 31`, which the image's lowering
+    /// Register operands index with `& 31`, which the lowering
     /// guarantees is the identity (see [`FlatOp`]) and which elides the
     /// bounds checks on the `[u64; 32]` / `[f64; 32]` register files.
     #[inline(always)]
@@ -250,7 +251,7 @@ impl Cpu {
     fn exec_flat_op<T: Tracer>(
         &mut self,
         f: FlatOp,
-        instr: loopspec_isa::Instruction,
+        instr: Instruction,
         u: &RegUse,
         pc: Addr,
         seq: u64,
@@ -477,7 +478,8 @@ impl Cpu {
     }
 
     /// Single-instruction dispatch for the ops whose run length is 0:
-    /// control transfers, halt and kernel calls. Returns `Ok(true)` on
+    /// control transfers, halt and kernel calls, matched on the
+    /// image's architectural [`Instruction`]. Returns `Ok(true)` on
     /// halt. `fuel` is the remaining budget of the enclosing
     /// resume (≥ 1 by the loop invariant): only the kernel arm needs
     /// it, since every other dispatch retires exactly one instruction.
@@ -495,18 +497,18 @@ impl Cpu {
         max_pages: usize,
     ) -> Result<bool, CpuError> {
         let pc = Addr::new(pcu as u32);
-        let op = img.op(pcu);
-        match op {
-            DecodedOp::Branch {
+        let instr = img.instr(pcu);
+        match instr {
+            Instruction::Branch {
                 cond,
                 ra,
                 rb,
                 target,
             } => {
                 self.exec_branch(img, pcu, cond, ra, rb, target, tracer, demand);
-                Ok(false)
+                return Ok(false);
             }
-            DecodedOp::KernelCall { id } => {
+            Instruction::KernelCall { id } => {
                 // The decode pass terminates every superblock at a
                 // kernel call, so it always dispatches from here —
                 // through the same executor the legacy interpreter
@@ -515,89 +517,56 @@ impl Cpu {
                 if self.exec_kernel(id, fuel, tracer, max_pages)? {
                     self.pc = succ(pc);
                 }
-                Ok(false)
+                return Ok(false);
             }
-            DecodedOp::Halt
-            | DecodedOp::Jump { .. }
-            | DecodedOp::JumpInd { .. }
-            | DecodedOp::Call { .. }
-            | DecodedOp::CallInd { .. }
-            | DecodedOp::Ret { .. } => {
-                let mut ev = InstrEvent {
-                    seq: self.retired,
-                    pc,
-                    instr: img.instr(pcu),
-                    control: ControlOutcome {
-                        kind: img.kind(pcu),
-                        taken: false,
-                        target: succ(pc),
-                    },
-                    reads: [None; 5],
-                    write: None,
-                    mem_read: None,
-                    mem_write: None,
-                };
-                if demand.reads() {
-                    self.capture_reads_from(img.reg_use(pcu), &mut ev);
-                }
-                let mut halted = false;
-                let next = match op {
-                    DecodedOp::Halt => {
-                        halted = true;
-                        succ(pc)
-                    }
-                    DecodedOp::Jump { target } => {
-                        ev.control.taken = true;
-                        ev.control.target = target;
-                        target
-                    }
-                    DecodedOp::JumpInd { base } => {
-                        let target = self.indirect_target(pc, self.regs[base.index()])?;
-                        ev.control.taken = true;
-                        ev.control.target = target;
-                        target
-                    }
-                    DecodedOp::Call { target, link } => {
-                        self.write_int_flat(
-                            link.index() as u8,
-                            succ(pc).index() as u64,
-                            &mut ev,
-                            demand,
-                        );
-                        ev.control.taken = true;
-                        ev.control.target = target;
-                        target
-                    }
-                    DecodedOp::CallInd { base, link } => {
-                        let target = self.indirect_target(pc, self.regs[base.index()])?;
-                        self.write_int_flat(
-                            link.index() as u8,
-                            succ(pc).index() as u64,
-                            &mut ev,
-                            demand,
-                        );
-                        ev.control.taken = true;
-                        ev.control.target = target;
-                        target
-                    }
-                    DecodedOp::Ret { link } => {
-                        let target = self.indirect_target(pc, self.regs[link.index()])?;
-                        ev.control.taken = true;
-                        ev.control.target = target;
-                        target
-                    }
-                    _ => unreachable!(),
-                };
+            _ => {}
+        }
+
+        // A halt or an unconditional transfer: with straight-line ops
+        // retired by `exec_run`, nothing else has run length 0.
+        let mut ev = InstrEvent {
+            seq: self.retired,
+            pc,
+            instr,
+            control: ControlOutcome {
+                kind: img.kind(pcu),
+                taken: false,
+                target: succ(pc),
+            },
+            reads: [None; 5],
+            write: None,
+            mem_read: None,
+            mem_write: None,
+        };
+        if demand.reads() {
+            self.capture_reads_from(img.reg_use(pcu), &mut ev);
+        }
+        let (target, link) = match instr {
+            Instruction::Jump { target } => (target, None),
+            Instruction::JumpInd { base } | Instruction::Ret { link: base } => {
+                (self.indirect_target(pc, self.regs[base.index()])?, None)
+            }
+            Instruction::Call { target, link } => (target, Some(link)),
+            Instruction::CallInd { base, link } => (
+                self.indirect_target(pc, self.regs[base.index()])?,
+                Some(link),
+            ),
+            _ => {
+                debug_assert_eq!(instr, Instruction::Halt);
                 self.retired += 1;
                 tracer.on_retire(&ev);
-                if halted {
-                    return Ok(true);
-                }
-                self.pc = next;
-                Ok(false)
+                return Ok(true);
             }
-            _ => unreachable!("straight-line ops retire through exec_run"),
+        };
+        if let Some(link) = link {
+            self.write_int_flat(link.index() as u8, succ(pc).index() as u64, &mut ev, demand);
         }
+        ev.control.taken = true;
+        ev.control.target = target;
+        self.retired += 1;
+        tracer.on_retire(&ev);
+        self.pc = target;
+        Ok(false)
     }
 
     /// [`Cpu::capture_reads`] with the pre-computed [`RegUse`] from

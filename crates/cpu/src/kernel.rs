@@ -12,20 +12,24 @@
 //! snapshot bytes all come out bit-identical; only wall-clock time
 //! changes.
 //!
-//! Three execution modes ([`KernelMode`], selected per CPU with
+//! Two execution modes ([`KernelMode`], selected per CPU with
 //! [`Cpu::set_kernel_mode`]; a new CPU starts in `native`):
 //!
 //! * **`native`** — the production path: a tight loop over the body
 //!   with pre-computed per-pc event metadata (the kernel twin of the
-//!   decoded interpreter's superblock walk).
-//! * **`interp`** — a deliberately independent implementation in the
-//!   legacy interpreter's style: re-classify, re-walk `reg_use`, and
-//!   rebuild the virtual-address remap on every step. Slow, simple,
-//!   and sharing no per-pc tables with `native`.
-//! * **`oracle`** — differential mode: run `native` on the real state
-//!   and `interp` on a clone, byte-compare the event streams and the
-//!   resulting architectural snapshots, and panic on any divergence.
-//!   This module's unit tests select it.
+//!   decoded interpreter's superblock walk). It keeps its own ALU,
+//!   load and store arms: retiring the body through the decoded
+//!   interpreter's `exec_flat_op` read slower on the kernel-stream
+//!   benchmark (CHANGES.md has the pairs).
+//! * **`interp`** — the kernel-body reference oracle, a deliberately
+//!   independent implementation in the legacy interpreter's style:
+//!   re-classify, re-walk `reg_use`, and rebuild the virtual-address
+//!   remap on every step, sharing no per-pc tables with `native`.
+//!   Tests compare the two: the unit tests of this module event for
+//!   event and byte for byte on every registered kernel and every
+//!   fuel cut inside a body, `tests/kernel_equivalence.rs` through the
+//!   loop detector and the batch engine on every `kern:` driver and
+//!   generated kernel program.
 //!
 //! Fuel can run out mid-body. The pause is recorded as a
 //! [`KernelResume`] cursor (kernel id + body pc) — everything else the
@@ -47,10 +51,9 @@ pub enum KernelMode {
     /// Tight pre-computed dispatch loop (the production path).
     #[default]
     Native,
-    /// Independent step-at-a-time reference implementation.
+    /// Independent step-at-a-time reference implementation (the
+    /// kernel-body oracle).
     Interp,
-    /// Run both, byte-compare events and state, panic on divergence.
-    Oracle,
 }
 
 /// Mid-body pause cursor: which kernel is in flight and the body pc to
@@ -63,16 +66,16 @@ pub(crate) struct KernelResume {
     pub(crate) bpc: u32,
 }
 
-/// Per-kernel static tables the native loop consumes: the body in
-/// execution form (body-local branch targets) and in event form
-/// (branch targets remapped to virtual addresses), with pre-computed
-/// classification per body pc.
+/// Per-kernel tables the native loop consumes: the body (body-local
+/// branch targets) and its register uses, borrowed from the static
+/// [`kernel::KernelDef`], plus the body in event form (branch targets
+/// remapped to virtual addresses) with its classification per body pc.
 struct KernelImage {
     id: u32,
-    body: Vec<Instruction>,
+    body: &'static [Instruction],
+    uses: &'static [RegUse],
     vinstrs: Vec<Instruction>,
     vkinds: Vec<ControlKind>,
-    uses: Vec<RegUse>,
 }
 
 /// Rewrites one body instruction into the form events report: branch
@@ -103,9 +106,9 @@ fn images() -> &'static [KernelImage] {
                 let vinstrs: Vec<Instruction> = k.body().iter().map(|&i| remap(k.id, i)).collect();
                 KernelImage {
                     id: k.id,
-                    body: k.body().to_vec(),
+                    body: k.body(),
+                    uses: k.uses(),
                     vkinds: vinstrs.iter().map(|i| i.control_kind()).collect(),
-                    uses: k.uses().to_vec(),
                     vinstrs,
                 }
             })
@@ -115,33 +118,6 @@ fn images() -> &'static [KernelImage] {
 
 fn image(id: u32) -> Option<&'static KernelImage> {
     images().iter().find(|k| k.id == id)
-}
-
-/// Records every event verbatim (demanding every field) — the oracle's
-/// comparison tap.
-#[derive(Default)]
-struct Recorder {
-    events: Vec<InstrEvent>,
-}
-
-impl Tracer for Recorder {
-    fn on_retire(&mut self, ev: &InstrEvent) {
-        self.events.push(*ev);
-    }
-}
-
-/// Forwards to the real tracer while recording, demanding every field
-/// so both oracle sides see fully populated events.
-struct Tee<'a, T: Tracer> {
-    inner: &'a mut T,
-    events: Vec<InstrEvent>,
-}
-
-impl<T: Tracer> Tracer for Tee<'_, T> {
-    fn on_retire(&mut self, ev: &InstrEvent) {
-        self.events.push(*ev);
-        self.inner.on_retire(ev);
-    }
 }
 
 impl Cpu {
@@ -173,7 +149,6 @@ impl Cpu {
         let (bpc, fault) = match self.kernel_mode {
             KernelMode::Native => self.kernel_native(img, start, fuel, tracer, max_pages),
             KernelMode::Interp => self.kernel_interp(img, start, fuel, tracer, max_pages),
-            KernelMode::Oracle => self.kernel_oracle(img, start, fuel, tracer, max_pages),
         };
         if bpc as usize != img.body.len() {
             // Pause (fuel) or fault mid-body: park the cursor so resume
@@ -296,9 +271,7 @@ impl Cpu {
         tracer: &mut T,
         max_pages: usize,
     ) -> (u32, Option<CpuError>) {
-        let body = kernel::lookup(img.id)
-            .expect("image implies registration")
-            .body();
+        let body = img.body;
         let mut bpc = start as usize;
         let mut used = 0u64;
         while used < fuel && bpc < body.len() {
@@ -377,75 +350,6 @@ impl Cpu {
         }
         (bpc as u32, None)
     }
-
-    /// Differential mode: `native` runs on the real state (events
-    /// forwarded to the caller's tracer), `interp` on a clone, and the
-    /// two are compared event-for-event and byte-for-byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any divergence — a diverging kernel implementation
-    /// must never be allowed to keep executing.
-    fn kernel_oracle<T: Tracer>(
-        &mut self,
-        img: &KernelImage,
-        start: u32,
-        fuel: u64,
-        tracer: &mut T,
-        max_pages: usize,
-    ) -> (u32, Option<CpuError>) {
-        let mut shadow = self.clone();
-        shadow.kernel_mode = KernelMode::Interp;
-
-        let mut tee = Tee {
-            inner: tracer,
-            events: Vec::new(),
-        };
-        let native = self.kernel_native(img, start, fuel, &mut tee, max_pages);
-
-        let mut rec = Recorder::default();
-        let interp = shadow.kernel_interp(img, start, fuel, &mut rec, max_pages);
-
-        assert_eq!(
-            native, interp,
-            "kernel oracle: outcome divergence in kernel {}",
-            img.id
-        );
-        assert_eq!(
-            tee.events.len(),
-            rec.events.len(),
-            "kernel oracle: event count divergence in kernel {}",
-            img.id
-        );
-        for (a, b) in tee.events.iter().zip(&rec.events) {
-            assert_eq!(
-                a, b,
-                "kernel oracle: event divergence in kernel {} at seq {}",
-                img.id, a.seq
-            );
-        }
-        let bytes = |cpu: &Cpu| {
-            let mut enc = loopspec_isa::snap::Enc::new();
-            cpu.save_state(&mut enc);
-            enc.into_bytes()
-        };
-        // Park identical cursors before comparing snapshot bytes (the
-        // caller normally does this after we return).
-        let mut a = self.clone();
-        let mut b = shadow;
-        a.kernel = Some(KernelResume {
-            id: img.id,
-            bpc: native.0,
-        });
-        b.kernel = a.kernel;
-        assert_eq!(
-            bytes(&a),
-            bytes(&b),
-            "kernel oracle: architectural state divergence in kernel {}",
-            img.id
-        );
-        native
-    }
 }
 
 #[cfg(test)]
@@ -488,70 +392,147 @@ mod tests {
         (cpu, s)
     }
 
+    /// Records every event verbatim, demanding every field.
+    #[derive(Default)]
+    struct Log(Vec<InstrEvent>);
+    impl Tracer for Log {
+        fn on_retire(&mut self, ev: &InstrEvent) {
+            self.0.push(*ev);
+        }
+    }
+
+    fn state_bytes(cpu: &Cpu) -> Vec<u8> {
+        let mut enc = loopspec_isa::snap::Enc::new();
+        cpu.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// What a mode-vs-mode comparison holds equal: the full event
+    /// stream, the state bytes at the fuel cut (when there is one) and
+    /// at the end, the result word, the retirement count and the pages
+    /// touched.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        events: Vec<InstrEvent>,
+        at_cut: Option<Vec<u8>>,
+        end: Vec<u8>,
+        out: u64,
+        retired: u64,
+        pages: usize,
+    }
+
+    /// Runs `p` in `first` mode — up to `cut` retirements when given,
+    /// then on to the halt in `rest` mode — recording everything.
+    fn trace(
+        p: &Program,
+        out: i64,
+        fill: &[(u64, u64)],
+        cut: Option<u64>,
+        first: KernelMode,
+        rest: KernelMode,
+    ) -> Trace {
+        let mut cpu = Cpu::new();
+        cpu.set_kernel_mode(first);
+        for &(a, v) in fill {
+            cpu.mem_mut().write(a, v);
+        }
+        let mut log = Log::default();
+        let mut at_cut = None;
+        let mut retired = 0;
+        cpu.pc = p.entry();
+        if let Some(cut) = cut {
+            let s = cpu.resume(p, &mut log, RunLimits::with_fuel(cut)).unwrap();
+            assert!(!s.halted(), "cut {cut} must land before the halt");
+            retired += s.retired;
+            at_cut = Some(state_bytes(&cpu));
+            cpu.set_kernel_mode(rest);
+        }
+        let s = cpu.resume(p, &mut log, RunLimits::default()).unwrap();
+        assert!(s.halted());
+        retired += s.retired;
+        assert_eq!(cpu.retired(), retired);
+        Trace {
+            events: log.0,
+            at_cut,
+            end: state_bytes(&cpu),
+            out: cpu.mem().read(out as u64),
+            retired,
+            pages: cpu.mem().pages_allocated(),
+        }
+    }
+
+    /// The kernel-body oracle: on every registered kernel, `Native`
+    /// and `Interp` retire the same full event stream and leave the
+    /// same state bytes — for a whole call, and paused at every fuel
+    /// cut of the run (so at every body pc), continued in the same mode
+    /// or in the other one.
     #[test]
-    fn ksum_matches_reference_in_every_mode() {
+    fn native_matches_interp_on_every_kernel() {
         let base = 0x8000u64;
-        let n = 100i64;
-        let (p, out) = call_program(1, [n, base as i64, 0]);
         let vals: Vec<i64> = (0..4096).map(|i| (i * 31 - 7) as i64).collect();
         let fill: Vec<(u64, u64)> = vals
             .iter()
             .enumerate()
             .map(|(i, &v)| (base + i as u64, v as u64))
+            .chain((0..4096u64).map(|i| (0x9800 + i, i * 7 + 3)))
             .collect();
-        let want = ksum_reference(n, &vals) as u64;
-        for mode in [KernelMode::Native, KernelMode::Interp, KernelMode::Oracle] {
-            let (cpu, s) = run_mode(&p, mode, &fill);
-            assert!(s.halted(), "{mode:?}");
-            assert_eq!(cpu.mem().read(out as u64), want, "{mode:?}");
-            // Dispatch retires nothing itself: body instrs + the
-            // program's own instructions only.
-            assert_eq!(cpu.retired(), s.retired);
-        }
-    }
+        for def in kernel::all() {
+            let n = 100i64;
+            let (p, out) = call_program(def.id, [n, base as i64, 0x9800]);
+            let (native, interp) = (KernelMode::Native, KernelMode::Interp);
+            let whole = trace(&p, out, &fill, None, native, native);
+            assert_eq!(
+                whole,
+                trace(&p, out, &fill, None, interp, interp),
+                "kernel {}: whole call",
+                def.name
+            );
+            assert!(whole.events.len() as u64 > n as u64 * 5, "{}", def.name);
+            match def.name {
+                "ksum" => assert_eq!(whole.out, ksum_reference(n, &vals) as u64),
+                "khash" => assert_ne!(whole.out, 0),
+                _ => {}
+            }
 
-    #[test]
-    fn khash_is_deterministic_and_pure_register() {
-        let (p, out) = call_program(4, [1000, 12345, 0]);
-        let (cpu1, _) = run_mode(&p, KernelMode::Native, &[]);
-        let (cpu2, _) = run_mode(&p, KernelMode::Oracle, &[]);
-        assert_eq!(cpu1.mem().read(out as u64), cpu2.mem().read(out as u64));
-        assert_ne!(cpu1.mem().read(out as u64), 0);
-        assert_eq!(cpu1.mem().pages_allocated(), cpu2.mem().pages_allocated());
+            // Every cut inside one short call: each body pc is a pause
+            // point at least once.
+            let (p, out) = call_program(def.id, [3, base as i64, 0x9800]);
+            let reference = trace(&p, out, &fill, None, native, native);
+            for cut in 1..reference.retired {
+                let a = trace(&p, out, &fill, Some(cut), native, native);
+                let b = trace(&p, out, &fill, Some(cut), interp, interp);
+                assert_eq!(a, b, "kernel {}: cut at {cut}", def.name);
+                assert_eq!(a.events, reference.events, "{}: cut at {cut}", def.name);
+                assert_eq!(a.end, reference.end, "{}: cut at {cut}", def.name);
+                let switched = trace(&p, out, &fill, Some(cut), native, interp);
+                assert_eq!(a, switched, "kernel {}: mode switch at {cut}", def.name);
+            }
+        }
     }
 
     #[test]
     fn decoded_path_matches_legacy_on_kernels() {
         use crate::decoded::DecodedProgram;
-        #[derive(Default)]
-        struct Recorder {
-            events: Vec<InstrEvent>,
-        }
-        impl Tracer for Recorder {
-            fn on_retire(&mut self, ev: &InstrEvent) {
-                self.events.push(*ev);
-            }
-        }
         for def in kernel::all() {
             let (p, _) = call_program(def.id, [300, 0x9000, 0x9800]);
             let decoded = DecodedProgram::new(&p);
 
             let mut legacy_cpu = Cpu::new();
             legacy_cpu.set_kernel_mode(KernelMode::Native);
-            let mut legacy = Recorder::default();
+            let mut legacy = Log::default();
             let ls = legacy_cpu
                 .run(&p, &mut legacy, RunLimits::default())
                 .unwrap();
 
             let mut dec_cpu = Cpu::new();
             dec_cpu.set_kernel_mode(KernelMode::Native);
-            let mut dec = Recorder::default();
+            let mut dec = Log::default();
             let ds = dec_cpu
                 .run_decoded(&decoded, &mut dec, RunLimits::default())
                 .unwrap();
 
             assert_eq!(ls.retired, ds.retired, "kernel {}", def.name);
-            assert_eq!(legacy.events, dec.events, "kernel {}", def.name);
+            assert_eq!(legacy.0, dec.0, "kernel {}", def.name);
 
             // Interleave: pause under one interpreter, continue under
             // the other — including pauses that land mid-kernel-body.

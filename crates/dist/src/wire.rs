@@ -256,6 +256,53 @@ pub struct Report {
     pub state: Vec<u8>,
 }
 
+impl Report {
+    /// Appends the report body — the part [`Frame::Report`] and
+    /// [`Frame::Done`] share, and the blob the replay service's cache
+    /// seals.
+    pub fn save(&self, enc: &mut Enc) {
+        enc.u64(self.job);
+        enc.u64(self.instructions);
+        enc.u64(self.lanes.len() as u64);
+        for lane in &self.lanes {
+            lane.save(enc);
+        }
+        enc.bytes(&self.state);
+    }
+
+    /// Reads a body written by [`Report::save`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on truncation or a malformed field.
+    pub fn load(dec: &mut Dec<'_>) -> Result<Report, SnapError> {
+        let job = dec.u64()?;
+        let instructions = dec.u64()?;
+        // A lane report is at least 88 encoded bytes (string length
+        // prefix + ten u64 counters) — a wire-controlled count can
+        // never reserve more than ~the frame's size.
+        let n = dec.count_elems(88)?;
+        let mut lanes = Vec::with_capacity(n);
+        for _ in 0..n {
+            lanes.push(LaneReport::load(dec)?);
+        }
+        let state = dec.bytes()?.to_vec();
+        Ok(Report {
+            job,
+            instructions,
+            lanes,
+            state,
+        })
+    }
+
+    /// The exact length of [`Report::save`]'s output, so a buffer can
+    /// be sized once for a body that carries megabytes of sink state.
+    pub fn encoded_len(&self) -> usize {
+        let lanes: usize = self.lanes.iter().map(|l| 88 + l.policy.len()).sum();
+        32 + lanes + self.state.len()
+    }
+}
+
 /// The replay service's metrics counters, as one flat wire-encodable
 /// struct (every field a `u64`, encoded in declaration order). The
 /// service guarantees two invariants at every observation point:
@@ -479,8 +526,6 @@ impl Frame {
     /// the rest, which grow like any `Vec`.
     fn size_hint(&self) -> usize {
         const SMALL: usize = 64;
-        let lanes =
-            |lanes: &[LaneReport]| -> usize { lanes.iter().map(|l| 88 + l.policy.len()).sum() };
         SMALL
             + match self {
                 Frame::Job(job) => {
@@ -489,9 +534,7 @@ impl Frame {
                         + job.snapshot.as_ref().map_or(0, Vec::len)
                 }
                 Frame::Snapshot { bytes, .. } => bytes.len(),
-                Frame::Report(report) | Frame::Done { report, .. } => {
-                    lanes(&report.lanes) + report.state.len()
-                }
+                Frame::Report(report) | Frame::Done { report, .. } => report.encoded_len(),
                 Frame::Error { message, .. } => message.len(),
                 _ => 0,
             }
@@ -538,13 +581,7 @@ impl Frame {
             }
             Frame::Report(report) => {
                 enc.u8(4);
-                enc.u64(report.job);
-                enc.u64(report.instructions);
-                enc.u64(report.lanes.len() as u64);
-                for lane in &report.lanes {
-                    lane.save(enc);
-                }
-                enc.bytes(&report.state);
+                report.save(enc);
             }
             Frame::Error { job, message } => {
                 enc.u8(5);
@@ -560,13 +597,7 @@ impl Frame {
                 enc.u8(7);
                 enc.u64(*id);
                 enc.bool(*cached);
-                enc.u64(report.job);
-                enc.u64(report.instructions);
-                enc.u64(report.lanes.len() as u64);
-                for lane in &report.lanes {
-                    lane.save(enc);
-                }
-                enc.bytes(&report.state);
+                report.save(enc);
             }
             Frame::StatsRequest => {
                 enc.u8(8);
@@ -631,25 +662,7 @@ impl Frame {
                 instructions: dec.u64()?,
                 bytes: dec.bytes()?.to_vec(),
             },
-            4 => {
-                let job = dec.u64()?;
-                let instructions = dec.u64()?;
-                // A lane report is at least 88 encoded bytes (string
-                // length prefix + ten u64 counters) — a wire-controlled
-                // count can never reserve more than ~the frame's size.
-                let n = dec.count_elems(88)?;
-                let mut lanes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lanes.push(LaneReport::load(&mut dec)?);
-                }
-                let state = dec.bytes()?.to_vec();
-                Frame::Report(Report {
-                    job,
-                    instructions,
-                    lanes,
-                    state,
-                })
-            }
+            4 => Frame::Report(Report::load(&mut dec)?),
             5 => Frame::Error {
                 job: dec.u64()?,
                 message: load_str(&mut dec)?,
@@ -658,28 +671,11 @@ impl Frame {
                 id: dec.u64()?,
                 spec: JobSpec::load(&mut dec)?,
             },
-            7 => {
-                let id = dec.u64()?;
-                let cached = dec.bool()?;
-                let job = dec.u64()?;
-                let instructions = dec.u64()?;
-                let n = dec.count_elems(88)?;
-                let mut lanes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lanes.push(LaneReport::load(&mut dec)?);
-                }
-                let state = dec.bytes()?.to_vec();
-                Frame::Done {
-                    id,
-                    cached,
-                    report: Report {
-                        job,
-                        instructions,
-                        lanes,
-                        state,
-                    },
-                }
-            }
+            7 => Frame::Done {
+                id: dec.u64()?,
+                cached: dec.bool()?,
+                report: Report::load(&mut dec)?,
+            },
             8 => Frame::StatsRequest,
             9 => Frame::Stats(SvcStats::load(&mut dec)?),
             10 => Frame::Rejected {
@@ -928,6 +924,10 @@ mod tests {
             assert_eq!(payload, f.encode());
             // Sealing the payload appends its trailer in place.
             assert!(payload.capacity() >= payload.len() + FRAME_TRAILER, "{f:?}");
+            // A report body's length is known before it is written.
+            if let Frame::Report(report) = &f {
+                assert_eq!(payload.len(), 1 + report.encoded_len());
+            }
         }
     }
 

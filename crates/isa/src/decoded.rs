@@ -10,22 +10,20 @@
 //!
 //! [`DecodedImage::build`] lowers a code slice into:
 //!
-//! * one [`DecodedOp`] per code word, with immediates already
-//!   sign-extended to the machine's 64-bit width (`f32` constants
-//!   pre-widened to `f64`) so the executor applies them with a bare
-//!   `wrapping_add`;
+//! * a flat execution stream: one [`FlatOp`] per pc with the ALU
+//!   sub-op and FP-compare condition folded into a single opcode and
+//!   immediates already sign-extended to the machine's 64-bit width
+//!   (`f32` constants pre-widened to `f64`), the form the straight-line
+//!   executor dispatches on;
 //! * the static per-pc metadata the tracer path needs
-//!   ([`ControlKind`], [`RegUse`], and the original [`Instruction`]
-//!   for the event's `instr` field);
+//!   ([`ControlKind`], [`RegUse`], and the original [`Instruction`],
+//!   which is also what control transfers dispatch on);
 //! * a **basic-block table**: for every pc, the length of the
 //!   straight-line (control-free) run starting there. The executor
 //!   uses it to retire whole loop bodies in a tight inner loop with a
 //!   single fuel check, and because the table is per-*pc* (a suffix
 //!   run length, not a block-entry map) any branch target — even one
-//!   landing mid-block — starts a maximal run;
-//! * a flat execution stream: one [`FlatOp`] per pc with the ALU
-//!   sub-op and FP-compare condition folded into a single opcode, the
-//!   form the straight-line executor dispatches on.
+//!   landing mid-block — starts a maximal run.
 //!
 //! There is no fusion pass: every straight-line op is one dispatch and
 //! every control transfer is one step. DESIGN.md §8 records why.
@@ -36,265 +34,17 @@
 //! transfer — exactly as the legacy interpreter does — so out-of-range
 //! targets fault identically on both paths.
 
-use crate::{Addr, AluOp, Cond, ControlKind, FAluOp, FReg, FUnOp, Instruction, Reg, RegUse};
-
-/// A fully decoded SLA instruction: the executable form of one
-/// [`Instruction`], with register operands pre-resolved and immediates
-/// pre-extended to operation width.
-///
-/// Mirrors [`Instruction`] variant-for-variant; only the operand
-/// representations differ:
-///
-/// * integer immediates and memory offsets are sign-extended to `u64`
-///   (the CPU's wrapping word arithmetic applies them directly);
-/// * the `f32` immediate of `FLoadImm` is pre-widened to `f64`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DecodedOp {
-    /// No operation.
-    Nop,
-    /// Machine halt.
-    Halt,
-    /// `rd <- op(ra, rb)`.
-    Alu {
-        /// Operation to apply.
-        op: AluOp,
-        /// Destination register.
-        rd: Reg,
-        /// First source register.
-        ra: Reg,
-        /// Second source register.
-        rb: Reg,
-    },
-    /// `rd <- op(ra, imm)` with the immediate pre-extended.
-    AluImm {
-        /// Operation to apply.
-        op: AluOp,
-        /// Destination register.
-        rd: Reg,
-        /// Source register.
-        ra: Reg,
-        /// Sign-extended immediate operand.
-        imm: u64,
-    },
-    /// `rd <- imm` with the immediate pre-extended.
-    LoadImm {
-        /// Destination register.
-        rd: Reg,
-        /// Sign-extended immediate value.
-        imm: u64,
-    },
-    /// `rd <- mem[ra + offset]` with the offset pre-extended.
-    Load {
-        /// Destination register.
-        rd: Reg,
-        /// Base address register.
-        base: Reg,
-        /// Sign-extended word offset.
-        offset: u64,
-    },
-    /// `mem[base + offset] <- src` with the offset pre-extended.
-    Store {
-        /// Source register.
-        src: Reg,
-        /// Base address register.
-        base: Reg,
-        /// Sign-extended word offset.
-        offset: u64,
-    },
-    /// `fd <- op(fa, fb)`.
-    FAlu {
-        /// Operation to apply.
-        op: FAluOp,
-        /// Destination FP register.
-        fd: FReg,
-        /// First source FP register.
-        fa: FReg,
-        /// Second source FP register.
-        fb: FReg,
-    },
-    /// `fd <- op(fa)`.
-    FUn {
-        /// Operation to apply.
-        op: FUnOp,
-        /// Destination FP register.
-        fd: FReg,
-        /// Source FP register.
-        fa: FReg,
-    },
-    /// `fd <- value` with the constant pre-widened to `f64`.
-    FLoadImm {
-        /// Destination FP register.
-        fd: FReg,
-        /// Pre-widened immediate value.
-        value: f64,
-    },
-    /// `fd <- mem[base + offset]` with the offset pre-extended.
-    FLoad {
-        /// Destination FP register.
-        fd: FReg,
-        /// Base address register.
-        base: Reg,
-        /// Sign-extended word offset.
-        offset: u64,
-    },
-    /// `mem[base + offset] <- fsrc` with the offset pre-extended.
-    FStore {
-        /// Source FP register.
-        fsrc: FReg,
-        /// Base address register.
-        base: Reg,
-        /// Sign-extended word offset.
-        offset: u64,
-    },
-    /// `rd <- cond(fa, fb) ? 1 : 0`.
-    FCmp {
-        /// Condition evaluated on the FP operands.
-        cond: Cond,
-        /// Destination integer register.
-        rd: Reg,
-        /// First source FP register.
-        fa: FReg,
-        /// Second source FP register.
-        fb: FReg,
-    },
-    /// `fd <- (f64) ra`.
-    ItoF {
-        /// Destination FP register.
-        fd: FReg,
-        /// Source integer register.
-        ra: Reg,
-    },
-    /// `rd <- (i64) fa`.
-    FtoI {
-        /// Destination integer register.
-        rd: Reg,
-        /// Source FP register.
-        fa: FReg,
-    },
-    /// Conditional branch.
-    Branch {
-        /// Branch condition.
-        cond: Cond,
-        /// First source register.
-        ra: Reg,
-        /// Second source register.
-        rb: Reg,
-        /// Branch target.
-        target: Addr,
-    },
-    /// Unconditional direct jump.
-    Jump {
-        /// Jump target.
-        target: Addr,
-    },
-    /// Unconditional indirect jump.
-    JumpInd {
-        /// Register holding the target address.
-        base: Reg,
-    },
-    /// Direct subroutine call.
-    Call {
-        /// Call target.
-        target: Addr,
-        /// Link register.
-        link: Reg,
-    },
-    /// Indirect subroutine call.
-    CallInd {
-        /// Register holding the callee address.
-        base: Reg,
-        /// Link register.
-        link: Reg,
-    },
-    /// Subroutine return.
-    Ret {
-        /// Register holding the return address.
-        link: Reg,
-    },
-    /// Kernel dispatch (see [`crate::kernel`]). Dispatched as a single
-    /// step, never as part of a straight-line run.
-    KernelCall {
-        /// Registry id of the kernel to run.
-        id: u32,
-    },
-}
-
-impl DecodedOp {
-    /// Lowers one instruction, pre-extending immediates.
-    fn lower(instr: Instruction) -> DecodedOp {
-        match instr {
-            Instruction::Nop => DecodedOp::Nop,
-            Instruction::Halt => DecodedOp::Halt,
-            Instruction::Alu { op, rd, ra, rb } => DecodedOp::Alu { op, rd, ra, rb },
-            Instruction::AluImm { op, rd, ra, imm } => DecodedOp::AluImm {
-                op,
-                rd,
-                ra,
-                imm: imm as i64 as u64,
-            },
-            Instruction::LoadImm { rd, imm } => DecodedOp::LoadImm {
-                rd,
-                imm: imm as u64,
-            },
-            Instruction::Load { rd, base, offset } => DecodedOp::Load {
-                rd,
-                base,
-                offset: offset as i64 as u64,
-            },
-            Instruction::Store { src, base, offset } => DecodedOp::Store {
-                src,
-                base,
-                offset: offset as i64 as u64,
-            },
-            Instruction::FAlu { op, fd, fa, fb } => DecodedOp::FAlu { op, fd, fa, fb },
-            Instruction::FUn { op, fd, fa } => DecodedOp::FUn { op, fd, fa },
-            Instruction::FLoadImm { fd, value } => DecodedOp::FLoadImm {
-                fd,
-                value: value as f64,
-            },
-            Instruction::FLoad { fd, base, offset } => DecodedOp::FLoad {
-                fd,
-                base,
-                offset: offset as i64 as u64,
-            },
-            Instruction::FStore { fsrc, base, offset } => DecodedOp::FStore {
-                fsrc,
-                base,
-                offset: offset as i64 as u64,
-            },
-            Instruction::FCmp { cond, rd, fa, fb } => DecodedOp::FCmp { cond, rd, fa, fb },
-            Instruction::ItoF { fd, ra } => DecodedOp::ItoF { fd, ra },
-            Instruction::FtoI { rd, fa } => DecodedOp::FtoI { rd, fa },
-            Instruction::Branch {
-                cond,
-                ra,
-                rb,
-                target,
-            } => DecodedOp::Branch {
-                cond,
-                ra,
-                rb,
-                target,
-            },
-            Instruction::Jump { target } => DecodedOp::Jump { target },
-            Instruction::JumpInd { base } => DecodedOp::JumpInd { base },
-            Instruction::Call { target, link } => DecodedOp::Call { target, link },
-            Instruction::CallInd { base, link } => DecodedOp::CallInd { base, link },
-            Instruction::Ret { link } => DecodedOp::Ret { link },
-            Instruction::KernelCall { id } => DecodedOp::KernelCall { id },
-        }
-    }
-}
+use crate::{AluOp, Cond, ControlKind, FAluOp, FUnOp, Instruction, RegUse};
 
 /// Flat execution opcode: one discriminant per *executable operation*,
 /// with the ALU sub-operation and FP-compare condition folded in.
 ///
-/// [`DecodedOp`] mirrors the architectural [`Instruction`] shape, which
-/// leaves the executor with two dependent dispatches per value op: the
-/// variant match, then the nested `AluOp`/`Cond` match inside the arm.
-/// The flat form collapses both into a single jump table with small,
-/// self-contained arms — the classic threaded-code opcode layout. Only
-/// non-control ops get real flat codes; control transfers lower to
+/// The architectural [`Instruction`] shape leaves an executor with two
+/// dependent dispatches per value op: the variant match, then the
+/// nested `AluOp`/`Cond` match inside the arm. The flat form collapses
+/// both into a single jump table with small, self-contained arms — the
+/// classic threaded-code opcode layout. Only non-control ops get real
+/// flat codes; control transfers, halts and kernel calls lower to
 /// [`FlatCode::Ctl`], which straight-line runs never reach (their
 /// run-length is 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,8 +178,10 @@ pub struct FlatOp {
 }
 
 impl FlatOp {
-    /// Lowers a decoded op to its flat execution form.
-    fn lower(op: DecodedOp) -> FlatOp {
+    /// Lowers one instruction to its flat execution form: integer
+    /// immediates and memory offsets sign-extended to `u64`, the `f32`
+    /// constant of `FLoadImm` pre-widened to `f64` bits.
+    pub fn lower(instr: Instruction) -> FlatOp {
         fn flat(code: FlatCode, a: usize, b: usize, c: usize, imm: u64) -> FlatOp {
             FlatOp {
                 code,
@@ -475,22 +227,30 @@ impl FlatOp {
                 AluOp::SltU => SltURI,
             }
         };
-        match op {
-            DecodedOp::Nop => flat(FlatCode::Nop, 0, 0, 0, 0),
-            DecodedOp::Alu { op, rd, ra, rb } => {
+        match instr {
+            Instruction::Nop => flat(FlatCode::Nop, 0, 0, 0, 0),
+            Instruction::Alu { op, rd, ra, rb } => {
                 flat(alu_rr(op), rd.index(), ra.index(), rb.index(), 0)
             }
-            DecodedOp::AluImm { op, rd, ra, imm } => {
-                flat(alu_ri(op), rd.index(), ra.index(), 0, imm)
+            Instruction::AluImm { op, rd, ra, imm } => {
+                flat(alu_ri(op), rd.index(), ra.index(), 0, imm as i64 as u64)
             }
-            DecodedOp::LoadImm { rd, imm } => flat(FlatCode::Li, rd.index(), 0, 0, imm),
-            DecodedOp::Load { rd, base, offset } => {
-                flat(FlatCode::Ld, rd.index(), base.index(), 0, offset)
-            }
-            DecodedOp::Store { src, base, offset } => {
-                flat(FlatCode::St, src.index(), base.index(), 0, offset)
-            }
-            DecodedOp::FAlu { op, fd, fa, fb } => {
+            Instruction::LoadImm { rd, imm } => flat(FlatCode::Li, rd.index(), 0, 0, imm as u64),
+            Instruction::Load { rd, base, offset } => flat(
+                FlatCode::Ld,
+                rd.index(),
+                base.index(),
+                0,
+                offset as i64 as u64,
+            ),
+            Instruction::Store { src, base, offset } => flat(
+                FlatCode::St,
+                src.index(),
+                base.index(),
+                0,
+                offset as i64 as u64,
+            ),
+            Instruction::FAlu { op, fd, fa, fb } => {
                 let code = match op {
                     FAluOp::Add => FlatCode::FAdd,
                     FAluOp::Sub => FlatCode::FSub,
@@ -501,7 +261,7 @@ impl FlatOp {
                 };
                 flat(code, fd.index(), fa.index(), fb.index(), 0)
             }
-            DecodedOp::FUn { op, fd, fa } => {
+            Instruction::FUn { op, fd, fa } => {
                 let code = match op {
                     FUnOp::Neg => FlatCode::FNeg,
                     FUnOp::Abs => FlatCode::FAbs,
@@ -509,16 +269,24 @@ impl FlatOp {
                 };
                 flat(code, fd.index(), fa.index(), 0, 0)
             }
-            DecodedOp::FLoadImm { fd, value } => {
-                flat(FlatCode::FLi, fd.index(), 0, 0, value.to_bits())
+            Instruction::FLoadImm { fd, value } => {
+                flat(FlatCode::FLi, fd.index(), 0, 0, (value as f64).to_bits())
             }
-            DecodedOp::FLoad { fd, base, offset } => {
-                flat(FlatCode::FLd, fd.index(), base.index(), 0, offset)
-            }
-            DecodedOp::FStore { fsrc, base, offset } => {
-                flat(FlatCode::FSt, fsrc.index(), base.index(), 0, offset)
-            }
-            DecodedOp::FCmp { cond, rd, fa, fb } => {
+            Instruction::FLoad { fd, base, offset } => flat(
+                FlatCode::FLd,
+                fd.index(),
+                base.index(),
+                0,
+                offset as i64 as u64,
+            ),
+            Instruction::FStore { fsrc, base, offset } => flat(
+                FlatCode::FSt,
+                fsrc.index(),
+                base.index(),
+                0,
+                offset as i64 as u64,
+            ),
+            Instruction::FCmp { cond, rd, fa, fb } => {
                 // Numeric FP comparison: signed/unsigned integer
                 // condition pairs collapse (there is one FP ordering),
                 // NaN semantics follow IEEE-754 operator results.
@@ -532,32 +300,31 @@ impl FlatOp {
                 };
                 flat(code, rd.index(), fa.index(), fb.index(), 0)
             }
-            DecodedOp::ItoF { fd, ra } => flat(FlatCode::ItoF, fd.index(), ra.index(), 0, 0),
-            DecodedOp::FtoI { rd, fa } => flat(FlatCode::FtoI, rd.index(), fa.index(), 0, 0),
-            DecodedOp::Halt
-            | DecodedOp::Branch { .. }
-            | DecodedOp::Jump { .. }
-            | DecodedOp::JumpInd { .. }
-            | DecodedOp::Call { .. }
-            | DecodedOp::CallInd { .. }
-            | DecodedOp::Ret { .. }
-            | DecodedOp::KernelCall { .. } => flat(FlatCode::Ctl, 0, 0, 0, 0),
+            Instruction::ItoF { fd, ra } => flat(FlatCode::ItoF, fd.index(), ra.index(), 0, 0),
+            Instruction::FtoI { rd, fa } => flat(FlatCode::FtoI, rd.index(), fa.index(), 0, 0),
+            Instruction::Halt
+            | Instruction::Branch { .. }
+            | Instruction::Jump { .. }
+            | Instruction::JumpInd { .. }
+            | Instruction::Call { .. }
+            | Instruction::CallInd { .. }
+            | Instruction::Ret { .. }
+            | Instruction::KernelCall { .. } => flat(FlatCode::Ctl, 0, 0, 0, 0),
         }
     }
 }
 
-/// The pre-decoded form of a program's code: one [`DecodedOp`] per
-/// code word plus the static per-pc metadata the dispatch loop and the
+/// The pre-decoded form of a program's code: one [`FlatOp`] per code
+/// word plus the static per-pc metadata the dispatch loop and the
 /// tracer path consume.
 ///
 /// Built once per program with [`DecodedImage::build`]; executed by
 /// `loopspec_cpu::Cpu::run_decoded`. The image holds a copy of the
-/// original instructions, so callers can verify it still matches a
-/// given program (and trace events can report the architectural
-/// [`Instruction`], not the lowered op).
+/// original instructions: control transfers dispatch on it, trace
+/// events report it, and callers verify with it that the image still
+/// matches a given program.
 #[derive(Debug, Clone)]
 pub struct DecodedImage {
-    ops: Vec<DecodedOp>,
     instrs: Vec<Instruction>,
     kinds: Vec<ControlKind>,
     uses: Vec<RegUse>,
@@ -569,7 +336,6 @@ impl DecodedImage {
     /// Decodes a code slice.
     pub fn build(code: &[Instruction]) -> DecodedImage {
         let n = code.len();
-        let ops: Vec<DecodedOp> = code.iter().map(|&i| DecodedOp::lower(i)).collect();
         let kinds: Vec<ControlKind> = code.iter().map(|i| i.control_kind()).collect();
         let uses: Vec<RegUse> = code.iter().map(|i| i.reg_use()).collect();
 
@@ -589,10 +355,9 @@ impl DecodedImage {
             }
         }
 
-        let flat = ops.iter().map(|&op| FlatOp::lower(op)).collect();
+        let flat = code.iter().map(|&i| FlatOp::lower(i)).collect();
 
         DecodedImage {
-            ops,
             instrs: code.to_vec(),
             kinds,
             uses,
@@ -603,21 +368,17 @@ impl DecodedImage {
 
     /// Number of code words in the image.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.instrs.len()
     }
 
     /// `true` when the image holds no code.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.instrs.is_empty()
     }
 
-    /// The decoded op at `pc` (callers guarantee `pc < len`).
-    #[inline(always)]
-    pub fn op(&self, pc: usize) -> DecodedOp {
-        self.ops[pc]
-    }
-
-    /// The original instruction at `pc`, for trace events.
+    /// The original instruction at `pc` (callers guarantee
+    /// `pc < len`): what control transfers dispatch on and trace events
+    /// report.
     #[inline(always)]
     pub fn instr(&self, pc: usize) -> Instruction {
         self.instrs[pc]
@@ -640,12 +401,6 @@ impl DecodedImage {
     #[inline(always)]
     pub fn run_len(&self, pc: usize) -> u32 {
         self.run_len[pc]
-    }
-
-    /// All decoded ops, indexed by pc.
-    #[inline(always)]
-    pub fn ops(&self) -> &[DecodedOp] {
-        &self.ops
     }
 
     /// All per-pc register-use summaries, indexed by pc (slice
@@ -673,6 +428,7 @@ impl DecodedImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Addr, Reg};
 
     fn addi(rd: Reg, ra: Reg, imm: i32) -> Instruction {
         Instruction::AluImm {
@@ -722,20 +478,23 @@ mod tests {
             },
         ]);
         assert_eq!(
-            img.op(0),
-            DecodedOp::AluImm {
-                op: AluOp::Add,
-                rd: Reg::R1,
-                ra: Reg::R1,
+            img.flat()[0],
+            FlatOp {
+                code: FlatCode::AddRI,
+                a: 1,
+                b: 1,
+                c: 0,
                 imm: u64::MAX,
             }
         );
         assert_eq!(
-            img.op(1),
-            DecodedOp::Load {
-                rd: Reg::R1,
-                base: Reg::R2,
-                offset: (-4i64) as u64,
+            img.flat()[1],
+            FlatOp {
+                code: FlatCode::Ld,
+                a: 1,
+                b: 2,
+                c: 0,
+                imm: (-4i64) as u64,
             }
         );
     }
@@ -800,7 +559,7 @@ mod tests {
             Instruction::Halt,
         ];
         let img = DecodedImage::build(&code);
-        assert_eq!(img.op(2), DecodedOp::KernelCall { id: 1 });
+        assert_eq!(img.instr(2), Instruction::KernelCall { id: 1 });
         assert_eq!(img.kind(2), ControlKind::None, "invisible to the CLS");
         assert_eq!(img.run_len(0), 2, "run stops before the dispatch");
         assert_eq!(img.run_len(2), 0, "dispatch is a single step");

@@ -58,7 +58,7 @@ mod reg;
 pub mod snap;
 
 pub use addr::Addr;
-pub use decoded::{DecodedImage, DecodedOp, FlatCode, FlatOp};
+pub use decoded::{DecodedImage, FlatCode, FlatOp};
 pub use encode::{DecodeError, LOAD_IMM_MAX, LOAD_IMM_MIN};
 pub use instr::{ControlKind, Instruction, RegUse};
 pub use op::{AluOp, Cond, FAluOp, FUnOp};

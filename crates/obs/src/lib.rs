@@ -12,10 +12,9 @@
 //! Telemetry is strictly **out-of-band**: nothing here ever feeds back
 //! into simulation state, snapshots, or report fingerprints, so an
 //! instrumented run is byte-identical to a telemetry-disabled one.
-//! Recording is process-wide on by default; [`set_enabled`] (or the
-//! `LOOPSPEC_OBS=0` environment variable) turns the span clock and the
-//! journal into no-ops while counters stay at their (already ~1 ns)
-//! unconditional atomic adds.
+//! Recording is process-wide on by default; [`set_enabled`] turns the
+//! span clock and the journal into no-ops while counters stay at their
+//! (already ~1 ns) unconditional atomic adds.
 //!
 //! ```
 //! use loopspec_obs as obs;
@@ -44,32 +43,23 @@ pub mod registry;
 pub mod render;
 pub mod span;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 pub use journal::EventKind;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry};
 pub use span::{SpanGuard, SpanStat};
 
-/// Tri-state enabled flag: 0 = uninitialized (read the environment),
-/// 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+/// The process-wide enabled flag. It publishes no other data, so
+/// relaxed loads and stores suffice.
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether span timing and journal recording are active. Defaults to
-/// `true`; `LOOPSPEC_OBS=0` (or `off`) in the environment starts the
-/// process disabled. Counter/gauge/histogram writes are *not* gated —
-/// they are single relaxed atomic adds and never influence outputs.
+/// Whether span timing and journal recording are active (on until
+/// [`set_enabled`] turns them off). Counter/gauge/histogram writes are
+/// *not* gated — they are single relaxed atomic adds and never
+/// influence outputs.
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var_os("LOOPSPEC_OBS")
-                .is_none_or(|v| v != *"0" && v != *"off" && v != *"false");
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns span timing and journal recording on or off process-wide.
@@ -78,7 +68,7 @@ pub fn enabled() -> bool {
 /// require byte-identical simulation output — which holds by
 /// construction, because telemetry never feeds back).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// The process-wide registry every layer records into. Scoped

@@ -1,8 +1,9 @@
 //! The content-addressed report cache.
 //!
 //! Entries are keyed by [`JobSpec::fingerprint`](loopspec_dist::JobSpec::fingerprint)
-//! and stored **sealed**: the report's deterministic wire encoding
-//! wrapped in the `seal`/`unseal` envelope from `isa::snap`, whose
+//! and stored **sealed**: the report body's deterministic wire
+//! encoding ([`Report::save`]), written straight from the borrowed
+//! report, wrapped in the `seal`/`unseal` envelope from `isa::snap`, whose
 //! trailer is the XXH64 integrity checksum (the key stays the FNV-1a
 //! identity fingerprint).
 //! A sealed entry is self-verifying — a corrupted byte anywhere in the
@@ -14,8 +15,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use loopspec_core::snap::{seal, unseal};
-use loopspec_dist::{Frame, Report};
+use loopspec_core::snap::{seal, unseal, Dec, Enc, FRAME_TRAILER};
+use loopspec_dist::Report;
 use loopspec_obs::{journal, EventKind};
 
 /// A bounded, LRU-evicting, corruption-detecting store of sealed
@@ -63,7 +64,9 @@ impl ReportCache {
         if self.capacity == 0 {
             return;
         }
-        let sealed = seal(Frame::Report(report.clone()).encode());
+        let mut enc = Enc::with_capacity(report.encoded_len() + FRAME_TRAILER);
+        report.save(&mut enc);
+        let sealed = seal(enc.into_bytes());
         if self.entries.insert(fingerprint, sealed).is_none() {
             self.order.push_back(fingerprint);
             if self.entries.len() > self.capacity {
@@ -89,13 +92,11 @@ impl ReportCache {
     /// reported as a miss.
     pub fn get(&mut self, fingerprint: u64) -> Option<Report> {
         let sealed = self.entries.get(&fingerprint)?;
-        let report = unseal(sealed)
-            .ok()
-            .and_then(|payload| Frame::decode(payload).ok())
-            .and_then(|frame| match frame {
-                Frame::Report(report) => Some(report),
-                _ => None,
-            });
+        let report = unseal(sealed).ok().and_then(|payload| {
+            let mut dec = Dec::new(payload);
+            let report = Report::load(&mut dec).ok()?;
+            dec.finish().ok().map(|()| report)
+        });
         match report {
             Some(report) => {
                 self.touch(fingerprint);

@@ -17,10 +17,17 @@
 //! the **mid-stream snapshot bytes** of a checkpoint taken halfway
 //! through the run (which lands inside a kernel body for the `kern:`
 //! drivers, exercising the v3 pause cursor).
+//!
+//! All four retire kernel bodies natively (`KernelMode::Native`). A
+//! fifth path is the instruction-by-instruction reference itself: a
+//! bare legacy `Cpu` in `KernelMode::Interp` into an `EventCollector`,
+//! replayed by the batch `Engine`. Its loop events, instruction count
+//! and reports must equal the decoded session's.
 
 use std::process::Command;
 
 use loopspec::core::SnapshotState;
+use loopspec::cpu::KernelMode;
 use loopspec::dist::single_pass_outcome;
 use loopspec::isa::kernel;
 use loopspec::prelude::*;
@@ -151,6 +158,40 @@ fn legacy_decoded_and_sharded_paths_are_byte_identical() {
             enc.into_bytes(),
             "{name}: sharded sink state"
         );
+    }
+}
+
+#[test]
+fn the_interp_kernel_reference_matches_the_decoded_session() {
+    let limits = RunLimits::with_fuel(2_000_000_000);
+    for name in workload_names() {
+        let program = build_named(&name, Scale::Test)
+            .expect("known name")
+            .expect("assembles");
+
+        let mut events = EventCollector::default();
+        let mut g = grid();
+        let mut session = Session::new();
+        session.set_interp(Interp::Decoded);
+        session.observe_loops(&mut events).observe_loops(&mut g);
+        session.run(&program, limits).expect("runs");
+        let reports = g.reports().expect("stream ended").to_vec();
+        let (events, instructions) = events.into_parts();
+
+        let mut cpu = Cpu::new();
+        cpu.set_kernel_mode(KernelMode::Interp);
+        let mut reference = EventCollector::default();
+        let out = cpu.run(&program, &mut reference, limits).expect("runs");
+        assert!(out.halted(), "{name}: workload must halt");
+        let (ref_events, ref_instructions) = reference.into_parts();
+        assert_eq!(ref_instructions, instructions, "{name}: instruction count");
+        assert_eq!(ref_events, events, "{name}: loop events");
+        let trace = AnnotatedTrace::build(&ref_events, ref_instructions);
+        let ref_reports: Vec<EngineReport> = lanes()
+            .iter()
+            .map(|lane| Engine::new(&trace, lane.policy, lane.tus as usize).run())
+            .collect();
+        assert_eq!(ref_reports, reports, "{name}: batch engine reports");
     }
 }
 
