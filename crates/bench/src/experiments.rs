@@ -1,9 +1,10 @@
 //! One function per paper artefact (tables and figures).
 
 use loopspec_core::{Cls, EventCollector, LoopStatsReport, Replacement, TableHitSim, TableKind};
-use loopspec_cpu::{Cpu, RunLimits};
+use loopspec_cpu::RunLimits;
 use loopspec_dataspec::DataSpecReport;
-use loopspec_mt::{AnnotatedTrace, Engine, EngineReport, Policy};
+use loopspec_mt::{AnnotatedTrace, Engine, EngineGrid, EngineReport, Policy};
+use loopspec_pipeline::Session;
 use loopspec_workloads::{PaperRow, Scale, Workload};
 
 use crate::run::WorkloadRun;
@@ -201,7 +202,8 @@ pub struct GenFig6Row {
 /// Every seed is first pushed through the full differential harness
 /// (legacy vs decoded, batch vs streaming vs sharded), so a row's TPC
 /// numbers are only reported for programs whose reports were proven
-/// byte-identical on every execution path.
+/// byte-identical on every execution path. The TPC itself comes from
+/// one decoded [`Session`] per seed with one STR lane per TU count.
 pub fn gen_fig6(seeds: u64, scale: Scale) -> Vec<GenFig6Row> {
     let size = scale.factor() as u32;
     loopspec_gen::families()
@@ -212,14 +214,18 @@ pub fn gen_fig6(seeds: u64, scale: Scale) -> Vec<GenFig6Row> {
             for seed in 0..seeds {
                 let program = loopspec_gen::compile(&family.generate(seed, size))
                     .expect("family programs compile");
-                let mut collector = EventCollector::default();
-                Cpu::new()
-                    .run(&program, &mut collector, RunLimits::default())
+                let mut grid = EngineGrid::new();
+                for tus in TU_COUNTS {
+                    Policy::Str.add_to_grid(&mut grid, tus);
+                }
+                let mut session = Session::new();
+                session.observe_loops(&mut grid);
+                session
+                    .run(&program, RunLimits::default())
                     .expect("family programs execute");
-                let (events, n) = collector.into_parts();
-                let trace = AnnotatedTrace::build(&events, n);
-                for (k, tus) in TU_COUNTS.iter().enumerate() {
-                    tpc[k] += Engine::new(&trace, Policy::Str, *tus).run().tpc() / seeds as f64;
+                let reports = grid.reports().expect("the stream ended");
+                for (k, report) in reports.iter().enumerate() {
+                    tpc[k] += report.tpc() / seeds as f64;
                 }
             }
             GenFig6Row {
@@ -392,9 +398,11 @@ pub fn cls_ablation(workloads: &[Workload], scale: Scale) -> Vec<ClsAblationPoin
             let (mut evictions, mut executions, mut max_nesting) = (0u64, 0u64, 0u32);
             for w in workloads {
                 let program = w.build(scale).expect("workload assembles");
-                let mut c = EventCollector::new(Cls::new(capacity));
-                Cpu::new()
-                    .run(&program, &mut c, RunLimits::default())
+                let mut c = EventCollector::default();
+                let mut session = Session::with_cls(Cls::new(capacity));
+                session.observe_loops(&mut c);
+                session
+                    .run(&program, RunLimits::default())
                     .expect("workload runs");
                 let (events, n) = c.into_parts();
                 let mut stats = loopspec_core::LoopStats::new();

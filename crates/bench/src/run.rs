@@ -14,18 +14,20 @@
 //!   study, replayed through unbounded-TU oracle lanes in a second
 //!   streaming pass over the retained event stream (no
 //!   [`AnnotatedTrace`] is materialized),
-//! * the live-in profiler (when requested — only Figure 8 needs it),
 //! * an [`EventCollector`] that retains the compact event stream for the
 //!   replay-style analyses (Table 1 statistics, LET/LIT sweeps, and the
 //!   phase-2 oracle replay).
+//!
+//! Figure 8's live-in profiler, when requested, is a second decoded CPU
+//! pass over a [`DataSpecProfiler`].
 //!
 //! Workloads run in parallel on a work-queue sized to the machine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use loopspec_core::{EventCollector, LoopEvent, LoopStats, LoopStatsReport};
-use loopspec_cpu::RunLimits;
-use loopspec_dataspec::{DataSpecReport, LiveInProfiler};
+use loopspec_cpu::{Cpu, DecodedProgram, RunLimits};
+use loopspec_dataspec::{DataSpecProfiler, DataSpecReport};
 use loopspec_mt::{
     ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, AnnotatedTrace, EngineGrid,
     EngineReport, IdealReport, IterationCountLog, Policy,
@@ -69,8 +71,8 @@ pub struct WorkloadRun {
 /// the event stream.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecuteOptions {
-    /// Run the live-in profiler (noticeably more expensive — only
-    /// Figure 8 needs it).
+    /// Run the live-in profiler in a second CPU pass (only Figure 8
+    /// needs it).
     pub dataspec: bool,
     /// Fan out to the full (policy × TU) streaming engine grid. Callers
     /// that only want the event stream (table/detector sweeps) can turn
@@ -97,7 +99,7 @@ impl Default for ExecuteOptions {
 
 impl WorkloadRun {
     /// Executes `workload` at `scale` in a single streaming pass.
-    /// `with_dataspec` additionally runs the live-in profiler; the full
+    /// `with_dataspec` adds a live-in profiling pass; the full
     /// engine grid is always computed (see [`WorkloadRun::execute_with`]
     /// to opt out).
     ///
@@ -147,7 +149,6 @@ impl WorkloadRun {
         for &(p, tus) in &points {
             p.add_to_grid(&mut grid, tus);
         }
-        let mut profiler = opts.dataspec.then(LiveInProfiler::new);
         // Phase 1 of the two-phase oracle: the count log rides the same
         // fan-out as every other sink.
         let mut count_log = opts.oracle.then(IterationCountLog::new);
@@ -160,14 +161,19 @@ impl WorkloadRun {
         if let Some(log) = count_log.as_mut() {
             session.observe_loops(log);
         }
-        if let Some(p) = profiler.as_mut() {
-            session.observe_both(p);
-        }
 
         let out = session
             .run(&program, limits)
             .unwrap_or_else(|e| panic!("{}: run failed: {e}", workload.name));
         assert!(out.halted(), "{}: did not halt", workload.name);
+
+        let dataspec = opts.dataspec.then(|| {
+            let mut profiler = DataSpecProfiler::new();
+            Cpu::new()
+                .run_decoded(&DecodedProgram::new(&program), &mut profiler, limits)
+                .unwrap_or_else(|e| panic!("{}: profiling run failed: {e}", workload.name));
+            profiler.report()
+        });
 
         let lane_reports = if grid.is_empty() {
             &[][..]
@@ -181,7 +187,6 @@ impl WorkloadRun {
             .map(|((p, tus), report)| (p, tus, report.clone()))
             .collect();
 
-        let dataspec = profiler.map(|p| p.report());
         let (events, instructions) = collector.into_parts();
 
         // Phase 2: replay the retained event stream through unbounded

@@ -12,7 +12,8 @@
 //!   [`TableHitSim`](crate::TableHitSim) — incremental statistics;
 //! * `loopspec_mt::EngineGrid` — the single-pass speculation engines,
 //!   one lane per (policy × TU-count) configuration;
-//! * `loopspec_dataspec::LiveInProfiler` — live-in value profiling;
+//! * `loopspec_mt::IterationCountLog` — phase 1 of the Figure 5
+//!   oracle;
 //! * `&mut S`, so a borrowed sink is a sink too. One detector feeds
 //!   many analyses in the same pass through the sink list of a
 //!   `loopspec_pipeline::Session`, the only fan-out.

@@ -16,8 +16,14 @@
 //!   the last effective address and value with their strides (the paper
 //!   stores exactly these fields in the LIT).
 //!
-//! The profiler is an ATOM-style [`Tracer`](loopspec_cpu::Tracer): run it
-//! over a program once and ask for the [`DataSpecReport`].
+//! The profiler is an ATOM-style [`Tracer`](loopspec_cpu::Tracer) with
+//! its own CLS: run it over a program once and ask for the
+//! [`DataSpecReport`]. It reads every retired instruction's register and
+//! memory operands, so it is a CPU pass of its own, not a loop-event
+//! sink of the shared `loopspec_pipeline::Session` (which carries only
+//! the control-speculation analyses and never assembles those operands).
+//! A loop's most frequent path breaks count ties on the lowest path
+//! hash, so the report is deterministic.
 //!
 //! ## Example
 //!
@@ -49,7 +55,7 @@ mod frame;
 mod profile;
 mod value_pred;
 
-pub use profile::{DataSpecProfiler, DataSpecReport, IterRecord, LiveInProfiler};
+pub use profile::{DataSpecProfiler, DataSpecReport, IterRecord};
 pub use value_pred::{PredOutcome, StridePredictor};
 
 /// Maximum live-in memory slots tracked per iteration; iterations with

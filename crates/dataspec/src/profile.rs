@@ -1,13 +1,14 @@
 //! The §4 profiler: paths, live-ins and their predictability.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use loopspec_core::{Cls, LoopEvent, LoopEventSink, LoopId};
+use loopspec_core::{Cls, LoopEvent, LoopId};
 use loopspec_cpu::{InstrEvent, Tracer};
 use loopspec_isa::ControlKind;
 
 use crate::frame::{reg_slot, IterFrame};
-use crate::value_pred::{PredOutcome, StridePredictor};
+use crate::value_pred::StridePredictor;
 
 /// Per-iteration profiling record: which path the iteration took and how
 /// many of its live-ins were stride-predicted correctly.
@@ -84,19 +85,19 @@ pub struct DataSpecReport {
     pub lm_seen: u64,
 }
 
-/// The live-in analysis proper, detached from loop detection: charges
-/// instructions to the open iteration frames and rolls the
-/// stride predictors at the iteration boundaries *somebody else*
-/// announces.
+/// ATOM-style tracer computing the paper's data-speculation statistics.
 ///
-/// This is the streaming-pipeline form of the profiler: it implements
-/// [`Tracer`] for the per-instruction half and [`LoopEventSink`] for the
-/// boundary half, so a `loopspec_pipeline::Session` can drive it from
-/// the **shared** CLS of the whole pass instead of a private duplicate.
-/// When driving a CPU directly, use [`DataSpecProfiler`], which bundles a
-/// CLS and keeps the two halves synchronised.
+/// Per retired instruction it first charges the instruction to every
+/// open iteration frame, then feeds it to its own [`Cls`] and rolls the
+/// frames at the iteration boundaries that CLS reports — so a closing
+/// branch belongs to the iteration it ends. The profiler reads every
+/// event field, so it runs as a CPU tracer of its own rather than as a
+/// loop-event sink of a shared session.
+///
+/// See the [crate docs](crate) for an example.
 #[derive(Debug, Default)]
-pub struct LiveInProfiler {
+pub struct DataSpecProfiler {
+    cls: Cls,
     frames: Vec<IterFrame>,
     reg_pred: StridePredictor<(LoopId, u8)>,
     mem_addr_pred: StridePredictor<(LoopId, u16)>,
@@ -105,8 +106,8 @@ pub struct LiveInProfiler {
     mem_overflow: u64,
 }
 
-impl LiveInProfiler {
-    /// Creates an empty profiler.
+impl DataSpecProfiler {
+    /// Creates a profiler with the default 16-entry CLS.
     pub fn new() -> Self {
         Self::default()
     }
@@ -124,13 +125,7 @@ impl LiveInProfiler {
     }
 
     /// Charges one retired instruction to every open iteration frame.
-    ///
-    /// Must be called *before* the loop events that instruction produced
-    /// are delivered to [`LoopEventSink::on_loop_event`] — the closing
-    /// branch belongs to the iteration it ends. Both drivers (the bundled
-    /// [`DataSpecProfiler`] and the pipeline `Session`) preserve this
-    /// order.
-    pub fn observe_instr(&mut self, ev: &InstrEvent) {
+    fn observe_instr(&mut self, ev: &InstrEvent) {
         // Charge the instruction to every open iteration (instructions
         // of nested loops and called subroutines belong to all
         // enclosing executions). The path signature covers every
@@ -167,6 +162,20 @@ impl LiveInProfiler {
         }
     }
 
+    /// Iteration starts and ends roll the live-in frames.
+    fn roll_frames(&mut self, ev: LoopEvent) {
+        match ev {
+            LoopEvent::IterationStart { loop_id, .. } => {
+                self.close_frame(loop_id);
+                self.frames.push(IterFrame::new(loop_id));
+            }
+            LoopEvent::ExecutionEnd { loop_id, .. } | LoopEvent::Evicted { loop_id, .. } => {
+                self.close_frame(loop_id);
+            }
+            LoopEvent::ExecutionStart { .. } | LoopEvent::OneShot { .. } => {}
+        }
+    }
+
     fn close_frame(&mut self, loop_id: LoopId) {
         let Some(idx) = self.frames.iter().rposition(|f| f.loop_id == loop_id) else {
             return;
@@ -191,94 +200,32 @@ impl LiveInProfiler {
         }
         for (slot, &(addr, value)) in frame.livein_mem.iter().enumerate() {
             rec.lm_seen += 1;
+            // Both predictors train even when the other missed; a cold
+            // observation counts as not-predicted.
             let a = self.mem_addr_pred.observe((loop_id, slot as u16), addr);
             let v = self.mem_val_pred.observe((loop_id, slot as u16), value);
             if a.is_correct() && v.is_correct() {
                 rec.lm_correct += 1;
             }
-            // Both predictors train even when the other missed; a cold
-            // (PredOutcome::Cold) observation counts as not-predicted.
-            let _ = PredOutcome::Cold;
         }
         self.records.push(rec);
-    }
-
-    fn open_frame(&mut self, loop_id: LoopId) {
-        self.frames.push(IterFrame::new(loop_id));
-    }
-}
-
-/// The per-instruction half, for registration as a plain tracer.
-impl Tracer for LiveInProfiler {
-    #[inline]
-    fn on_retire(&mut self, ev: &InstrEvent) {
-        self.observe_instr(ev);
-    }
-}
-
-/// The boundary half: iteration starts/ends roll the live-in frames.
-impl LoopEventSink for LiveInProfiler {
-    fn on_loop_event(&mut self, ev: &LoopEvent) {
-        match *ev {
-            LoopEvent::IterationStart { loop_id, .. } => {
-                self.close_frame(loop_id);
-                self.open_frame(loop_id);
-            }
-            LoopEvent::ExecutionEnd { loop_id, .. } | LoopEvent::Evicted { loop_id, .. } => {
-                self.close_frame(loop_id);
-            }
-            LoopEvent::ExecutionStart { .. } | LoopEvent::OneShot { .. } => {}
-        }
-    }
-
-    // The default `on_loop_events` (a loop over `on_loop_event`) is
-    // exactly right for this sink: boundary handling is inherently
-    // per-event, and the default body monomorphizes per impl, so there
-    // is nothing to override.
-}
-
-/// ATOM-style tracer computing the paper's data-speculation statistics:
-/// a [`LiveInProfiler`] bundled with its own [`Cls`] so a bare
-/// `Cpu::run` drives both halves in the right order.
-///
-/// In a streaming `Session` (one shared CLS feeding many analyses),
-/// register a [`LiveInProfiler`] instead — running a second CLS there
-/// would duplicate work.
-///
-/// See the [crate docs](crate) for an example.
-#[derive(Debug, Default)]
-pub struct DataSpecProfiler {
-    cls: Cls,
-    inner: LiveInProfiler,
-}
-
-impl DataSpecProfiler {
-    /// Creates a profiler with the default 16-entry CLS.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The per-iteration records collected so far.
-    pub fn records(&self) -> &[IterRecord] {
-        self.inner.records()
-    }
-
-    /// Aggregates the Figure 8 report (see [`LiveInProfiler::report`]).
-    pub fn report(&self) -> DataSpecReport {
-        self.inner.report()
     }
 }
 
 impl Tracer for DataSpecProfiler {
     fn on_retire(&mut self, ev: &InstrEvent) {
         // 1. Charge the instruction to every open iteration.
-        self.inner.observe_instr(ev);
+        self.observe_instr(ev);
 
-        // 2. Roll iteration boundaries (the CLS and the analysis are
-        //    disjoint fields, so the chunk can be consumed in place).
+        // 2. Roll the iteration boundaries it produced.
         if !matches!(ev.control.kind, ControlKind::None) {
             self.cls.on_retire(ev);
-            self.inner.on_loop_events(self.cls.buffered());
+            // The chunk and the frames both live in `self`: walk the
+            // chunk by index and copy each event out.
+            for i in 0..self.cls.buffered().len() {
+                let ev = self.cls.buffered()[i];
+                self.roll_frames(ev);
+            }
             self.cls.clear_buffered();
         }
     }
@@ -305,9 +252,11 @@ fn aggregate(records: &[IterRecord], mem_overflow: u64) -> DataSpecReport {
     let mfp: HashMap<LoopId, u64> = paths
         .iter()
         .map(|(l, m)| {
+            // Ties go to the lowest path hash, so the report never
+            // depends on the map's iteration order.
             let best = m
                 .iter()
-                .max_by_key(|(_, &c)| c)
+                .max_by_key(|(&p, &c)| (c, Reverse(p)))
                 .map(|(&p, _)| p)
                 .expect("non-empty path map");
             (*l, best)
@@ -493,6 +442,39 @@ mod tests {
         });
         // The walking loop's loads: addr stride 1, value stride 7.
         assert!(r.lm_pred_percent > 80.0, "{r:?}");
+    }
+
+    #[test]
+    fn tied_paths_go_to_the_lowest_path_hash() {
+        // One loop, two paths taken twice each: the path hashed 3 wins
+        // the tie over 7 whatever order the records (or the path map)
+        // come in, so its unpredicted live-in sets every percentage.
+        let rec = |path, lr_correct| IterRecord {
+            loop_id: LoopId(loopspec_isa::Addr::new(4)),
+            path,
+            lr_seen: 1,
+            lr_correct,
+            lm_seen: 0,
+            lm_correct: 0,
+        };
+        let mut records = vec![rec(7, 1), rec(3, 0), rec(7, 1), rec(3, 0)];
+        let expected = DataSpecReport {
+            iterations: 4,
+            loops: 1,
+            same_path_percent: 50.0,
+            lr_pred_percent: 0.0,
+            lm_pred_percent: 0.0,
+            all_lr_percent: 0.0,
+            all_lm_percent: 100.0,
+            all_data_percent: 0.0,
+            mem_slot_overflow: 0,
+            lr_seen: 2,
+            lm_seen: 0,
+        };
+        for _ in 0..16 {
+            assert_eq!(aggregate(&records, 0), expected);
+            records.reverse();
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use std::sync::OnceLock;
 
 use crate::snap::{fnv1a_update, Dec, Enc, SnapError, FNV1A_INIT};
-use crate::{Addr, AluOp, Cond, ControlKind, Instruction, Reg, RegUse};
+use crate::{Addr, AluOp, Cond, Instruction, Reg, RegUse};
 
 /// Base of the virtual code-address space kernel bodies retire at.
 ///
@@ -81,7 +81,6 @@ pub struct KernelDef {
     /// One-line description for catalogs and docs.
     pub description: &'static str,
     body: Vec<Instruction>,
-    kinds: Vec<ControlKind>,
     uses: Vec<RegUse>,
     fingerprint: u64,
 }
@@ -102,7 +101,6 @@ impl KernelDef {
             id,
             name,
             description,
-            kinds: body.iter().map(|i| i.control_kind()).collect(),
             uses: body.iter().map(|i| i.reg_use()).collect(),
             fingerprint: h,
             body,
@@ -113,11 +111,6 @@ impl KernelDef {
     /// the dispatch synthesizes.
     pub fn body(&self) -> &[Instruction] {
         &self.body
-    }
-
-    /// Pre-computed [`ControlKind`] per body pc.
-    pub fn kinds(&self) -> &[ControlKind] {
-        &self.kinds
     }
 
     /// Pre-computed [`RegUse`] per body pc.
@@ -400,7 +393,6 @@ mod tests {
         for (i, k) in ks.iter().enumerate() {
             assert_eq!(k.id as usize, i + 1, "ids are dense from 1");
             assert!(validate_body(k.body()).is_ok());
-            assert_eq!(k.kinds().len(), k.body().len());
             assert_eq!(k.uses().len(), k.body().len());
             assert_eq!(lookup(k.id).unwrap().name, k.name);
             assert_eq!(by_name(k.name).unwrap().id, k.id);

@@ -1,9 +1,9 @@
 //! # loopspec-pipeline — the single-pass streaming session
 //!
 //! The paper's mechanism is inherently streaming: the CLS watches the
-//! committed instruction stream once, and the LET/LIT, the speculation
-//! engine and the live-in profiler all hang off that single observation
-//! point. This crate reproduces that shape in software. A [`Session`]
+//! committed instruction stream once, and the LET/LIT and the
+//! speculation engine hang off the loop boundaries it reports. This
+//! crate reproduces that shape in software. A [`Session`]
 //! drives the [`Cpu`](loopspec_cpu::Cpu) instruction by instruction,
 //! feeds every retired instruction through **one shared**
 //! [`Cls`](loopspec_core::Cls), and fans the
@@ -22,11 +22,15 @@
 //!             ┌▶ EngineGrid ─┬ lane STR, 4 TUs  ─▶ EngineReport
 //!             │              └ lane IDLE, 8 TUs ─▶ EngineReport
 //!   Cpu ─▶ CLS┼▶ LoopStats / TableHitSim       ─▶ Table 1 / Figure 4
-//!             └▶ LiveInProfiler                ─▶ Figure 8
+//!             └▶ IterationCountLog             ─▶ Figure 5 (phase 1)
 //! ```
 //!
 //! The session's sink list is the only fan-out: each registered sink
-//! receives every event chunk in registration order.
+//! receives every event chunk in registration order. Sinks see loop
+//! events only. The Figure 8 live-in profiler reads every retired
+//! instruction's operands, so it is not a sink: it runs as its own
+//! tracer with its own CLS (`loopspec_dataspec::DataSpecProfiler`) in a
+//! separate CPU pass.
 //!
 //! ## Checkpoint, resume, shard
 //!
@@ -84,7 +88,7 @@ mod snapshot;
 // through one crate.
 pub use loopspec_core::{LoopEventSink, SnapshotState};
 
-pub use session::{DualSink, Interp, Session, SessionSummary};
+pub use session::{Interp, Session, SessionSummary};
 pub use shard::{run_shard, Plan, ShardStep, ShardedOutcome, ShardedRun};
 pub use snapshot::{CheckpointSink, Snapshot, SnapshotError};
 
@@ -92,9 +96,8 @@ pub use snapshot::{CheckpointSink, Snapshot, SnapshotError};
 mod tests {
     use super::*;
     use loopspec_asm::ProgramBuilder;
-    use loopspec_core::{Cls, CountingSink, EventCollector, LoopEvent, LoopStats};
-    use loopspec_cpu::{CountingTracer, Cpu, InstrEvent, RunLimits, Tracer};
-    use loopspec_dataspec::{DataSpecProfiler, LiveInProfiler};
+    use loopspec_core::{Cls, CountingSink, EventCollector, LoopStats};
+    use loopspec_cpu::{Cpu, RunLimits};
     use loopspec_mt::{AnnotatedTrace, Engine, EngineGrid, Policy};
 
     /// A one-lane grid: STR at 4 TUs.
@@ -150,58 +153,6 @@ mod tests {
         assert_eq!(collected.events(), &events[..]);
         assert_eq!(collected.instructions(), n);
         assert_eq!(engine.report(0).unwrap(), &batch);
-    }
-
-    #[test]
-    fn dual_sink_profiler_matches_bundled_profiler() {
-        let p = program(|b| {
-            let acc = b.alloc_reg();
-            b.li(acc, 0);
-            b.counted_loop(40, |b, i| {
-                b.op(loopspec_isa::AluOp::Add, acc, acc, i);
-                b.work(5);
-            });
-        });
-
-        let mut bundled = DataSpecProfiler::new();
-        Cpu::new()
-            .run(&p, &mut bundled, RunLimits::default())
-            .unwrap();
-
-        let mut shared = LiveInProfiler::new();
-        let mut session = Session::new();
-        session.observe_both(&mut shared);
-        session.run(&p, RunLimits::default()).unwrap();
-
-        assert_eq!(shared.records(), bundled.records());
-        assert_eq!(shared.report(), bundled.report());
-    }
-
-    #[test]
-    fn instruction_tracers_see_every_retirement() {
-        let p = program(|b| b.counted_loop(10, |b, _| b.work(3)));
-        // An instruction-only observer is a dual sink whose loop side
-        // ignores events.
-        #[derive(Default)]
-        struct Counter(CountingTracer);
-        impl Tracer for Counter {
-            fn on_retire(&mut self, ev: &InstrEvent) {
-                self.0.on_retire(ev);
-            }
-        }
-        impl LoopEventSink for Counter {
-            fn on_loop_event(&mut self, _: &LoopEvent) {}
-        }
-        let mut counter = Counter::default();
-        let mut counting = CountingSink::default();
-        let mut session = Session::new();
-        session
-            .observe_both(&mut counter)
-            .observe_loops(&mut counting);
-        let out = session.run(&p, RunLimits::default()).unwrap();
-        assert_eq!(counter.0.retired, out.instructions);
-        assert!(counting.events > 0);
-        assert_eq!(counting.instructions, out.instructions);
     }
 
     #[test]

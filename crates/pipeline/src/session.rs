@@ -40,19 +40,8 @@ fn flush_cpu_telemetry(cpu: &mut Cpu) {
     }
 }
 
-/// A consumer of both the instruction stream and the loop-event stream —
-/// e.g. [`loopspec_dataspec::LiveInProfiler`], which charges live-ins per
-/// instruction and rolls frames at iteration boundaries.
-///
-/// Blanket-implemented for everything that is both a [`Tracer`] and a
-/// [`LoopEventSink`]; register with [`Session::observe_both`].
-pub trait DualSink: Tracer + LoopEventSink {}
-
-impl<T: Tracer + LoopEventSink> DualSink for T {}
-
 enum Slot<'a> {
     Loops(&'a mut (dyn LoopEventSink + Send)),
-    Both(&'a mut (dyn DualSink + Send)),
     /// A loop sink whose state travels in session checkpoints. Delivery
     /// is identical to [`Slot::Loops`].
     Ckpt(&'a mut (dyn CheckpointSink + Send)),
@@ -97,22 +86,16 @@ impl SessionSummary {
 }
 
 /// A single-pass execution session: one CPU run, one shared [`Cls`],
-/// any number of streaming consumers.
+/// any number of loop-event consumers.
 ///
-/// Register consumers — three kinds — with [`Session::observe_loops`]
-/// (loop events only), [`Session::observe_checkpointable`] (loop events,
-/// with state captured by [`Session::checkpoint`]) or
-/// [`Session::observe_both`] (instructions and loop events, see
-/// [`DualSink`]; an instruction-only observer is a `DualSink` whose loop
-/// side does nothing); then call [`Session::run`]. Per retired
-/// instruction the dispatch order is fixed: first every dual sink's
-/// [`on_retire`](Tracer::on_retire) (in registration order), then the
-/// loop events that instruction produced — so a [`DualSink`] sees a
-/// closing branch *before* the iteration-end event it causes, matching
-/// the bundled [`DataSpecProfiler`](loopspec_dataspec::DataSpecProfiler)
-/// semantics.
+/// Register consumers with [`Session::observe_loops`] or
+/// [`Session::observe_checkpointable`] (the same delivery, with state
+/// captured by [`Session::checkpoint`]); then call [`Session::run`].
+/// Sinks see loop events only: an analysis that needs every retired
+/// instruction (the Figure 8 live-in profiler) is a [`Tracer`] of its
+/// own, driven by its own CPU pass.
 ///
-/// **Chunked fan-out.** Pure loop sinks do not receive events one at a
+/// **Chunked fan-out.** Sinks do not receive events one at a
 /// time: the CLS buffers them into fixed-size chunks (the session's
 /// [`Cls`] chunk capacity, default
 /// [`DEFAULT_EVENT_CHUNK`](loopspec_core::DEFAULT_EVENT_CHUNK) events)
@@ -121,12 +104,11 @@ impl SessionSummary {
 /// registration order. Within every sink the stream is identical —
 /// same events, same order, positions non-decreasing — only the call
 /// granularity changes (see the batching contract in
-/// [`loopspec_core::sink`]). [`DualSink`]s still see each instruction's
-/// events before the next retirement, as their analyses require.
+/// [`loopspec_core::sink`]).
 ///
 /// At end of stream (halt, or [`Session::finish`] after fuel-bounded
 /// segments) the CLS is flushed, the final partial chunk is
-/// delivered, and every loop/dual sink receives
+/// delivered, and every sink receives
 /// [`on_stream_end`](LoopEventSink::on_stream_end) with the final
 /// instruction count.
 ///
@@ -259,12 +241,6 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Registers a consumer of both streams (see [`DualSink`]; borrowed).
-    pub fn observe_both(&mut self, sink: &'a mut (dyn DualSink + Send)) -> &mut Self {
-        self.slots.push(Slot::Both(sink));
-        self
-    }
-
     /// Registers a loop-event consumer whose state is captured by
     /// [`Session::checkpoint`] and restored by [`Session::resume`].
     ///
@@ -376,11 +352,9 @@ impl<'a> Session<'a> {
                 decoded,
                 ..
             } = self;
-            let dual_sinks = slots.iter().any(|s| matches!(s, Slot::Both(_)));
             let mut dispatch = Dispatch {
                 cls,
                 slots,
-                dual_sinks,
                 chunks: obs::counter("pipeline_chunks_delivered"),
             };
             match (*interp, decoded.as_ref()) {
@@ -413,7 +387,7 @@ impl<'a> Session<'a> {
     /// still-open loop executions at the current position, delivers the
     /// final partial chunk, and fires
     /// [`on_stream_end`](LoopEventSink::on_stream_end) on every
-    /// loop/dual sink. Idempotent. Returns the final instruction count.
+    /// sink. Idempotent. Returns the final instruction count.
     pub fn finish(&mut self) -> u64 {
         if !self.ended {
             self.end_stream();
@@ -428,13 +402,8 @@ impl<'a> Session<'a> {
     fn end_stream(&mut self) {
         let instructions = self.cpu.retired();
         flush_cpu_telemetry(&mut self.cpu);
-        // Dual sinks have already seen every currently buffered event
-        // live (they get each instruction's fresh events immediately);
-        // loop sinks have not. Flush-produced closes are new to both.
-        let seen = self.cls.buffered().len();
         self.cls.flush(instructions);
         let chunk = self.cls.buffered();
-        let trailing = &chunk[seen..];
         if !chunk.is_empty() {
             obs::counter("pipeline_chunks_delivered").inc();
         }
@@ -442,7 +411,6 @@ impl<'a> Session<'a> {
             match slot {
                 Slot::Loops(s) => end_loop_sink(&mut **s, chunk, instructions),
                 Slot::Ckpt(s) => end_loop_sink(&mut **s, chunk, instructions),
-                Slot::Both(d) => end_loop_sink(&mut **d, trailing, instructions),
             }
         }
         self.cls.clear_buffered();
@@ -458,9 +426,8 @@ impl<'a> Session<'a> {
     ///
     /// [`SnapshotError::StreamEnded`] after the stream ended;
     /// [`SnapshotError::NotCheckpointable`] when any sink was registered
-    /// via a non-checkpointable `observe_*` method (dual sinks
-    /// interleave with the instruction stream and do not currently
-    /// serialize).
+    /// with [`Session::observe_loops`] instead of
+    /// [`Session::observe_checkpointable`].
     pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
         if self.ended {
             return Err(SnapshotError::StreamEnded);
@@ -469,7 +436,7 @@ impl<'a> Session<'a> {
         for slot in &self.slots {
             match slot {
                 Slot::Ckpt(s) => sinks.push(Snapshot::section(|enc| s.save_state(enc))),
-                _ => return Err(SnapshotError::NotCheckpointable),
+                Slot::Loops(_) => return Err(SnapshotError::NotCheckpointable),
             }
         }
         let mut cpu = Enc::new();
@@ -545,17 +512,10 @@ fn end_loop_sink<S: LoopEventSink + ?Sized>(sink: &mut S, chunk: &[LoopEvent], i
 /// full chunk is fanned out with a single
 /// [`on_loop_events`](LoopEventSink::on_loop_events) call per loop sink
 /// — one virtual call per chunk per sink instead of one per event per
-/// sink. [`DualSink`]s are the exception: their analysis interleaves the
-/// instruction and event streams (an instruction must be charged to the
-/// iteration that was open when it retired), so they receive each
-/// instruction's fresh events immediately, before the next retirement.
+/// sink.
 struct Dispatch<'s, 'a> {
     cls: &'s mut Cls,
     slots: &'s mut Vec<Slot<'a>>,
-    /// Whether any slot is a [`DualSink`] — when false (the common grid
-    /// case: loop sinks only) the per-retirement slot walk is skipped
-    /// entirely.
-    dual_sinks: bool,
     /// Full event chunks fanned out so far (out-of-band telemetry; the
     /// handle is cached here so the hot path never touches the registry
     /// lock).
@@ -563,48 +523,24 @@ struct Dispatch<'s, 'a> {
 }
 
 impl Tracer for Dispatch<'_, '_> {
-    /// The CLS itself reads only always-populated event fields (pc, seq,
-    /// control outcome), so the session's demand is exactly the union of
-    /// its dual sinks' demands — an all-loop grid session lets the
-    /// interpreter skip event payload assembly entirely.
+    /// The CLS reads only always-populated event fields (pc, seq,
+    /// control outcome), so the interpreter skips event payload
+    /// assembly entirely.
     fn demand(&self) -> Demand {
-        self.slots.iter().fold(Demand::NONE, |d, slot| match slot {
-            Slot::Both(b) => d.union(b.demand()),
-            Slot::Loops(_) | Slot::Ckpt(_) => d,
-        })
+        Demand::NONE
     }
 
     fn on_retire(&mut self, ev: &InstrEvent) {
-        if self.dual_sinks {
-            for slot in self.slots.iter_mut() {
-                if let Slot::Both(d) = slot {
-                    d.on_retire(ev);
-                }
-            }
-        }
         if matches!(ev.control.kind, ControlKind::None) {
             return;
         }
-        let before = self.cls.buffered().len();
-        let full = self.cls.on_retire(ev);
-        if self.dual_sinks {
-            let fresh = &self.cls.buffered()[before..];
-            if !fresh.is_empty() {
-                for slot in self.slots.iter_mut() {
-                    if let Slot::Both(d) = slot {
-                        d.on_loop_events(fresh);
-                    }
-                }
-            }
-        }
-        if full {
+        if self.cls.on_retire(ev) {
             self.chunks.inc();
             let chunk = self.cls.buffered();
             for slot in self.slots.iter_mut() {
                 match slot {
                     Slot::Loops(s) => s.on_loop_events(chunk),
                     Slot::Ckpt(s) => s.on_loop_events(chunk),
-                    Slot::Both(_) => {}
                 }
             }
             self.cls.clear_buffered();

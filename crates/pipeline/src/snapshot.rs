@@ -64,8 +64,7 @@ pub enum SnapshotError {
     /// session that has already executed instructions.
     AlreadyStarted,
     /// A registered sink was not checkpointable (registered via
-    /// [`observe_loops`](crate::Session::observe_loops) or
-    /// [`observe_both`](crate::Session::observe_both) instead of
+    /// [`observe_loops`](crate::Session::observe_loops) instead of
     /// [`observe_checkpointable`](crate::Session::observe_checkpointable)).
     NotCheckpointable,
     /// The snapshot holds a different number of sink sections than the

@@ -98,7 +98,7 @@ pub mod prelude {
         TableHitSim, TableKind,
     };
     pub use loopspec_cpu::{Cpu, DecodedProgram, Demand, InstrEvent, RunLimits, Tracer};
-    pub use loopspec_dataspec::{DataSpecProfiler, LiveInProfiler};
+    pub use loopspec_dataspec::DataSpecProfiler;
     pub use loopspec_dist::{
         Coordinator, DistError, DistOutcome, JobSpec, LaneReport, LaneSpec, SuiteSpec, SvcStats,
         WorkerLink,

@@ -191,6 +191,62 @@ fn dataspec_profile_is_sane_on_a_workload() {
     assert!(r.all_data_percent <= r.all_lm_percent + 1e-9);
 }
 
+/// Figure 8 reports pinned for two workloads whose loops have tied
+/// most-frequent paths. The values were recorded when the profiler still
+/// rode the shared `Session` as an instruction-and-loop-event sink; the
+/// standalone decoded profiling pass must reproduce them exactly.
+#[test]
+fn figure8_reports_are_pinned_on_two_workloads() {
+    use loopspec::dataspec::DataSpecReport;
+
+    let expected = [
+        (
+            "gcc",
+            DataSpecReport {
+                iterations: 1587,
+                loops: 20,
+                same_path_percent: 51.73282923755514,
+                lr_pred_percent: 68.81203007518798,
+                lm_pred_percent: 30.97222222222222,
+                all_lr_percent: 20.706455542021924,
+                all_lm_percent: 47.137637028014616,
+                all_data_percent: 20.09744214372716,
+                mem_slot_overflow: 0,
+                lr_seen: 3325,
+                lm_seen: 720,
+            },
+        ),
+        (
+            "li",
+            DataSpecReport {
+                iterations: 1924,
+                loops: 10,
+                same_path_percent: 42.93139293139293,
+                lr_pred_percent: 80.9605734767025,
+                lm_pred_percent: 20.297951582867785,
+                all_lr_percent: 13.559322033898304,
+                all_lm_percent: 13.922518159806295,
+                all_data_percent: 8.716707021791768,
+                mem_slot_overflow: 0,
+                lr_seen: 6975,
+                lm_seen: 1074,
+            },
+        ),
+    ];
+    for (name, report) in expected {
+        let program = workload_by_name(name).unwrap().build(Scale::Test).unwrap();
+        let mut prof = DataSpecProfiler::new();
+        Cpu::new()
+            .run_decoded(
+                &DecodedProgram::new(&program),
+                &mut prof,
+                RunLimits::default(),
+            )
+            .unwrap();
+        assert_eq!(prof.report(), report, "{name}");
+    }
+}
+
 #[test]
 fn overlapped_loops_are_tracked() {
     // Hand-assembled overlapped loops (paper Figure 2c/2d):
