@@ -97,11 +97,6 @@ impl Assembler {
         Ok(())
     }
 
-    /// Returns the bound address of a label, if bound.
-    pub fn address_of(&self, label: LabelId) -> Option<Addr> {
-        self.labels[label.0 as usize]
-    }
-
     /// Convenience: creates a label already bound to the current position.
     pub fn label_here(&mut self) -> LabelId {
         let l = self.new_label();

@@ -436,16 +436,6 @@ impl ProgramBuilder {
         self.asm.branch(cond, ra, rb, l);
     }
 
-    /// Jumps to the innermost loop's continue point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not inside a loop.
-    pub fn continue_loop(&mut self) {
-        let l = self.innermost_loop().continue_label;
-        self.asm.jump(l);
-    }
-
     /// Continues the innermost loop when `cond(ra, rb)` holds.
     ///
     /// # Panics

@@ -125,7 +125,7 @@ pub const FIG5_PREFIX_FRACTION: f64 = 0.25;
 
 /// Reproduces Figure 5: potential TPC with infinite thread units, read
 /// from the two-phase streaming oracle computed by
-/// [`WorkloadRun::execute`] — phase 1 (the iteration-count log) rides
+/// [`WorkloadRun::execute_with`] — phase 1 (the iteration-count log) rides
 /// the shared single pass, phase 2 streams the retained events through
 /// unbounded oracle lanes. No trace is materialized.
 ///

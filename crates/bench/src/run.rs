@@ -98,26 +98,6 @@ impl Default for ExecuteOptions {
 }
 
 impl WorkloadRun {
-    /// Executes `workload` at `scale` in a single streaming pass.
-    /// `with_dataspec` adds a live-in profiling pass; the full
-    /// engine grid is always computed (see [`WorkloadRun::execute_with`]
-    /// to opt out).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload fails to assemble, run, or halt — these are
-    /// suite bugs, not user conditions.
-    pub fn execute(workload: Workload, scale: Scale, with_dataspec: bool) -> Self {
-        Self::execute_with(
-            workload,
-            scale,
-            ExecuteOptions {
-                dataspec: with_dataspec,
-                ..ExecuteOptions::default()
-            },
-        )
-    }
-
     /// Executes `workload` at `scale`, computing exactly the artifacts
     /// `opts` asks for.
     ///
@@ -331,7 +311,11 @@ mod tests {
 
     #[test]
     fn execute_produces_consistent_artifacts() {
-        let run = WorkloadRun::execute(by_name("compress").unwrap(), Scale::Test, false);
+        let run = WorkloadRun::execute_with(
+            by_name("compress").unwrap(),
+            Scale::Test,
+            ExecuteOptions::default(),
+        );
         assert!(run.instructions > 10_000);
         assert!(!run.events.is_empty());
         assert!(run.dataspec.is_none());
@@ -347,7 +331,11 @@ mod tests {
     fn streaming_grid_matches_batch_replay() {
         // The precomputed single-pass reports must be identical to what
         // the batch engine derives from the collected events.
-        let run = WorkloadRun::execute(by_name("li").unwrap(), Scale::Test, false);
+        let run = WorkloadRun::execute_with(
+            by_name("li").unwrap(),
+            Scale::Test,
+            ExecuteOptions::default(),
+        );
         let trace = run.annotate();
         let mut checked = 0;
         for (policy, tus, streamed) in run.reports() {
@@ -363,7 +351,14 @@ mod tests {
 
     #[test]
     fn dataspec_flag_populates_report() {
-        let run = WorkloadRun::execute(by_name("perl").unwrap(), Scale::Test, true);
+        let run = WorkloadRun::execute_with(
+            by_name("perl").unwrap(),
+            Scale::Test,
+            ExecuteOptions {
+                dataspec: true,
+                ..ExecuteOptions::default()
+            },
+        );
         let ds = run.dataspec.expect("requested dataspec");
         assert!(ds.iterations > 0);
     }
@@ -374,7 +369,11 @@ mod tests {
         use loopspec_core::LoopEvent;
         use loopspec_mt::ideal_tpc;
 
-        let run = WorkloadRun::execute(by_name("swim").unwrap(), Scale::Test, false);
+        let run = WorkloadRun::execute_with(
+            by_name("swim").unwrap(),
+            Scale::Test,
+            ExecuteOptions::default(),
+        );
         // Full run: the streaming pair must equal the batch oracle on
         // the materialized trace.
         assert_eq!(*run.ideal_all(), ideal_tpc(&run.annotate()));
@@ -417,7 +416,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "no precomputed report")]
     fn off_grid_report_panics() {
-        let run = WorkloadRun::execute(by_name("compress").unwrap(), Scale::Test, false);
+        let run = WorkloadRun::execute_with(
+            by_name("compress").unwrap(),
+            Scale::Test,
+            ExecuteOptions::default(),
+        );
         let _ = run.report(Policy::Str, 3);
     }
 

@@ -1,12 +1,10 @@
 //! Typed replay-job specifications.
 //!
 //! A [`JobSpec`] is the one description of "what to replay" shared by
-//! every driver in the system: the replay service submits it over the
-//! wire ([`Frame::Submit`](crate::Frame::Submit)), `dist_run` expands
-//! it into a [`SuiteSpec`], and the bench harness
-//! derives its `ExecuteOptions` from it. The builder replaces the
-//! loose `(workload, scale, lanes, plan, fuel)` tuples that used to be
-//! assembled by hand at each call site:
+//! the replay drivers: a replay-service client submits it in process,
+//! and `dist_run` expands it into a [`SuiteSpec`]. The builder replaces
+//! the loose `(workload, scale, lanes, plan, fuel)` tuples that used to
+//! be assembled by hand at each call site:
 //!
 //! ```
 //! use loopspec_dist::{JobSpec, Policy};
@@ -28,14 +26,14 @@
 
 use std::fmt;
 
-use loopspec_core::snap::{fnv1a, Dec, Enc, SnapError};
+use loopspec_core::snap::{fnv1a, Enc, SnapError};
 use loopspec_cpu::RunLimits;
 use loopspec_mt::{Policy, StreamError};
 use loopspec_pipeline::Plan;
 use loopspec_workloads::Scale;
 
 use crate::coordinator::SuiteSpec;
-use crate::wire::{load_scale, load_str, save_scale, save_str, LaneSpec};
+use crate::wire::{save_scale, save_str, LaneSpec};
 
 /// Why a [`JobSpec`] failed admission ([`JobSpec::validate`]).
 ///
@@ -96,9 +94,6 @@ pub struct JobSpec {
     pub policies: Vec<Policy>,
     /// Thread-unit axis of the lane grid.
     pub tus: Vec<u32>,
-    /// Explicit lane list overriding the `policies × tus` cross
-    /// product, for grids that are not a full rectangle.
-    pub lanes: Option<Vec<LaneSpec>>,
     /// How the run is cut into snapshot-linked shards. Excluded from
     /// [`JobSpec::fingerprint`] — slicing never changes the report.
     pub plan: Plan,
@@ -125,7 +120,6 @@ impl JobSpec {
             scale: Scale::Test,
             policies: Policy::ALL.to_vec(),
             tus: vec![2, 4, 8, 16],
-            lanes: None,
             plan: Plan::sliced(25_000),
             total_fuel: RunLimits::default().max_instrs,
             kernel_registry: loopspec_isa::kernel::registry_fingerprint(),
@@ -150,13 +144,6 @@ impl JobSpec {
         self
     }
 
-    /// Overrides the `policies × tus` cross product with an explicit
-    /// lane list.
-    pub fn lanes(mut self, lanes: impl IntoIterator<Item = LaneSpec>) -> Self {
-        self.lanes = Some(lanes.into_iter().collect());
-        self
-    }
-
     /// Sets the shard plan.
     pub fn plan(mut self, plan: Plan) -> Self {
         self.plan = plan;
@@ -169,14 +156,10 @@ impl JobSpec {
         self
     }
 
-    /// The lane grid this spec describes: the explicit [`Self::lanes`]
-    /// override if set, else the `tus × policies` cross product (outer
-    /// loop over TUs — the [`default_lanes`](crate::default_lanes)
-    /// order).
+    /// The lane grid this spec describes: the `tus × policies` cross
+    /// product (outer loop over TUs — the
+    /// [`default_lanes`](crate::default_lanes) order).
     pub fn lane_specs(&self) -> Vec<LaneSpec> {
-        if let Some(lanes) = &self.lanes {
-            return lanes.clone();
-        }
         let mut lanes = Vec::with_capacity(self.tus.len() * self.policies.len());
         for &tus in &self.tus {
             for &policy in &self.policies {
@@ -240,9 +223,7 @@ impl JobSpec {
     }
 
     /// Every field that determines the report — the fingerprint domain.
-    /// Lanes are canonicalized through [`Self::lane_specs`] so an
-    /// explicit lane list and the equivalent cross product address the
-    /// same cache line.
+    /// Lanes are encoded as the expanded [`Self::lane_specs`] list.
     fn save_report_fields(&self, enc: &mut Enc) {
         save_str(enc, &self.workload);
         save_scale(enc, self.scale);
@@ -254,52 +235,10 @@ impl JobSpec {
         enc.u64(self.total_fuel);
         // Two retired study flags (oracle, dataspec): replay jobs only
         // ever compute the lane grid. Their constant bytes keep every
-        // fingerprint and frame as it was.
+        // fingerprint as it was.
         enc.bool(false);
         enc.bool(false);
         enc.u64(self.kernel_registry);
-    }
-
-    /// Wire encoding: the report-determining fields plus the plan
-    /// (schedulers need it; the fingerprint ignores it).
-    pub(crate) fn save(&self, enc: &mut Enc) {
-        self.save_report_fields(enc);
-        self.plan.save(enc);
-    }
-
-    /// Decodes a spec written by `save`. The lane grid comes back as
-    /// an explicit lane list (the cross product was already expanded
-    /// on the send side — the fingerprint is unchanged by that).
-    pub(crate) fn load(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let workload = load_str(dec)?;
-        let scale = load_scale(dec)?;
-        // A lane spec is at least 5 encoded bytes (tag + tus).
-        let n = dec.count_elems(5)?;
-        let mut lanes = Vec::with_capacity(n);
-        for _ in 0..n {
-            lanes.push(LaneSpec::load(dec)?);
-        }
-        let total_fuel = dec.u64()?;
-        for what in [
-            "oracle flag (replay jobs compute the grid only)",
-            "dataspec flag (replay jobs compute the grid only)",
-        ] {
-            if dec.bool()? {
-                return Err(SnapError::Corrupt { what });
-            }
-        }
-        let kernel_registry = dec.u64()?;
-        let plan = Plan::load(dec)?;
-        Ok(JobSpec {
-            workload,
-            scale,
-            policies: Vec::new(),
-            tus: Vec::new(),
-            lanes: Some(lanes),
-            plan,
-            total_fuel,
-            kernel_registry,
-        })
     }
 
     /// The single-workload [`SuiteSpec`] this spec describes — the
@@ -346,16 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_lanes_override_the_cross_product() {
-        let lanes = vec![LaneSpec {
-            policy: Policy::Str,
-            tus: 32,
-        }];
-        let spec = JobSpec::new("compress").lanes(lanes.clone());
-        assert_eq!(spec.lane_specs(), lanes);
-    }
-
-    #[test]
     fn fingerprint_ignores_the_plan_but_nothing_else() {
         let base = JobSpec::new("compress");
         let resliced = base.clone().plan(Plan::split(7));
@@ -373,59 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_lanes_equal_to_the_cross_product_share_a_fingerprint() {
-        let implicit = JobSpec::new("compress");
-        let explicit = JobSpec::new("compress").lanes(implicit.lane_specs());
-        assert_eq!(implicit.fingerprint(), explicit.fingerprint());
-    }
-
-    #[test]
-    fn wire_round_trip_preserves_fingerprint_and_grid() {
-        let spec = JobSpec::new("compress")
-            .scale(Scale::Small)
-            .policies([Policy::Str, Policy::StrNested(3)])
-            .tus([2, 16])
-            .plan(Plan::split(4))
-            .total_fuel(1_000_000);
-        let mut enc = Enc::new();
-        spec.save(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        let back = JobSpec::load(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(back.fingerprint(), spec.fingerprint());
-        assert_eq!(back.lane_specs(), spec.lane_specs());
-        assert_eq!(back.plan, spec.plan);
-        assert_eq!(back.total_fuel, spec.total_fuel);
-    }
-
-    #[test]
     fn validation_names_the_offending_field() {
         assert!(JobSpec::new("specmark").validate().is_err());
         assert!(JobSpec::new("compress").tus([]).validate().is_err());
         assert!(JobSpec::new("compress").tus([1]).validate().is_err());
         assert!(JobSpec::new("compress").total_fuel(0).validate().is_err());
-    }
-
-    #[test]
-    fn wire_decode_refuses_a_set_study_flag() {
-        // The oracle and dataspec bytes sit between the fuel budget and
-        // the 8-byte kernel registry; no replay driver computes either
-        // study, so a frame asking for one must not decode.
-        let spec = JobSpec::new("compress");
-        let mut enc = Enc::new();
-        spec.save_report_fields(&mut enc);
-        let flags_at = enc.into_bytes().len() - 10;
-        let mut enc = Enc::new();
-        spec.save(&mut enc);
-        let bytes = enc.into_bytes();
-        for (at, field) in [(flags_at, "oracle flag"), (flags_at + 1, "dataspec flag")] {
-            let mut set = bytes.clone();
-            assert_eq!(set[at], 0);
-            set[at] = 1;
-            let err = JobSpec::load(&mut Dec::new(&set)).unwrap_err();
-            assert!(err.to_string().contains(field), "{err}");
-        }
     }
 
     #[test]

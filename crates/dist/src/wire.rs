@@ -7,11 +7,12 @@
 //! [`write_frame`]), so the byte stream (a pipe to a spawned process,
 //! or a Unix socket) is self-delimiting and self-checking. The trailer
 //! is the XXH64 integrity [`checksum`]; FNV-1a stays the identity hash
-//! behind [`JobSpec::fingerprint`], so cache keys do not depend on the
-//! frame container. Incremental decoding reuses [`FrameBuf`], which
-//! verifies declared lengths against a limit *before* allocating — a
-//! corrupt or hostile length prefix can never trigger an OOM-sized
-//! reservation — and hands each finished payload over without a copy.
+//! behind [`JobSpec::fingerprint`](crate::JobSpec::fingerprint), so
+//! cache keys do not depend on the frame container. Incremental
+//! decoding reuses [`FrameBuf`], which verifies declared lengths
+//! against a limit *before* allocating — a corrupt or hostile length
+//! prefix can never trigger an OOM-sized reservation — and hands each
+//! finished payload over without a copy.
 //!
 //! The conversation (see [`Frame`] for each frame's fields):
 //!
@@ -40,22 +41,21 @@ use loopspec_core::snap::{checksum, Dec, Enc, FrameBuf, SnapError, FRAME_HEADER,
 use loopspec_mt::{EngineGrid, EngineReport, Policy, StreamError};
 use loopspec_workloads::Scale;
 
-use crate::job::JobSpec;
-
 /// Protocol version. The coordinator sends it in its [`Frame::Hello`];
 /// the worker echoes it back, and either side drops the connection on a
 /// mismatch — a worker from another build can never silently compute
 /// with different semantics.
 ///
-/// v2 added the replay-service frames ([`Frame::Submit`],
-/// [`Frame::Done`], [`Frame::StatsRequest`], [`Frame::Stats`],
-/// [`Frame::Rejected`]).
+/// v2 added five replay-service frames (tags 6–10: submit, done, stats
+/// request, stats, rejected). No binary ever sent them, so they were
+/// retired without a version change; their tags now decode as corrupt.
 ///
 /// v3 added `Scale::Huge` (wire tag 3) and the kernel-registry
-/// fingerprint inside every encoded [`JobSpec`] — a coordinator and a
-/// worker built with different kernel registries must never exchange
-/// jobs, because their "identical" workloads would retire different
-/// instruction streams.
+/// fingerprint to the [`JobSpec`](crate::JobSpec) encoding (today the
+/// [`fingerprint`](crate::JobSpec::fingerprint) domain) — a coordinator
+/// and a worker built with different kernel registries must never
+/// exchange jobs, because their "identical" workloads would retire
+/// different instruction streams.
 ///
 /// v4 closes every frame with the XXH64 [`checksum`] instead of FNV-1a;
 /// payload encodings are unchanged.
@@ -257,9 +257,8 @@ pub struct Report {
 }
 
 impl Report {
-    /// Appends the report body — the part [`Frame::Report`] and
-    /// [`Frame::Done`] share, and the blob the replay service's cache
-    /// seals.
+    /// Appends the report body — the payload of [`Frame::Report`], and
+    /// the blob the replay service's cache seals.
     pub fn save(&self, enc: &mut Enc) {
         enc.u64(self.job);
         enc.u64(self.instructions);
@@ -303,18 +302,17 @@ impl Report {
     }
 }
 
-/// The replay service's metrics counters, as one flat wire-encodable
-/// struct (every field a `u64`, encoded in declaration order). The
-/// service guarantees two invariants at every observation point:
+/// The replay service's metrics counters, one flat struct of `u64`s.
+/// The service guarantees two invariants at every observation point:
 /// `submitted == accepted + rejected` and
 /// `accepted == completed + failed + in_flight`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SvcStats {
-    /// Jobs received over [`Frame::Submit`] (or the in-process API).
+    /// Jobs submitted through a service client.
     pub submitted: u64,
     /// Jobs admitted past backpressure control.
     pub accepted: u64,
-    /// Jobs refused with [`Frame::Rejected`] (queue full).
+    /// Jobs refused by admission control (queue full).
     pub rejected: u64,
     /// Accepted jobs answered with a report.
     pub completed: u64,
@@ -350,70 +348,6 @@ pub struct SvcStats {
     pub handoff_bytes: u64,
 }
 
-impl SvcStats {
-    const FIELDS: usize = 18;
-
-    fn to_array(self) -> [u64; Self::FIELDS] {
-        [
-            self.submitted,
-            self.accepted,
-            self.rejected,
-            self.completed,
-            self.failed,
-            self.in_flight,
-            self.cache_hits,
-            self.cache_misses,
-            self.coalesced,
-            self.evictions,
-            self.queue_depth,
-            self.workers_idle,
-            self.workers_busy,
-            self.workers_dead,
-            self.workers_lost,
-            self.workers_respawned,
-            self.jobs_dispatched,
-            self.handoff_bytes,
-        ]
-    }
-
-    fn from_array(v: [u64; Self::FIELDS]) -> Self {
-        SvcStats {
-            submitted: v[0],
-            accepted: v[1],
-            rejected: v[2],
-            completed: v[3],
-            failed: v[4],
-            in_flight: v[5],
-            cache_hits: v[6],
-            cache_misses: v[7],
-            coalesced: v[8],
-            evictions: v[9],
-            queue_depth: v[10],
-            workers_idle: v[11],
-            workers_busy: v[12],
-            workers_dead: v[13],
-            workers_lost: v[14],
-            workers_respawned: v[15],
-            jobs_dispatched: v[16],
-            handoff_bytes: v[17],
-        }
-    }
-
-    fn save(&self, enc: &mut Enc) {
-        for v in self.to_array() {
-            enc.u64(v);
-        }
-    }
-
-    fn load(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let mut v = [0u64; Self::FIELDS];
-        for slot in &mut v {
-            *slot = dec.u64()?;
-        }
-        Ok(Self::from_array(v))
-    }
-}
-
 /// Everything that crosses the coordinator ↔ worker byte stream. See
 /// the [module docs](self) for the conversation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -447,43 +381,13 @@ pub enum Frame {
         /// Human-readable cause.
         message: String,
     },
-    /// Client → service: run this spec (or answer it from the cache).
-    Submit {
-        /// Client-chosen id, echoed in the [`Frame::Done`] /
-        /// [`Frame::Rejected`] / [`Frame::Error`] answer.
-        id: u64,
-        /// What to replay.
-        spec: JobSpec,
-    },
-    /// Service → client: the submission's report grid.
-    Done {
-        /// The submission's id.
-        id: u64,
-        /// Whether the report came from the content-addressed cache.
-        cached: bool,
-        /// The full report — same shape (and same bytes) as a
-        /// coordinator-path [`Frame::Report`].
-        report: Report,
-    },
-    /// Client → service: send me a [`Frame::Stats`].
-    StatsRequest,
-    /// Service → client: the current metrics counters.
-    Stats(SvcStats),
-    /// Service → client: the submission was refused by admission
-    /// control — the queue is full; back off and retry.
-    Rejected {
-        /// The refused submission's id.
-        id: u64,
-        /// The queue depth that triggered the refusal.
-        queue_depth: u64,
-    },
 }
 
 pub(crate) fn save_str(enc: &mut Enc, s: &str) {
     enc.bytes(s.as_bytes());
 }
 
-pub(crate) fn load_str(dec: &mut Dec<'_>) -> Result<String, SnapError> {
+fn load_str(dec: &mut Dec<'_>) -> Result<String, SnapError> {
     std::str::from_utf8(dec.bytes()?)
         .map(str::to_owned)
         .map_err(|_| SnapError::Corrupt {
@@ -500,7 +404,7 @@ pub(crate) fn save_scale(enc: &mut Enc, scale: Scale) {
     });
 }
 
-pub(crate) fn load_scale(dec: &mut Dec<'_>) -> Result<Scale, SnapError> {
+fn load_scale(dec: &mut Dec<'_>) -> Result<Scale, SnapError> {
     Ok(match dec.u8()? {
         0 => Scale::Test,
         1 => Scale::Small,
@@ -534,7 +438,7 @@ impl Frame {
                         + job.snapshot.as_ref().map_or(0, Vec::len)
                 }
                 Frame::Snapshot { bytes, .. } => bytes.len(),
-                Frame::Report(report) | Frame::Done { report, .. } => report.encoded_len(),
+                Frame::Report(report) => report.encoded_len(),
                 Frame::Error { message, .. } => message.len(),
                 _ => 0,
             }
@@ -587,29 +491,6 @@ impl Frame {
                 enc.u8(5);
                 enc.u64(*job);
                 save_str(enc, message);
-            }
-            Frame::Submit { id, spec } => {
-                enc.u8(6);
-                enc.u64(*id);
-                spec.save(enc);
-            }
-            Frame::Done { id, cached, report } => {
-                enc.u8(7);
-                enc.u64(*id);
-                enc.bool(*cached);
-                report.save(enc);
-            }
-            Frame::StatsRequest => {
-                enc.u8(8);
-            }
-            Frame::Stats(stats) => {
-                enc.u8(9);
-                stats.save(enc);
-            }
-            Frame::Rejected { id, queue_depth } => {
-                enc.u8(10);
-                enc.u64(*id);
-                enc.u64(*queue_depth);
             }
         }
     }
@@ -666,21 +547,6 @@ impl Frame {
             5 => Frame::Error {
                 job: dec.u64()?,
                 message: load_str(&mut dec)?,
-            },
-            6 => Frame::Submit {
-                id: dec.u64()?,
-                spec: JobSpec::load(&mut dec)?,
-            },
-            7 => Frame::Done {
-                id: dec.u64()?,
-                cached: dec.bool()?,
-                report: Report::load(&mut dec)?,
-            },
-            8 => Frame::StatsRequest,
-            9 => Frame::Stats(SvcStats::load(&mut dec)?),
-            10 => Frame::Rejected {
-                id: dec.u64()?,
-                queue_depth: dec.u64()?,
             },
             _ => return Err(SnapError::Corrupt { what: "frame tag" }),
         };
@@ -875,43 +741,6 @@ mod tests {
                 job: 9,
                 message: "unknown workload 'specmark'".into(),
             },
-            // In wire-canonical form: decoding expands the policy ×
-            // TU cross product into an explicit lane list.
-            Frame::Submit {
-                id: 11,
-                spec: JobSpec::new("compress")
-                    .scale(Scale::Small)
-                    .total_fuel(1_000_000)
-                    .policies([])
-                    .tus([])
-                    .lanes(JobSpec::new("compress").tus([2, 16]).lane_specs()),
-            },
-            Frame::Done {
-                id: 11,
-                cached: true,
-                report: Report {
-                    job: 0,
-                    instructions: 77,
-                    lanes: vec![],
-                    state: vec![3, 1, 4],
-                },
-            },
-            Frame::StatsRequest,
-            Frame::Stats(SvcStats {
-                submitted: 12,
-                accepted: 10,
-                rejected: 2,
-                completed: 9,
-                failed: 0,
-                in_flight: 1,
-                cache_hits: 4,
-                cache_misses: 6,
-                ..SvcStats::default()
-            }),
-            Frame::Rejected {
-                id: 12,
-                queue_depth: 64,
-            },
         ]
     }
 
@@ -945,11 +774,11 @@ mod tests {
     }
 
     /// Hostile bytes never panic the decoder: every single-bit flip of
-    /// every sample payload (the `Submit` sample carries a `JobSpec`),
-    /// and a `u64::MAX` written over the 8 bytes at every offset — all
-    /// lengths and counts are fixed 8-byte `u64`s, so this hits each
-    /// prefix with the largest value it can hold. Any outcome but a
-    /// panic (or an oversized allocation) is fine.
+    /// every sample payload, and a `u64::MAX` written over the 8 bytes
+    /// at every offset — all lengths and counts are fixed 8-byte
+    /// `u64`s, so this hits each prefix with the largest value it can
+    /// hold. Any outcome but a panic (or an oversized allocation) is
+    /// fine.
     #[test]
     fn hostile_payloads_decode_or_error_without_panicking() {
         for f in samples() {
@@ -978,12 +807,17 @@ mod tests {
         );
     }
 
+    /// Unknown tags — including 0 and the retired service tags 6–10 —
+    /// are refused as corrupt, not read as a truncated body.
     #[test]
     fn bad_tags_are_corrupt() {
-        assert_eq!(
-            Frame::decode(&[0xee]),
-            Err(SnapError::Corrupt { what: "frame tag" })
-        );
+        for tag in [0, 6, 7, 8, 9, 10, 0xee] {
+            assert_eq!(
+                Frame::decode(&[tag]),
+                Err(SnapError::Corrupt { what: "frame tag" }),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -291,25 +291,6 @@ impl Instruction {
         }
     }
 
-    /// Returns `true` for any control-transfer instruction (including
-    /// calls, returns and halt).
-    #[inline]
-    pub fn is_control(&self) -> bool {
-        !matches!(self.control_kind(), ControlKind::None)
-    }
-
-    /// Returns `true` if the instruction accesses data memory.
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Load { .. }
-                | Instruction::Store { .. }
-                | Instruction::FLoad { .. }
-                | Instruction::FStore { .. }
-        )
-    }
-
     /// Computes the register-use summary (architectural reads and writes).
     ///
     /// Reads of the hardwired-zero register are still reported (the value
@@ -454,25 +435,6 @@ mod tests {
             .control_kind(),
             ControlKind::IndirectCall
         );
-        assert!(Instruction::Halt.is_control());
-        assert!(!Instruction::Nop.is_control());
-    }
-
-    #[test]
-    fn mem_classification() {
-        assert!(Instruction::Load {
-            rd: Reg::R1,
-            base: Reg::R2,
-            offset: 0
-        }
-        .is_mem());
-        assert!(Instruction::FStore {
-            fsrc: FReg::F1,
-            base: Reg::R2,
-            offset: 4
-        }
-        .is_mem());
-        assert!(!Instruction::Nop.is_mem());
     }
 
     #[test]

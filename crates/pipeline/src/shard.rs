@@ -28,7 +28,6 @@
 //! runtime, restartable segments, and a snapshot trail for free.
 
 use loopspec_asm::Program;
-use loopspec_core::snap::{Dec, Enc, SnapError};
 use loopspec_cpu::RunLimits;
 
 use crate::session::{Session, SessionSummary};
@@ -119,43 +118,6 @@ impl Plan {
         assert!(fuel > 0, "a shard needs at least one instruction of fuel");
         Plan {
             slicing: Slicing::Sliced { fuel },
-        }
-    }
-
-    /// Appends the plan's deterministic wire form to `out` — so a job
-    /// spec carrying a `Plan` can cross a process boundary (and join a
-    /// cache key) like every other snapshot section.
-    pub fn save(&self, out: &mut Enc) {
-        match self.slicing {
-            Slicing::Split { shards } => {
-                out.u8(0);
-                out.u64(shards as u64);
-            }
-            Slicing::Sliced { fuel } => {
-                out.u8(1);
-                out.u64(fuel);
-            }
-        }
-    }
-
-    /// Reads a plan written by [`Plan::save`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated input, an unknown slicing tag, or a
-    /// zero shard count / fuel slice (which the constructors forbid).
-    pub fn load(src: &mut Dec<'_>) -> Result<Plan, SnapError> {
-        let tag = src.u8()?;
-        let value = src.u64()?;
-        match tag {
-            0 if value > 0 => Ok(Plan::split(value as usize)),
-            1 if value > 0 => Ok(Plan::sliced(value)),
-            0 | 1 => Err(SnapError::Corrupt {
-                what: "zero plan slicing value",
-            }),
-            _ => Err(SnapError::Corrupt {
-                what: "plan slicing tag",
-            }),
         }
     }
 

@@ -26,8 +26,7 @@
 //!   fails only its own job, a protocol violation quarantines only its
 //!   worker, and a fully dead pool still serves cache hits.
 //! * **Metrics** — a [`SvcStats`](loopspec_dist::SvcStats) snapshot
-//!   (also a wire frame) and a plain-text exposition endpoint,
-//!   [`Service::metrics_text`].
+//!   and a plain-text exposition endpoint, [`Service::metrics_text`].
 //!
 //! ```no_run
 //! use loopspec_dist::JobSpec;

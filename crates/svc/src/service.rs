@@ -27,15 +27,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
 use std::process::Command;
 use std::sync::mpsc;
 use std::time::Instant;
 
-use loopspec_dist::wire::{write_frame, Frame, FrameReader};
 use loopspec_dist::{
-    ChainSpec, DistError, JobSpec, Outcome, PoolEvent, Report, Scheduler, SvcStats, WireError,
-    WorkerLink, Workers,
+    ChainSpec, DistError, JobSpec, Outcome, PoolEvent, Report, Scheduler, SvcStats, WorkerLink,
+    Workers,
 };
 use loopspec_obs::{self as obs, journal, EventKind};
 
@@ -208,51 +206,6 @@ impl Client {
             .send(SvcEvent::MetricsText { reply })
             .map_err(|_| SvcError::Disconnected)?;
         rx.recv().map_err(|_| SvcError::Disconnected)
-    }
-
-    /// Serves the wire protocol to one connected client: answers
-    /// [`Frame::Submit`] with [`Frame::Done`] / [`Frame::Rejected`] /
-    /// [`Frame::Error`], and [`Frame::StatsRequest`] with
-    /// [`Frame::Stats`], until the peer closes the stream.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the transport fails, the stream decodes to
-    /// garbage, or the peer sends a frame that is not a request.
-    pub fn serve(&self, reader: impl Read, mut writer: impl Write) -> Result<(), WireError> {
-        let mut frames = FrameReader::new(reader);
-        while let Some(frame) = frames.read_frame()? {
-            match frame {
-                Frame::Submit { id, spec } => {
-                    let answer = match self.run(spec) {
-                        Ok(done) => Frame::Done {
-                            id,
-                            cached: done.cached,
-                            report: done.report,
-                        },
-                        Err(SvcError::Rejected { queue_depth }) => {
-                            Frame::Rejected { id, queue_depth }
-                        }
-                        Err(e) => Frame::Error {
-                            job: id,
-                            message: e.to_string(),
-                        },
-                    };
-                    write_frame(&mut writer, &answer)?;
-                }
-                Frame::StatsRequest => {
-                    let stats = self.stats().unwrap_or_default();
-                    write_frame(&mut writer, &Frame::Stats(stats))?;
-                }
-                other => {
-                    return Err(WireError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("client sent a non-request frame: {other:?}"),
-                    )));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -679,8 +632,7 @@ impl ServiceLoop {
     /// A consistent stats snapshot: the monotonic counters read back
     /// out of the metric cells, plus the live values (queue depth,
     /// worker states, dispatch and pool totals, cache evictions) read
-    /// from the scheduler and the cache. The struct feeds the PROTOCOL
-    /// Stats frame, so its wire encoding is unchanged.
+    /// from the scheduler and the cache.
     fn snapshot(&self) -> SvcStats {
         let m = &self.metrics;
         let pool = self.scheduler.stats();
@@ -788,6 +740,7 @@ mod render_compat {
 #[cfg(all(test, unix))]
 mod unix_tests {
     use super::*;
+    use loopspec_dist::wire::{write_frame, Frame, FrameReader};
     use loopspec_dist::worker::Worker;
     use loopspec_dist::Policy;
     use std::os::unix::net::UnixStream;
@@ -919,51 +872,6 @@ mod unix_tests {
     }
 
     #[test]
-    fn wire_clients_get_done_stats_and_rejection_frames() {
-        let service = thread_service(2, SvcConfig::default());
-        let client = service.client();
-        let spec = small_spec("compress");
-        let mut input = Vec::new();
-        write_frame(
-            &mut input,
-            &Frame::Submit {
-                id: 1,
-                spec: spec.clone(),
-            },
-        )
-        .unwrap();
-        write_frame(&mut input, &Frame::Submit { id: 2, spec }).unwrap();
-        write_frame(&mut input, &Frame::StatsRequest).unwrap();
-        let mut output = Vec::new();
-        client.serve(&input[..], &mut output).expect("serve");
-        let mut frames = FrameReader::new(&output[..]);
-        let Some(Frame::Done {
-            id: 1,
-            cached: false,
-            report,
-        }) = frames.read_frame().unwrap()
-        else {
-            panic!("expected an uncached Done");
-        };
-        let Some(Frame::Done {
-            id: 2,
-            cached: true,
-            report: cached_report,
-        }) = frames.read_frame().unwrap()
-        else {
-            panic!("expected a cached Done");
-        };
-        assert_eq!(report, cached_report);
-        let Some(Frame::Stats(stats)) = frames.read_frame().unwrap() else {
-            panic!("expected Stats");
-        };
-        assert_eq!(stats.submitted, 2);
-        assert_invariants(&stats);
-        assert_eq!(frames.read_frame().unwrap(), None);
-        service.shutdown();
-    }
-
-    #[test]
     fn corrupted_cache_entries_recompute() {
         let service = thread_service(1, SvcConfig::default());
         let client = service.client();
@@ -1029,110 +937,6 @@ mod unix_tests {
         service.shutdown();
         impostor.join().unwrap();
         worker.join().unwrap();
-    }
-
-    #[test]
-    fn hostile_wire_clients_leave_a_well_behaved_one_unharmed() {
-        use std::io::{Read, Write};
-        use std::net::Shutdown;
-
-        let service = thread_service(2, SvcConfig::default());
-        // Serves one connection on its own thread; returns our end.
-        let connect = || {
-            let (ours, theirs) = UnixStream::pair().expect("socketpair");
-            let client = service.client();
-            let server = std::thread::spawn(move || {
-                let reader = theirs.try_clone().expect("clone");
-                client.serve(reader, theirs)
-            });
-            (ours, server)
-        };
-        let specs: Vec<JobSpec> = ["compress", "go", "li", "compress"]
-            .into_iter()
-            .map(small_spec)
-            .collect();
-        let mut submits = Vec::new();
-        for (id, spec) in specs.iter().enumerate() {
-            let submit = Frame::Submit {
-                id: id as u64,
-                spec: spec.clone(),
-            };
-            write_frame(&mut submits, &submit).unwrap();
-        }
-
-        let (mut garbage, garbage_server) = connect();
-        let (mut hello, hello_server) = connect();
-        let (mut stalled, stalled_server) = connect();
-        let (mut good, good_server) = connect();
-
-        // Deterministic xorshift noise; the server may hang up before
-        // all of it is written.
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let noise: Vec<u8> = (0..4096)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        let _ = garbage.write_all(&noise);
-        let _ = garbage.shutdown(Shutdown::Write);
-        let mut hello_frame = Vec::new();
-        let not_a_request = Frame::Hello {
-            protocol: loopspec_dist::PROTOCOL,
-            worker: 0,
-        };
-        write_frame(&mut hello_frame, &not_a_request).unwrap();
-        hello.write_all(&hello_frame).unwrap();
-        // Half a Submit frame, then silence with the connection open.
-        stalled.write_all(&submits[..submits.len() / 8]).unwrap();
-        good.write_all(&submits).unwrap();
-        good.shutdown(Shutdown::Write).unwrap();
-
-        let mut answers = Vec::new();
-        good.read_to_end(&mut answers).unwrap();
-        good_server
-            .join()
-            .unwrap()
-            .expect("the good client is served");
-        let mut frames = FrameReader::new(&answers[..]);
-        for (id, spec) in specs.iter().enumerate() {
-            let Some(Frame::Done {
-                id: got, report, ..
-            }) = frames.read_frame().unwrap()
-            else {
-                panic!("expected Done for job {id}");
-            };
-            assert_eq!(got, id as u64);
-            let reference = loopspec_dist::single_pass_outcome(
-                &spec.workload,
-                spec.scale,
-                &spec.lane_specs(),
-                spec.total_fuel,
-            )
-            .unwrap();
-            assert_eq!(report.instructions, reference.instructions, "job {id}");
-            assert_eq!(report.lanes, reference.lanes, "job {id}");
-            assert_eq!(report.state, reference.state, "job {id}");
-        }
-        assert_eq!(frames.read_frame().unwrap(), None);
-
-        assert!(garbage_server.join().unwrap().is_err(), "garbage refused");
-        assert!(hello_server.join().unwrap().is_err(), "non-request refused");
-        assert!(!stalled_server.is_finished(), "stalled peer still held");
-        drop(stalled);
-        assert!(
-            stalled_server.join().unwrap().is_err(),
-            "a frame cut by EOF is an error"
-        );
-        drop((garbage, hello));
-
-        let stats = service.stats();
-        assert_eq!(stats.submitted, specs.len() as u64, "{stats:?}");
-        assert_eq!(stats.completed, specs.len() as u64, "{stats:?}");
-        assert_invariants(&stats);
-        service.shutdown();
     }
 
     #[test]
