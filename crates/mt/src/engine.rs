@@ -33,7 +33,7 @@ use loopspec_core::LoopId;
 
 use crate::annotate::{AnnotatedTrace, TraceEventKind};
 use crate::grid::check_tus;
-use crate::policy::{IdleRule, OracleRule, Policy, Rule, SpecContext, StrNestedRule, StrRule};
+use crate::policy::{burst, Policy};
 use crate::predictor::IterPredictor;
 use crate::stats::SpecStats;
 
@@ -119,17 +119,18 @@ struct OpenExec {
 ///   frontier passes [`EngineCore::iter_start_horizon`], the highest
 ///   position the spawn decision can consult.
 ///
-/// `R` is the policy family's rule, so each family's core is
-/// monomorphized. All per-execution state lives on one stack of open
+/// `policy` is a history policy, or `None` for the Figure 5 oracle. It
+/// only decides how many iterations the core believes remain when it
+/// sizes a burst (see `burst`) and whether the STR(i) nesting rule
+/// applies. All per-execution state lives on one stack of open
 /// executions in detection order. Nesting is shallow (the CLS holds 16
 /// loops) and the execution an event names is almost always the top, so
 /// every lookup scans from the top.
 #[derive(Debug)]
-pub(crate) struct EngineCore<R> {
-    rule: R,
+pub(crate) struct EngineCore {
+    policy: Option<Policy>,
     total_tus: u64,
     tus_label: Option<usize>,
-    nesting_limit: Option<u32>,
     cur: CurThread,
     open: Vec<OpenExec>,
     /// Emptied live sets of ended executions, reused by the next
@@ -140,14 +141,14 @@ pub(crate) struct EngineCore<R> {
     stats: SpecStats,
 }
 
-impl<R: Rule> EngineCore<R> {
-    pub(crate) fn new(rule: R, total_tus: u64, tus_label: Option<usize>) -> Self {
-        let nesting_limit = rule.nesting_limit();
+impl EngineCore {
+    /// A core running `policy` (`None` = the oracle) on `total_tus`
+    /// thread units, reported as `tus_label`.
+    pub(crate) fn new(policy: Option<Policy>, total_tus: u64, tus_label: Option<usize>) -> Self {
         EngineCore {
-            rule,
+            policy,
             total_tus,
             tus_label,
-            nesting_limit,
             cur: CurThread {
                 start_pos: 0,
                 spawn_time: 0,
@@ -159,6 +160,17 @@ impl<R: Rule> EngineCore<R> {
             predictor: IterPredictor::new(),
             stats: SpecStats::default(),
         }
+    }
+
+    /// The core's history policy; `None` for the oracle.
+    pub(crate) fn policy(&self) -> Option<Policy> {
+        self.policy
+    }
+
+    /// STR(i)'s nesting limit, if this core runs STR(i).
+    #[inline]
+    fn nesting_limit(&self) -> Option<u32> {
+        self.policy.and_then(Policy::nesting_limit)
     }
 
     #[inline]
@@ -209,7 +221,8 @@ impl<R: Rule> EngineCore<R> {
     /// the iteration does not exist or starts at/after the horizon).
     /// `remaining_from_feed` is ground truth for the oracle — the batch
     /// driver reads it off the annotated trace, streaming oracle lanes
-    /// off an [`OracleFeed`](crate::OracleFeed); history lanes pass 0.
+    /// off an [`OracleFeed`](crate::OracleFeed); history policies never
+    /// read it, and their lanes pass 0.
     /// `iter_pos` is generic, not `&dyn`: the spawn decision's binary
     /// search calls it per probe, and each driver's lookup must inline.
     pub(crate) fn iter_start(
@@ -259,7 +272,7 @@ impl<R: Rule> EngineCore<R> {
         // counts against enclosing speculated loops; exceeding the limit
         // squashes the outermost one and retries.
         if spawned == 0 && iter == 2 {
-            if let Some(limit) = self.nesting_limit {
+            if let Some(limit) = self.nesting_limit() {
                 let mut victim: Option<usize> = None;
                 for (g, o) in self.open.iter_mut().enumerate() {
                     if g == k || o.live.is_empty() {
@@ -303,16 +316,15 @@ impl<R: Rule> EngineCore<R> {
     /// Serializes the decision-machine state: the current thread's
     /// timing cursor, every live speculative segment, per-execution
     /// speculation bookkeeping, the open-execution stack, the iteration
-    /// predictor (LET) and the statistics counters. Rules are
-    /// reconstructed by the owner, not serialized: every rule is
-    /// stateless. Segments are written sorted by
-    /// `(exec, iter)` and speculation entries by `exec`, so equal state
-    /// yields equal bytes. The configuration (TU count, nesting limit) is
+    /// predictor (LET) and the statistics counters. The policy is
+    /// configuration, set by the owner, not serialized. Segments are
+    /// written sorted by `(exec, iter)` and speculation entries by
+    /// `exec`, so equal state yields equal bytes. The configuration (TU count, nesting limit) is
     /// echoed for verification at load time.
     pub(crate) fn save_state(&self, out: &mut loopspec_core::snap::Enc) {
         out.u64(self.total_tus);
         out.u64(self.tus_label.map_or(u64::MAX, |t| t as u64));
-        out.u32(self.nesting_limit.map_or(u32::MAX, |l| l));
+        out.u32(self.nesting_limit().unwrap_or(u32::MAX));
         out.u64(self.cur.start_pos);
         out.u64(self.cur.spawn_time);
         out.u64(self.cur.handoff_time);
@@ -359,7 +371,7 @@ impl<R: Rule> EngineCore<R> {
     }
 
     /// Restores state written by [`EngineCore::save_state`] into a core
-    /// constructed with the **same configuration** (rule, TU count).
+    /// constructed with the **same configuration** (policy, TU count).
     ///
     /// Refuses, as [`SnapError::Corrupt`](loopspec_core::snap::SnapError),
     /// any state the open-execution stack cannot hold: duplicate open
@@ -378,7 +390,7 @@ impl<R: Rule> EngineCore<R> {
         if src.u64()? != self.tus_label.map_or(u64::MAX, |t| t as u64) {
             return Err(SnapError::Mismatch { what: "TU label" });
         }
-        if src.u32()? != self.nesting_limit.map_or(u32::MAX, |l| l) {
+        if src.u32()? != self.nesting_limit().unwrap_or(u32::MAX) {
             return Err(SnapError::Mismatch {
                 what: "nesting limit",
             });
@@ -489,14 +501,13 @@ impl<R: Rule> EngineCore<R> {
             instructions,
             cycles: self.cur.time_at(instructions),
             spec: self.stats,
-            policy: self.rule.name(),
+            policy: self.policy.map_or("ORACLE", Policy::name),
             tus: self.tus_label,
         }
     }
 
-    /// Launches new speculative threads per the rule for the execution
-    /// at stack index `k`; returns how many. The rule's request is
-    /// clamped to the idle TUs.
+    /// Launches a [`burst`] of new speculative threads for the execution
+    /// at stack index `k`; returns how many.
     ///
     /// Iterations whose start the current thread's speculative run-ahead
     /// has already executed are not spawned — a TU pointed at work the
@@ -517,16 +528,12 @@ impl<R: Rule> EngineCore<R> {
         if idle == 0 {
             return 0;
         }
-        let o = &mut self.open[k];
-        let ctx = SpecContext {
-            loop_id,
-            current_iter: iter,
-            idle_tus: idle,
-            already_speculated: o.live.len() as u32,
-            predictor: &self.predictor,
-            remaining_from_feed,
+        let remaining = match self.policy {
+            Some(policy) => policy.believed_remaining(&self.predictor, loop_id, iter),
+            None => Some(remaining_from_feed),
         };
-        let n = self.rule.threads_to_spawn(&ctx).min(idle);
+        let o = &mut self.open[k];
+        let n = burst(remaining, o.live.len() as u32, idle);
         if n == 0 {
             return 0;
         }
@@ -598,10 +605,7 @@ impl<R: Rule> EngineCore<R> {
 #[derive(Debug)]
 pub struct Engine<'a> {
     trace: &'a AnnotatedTrace,
-    /// `None` runs the oracle.
-    policy: Option<Policy>,
-    total_tus: u64,
-    tus_label: Option<usize>,
+    core: EngineCore,
 }
 
 impl<'a> Engine<'a> {
@@ -631,9 +635,7 @@ impl<'a> Engine<'a> {
     pub fn oracle_unbounded(trace: &'a AnnotatedTrace) -> Self {
         Engine {
             trace,
-            policy: None,
-            total_tus: u64::MAX,
-            tus_label: None,
+            core: EngineCore::new(None, u64::MAX, None),
         }
     }
 
@@ -641,25 +643,13 @@ impl<'a> Engine<'a> {
         check_tus(num_tus);
         Engine {
             trace,
-            policy,
-            total_tus: num_tus as u64,
-            tus_label: Some(num_tus),
+            core: EngineCore::new(policy, num_tus as u64, Some(num_tus)),
         }
     }
 
     /// Runs the engine over the whole trace.
     pub fn run(self) -> EngineReport {
-        match self.policy {
-            Some(Policy::Idle) => self.drive(IdleRule),
-            Some(Policy::Str) => self.drive(StrRule),
-            Some(Policy::StrNested(i)) => self.drive(StrNestedRule(i)),
-            None => self.drive(OracleRule),
-        }
-    }
-
-    fn drive<R: Rule>(self, rule: R) -> EngineReport {
-        let trace = self.trace;
-        let mut core = EngineCore::new(rule, self.total_tus, self.tus_label);
+        let Engine { trace, mut core } = self;
 
         for ev in &trace.events {
             let exec = ev.exec.0;
@@ -690,7 +680,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Policy, StrRule};
+    use crate::policy::Policy;
     use loopspec_asm::ProgramBuilder;
     use loopspec_core::snap::{Dec, Enc, SnapError};
     use loopspec_core::EventCollector;
@@ -855,9 +845,9 @@ mod tests {
 
     /// A STR@4 core driven through a loop nest until it holds live
     /// speculative threads with two executions open.
-    fn core_with_live_threads() -> EngineCore<StrRule> {
+    fn core_with_live_threads() -> EngineCore {
         let trace = trace_of(|b| b.counted_loop(3, |b, _| b.counted_loop(50, |b, _| b.work(10))));
-        let mut core = EngineCore::new(StrRule, 4, Some(4));
+        let mut core = EngineCore::new(Some(Policy::Str), 4, Some(4));
         for ev in &trace.events {
             let info = trace.exec(ev.exec);
             match ev.kind {
@@ -902,7 +892,7 @@ mod tests {
     }
 
     impl Section {
-        fn of(core: &EngineCore<StrRule>) -> Section {
+        fn of(core: &EngineCore) -> Section {
             let mut enc = Enc::new();
             core.save_state(&mut enc);
             let bytes = enc.into_bytes();
@@ -978,7 +968,7 @@ mod tests {
         /// that succeeds must round-trip to the same bytes.
         fn load(&self) -> Result<(), SnapError> {
             let bytes = self.encode();
-            let mut fresh = EngineCore::new(StrRule, 4, Some(4));
+            let mut fresh = EngineCore::new(Some(Policy::Str), 4, Some(4));
             let mut src = Dec::new(&bytes);
             fresh.load_state(&mut src)?;
             src.finish()?;

@@ -46,7 +46,7 @@ use loopspec_core::{LoopEvent, LoopEventSink, LoopId};
 
 use crate::engine::{EngineCore, EngineReport};
 use crate::oracle::OracleFeed;
-use crate::policy::{IdleRule, OracleRule, Policy, StrNestedRule, StrRule};
+use crate::policy::Policy;
 
 /// Why a lane configuration was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -450,6 +450,14 @@ impl Annotator {
                 what: "retained iteration count",
             });
         }
+        // `ingest` files the next execution's annotation at the slab's
+        // end under `next_exec`: `push` appends there, and `remove` only
+        // advances `base` over a dead prefix.
+        if u64::from(self.next_exec) != u64::from(self.execs.base) + self.execs.slots.len() as u64 {
+            return Err(SnapError::Corrupt {
+                what: "next execution ordinal off the slab's end",
+            });
+        }
         Ok(())
     }
 
@@ -472,124 +480,48 @@ impl Annotator {
     }
 }
 
-/// One engine configuration: a monomorphized decision core plus this
-/// lane's read cursor into the shared annotated-event queue.
+/// One engine configuration: a decision core plus this lane's read
+/// cursor into the shared annotated-event queue. An oracle lane carries
+/// its own [`OracleFeed`] — the phase-1 recording it answers
+/// future-knowledge questions from.
 #[derive(Debug)]
 struct Lane {
-    core: LaneCore,
+    core: EngineCore,
+    /// `Some` exactly for oracle lanes.
+    feed: Option<OracleFeed>,
     /// Absolute sequence number of the next shared entry to consume.
     cursor: u64,
 }
 
-/// The paper's three history-based policy families plus the two-phase
-/// oracle, one monomorphized core each. An oracle lane carries its own
-/// [`OracleFeed`] — the phase-1 recording it answers future-knowledge
-/// questions from.
-#[derive(Debug)]
-enum LaneCore {
-    Idle(EngineCore<IdleRule>),
-    Str(EngineCore<StrRule>),
-    StrNested(EngineCore<StrNestedRule>),
-    Oracle(EngineCore<OracleRule>, OracleFeed),
-}
-
-impl LaneCore {
-    fn exec_start(&mut self, exec: u32) {
-        match self {
-            LaneCore::Idle(c) => c.exec_start(exec),
-            LaneCore::Str(c) => c.exec_start(exec),
-            LaneCore::StrNested(c) => c.exec_start(exec),
-            LaneCore::Oracle(c, _) => c.exec_start(exec),
-        }
-    }
-
-    #[inline]
-    fn iter_start_horizon(&self, exec: u32, iter: u32, pos: u64) -> u64 {
-        match self {
-            LaneCore::Idle(c) => c.iter_start_horizon(exec, iter, pos),
-            LaneCore::Str(c) => c.iter_start_horizon(exec, iter, pos),
-            LaneCore::StrNested(c) => c.iter_start_horizon(exec, iter, pos),
-            LaneCore::Oracle(c, _) => c.iter_start_horizon(exec, iter, pos),
-        }
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn iter_start(
-        &mut self,
-        exec: u32,
-        loop_id: LoopId,
-        iter: u32,
-        pos: u64,
-        iter_pos: &impl Fn(u32) -> Option<u64>,
-    ) {
-        match self {
-            LaneCore::Idle(c) => c.iter_start(exec, loop_id, iter, pos, iter_pos, 0),
-            LaneCore::Str(c) => c.iter_start(exec, loop_id, iter, pos, iter_pos, 0),
-            LaneCore::StrNested(c) => c.iter_start(exec, loop_id, iter, pos, iter_pos, 0),
-            LaneCore::Oracle(c, feed) => {
-                let remaining = feed.remaining_after(exec, iter);
-                c.iter_start(exec, loop_id, iter, pos, iter_pos, remaining);
-            }
-        }
-    }
-
-    fn exec_end(&mut self, exec: u32, loop_id: LoopId, pos: u64, closed: bool, iters: u32) {
-        match self {
-            LaneCore::Idle(c) => c.exec_end(exec, loop_id, pos, closed, iters),
-            LaneCore::Str(c) => c.exec_end(exec, loop_id, pos, closed, iters),
-            LaneCore::StrNested(c) => c.exec_end(exec, loop_id, pos, closed, iters),
-            LaneCore::Oracle(c, _) => c.exec_end(exec, loop_id, pos, closed, iters),
-        }
-    }
-
-    fn report(&self, instructions: u64) -> EngineReport {
-        match self {
-            LaneCore::Idle(c) => c.report(instructions),
-            LaneCore::Str(c) => c.report(instructions),
-            LaneCore::StrNested(c) => c.report(instructions),
-            LaneCore::Oracle(c, _) => c.report(instructions),
-        }
-    }
-
+impl Lane {
     /// Policy-family tag for the snapshot's configuration echo.
     fn family_tag(&self) -> u8 {
-        match self {
-            LaneCore::Idle(_) => 0,
-            LaneCore::Str(_) => 1,
-            LaneCore::StrNested(_) => 2,
-            LaneCore::Oracle(..) => 3,
+        match self.core.policy() {
+            Some(Policy::Idle) => 0,
+            Some(Policy::Str) => 1,
+            Some(Policy::StrNested(_)) => 2,
+            None => 3,
         }
     }
 
     fn save_state(&self, out: &mut Enc) {
-        match self {
-            LaneCore::Idle(c) => c.save_state(out),
-            LaneCore::Str(c) => c.save_state(out),
-            LaneCore::StrNested(c) => c.save_state(out),
-            LaneCore::Oracle(c, feed) => {
-                // Configuration echo: an oracle lane must resume
-                // against the same future it was speculating from.
-                out.u64(feed.fingerprint());
-                c.save_state(out);
-            }
+        if let Some(feed) = &self.feed {
+            // Configuration echo: an oracle lane must resume against
+            // the same future it was speculating from.
+            out.u64(feed.fingerprint());
         }
+        self.core.save_state(out);
     }
 
     fn load_state(&mut self, src: &mut Dec<'_>) -> Result<(), SnapError> {
-        match self {
-            LaneCore::Idle(c) => c.load_state(src),
-            LaneCore::Str(c) => c.load_state(src),
-            LaneCore::StrNested(c) => c.load_state(src),
-            LaneCore::Oracle(c, feed) => {
-                if src.u64()? != feed.fingerprint() {
-                    return Err(SnapError::Mismatch {
-                        what: "oracle feed",
-                    });
-                }
-                c.load_state(src)
+        if let Some(feed) = &self.feed {
+            if src.u64()? != feed.fingerprint() {
+                return Err(SnapError::Mismatch {
+                    what: "oracle feed",
+                });
             }
         }
+        self.core.load_state(src)
     }
 }
 
@@ -644,12 +576,16 @@ impl EngineGrid {
         EngineGrid::default()
     }
 
-    fn push_lane(&mut self, core: LaneCore) -> usize {
+    fn push_lane(&mut self, core: EngineCore, feed: Option<OracleFeed>) -> usize {
         assert!(
             self.ann.events_seen == 0 && self.reports.is_none(),
             "lanes must be added before the stream starts"
         );
-        self.lanes.push(Lane { core, cursor: 0 });
+        self.lanes.push(Lane {
+            core,
+            feed,
+            cursor: 0,
+        });
         self.lanes.len() - 1
     }
 
@@ -675,10 +611,7 @@ impl EngineGrid {
     /// delivered.
     pub fn push_oracle(&mut self, tus: usize, feed: OracleFeed) -> usize {
         check_tus(tus);
-        self.push_lane(LaneCore::Oracle(
-            EngineCore::new(OracleRule, tus as u64, Some(tus)),
-            feed,
-        ))
+        self.push_lane(EngineCore::new(None, tus as u64, Some(tus)), Some(feed))
     }
 
     /// Adds a two-phase-oracle lane with an **unbounded** TU pool —
@@ -689,10 +622,7 @@ impl EngineGrid {
     ///
     /// Panics if events were already delivered.
     pub fn push_oracle_unbounded(&mut self, feed: OracleFeed) -> usize {
-        self.push_lane(LaneCore::Oracle(
-            EngineCore::new(OracleRule, u64::MAX, None),
-            feed,
-        ))
+        self.push_lane(EngineCore::new(None, u64::MAX, None), Some(feed))
     }
 
     /// Number of lanes.
@@ -779,7 +709,12 @@ impl EngineGrid {
                             let idx = j.checked_sub(front)? as usize;
                             iters.get(idx).map(|&(_, p)| p)
                         };
-                        lane.core.iter_start(exec, ann.loop_id, iter, pos, &lookup);
+                        let remaining = lane
+                            .feed
+                            .as_ref()
+                            .map_or(0, |feed| feed.remaining_after(exec, iter));
+                        lane.core
+                            .iter_start(exec, ann.loop_id, iter, pos, &lookup, remaining);
                     }
                 }
                 lane.cursor += 1;
@@ -833,14 +768,7 @@ impl Policy {
     /// delivered.
     pub fn add_to_grid(self, grid: &mut EngineGrid, tus: usize) -> usize {
         check_tus(tus);
-        let (total, label) = (tus as u64, Some(tus));
-        grid.push_lane(match self {
-            Policy::Idle => LaneCore::Idle(EngineCore::new(IdleRule, total, label)),
-            Policy::Str => LaneCore::Str(EngineCore::new(StrRule, total, label)),
-            Policy::StrNested(i) => {
-                LaneCore::StrNested(EngineCore::new(StrNestedRule(i), total, label))
-            }
-        })
+        grid.push_lane(EngineCore::new(Some(self), tus as u64, Some(tus)), None)
     }
 }
 
@@ -894,9 +822,9 @@ impl loopspec_core::SnapshotState for EngineGrid {
     fn save_state(&self, out: &mut Enc) {
         out.u64(self.lanes.len() as u64);
         for lane in &self.lanes {
-            out.u8(lane.core.family_tag());
+            out.u8(lane.family_tag());
             out.u64(lane.cursor);
-            lane.core.save_state(out);
+            lane.save_state(out);
         }
         self.ann.save_state(out);
         out.u64(self.shared.len() as u64);
@@ -919,13 +847,13 @@ impl loopspec_core::SnapshotState for EngineGrid {
             return Err(SnapError::Mismatch { what: "lane count" });
         }
         for lane in &mut self.lanes {
-            if src.u8()? != lane.core.family_tag() {
+            if src.u8()? != lane.family_tag() {
                 return Err(SnapError::Mismatch {
                     what: "lane policy family",
                 });
             }
             lane.cursor = src.u64()?;
-            lane.core.load_state(src)?;
+            lane.load_state(src)?;
         }
         self.ann.load_state(src)?;
         let n = src.count()?;
@@ -1237,6 +1165,36 @@ mod tests {
                 what: "lane policy family"
             })
         );
+
+        // Same family, different configuration: the core's echo.
+        let one = |policy: Policy, tus: usize| {
+            let mut g = EngineGrid::new();
+            policy.add_to_grid(&mut g, tus);
+            g
+        };
+        let str4 = snapshot_of(one(Policy::Str, 4), &events);
+        assert_eq!(
+            load_into(one(Policy::Str, 8), &str4),
+            Err(SnapError::Mismatch { what: "TU count" })
+        );
+        let str1 = snapshot_of(one(Policy::StrNested(1), 4), &events);
+        assert_eq!(
+            load_into(one(Policy::StrNested(3), 4), &str1),
+            Err(SnapError::Mismatch {
+                what: "nesting limit"
+            })
+        );
+        let mut log = crate::oracle::IterationCountLog::new();
+        log.on_loop_events(&events);
+        let feed = log.into_feed();
+        let mut oracle4 = EngineGrid::new();
+        oracle4.push_oracle(4, feed.clone());
+        let mut ideal = EngineGrid::new();
+        ideal.push_oracle_unbounded(feed);
+        assert_eq!(
+            load_into(ideal, &snapshot_of(oracle4, &events)),
+            Err(SnapError::Mismatch { what: "TU count" })
+        );
     }
 
     #[test]
@@ -1343,6 +1301,16 @@ mod tests {
                 what: "retained iteration count"
             })
         );
+    }
+
+    #[test]
+    fn snapshots_refuse_a_next_ordinal_off_the_slab_end() {
+        let corrupt = Err(SnapError::Corrupt {
+            what: "next execution ordinal off the slab's end",
+        });
+        assert_eq!(load_tampered(|g| g.ann.next_exec += 1), corrupt);
+        assert_eq!(load_tampered(|g| g.ann.next_exec -= 1), corrupt);
+        assert_eq!(load_tampered(|g| g.ann.next_exec += 3), corrupt);
     }
 
     #[test]

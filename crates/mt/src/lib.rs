@@ -15,9 +15,16 @@
 //!   into per-execution iteration-start positions plus a commit-ordered
 //!   event list;
 //! * [`IterPredictor`] — the LET-backed iteration-count stride predictor
-//!   with a two-bit confidence counter (the paper's STR machinery);
+//!   with a two-bit confidence counter (the paper's STR machinery). Its
+//!   [`predict`](IterPredictor::predict) is the total an execution is
+//!   believed to run, or `None` before the loop's first closed
+//!   execution;
 //! * [`Policy`] — IDLE, STR and STR(i) from §3.1.2, the one policy
-//!   type from the engine to the wire. The oracle of the infinite-TU
+//!   type from the engine to the wire. Every policy and the oracle size
+//!   a burst with one rule, min(idle TUs, iterations believed to remain
+//!   that are not yet speculated); they differ only in the belief (IDLE:
+//!   unbounded, STR and STR(i): the predictor, the oracle: the actual
+//!   count). The oracle of the infinite-TU
 //!   potential study (Figure 5) is not a `Policy`: it is built only by
 //!   constructors that supply its future knowledge
 //!   ([`Engine::oracle`], [`EngineGrid::push_oracle`]), and it runs
@@ -82,5 +89,5 @@ pub use grid::{validate_tus, EngineGrid, StreamError};
 pub use ideal::{ideal_tpc, ideal_tpc_streaming, ideal_tpc_with_feed, prefix_split, IdealReport};
 pub use oracle::{IterationCountLog, OracleFeed};
 pub use policy::{Policy, StrPolicy};
-pub use predictor::{IterPrediction, IterPredictor};
+pub use predictor::IterPredictor;
 pub use stats::SpecStats;

@@ -200,6 +200,12 @@ impl SnapshotState for IterationCountLog {
         for _ in 0..n {
             let l = LoopId(loopspec_isa::Addr::new(src.u32()?));
             let e = src.u32()?;
+            // The loop's next event indexes `counts` by the ordinal.
+            if e as usize >= self.counts.len() {
+                return Err(SnapError::Corrupt {
+                    what: "open binding without a count",
+                });
+            }
             self.open.push((l, e));
         }
         self.finished = src.bool()?;
@@ -411,6 +417,25 @@ mod tests {
     fn corrupt_snapshot_is_rejected() {
         let mut dec = Dec::new(&[0xff; 3]);
         assert!(IterationCountLog::new().load_state(&mut dec).is_err());
+    }
+
+    #[test]
+    fn snapshots_refuse_an_open_binding_without_a_count() {
+        let (events, _) = events_of(|b| b.counted_loop(10, |b, _| b.work(5)));
+        let mut log = IterationCountLog::new();
+        log.on_loop_events(&events[..events.len() / 2]);
+        let (l, exec) = log.open[0];
+        for dangling in [log.counts.len() as u32, exec + 7] {
+            log.open[0] = (l, dangling);
+            let mut enc = Enc::new();
+            log.save_state(&mut enc);
+            assert_eq!(
+                IterationCountLog::new().load_state(&mut Dec::new(&enc.into_bytes())),
+                Err(SnapError::Corrupt {
+                    what: "open binding without a count"
+                })
+            );
+        }
     }
 
     #[test]

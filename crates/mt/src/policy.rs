@@ -2,13 +2,16 @@
 //! §3.1.2).
 //!
 //! [`Policy`] is the one public policy type, from the engine to the
-//! wire. Inside the crate each family is its own rule type, so every
-//! engine core is monomorphized: the spawn decision runs on every
-//! iteration of every lane and must not dispatch at run time.
+//! wire. Every policy and the Figure 5 oracle make the same decision at
+//! an iteration start, `burst`: launch min(idle TUs, iterations
+//! believed to remain that are not yet speculated). They differ only in
+//! the belief: IDLE assumes nothing bounds the loop, STR and STR(i)
+//! read the LET stride predictor (`Policy::believed_remaining`), and
+//! the oracle knows the count.
 
 use loopspec_core::LoopId;
 
-use crate::{IterPrediction, IterPredictor};
+use crate::IterPredictor;
 
 /// A history-based thread-count speculation policy of the paper
 /// (§3.1.2).
@@ -66,6 +69,36 @@ impl Policy {
             Policy::StrNested(_) => "STR(i)",
         }
     }
+
+    /// Iterations after `current_iter` of the current execution of
+    /// `loop_id` that this policy believes remain: `None` (nothing
+    /// bounds the loop) for IDLE, and for STR and STR(i) the LET's
+    /// predicted total minus `current_iter`, or `None` before the loop's
+    /// first closed execution.
+    #[inline]
+    pub(crate) fn believed_remaining(
+        self,
+        predictor: &IterPredictor,
+        loop_id: LoopId,
+        current_iter: u32,
+    ) -> Option<u32> {
+        match self {
+            Policy::Idle => None,
+            Policy::Str | Policy::StrNested(_) => predictor
+                .predict(loop_id)
+                .map(|total| total.saturating_sub(current_iter)),
+        }
+    }
+
+    /// `Some(i)` for STR(i), whose nesting rule squashes an enclosing
+    /// speculated loop once more than `i` non-speculated loops pile up
+    /// inside it.
+    pub(crate) fn nesting_limit(self) -> Option<u32> {
+        match self {
+            Policy::StrNested(i) => Some(i),
+            Policy::Idle | Policy::Str => None,
+        }
+    }
 }
 
 /// [`Policy::Str`] under its earlier type name, kept because the
@@ -87,121 +120,18 @@ impl From<StrPolicy> for Policy {
     }
 }
 
-/// Everything a rule may consult when an iteration starts in the
-/// non-speculative thread.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SpecContext<'a> {
-    /// The loop whose iteration just started.
-    pub loop_id: LoopId,
-    /// The iteration index that just started (≥ 2).
-    pub current_iter: u32,
-    /// Idle thread units available right now.
-    pub idle_tus: u64,
-    /// Future iterations of this execution that already hold live
-    /// speculative threads.
-    pub already_speculated: u32,
-    /// The shared iteration-count predictor (the LET).
-    pub predictor: &'a IterPredictor,
-    /// Ground truth: actual iterations remaining after the current one,
-    /// from the batch engine's [`AnnotatedTrace`](crate::AnnotatedTrace)
-    /// or an oracle lane's [`OracleFeed`](crate::OracleFeed). Only the
-    /// oracle reads it; history lanes pass 0.
-    pub remaining_from_feed: u32,
-}
-
-/// One policy family's spawn rule, monomorphized into the engine core.
+/// The one spawn rule: how many new speculative threads an iteration
+/// start launches. Every idle TU when nothing bounds the loop
+/// (`remaining` is `None`), else the iterations believed to remain that
+/// hold no live thread yet, capped at the idle TUs.
 ///
-/// Returns how many *new* speculative threads to launch for future
-/// iterations of `ctx.loop_id`. The engine clamps the request to
-/// `ctx.idle_tus`, and it skips candidate iterations the
-/// non-speculative thread's run-ahead has already executed, so fewer
-/// threads may launch than requested.
-pub(crate) trait Rule {
-    /// Report name.
-    fn name(&self) -> &'static str;
-
-    /// Number of new threads to spawn.
-    fn threads_to_spawn(&self, ctx: &SpecContext<'_>) -> u64;
-
-    /// `Some(i)` enables the STR(i) nesting rule.
-    fn nesting_limit(&self) -> Option<u32> {
-        None
-    }
-}
-
-/// [`Policy::Idle`]'s rule.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IdleRule;
-
-/// [`Policy::Str`]'s rule.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StrRule;
-
-/// [`Policy::StrNested`]'s rule, carrying the nesting limit.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StrNestedRule(pub u32);
-
-/// The Figure 5 oracle: spawns exactly the actual remaining iterations
-/// — no misspeculation, no under-speculation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OracleRule;
-
-impl Rule for IdleRule {
-    fn name(&self) -> &'static str {
-        Policy::Idle.name()
-    }
-
-    fn threads_to_spawn(&self, ctx: &SpecContext<'_>) -> u64 {
-        ctx.idle_tus
-    }
-}
-
-/// Shared STR sizing: min(idle, predicted remaining), falling back to the
-/// last count, then to "all idle TUs".
-fn str_spawn(ctx: &SpecContext<'_>) -> u64 {
-    let committed_through = ctx.current_iter as u64 + ctx.already_speculated as u64;
-    match ctx.predictor.predict(ctx.loop_id) {
-        IterPrediction::Stride { total } | IterPrediction::LastCount { total } => {
-            let remaining = (total as u64).saturating_sub(committed_through);
-            remaining.min(ctx.idle_tus)
-        }
-        IterPrediction::Unknown => ctx.idle_tus,
-    }
-}
-
-impl Rule for StrRule {
-    fn name(&self) -> &'static str {
-        Policy::Str.name()
-    }
-
-    fn threads_to_spawn(&self, ctx: &SpecContext<'_>) -> u64 {
-        str_spawn(ctx)
-    }
-}
-
-impl Rule for StrNestedRule {
-    fn name(&self) -> &'static str {
-        Policy::StrNested(self.0).name()
-    }
-
-    fn threads_to_spawn(&self, ctx: &SpecContext<'_>) -> u64 {
-        str_spawn(ctx)
-    }
-
-    fn nesting_limit(&self) -> Option<u32> {
-        Some(self.0)
-    }
-}
-
-impl Rule for OracleRule {
-    fn name(&self) -> &'static str {
-        "ORACLE"
-    }
-
-    fn threads_to_spawn(&self, ctx: &SpecContext<'_>) -> u64 {
-        (ctx.remaining_from_feed as u64)
-            .saturating_sub(ctx.already_speculated as u64)
-            .min(ctx.idle_tus)
+/// The engine skips candidate iterations the non-speculative thread's
+/// run-ahead has already executed, so fewer threads may launch.
+#[inline]
+pub(crate) fn burst(remaining: Option<u32>, already_speculated: u32, idle_tus: u64) -> u64 {
+    match remaining {
+        None => idle_tus,
+        Some(r) => u64::from(r.saturating_sub(already_speculated)).min(idle_tus),
     }
 }
 
@@ -214,34 +144,27 @@ mod tests {
         LoopId(Addr::new(n))
     }
 
-    fn ctx<'a>(
-        predictor: &'a IterPredictor,
-        current_iter: u32,
-        idle: u64,
-        already: u32,
-        remaining_from_feed: u32,
-    ) -> SpecContext<'a> {
-        SpecContext {
-            loop_id: lid(1),
-            current_iter,
-            idle_tus: idle,
-            already_speculated: already,
-            predictor,
-            remaining_from_feed,
-        }
+    /// STR's burst at iteration `current_iter` of loop 1.
+    fn str_burst(p: &IterPredictor, current_iter: u32, idle: u64, already: u32) -> u64 {
+        burst(
+            Policy::Str.believed_remaining(p, lid(1), current_iter),
+            already,
+            idle,
+        )
     }
 
     #[test]
     fn idle_takes_everything() {
         let p = IterPredictor::new();
-        assert_eq!(IdleRule.threads_to_spawn(&ctx(&p, 2, 3, 0, 100)), 3);
-        assert_eq!(IdleRule.threads_to_spawn(&ctx(&p, 2, 0, 0, 100)), 0);
+        assert_eq!(Policy::Idle.believed_remaining(&p, lid(1), 2), None);
+        assert_eq!(burst(None, 0, 3), 3);
+        assert_eq!(burst(None, 0, 0), 0);
     }
 
     #[test]
     fn str_unknown_behaves_like_idle() {
         let p = IterPredictor::new();
-        assert_eq!(StrRule.threads_to_spawn(&ctx(&p, 2, 3, 0, 9)), 3);
+        assert_eq!(str_burst(&p, 2, 3, 0), 3);
     }
 
     #[test]
@@ -251,34 +174,32 @@ mod tests {
             p.record_execution(lid(1), 10); // reliable total = 10
         }
         // current iter 8, so 2 remaining; 5 idle.
-        assert_eq!(StrRule.threads_to_spawn(&ctx(&p, 8, 5, 0, 2)), 2);
+        assert_eq!(str_burst(&p, 8, 5, 0), 2);
         // already 1 speculated: only 1 more.
-        assert_eq!(StrRule.threads_to_spawn(&ctx(&p, 8, 5, 1, 2)), 1);
+        assert_eq!(str_burst(&p, 8, 5, 1), 1);
         // past the predicted end: nothing.
-        assert_eq!(StrRule.threads_to_spawn(&ctx(&p, 11, 5, 0, 0)), 0);
+        assert_eq!(str_burst(&p, 11, 5, 0), 0);
     }
 
     #[test]
     fn str_uses_last_count_when_unreliable() {
         let mut p = IterPredictor::new();
-        p.record_execution(lid(1), 6); // one observation: LastCount
-        assert_eq!(StrRule.threads_to_spawn(&ctx(&p, 2, 10, 0, 4)), 4);
+        p.record_execution(lid(1), 6); // one observation: last count
+        assert_eq!(str_burst(&p, 2, 10, 0), 4);
     }
 
     #[test]
     fn str_nested_carries_its_limit() {
-        let p3 = StrNestedRule(3);
+        let p3 = Policy::StrNested(3);
         assert_eq!(p3.nesting_limit(), Some(3));
         assert_eq!(p3.name(), "STR(3)");
-        assert_eq!(StrRule.nesting_limit(), None);
+        assert_eq!(Policy::Str.nesting_limit(), None);
     }
 
     #[test]
     fn oracle_spawns_exact_remainder() {
-        let p = IterPredictor::new();
-        let o = OracleRule;
-        assert_eq!(o.threads_to_spawn(&ctx(&p, 2, u64::MAX, 0, 7)), 7);
-        assert_eq!(o.threads_to_spawn(&ctx(&p, 2, u64::MAX, 5, 7)), 2);
-        assert_eq!(o.threads_to_spawn(&ctx(&p, 2, 1, 0, 7)), 1);
+        assert_eq!(burst(Some(7), 0, u64::MAX), 7);
+        assert_eq!(burst(Some(7), 5, u64::MAX), 2);
+        assert_eq!(burst(Some(7), 0, 1), 1);
     }
 }

@@ -7,24 +7,6 @@
 
 use loopspec_core::{LoopId, LoopTable};
 
-/// What the predictor knows about a loop's iteration count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IterPrediction {
-    /// Reliable stride: the predicted total is `last_count + stride`.
-    Stride {
-        /// Predicted total iterations of the current execution.
-        total: u32,
-    },
-    /// The stride is not confident but the last execution's count is
-    /// known; predict a repeat.
-    LastCount {
-        /// Predicted total iterations (= the last observed count).
-        total: u32,
-    },
-    /// Nothing is known about this loop yet.
-    Unknown,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct PredEntry {
     last_count: u32,
@@ -36,26 +18,25 @@ struct PredEntry {
 /// LET-backed iteration-count stride predictor.
 ///
 /// Updated by the engine at every loop-execution end; queried at every
-/// iteration start to size the speculation burst. By default the table is
-/// unbounded ("enough capacity", as the paper assumes for the speculation
-/// experiments); [`IterPredictor::with_capacity`] models a finite LET for
-/// ablations.
+/// iteration start to size the speculation burst. The table is unbounded
+/// ("enough capacity", as the paper assumes for the speculation
+/// experiments).
 ///
 /// ```
-/// use loopspec_mt::{IterPredictor, IterPrediction};
+/// use loopspec_mt::IterPredictor;
 /// use loopspec_core::LoopId;
 /// use loopspec_isa::Addr;
 ///
 /// let mut p = IterPredictor::new();
 /// let l = LoopId(Addr::new(4));
-/// assert_eq!(p.predict(l), IterPrediction::Unknown);
+/// assert_eq!(p.predict(l), None);
 /// p.record_execution(l, 10);
-/// assert_eq!(p.predict(l), IterPrediction::LastCount { total: 10 });
+/// assert_eq!(p.predict(l), Some(10)); // the last count
 /// p.record_execution(l, 12);
 /// p.record_execution(l, 14);
 /// p.record_execution(l, 16);
 /// // stride 2 repeated three times: reliable.
-/// assert_eq!(p.predict(l), IterPrediction::Stride { total: 18 });
+/// assert_eq!(p.predict(l), Some(18));
 /// ```
 #[derive(Debug, Clone)]
 pub struct IterPredictor {
@@ -73,14 +54,6 @@ impl IterPredictor {
     pub fn new() -> Self {
         IterPredictor {
             table: LoopTable::unbounded(),
-        }
-    }
-
-    /// Creates a predictor backed by a finite LRU table of `capacity`
-    /// entries (recency = last execution end).
-    pub fn with_capacity(capacity: usize) -> Self {
-        IterPredictor {
-            table: LoopTable::new(capacity),
         }
     }
 
@@ -122,21 +95,16 @@ impl IterPredictor {
     }
 
     /// Predicts the total iteration count of the current execution of
-    /// `loop_id`.
-    pub fn predict(&self, loop_id: LoopId) -> IterPrediction {
-        match self.table.get(loop_id) {
-            None => IterPrediction::Unknown,
-            Some(e) => {
-                if e.has_stride && e.conf >= 2 {
-                    let total = (e.last_count as i64 + e.stride).max(0) as u32;
-                    IterPrediction::Stride { total }
-                } else {
-                    IterPrediction::LastCount {
-                        total: e.last_count,
-                    }
-                }
-            }
-        }
+    /// `loop_id`: `last_count + stride` when the stride is reliable, else
+    /// a repeat of the last count, and `None` before the loop's first
+    /// closed execution.
+    pub fn predict(&self, loop_id: LoopId) -> Option<u32> {
+        let e = self.table.get(loop_id)?;
+        Some(if e.has_stride && e.conf >= 2 {
+            (e.last_count as i64 + e.stride).max(0) as u32
+        } else {
+            e.last_count
+        })
     }
 
     /// Number of loops currently tracked.
@@ -190,7 +158,7 @@ mod tests {
     #[test]
     fn unknown_before_any_execution() {
         let p = IterPredictor::new();
-        assert_eq!(p.predict(lid(1)), IterPrediction::Unknown);
+        assert_eq!(p.predict(lid(1)), None);
         assert!(p.is_empty());
     }
 
@@ -198,7 +166,7 @@ mod tests {
     fn last_count_after_one_execution() {
         let mut p = IterPredictor::new();
         p.record_execution(lid(1), 7);
-        assert_eq!(p.predict(lid(1)), IterPrediction::LastCount { total: 7 });
+        assert_eq!(p.predict(lid(1)), Some(7));
         assert_eq!(p.len(), 1);
     }
 
@@ -208,7 +176,7 @@ mod tests {
         for _ in 0..3 {
             p.record_execution(lid(1), 10);
         }
-        assert_eq!(p.predict(lid(1)), IterPrediction::Stride { total: 10 });
+        assert_eq!(p.predict(lid(1)), Some(10));
     }
 
     #[test]
@@ -217,14 +185,12 @@ mod tests {
         for c in [10, 12, 14, 16] {
             p.record_execution(lid(1), c);
         }
-        assert!(matches!(p.predict(lid(1)), IterPrediction::Stride { .. }));
+        assert_eq!(p.predict(lid(1)), Some(18));
         // Two erratic counts drop the two-bit counter below threshold.
         p.record_execution(lid(1), 3);
         p.record_execution(lid(1), 50);
-        assert!(matches!(
-            p.predict(lid(1)),
-            IterPrediction::LastCount { total: 50 }
-        ));
+        // A reliable stride 2 would predict 52.
+        assert_eq!(p.predict(lid(1)), Some(50));
     }
 
     #[test]
@@ -237,7 +203,7 @@ mod tests {
         for c in [19, 24, 29, 34, 39] {
             p.record_execution(lid(1), c);
         }
-        assert_eq!(p.predict(lid(1)), IterPrediction::Stride { total: 44 });
+        assert_eq!(p.predict(lid(1)), Some(44));
     }
 
     #[test]
@@ -247,20 +213,7 @@ mod tests {
             p.record_execution(lid(1), c);
         }
         // stride -3 reliable; prediction 3 - 3 = 0.
-        assert_eq!(p.predict(lid(1)), IterPrediction::Stride { total: 0 });
-    }
-
-    #[test]
-    fn finite_capacity_evicts() {
-        let mut p = IterPredictor::with_capacity(2);
-        p.record_execution(lid(1), 5);
-        p.record_execution(lid(2), 5);
-        p.record_execution(lid(3), 5);
-        assert_eq!(p.predict(lid(1)), IterPrediction::Unknown);
-        assert!(matches!(
-            p.predict(lid(3)),
-            IterPrediction::LastCount { .. }
-        ));
+        assert_eq!(p.predict(lid(1)), Some(0));
     }
 
     #[test]
@@ -268,7 +221,7 @@ mod tests {
         let mut p = IterPredictor::new();
         p.record_execution(lid(1), 100);
         p.record_execution(lid(2), 3);
-        assert_eq!(p.predict(lid(1)), IterPrediction::LastCount { total: 100 });
-        assert_eq!(p.predict(lid(2)), IterPrediction::LastCount { total: 3 });
+        assert_eq!(p.predict(lid(1)), Some(100));
+        assert_eq!(p.predict(lid(2)), Some(3));
     }
 }
