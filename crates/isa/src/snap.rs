@@ -523,6 +523,7 @@ impl Enc {
     }
 
     /// Appends a length-prefixed byte string.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
         self.buf.extend_from_slice(b);
@@ -551,6 +552,7 @@ impl<'a> Dec<'a> {
         self.buf.len() - self.at
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::Truncated { at: self.at });
@@ -561,11 +563,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
@@ -573,6 +577,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -580,6 +585,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a little-endian `i64`.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, SnapError> {
         Ok(i64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -587,6 +593,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a `bool` written by [`Enc::bool`].
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapError> {
         match self.u8()? {
             0 => Ok(false),
@@ -596,6 +603,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a length-prefixed byte string written by [`Enc::bytes`].
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.u64()?;
         if n > self.remaining() as u64 {
@@ -608,6 +616,7 @@ impl<'a> Dec<'a> {
     /// input (every element occupies at least one byte, so a count
     /// larger than `remaining()` is corrupt — this is what makes
     /// pre-allocating `count` elements safe).
+    #[inline]
     pub fn count(&mut self) -> Result<usize, SnapError> {
         self.count_elems(1)
     }
@@ -619,6 +628,7 @@ impl<'a> Dec<'a> {
     /// one byte: it keeps a corrupt or hostile count from reserving
     /// `count * size_of::<Elem>()` — a multiplied, possibly OOM-sized
     /// allocation — before the first element even decodes.
+    #[inline]
     pub fn count_elems(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
         let n = self.u64()?;
         if n.checked_mul(min_elem_bytes.max(1) as u64)

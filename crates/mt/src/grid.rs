@@ -871,14 +871,22 @@ impl loopspec_core::SnapshotState for EngineGrid {
                 what: "lane cursor outside the queue",
             });
         }
-        if !self
-            .shared
-            .iter()
-            .all(|p| self.ann.execs.contains(p.exec()))
-        {
-            return Err(SnapError::Corrupt {
-                what: "pending entry without annotation",
-            });
+        // Compaction drops an execution's annotation at its `End`, so
+        // nothing of that execution may be queued after it.
+        let mut ended = vec![false; self.ann.execs.slots.len()];
+        for p in &self.shared {
+            if !self.ann.execs.contains(p.exec()) {
+                return Err(SnapError::Corrupt {
+                    what: "pending entry without annotation",
+                });
+            }
+            let seen_end = &mut ended[(p.exec() - self.ann.execs.base) as usize];
+            if *seen_end {
+                return Err(SnapError::Corrupt {
+                    what: "pending entry after its execution's end",
+                });
+            }
+            *seen_end = matches!(p, Pending::End { .. });
         }
         self.peak_buffered = src.u64()? as usize;
         self.reports = if src.bool()? {
@@ -1275,6 +1283,44 @@ mod tests {
                 what: "pending entry without annotation"
             })
         );
+    }
+
+    #[test]
+    fn snapshots_refuse_entries_queued_after_their_execution_ends() {
+        // An execution still open at the cut, ended early in the queue
+        // and then given one more entry.
+        let end_then = |next: fn(u32, u64) -> Pending| {
+            move |g: &mut EngineGrid| {
+                let &(_, exec) = g.ann.open_by_loop.last().expect("an open execution");
+                let pos = g.ann.frontier;
+                g.shared.push_back(Pending::End {
+                    exec,
+                    pos,
+                    closed: true,
+                    iterations: 2,
+                });
+                g.shared.push_back(next(exec, pos));
+            }
+        };
+        let iter_after = |exec, pos| Pending::Iter { exec, iter: 2, pos };
+        let second_end = |exec, pos| Pending::End {
+            exec,
+            pos,
+            closed: true,
+            iterations: 2,
+        };
+        let corrupt = Err(SnapError::Corrupt {
+            what: "pending entry after its execution's end",
+        });
+        assert_eq!(load_tampered(end_then(iter_after)), corrupt);
+        assert_eq!(load_tampered(end_then(second_end)), corrupt);
+        // One `End` at the queue's tail is a legal order.
+        let end_only = |g: &mut EngineGrid| {
+            let &(_, exec) = g.ann.open_by_loop.last().expect("an open execution");
+            let pos = g.ann.frontier;
+            g.shared.push_back(second_end(exec, pos));
+        };
+        assert_eq!(load_tampered(end_only), Ok(()));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! reports a miss, so the service falls back to recomputing instead of
 //! serving garbage. Capacity pressure evicts least-recently-used
 //! entries; a capacity of `0` disables caching entirely (every lookup
-//! misses, every insert is dropped).
+//! misses, every insert is dropped). A hit refreshes recency in O(1):
+//! it stamps the entry and queues the new stamp, leaving the old queue
+//! element stale for eviction to skip; the queue is rebuilt from the
+//! live stamps once stale elements dominate it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -24,11 +27,26 @@ use loopspec_obs::{journal, EventKind};
 #[derive(Debug)]
 pub struct ReportCache {
     capacity: usize,
-    entries: HashMap<u64, Vec<u8>>,
-    /// LRU order, front = coldest. Every key in `entries` appears here
-    /// exactly once.
-    order: VecDeque<u64>,
+    entries: HashMap<u64, Entry>,
+    /// `(stamp, key)` in recency order, front = coldest. An element is
+    /// live while its stamp is still its entry's; every key in
+    /// `entries` has exactly one live element, and stale ones are
+    /// skipped at eviction or dropped by [`ReportCache::compact`].
+    order: VecDeque<(u64, u64)>,
+    /// The last stamp handed out.
+    clock: u64,
     evictions: u64,
+}
+
+/// Stale queue elements tolerated beyond the live ones before the
+/// queue is rebuilt.
+const STALE_SLACK: usize = 64;
+
+/// A sealed report and the stamp of its last insert or hit.
+#[derive(Debug)]
+struct Entry {
+    sealed: Vec<u8>,
+    stamp: u64,
 }
 
 impl ReportCache {
@@ -38,6 +56,7 @@ impl ReportCache {
             capacity,
             entries: HashMap::new(),
             order: VecDeque::new(),
+            clock: 0,
             evictions: 0,
         }
     }
@@ -67,22 +86,16 @@ impl ReportCache {
         let mut enc = Enc::with_capacity(report.encoded_len() + FRAME_TRAILER);
         report.save(&mut enc);
         let sealed = seal(enc.into_bytes());
-        if self.entries.insert(fingerprint, sealed).is_none() {
-            self.order.push_back(fingerprint);
-            if self.entries.len() > self.capacity {
-                if let Some(cold) = self.order.pop_front() {
-                    self.entries.remove(&cold);
-                    self.evictions += 1;
-                    journal::record(
-                        EventKind::CacheEviction,
-                        cold,
-                        0,
-                        "coldest entry evicted under capacity pressure",
-                    );
-                }
-            }
-        } else {
-            self.touch(fingerprint);
+        self.compact();
+        self.clock += 1;
+        self.order.push_back((self.clock, fingerprint));
+        let stamp = self.clock;
+        let fresh = self
+            .entries
+            .insert(fingerprint, Entry { sealed, stamp })
+            .is_none();
+        if fresh && self.entries.len() > self.capacity {
+            self.evict_coldest();
         }
     }
 
@@ -91,22 +104,25 @@ impl ReportCache {
     /// its checksum or does not decode to a report is evicted and
     /// reported as a miss.
     pub fn get(&mut self, fingerprint: u64) -> Option<Report> {
-        let sealed = self.entries.get(&fingerprint)?;
-        let report = unseal(sealed).ok().and_then(|payload| {
+        self.compact();
+        let entry = self.entries.get_mut(&fingerprint)?;
+        let report = unseal(&entry.sealed).ok().and_then(|payload| {
             let mut dec = Dec::new(payload);
             let report = Report::load(&mut dec).ok()?;
             dec.finish().ok().map(|()| report)
         });
         match report {
             Some(report) => {
-                self.touch(fingerprint);
+                self.clock += 1;
+                entry.stamp = self.clock;
+                self.order.push_back((self.clock, fingerprint));
                 Some(report)
             }
             None => {
                 // Bit rot (or the fault hook): drop the entry so the
-                // caller recomputes and re-caches a good copy.
+                // caller recomputes and re-caches a good copy. Its queue
+                // element goes stale.
                 self.entries.remove(&fingerprint);
-                self.order.retain(|&k| k != fingerprint);
                 self.evictions += 1;
                 journal::record(
                     EventKind::SealRecovery,
@@ -124,19 +140,44 @@ impl ReportCache {
     /// entry existed to corrupt.
     pub fn corrupt(&mut self, fingerprint: u64) -> bool {
         match self.entries.get_mut(&fingerprint) {
-            Some(sealed) => {
-                let mid = sealed.len() / 2;
-                sealed[mid] ^= 0xff;
+            Some(entry) => {
+                let mid = entry.sealed.len() / 2;
+                entry.sealed[mid] ^= 0xff;
                 true
             }
             None => false,
         }
     }
 
-    fn touch(&mut self, fingerprint: u64) {
-        if let Some(pos) = self.order.iter().position(|&k| k == fingerprint) {
-            self.order.remove(pos);
-            self.order.push_back(fingerprint);
+    /// Rebuilds the queue from the live stamps once stale elements
+    /// outnumber live ones by [`STALE_SLACK`]: a sort of the `n`
+    /// entries, with no hash lookup, after at least `n + STALE_SLACK`
+    /// uses. A use thus pays O(log n) comparisons amortized, and the
+    /// queue stays within twice the entry count plus the slack.
+    fn compact(&mut self) {
+        if self.order.len() >= 2 * self.entries.len() + STALE_SLACK {
+            self.order.clear();
+            self.order
+                .extend(self.entries.iter().map(|(&key, e)| (e.stamp, key)));
+            self.order.make_contiguous().sort_unstable();
+        }
+    }
+
+    /// Drops the least recently used entry: the first live element of
+    /// the queue.
+    fn evict_coldest(&mut self) {
+        while let Some((stamp, cold)) = self.order.pop_front() {
+            if self.entries.get(&cold).is_some_and(|e| e.stamp == stamp) {
+                self.entries.remove(&cold);
+                self.evictions += 1;
+                journal::record(
+                    EventKind::CacheEviction,
+                    cold,
+                    0,
+                    "coldest entry evicted under capacity pressure",
+                );
+                return;
+            }
         }
     }
 }
@@ -195,6 +236,30 @@ mod tests {
         cache.insert(1, &report(1));
         assert!(cache.is_empty());
         assert_eq!(cache.get(1), None);
+    }
+
+    #[test]
+    fn hits_keep_the_recency_queue_bounded() {
+        let mut cache = ReportCache::new(3);
+        for k in 1..=3 {
+            cache.insert(k, &report(k as u8));
+        }
+        for _ in 0..1000 {
+            assert!(cache.get(2).is_some());
+            assert!(cache.get(1).is_some());
+        }
+        assert!(
+            cache.order.len() <= 2 * 3 + STALE_SLACK,
+            "{}",
+            cache.order.len()
+        );
+        // 3 is the coldest, then 2: stale elements never decide.
+        cache.insert(4, &report(4));
+        assert_eq!(cache.get(3), None);
+        cache.insert(5, &report(5));
+        assert_eq!(cache.get(2), None);
+        assert_eq!(cache.get(1), Some(report(1)));
+        assert_eq!(cache.evictions(), 2);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * **Content-addressed cache** — reports are stored under the spec's
 //!   FNV fingerprint (which deliberately ignores shard slicing: the
 //!   bit-identity proof makes slicing report-invariant). A repeated
-//!   query is O(1) and never touches a worker; entries are sealed with
+//!   query is O(1), answered on the caller's thread without waking the
+//!   service thread or touching a worker; entries are sealed with
 //!   the XXH64 integrity checksum, so a corrupted entry is detected,
 //!   evicted, and recomputed — never served.
 //! * **Coalescing** — identical jobs submitted while the first is

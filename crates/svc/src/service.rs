@@ -4,15 +4,20 @@
 //!
 //! ## Job lifecycle
 //!
-//! Every submission is first fingerprinted. A cache hit answers
-//! immediately (no worker touched). A fingerprint already being
-//! computed attaches the submission as an extra waiter (*coalescing* —
-//! one computation, N answers). Otherwise admission control applies:
-//! if the number of distinct in-flight computations has reached the
-//! configured queue limit, the submission is rejected (backpressure —
-//! the client backs off and retries); else a new snapshot-linked chain
-//! is submitted to the scheduler, which dispatches it shard by shard
-//! exactly as it does for the one-suite coordinator.
+//! A submission is first validated and fingerprinted **on the caller's
+//! thread**, which also looks the fingerprint up in the cache it shares
+//! with the service thread. An invalid spec fails and a cache hit
+//! answers right there: no channel, no worker, no service-thread wake-up.
+//! Only a miss travels to the service thread, which re-checks the cache
+//! (a report may have landed since the caller's lookup) through the same
+//! hit path. A fingerprint already being computed attaches the
+//! submission as an extra waiter (*coalescing* — one computation, N
+//! answers). Otherwise admission control applies: if the number of
+//! distinct in-flight computations has reached the configured queue
+//! limit, the submission is rejected (backpressure — the client backs
+//! off and retries); else a new snapshot-linked chain is submitted to
+//! the scheduler, which dispatches it shard by shard exactly as it does
+//! for the one-suite coordinator.
 //!
 //! ## Failure model
 //!
@@ -28,7 +33,8 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::process::Command;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use loopspec_dist::{
@@ -114,8 +120,11 @@ type Reply = Result<Completion, SvcError>;
 #[derive(Debug)]
 enum SvcEvent {
     Pool(PoolEvent),
+    /// A validated spec whose cache lookup missed on the caller's thread.
     Submit {
         spec: JobSpec,
+        fingerprint: u64,
+        arrived: Instant,
         reply: mpsc::Sender<Reply>,
     },
     Stats {
@@ -123,10 +132,6 @@ enum SvcEvent {
     },
     MetricsText {
         reply: mpsc::Sender<String>,
-    },
-    Corrupt {
-        fingerprint: u64,
-        reply: mpsc::Sender<bool>,
     },
     Shutdown,
 }
@@ -137,10 +142,16 @@ impl From<PoolEvent> for SvcEvent {
     }
 }
 
-/// A pending submission's handle; blocks on [`Ticket::wait`].
+/// A submission's handle; blocks on [`Ticket::wait`].
 #[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<Reply>,
+pub struct Ticket(Answer);
+
+/// A submission answered on the caller's thread, or one the service
+/// thread will answer.
+#[derive(Debug)]
+enum Answer {
+    Ready(Reply),
+    Pending(mpsc::Receiver<Reply>),
 }
 
 impl Ticket {
@@ -151,7 +162,10 @@ impl Ticket {
     /// [`SvcError`] when the job was rejected, failed, or the service
     /// went away.
     pub fn wait(self) -> Reply {
-        self.rx.recv().unwrap_or(Err(SvcError::Disconnected))
+        match self.0 {
+            Answer::Ready(reply) => reply,
+            Answer::Pending(rx) => rx.recv().unwrap_or(Err(SvcError::Disconnected)),
+        }
     }
 }
 
@@ -159,15 +173,36 @@ impl Ticket {
 #[derive(Debug, Clone)]
 pub struct Client {
     tx: mpsc::Sender<SvcEvent>,
+    shared: Arc<Shared>,
 }
 
 impl Client {
-    /// Submits `spec` without blocking; the [`Ticket`] resolves when
-    /// the service answers.
+    /// Submits `spec` without blocking. An invalid spec or a cache hit
+    /// is answered on this thread, so its [`Ticket`] is already
+    /// resolved; a miss resolves when the service thread answers.
     pub fn submit(&self, spec: JobSpec) -> Ticket {
+        let arrived = Instant::now();
+        if self.shared.closed.load(Ordering::Acquire) {
+            return Ticket(Answer::Ready(Err(SvcError::Disconnected)));
+        }
+        if let Err(e) = spec.validate() {
+            self.shared.metrics.invalid.inc();
+            return Ticket(Answer::Ready(Err(SvcError::Failed {
+                message: format!("invalid job spec: {e}"),
+            })));
+        }
+        let fingerprint = spec.fingerprint();
+        if let Some(done) = self.shared.hit(fingerprint, arrived) {
+            return Ticket(Answer::Ready(Ok(done)));
+        }
         let (reply, rx) = mpsc::channel();
-        let _ = self.tx.send(SvcEvent::Submit { spec, reply });
-        Ticket { rx }
+        let _ = self.tx.send(SvcEvent::Submit {
+            spec,
+            fingerprint,
+            arrived,
+            reply,
+        });
+        Ticket(Answer::Pending(rx))
     }
 
     /// Submits `spec` and blocks for the answer.
@@ -214,6 +249,7 @@ impl Client {
 #[derive(Debug)]
 pub struct Service {
     tx: mpsc::Sender<SvcEvent>,
+    shared: Arc<Shared>,
     scheduler: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -263,12 +299,19 @@ impl Service {
     fn start(config: SvcConfig, workers: Workers) -> Self {
         let (tx, rx) = mpsc::channel();
         let pool_tx = tx.clone();
+        let shared = Arc::new(Shared {
+            cache: Mutex::new(ReportCache::new(config.cache_capacity)),
+            metrics: SvcMetrics::new(),
+            closed: AtomicBool::new(false),
+        });
+        let loop_shared = Arc::clone(&shared);
         let scheduler = std::thread::spawn(move || {
             let scheduler = Scheduler::start(workers, pool_tx);
-            ServiceLoop::new(config, scheduler, rx).run();
+            ServiceLoop::new(config, scheduler, rx, loop_shared).run();
         });
         Service {
             tx,
+            shared,
             scheduler: Some(scheduler),
         }
     }
@@ -277,6 +320,7 @@ impl Service {
     pub fn client(&self) -> Client {
         Client {
             tx: self.tx.clone(),
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -300,15 +344,7 @@ impl Service {
     /// `fingerprint` so the next lookup detects corruption, evicts the
     /// entry, and recomputes. Returns whether an entry existed.
     pub fn corrupt_cache_entry(&self, fingerprint: u64) -> bool {
-        let (reply, rx) = mpsc::channel();
-        if self
-            .tx
-            .send(SvcEvent::Corrupt { fingerprint, reply })
-            .is_err()
-        {
-            return false;
-        }
-        rx.recv().unwrap_or(false)
+        self.shared.cache().corrupt(fingerprint)
     }
 
     /// Stops the scheduler, fails any jobs still in flight with
@@ -318,6 +354,7 @@ impl Service {
     }
 
     fn stop(&mut self) {
+        self.shared.closed.store(true, Ordering::Release);
         let _ = self.tx.send(SvcEvent::Shutdown);
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
@@ -381,10 +418,16 @@ struct Run {
 
 /// The service's metric cells: a per-service [`obs::Registry`] (two
 /// services in one process never mix numbers) with every handle cached
-/// at startup, so each bookkeeping bump is one relaxed atomic add. The
-/// monotonic admission and cache counters live here; worker states,
-/// dispatch and handoff totals, queue depth and cache evictions are
-/// read from the scheduler and the cache at snapshot time.
+/// at startup, so each bookkeeping bump is one relaxed atomic add.
+///
+/// Only the service thread bumps `submitted`, `accepted`, `rejected`,
+/// `completed`, `failed`, `in_flight`, `cache_misses` and `coalesced`,
+/// and only for the submissions it decides. A submission answered
+/// without it bumps exactly one cell — `cache_hits` for a hit (on either
+/// thread), `invalid` for a spec the caller refused — and
+/// [`ServiceLoop::snapshot`] folds those two into the totals. Worker
+/// states, dispatch and handoff totals, queue depth and cache evictions
+/// are read from the scheduler and the cache at snapshot time.
 #[derive(Debug)]
 struct SvcMetrics {
     registry: obs::Registry,
@@ -397,6 +440,7 @@ struct SvcMetrics {
     cache_hits: obs::Counter,
     cache_misses: obs::Counter,
     coalesced: obs::Counter,
+    invalid: obs::Counter,
     hit_latency: obs::Histogram,
     miss_latency: obs::Histogram,
 }
@@ -414,6 +458,7 @@ impl SvcMetrics {
             cache_hits: registry.counter("svc_cache_hits"),
             cache_misses: registry.counter("svc_cache_misses"),
             coalesced: registry.counter("svc_coalesced"),
+            invalid: registry.counter("svc_invalid_specs"),
             hit_latency: registry.histogram("svc_cache_hit_latency_us"),
             miss_latency: registry.histogram("svc_cache_miss_latency_us"),
             registry,
@@ -421,17 +466,56 @@ impl SvcMetrics {
     }
 }
 
+/// What every [`Client`] shares with the service thread: the report
+/// cache and the metric cells.
+#[derive(Debug)]
+struct Shared {
+    cache: Mutex<ReportCache>,
+    metrics: SvcMetrics,
+    /// Set when the service stops, so a client outliving it is told so
+    /// even for a submission it could answer itself.
+    closed: AtomicBool,
+}
+
+impl Shared {
+    /// The cache. Every stored entry stays sealed whatever a panicking
+    /// lock holder left half-done, so a poisoned lock is still used.
+    fn cache(&self) -> MutexGuard<'_, ReportCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one cache-hit path, taken by the caller's thread and by the
+    /// service thread's re-check: looks `fingerprint` up and, on a hit,
+    /// counts, journals and times it from the submission at `arrived`.
+    fn hit(&self, fingerprint: u64, arrived: Instant) -> Option<Completion> {
+        let report = self.cache().get(fingerprint)?;
+        self.metrics.cache_hits.inc();
+        journal::record(
+            EventKind::CacheHit,
+            fingerprint,
+            0,
+            "served from the report cache",
+        );
+        self.metrics
+            .hit_latency
+            .observe(arrived.elapsed().as_micros() as u64);
+        Some(Completion {
+            report,
+            cached: true,
+        })
+    }
+}
+
 /// The service thread's state: what is specific to the service —
-/// cache, coalescing, admission, waiters, metrics — over the shared
-/// shard [`Scheduler`].
+/// coalescing, admission, waiters — over the shared shard
+/// [`Scheduler`], plus the cache and metrics it shares with clients.
 struct ServiceLoop {
     rx: mpsc::Receiver<SvcEvent>,
     scheduler: Scheduler<SvcEvent>,
     /// In-flight computations by fingerprint (also their chain key).
     runs: HashMap<u64, Run>,
-    cache: ReportCache,
+    shared: Arc<Shared>,
     queue_limit: usize,
-    metrics: SvcMetrics,
 }
 
 impl ServiceLoop {
@@ -439,14 +523,14 @@ impl ServiceLoop {
         config: SvcConfig,
         scheduler: Scheduler<SvcEvent>,
         rx: mpsc::Receiver<SvcEvent>,
+        shared: Arc<Shared>,
     ) -> Self {
         ServiceLoop {
             rx,
             scheduler,
             runs: HashMap::new(),
-            cache: ReportCache::new(config.cache_capacity),
+            shared,
             queue_limit: config.queue_limit,
-            metrics: SvcMetrics::new(),
         }
     }
 
@@ -459,17 +543,20 @@ impl ServiceLoop {
                 break;
             };
             match event {
-                SvcEvent::Submit { spec, reply } => self.on_submit(spec, reply),
+                SvcEvent::Submit {
+                    spec,
+                    fingerprint,
+                    arrived,
+                    reply,
+                } => self.on_submit(spec, fingerprint, arrived, reply),
                 SvcEvent::Stats { reply } => {
                     let _ = reply.send(self.snapshot());
                 }
                 SvcEvent::MetricsText { reply } => {
                     let mut text = render_metrics(&self.snapshot());
-                    obs::render::histograms_with_prefix(&mut text, &self.metrics.registry, "svc_");
+                    let registry = &self.shared.metrics.registry;
+                    obs::render::histograms_with_prefix(&mut text, registry, "svc_");
                     let _ = reply.send(text);
-                }
-                SvcEvent::Corrupt { fingerprint, reply } => {
-                    let _ = reply.send(self.cache.corrupt(fingerprint));
                 }
                 SvcEvent::Shutdown => break,
                 SvcEvent::Pool(ev) => {
@@ -489,48 +576,31 @@ impl ServiceLoop {
 
     // ---- client events ------------------------------------------------
 
-    fn on_submit(&mut self, spec: JobSpec, reply: mpsc::Sender<Reply>) {
-        let arrived = Instant::now();
-        self.metrics.submitted.inc();
-        if let Err(e) = spec.validate() {
-            self.metrics.accepted.inc();
-            self.metrics.failed.inc();
-            let _ = reply.send(Err(SvcError::Failed {
-                message: format!("invalid job spec: {e}"),
-            }));
+    fn on_submit(
+        &mut self,
+        spec: JobSpec,
+        fingerprint: u64,
+        arrived: Instant,
+        reply: mpsc::Sender<Reply>,
+    ) {
+        // A report may have landed between the caller's miss and now.
+        if let Some(done) = self.shared.hit(fingerprint, arrived) {
+            let _ = reply.send(Ok(done));
             return;
         }
-        let fingerprint = spec.fingerprint();
-        if let Some(report) = self.cache.get(fingerprint) {
-            self.metrics.accepted.inc();
-            self.metrics.completed.inc();
-            self.metrics.cache_hits.inc();
-            journal::record(
-                EventKind::CacheHit,
-                fingerprint,
-                0,
-                "served from the report cache",
-            );
-            let _ = reply.send(Ok(Completion {
-                report,
-                cached: true,
-            }));
-            self.metrics
-                .hit_latency
-                .observe(arrived.elapsed().as_micros() as u64);
-            return;
-        }
+        let m = &self.shared.metrics;
+        m.submitted.inc();
         if let Some(run) = self.runs.get_mut(&fingerprint) {
             // Identical job already computing: one computation, one
             // more answer.
-            self.metrics.accepted.inc();
-            self.metrics.in_flight.add(1);
-            self.metrics.coalesced.inc();
+            m.accepted.inc();
+            m.in_flight.add(1);
+            m.coalesced.inc();
             run.waiters.push(reply);
             return;
         }
         if self.runs.len() >= self.queue_limit {
-            self.metrics.rejected.inc();
+            m.rejected.inc();
             journal::record(
                 EventKind::AdmissionReject,
                 fingerprint,
@@ -544,16 +614,16 @@ impl ServiceLoop {
         }
         if self.scheduler.all_workers_dead() {
             // The cache outlives the pool, but a miss cannot compute.
-            self.metrics.accepted.inc();
-            self.metrics.failed.inc();
+            m.accepted.inc();
+            m.failed.inc();
             let _ = reply.send(Err(SvcError::Failed {
                 message: "no workers left alive".into(),
             }));
             return;
         }
-        self.metrics.accepted.inc();
-        self.metrics.in_flight.add(1);
-        self.metrics.cache_misses.inc();
+        m.accepted.inc();
+        m.in_flight.add(1);
+        m.cache_misses.inc();
         journal::record(
             EventKind::CacheMiss,
             fingerprint,
@@ -591,7 +661,7 @@ impl ServiceLoop {
                     // report content: zero it so a cached answer is
                     // byte-identical to a fresh recompute of the spec.
                     report.job = 0;
-                    self.cache.insert(key, &report);
+                    self.shared.cache().insert(key, &report);
                     let done = Completion {
                         report,
                         cached: false,
@@ -614,15 +684,15 @@ impl ServiceLoop {
             return;
         };
         let n = run.waiters.len() as u64;
-        self.metrics.in_flight.sub(n);
+        let m = &self.shared.metrics;
+        m.in_flight.sub(n);
         match reply {
             Ok(_) => {
-                self.metrics.completed.add(n);
-                self.metrics
-                    .miss_latency
+                m.completed.add(n);
+                m.miss_latency
                     .observe(run.started.elapsed().as_micros() as u64);
             }
-            Err(_) => self.metrics.failed.add(n),
+            Err(_) => m.failed.add(n),
         }
         for waiter in run.waiters {
             let _ = waiter.send(reply.clone());
@@ -633,20 +703,28 @@ impl ServiceLoop {
     /// out of the metric cells, plus the live values (queue depth,
     /// worker states, dispatch and pool totals, cache evictions) read
     /// from the scheduler and the cache.
+    ///
+    /// Only this thread moves the cells it decides, so they agree with
+    /// each other here. Clients move `cache_hits` and `invalid`
+    /// concurrently, one cell per answer; each is read once and added
+    /// into every total it belongs to, so both invariants hold in every
+    /// snapshot, not only once traffic stops.
     fn snapshot(&self) -> SvcStats {
-        let m = &self.metrics;
+        let m = &self.shared.metrics;
+        let hits = m.cache_hits.get();
+        let invalid = m.invalid.get();
         let pool = self.scheduler.stats();
         SvcStats {
-            submitted: m.submitted.get(),
-            accepted: m.accepted.get(),
+            submitted: m.submitted.get() + hits + invalid,
+            accepted: m.accepted.get() + hits + invalid,
             rejected: m.rejected.get(),
-            completed: m.completed.get(),
-            failed: m.failed.get(),
+            completed: m.completed.get() + hits,
+            failed: m.failed.get() + invalid,
             in_flight: m.in_flight.get(),
-            cache_hits: m.cache_hits.get(),
+            cache_hits: hits,
             cache_misses: m.cache_misses.get(),
             coalesced: m.coalesced.get(),
-            evictions: self.cache.evictions(),
+            evictions: self.shared.cache().evictions(),
             queue_depth: pool.queue_depth,
             workers_idle: pool.idle,
             workers_busy: pool.busy,
@@ -810,6 +888,12 @@ mod unix_tests {
             "miss latency histogram rendered: {text}"
         );
         service.shutdown();
+        // The cache outlives the service in the client's hands, but a
+        // stopped service answers nothing.
+        assert_eq!(
+            client.run(small_spec("compress")),
+            Err(SvcError::Disconnected)
+        );
     }
 
     #[test]
@@ -937,6 +1021,80 @@ mod unix_tests {
         service.shutdown();
         impostor.join().unwrap();
         worker.join().unwrap();
+    }
+
+    #[test]
+    fn warm_hits_are_answered_while_the_service_thread_is_stalled() {
+        use std::io::Read;
+        use std::time::Duration;
+
+        // A scripted worker: it answers the first job with a report,
+        // then answers the second with a checkpoint far larger than a
+        // socket buffer and stops reading, so the service thread blocks
+        // writing that checkpoint into the successor job.
+        let (ours, theirs) = UnixStream::pair().expect("socketpair");
+        let (stalled_tx, stalled) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let scripted = std::thread::spawn(move || {
+            let mut frames = FrameReader::new(theirs.try_clone().expect("clone"));
+            let mut writer = theirs.try_clone().expect("clone");
+            let Ok(Some(hello)) = frames.read_frame() else {
+                panic!("no handshake");
+            };
+            write_frame(&mut writer, &hello).unwrap();
+            let mut next_job = || match frames.read_frame() {
+                Ok(Some(Frame::Job(job))) => job.id,
+                other => panic!("expected a job, got {other:?}"),
+            };
+            let report = Report {
+                job: next_job(),
+                instructions: 7,
+                lanes: vec![],
+                state: vec![1, 2, 3],
+            };
+            write_frame(&mut writer, &Frame::Report(report)).unwrap();
+            let checkpoint = Frame::Snapshot {
+                job: next_job(),
+                instructions: 1,
+                bytes: vec![0; 8 << 20],
+            };
+            write_frame(&mut writer, &checkpoint).unwrap();
+            // The successor job's first bytes: its writer is now inside
+            // a write that cannot finish until this end reads.
+            let mut head = [0u8; 4];
+            (&theirs).read_exact(&mut head).unwrap();
+            stalled_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+            let _ = std::io::copy(&mut &theirs, &mut std::io::sink());
+        });
+        let links = vec![WorkerLink::from_unix(ours).expect("clone")];
+        let service = Service::with_links(SvcConfig::default(), links);
+        let client = service.client();
+        let warm = small_spec("compress");
+        let first = client.run(warm.clone()).expect("the scripted report");
+        assert!(!first.cached);
+        let stuck = client.submit(small_spec("go"));
+        stalled.recv().expect("the service thread stalls");
+
+        let (tx, rx) = mpsc::channel();
+        let hitter = client.clone();
+        std::thread::spawn(move || tx.send(hitter.run(warm)));
+        let hit = rx.recv_timeout(Duration::from_secs(10));
+        // Unstall before asserting, so a failure cannot leave the
+        // service's shutdown waiting on the scripted worker.
+        drop(release);
+        let hit = hit
+            .expect("a warm hit needs no service thread")
+            .expect("the hit succeeds");
+        assert!(hit.cached);
+        assert_eq!(hit.report, first.report);
+        // Stats are taken on the service thread, so only once it runs.
+        let s = service.stats();
+        assert_eq!((s.cache_hits, s.cache_misses, s.in_flight), (1, 2, 1));
+        assert_invariants(&s);
+        service.shutdown();
+        assert_eq!(stuck.wait(), Err(SvcError::Disconnected));
+        scripted.join().unwrap();
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! `Session` over the same spec. The cache must also degrade safely:
 //! entries evicted under capacity pressure recompute (still
 //! byte-identical), and a corrupted entry is detected by its seal,
-//! evicted, and recomputed — never served.
+//! evicted, and recomputed — never served. Clients look the cache up on
+//! their own threads, so the same must hold while several of them race
+//! lookups against inserts, evictions and the corruption hook.
 //!
 //! The worker processes are the `svc_run` binary in `--worker` mode
 //! (`CARGO_BIN_EXE_svc_run`), so this suite exercises the production
@@ -14,8 +16,10 @@
 //! chaining.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-use loopspec::dist::{single_pass_outcome, JobSpec, Policy, Report};
+use loopspec::dist::{single_pass_outcome, JobSpec, Policy, Report, SvcStats};
 use loopspec::prelude::*;
 
 /// Fixed fuel per shard — small enough that every workload crosses
@@ -165,5 +169,81 @@ fn corrupted_cache_entries_are_evicted_and_recomputed() {
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.cache_misses, 2);
     assert!(stats.evictions >= 1, "corruption counts as an eviction");
+    service.shutdown();
+}
+
+fn assert_invariants(s: &SvcStats, ctx: &str) {
+    assert_eq!(s.submitted, s.accepted + s.rejected, "{ctx}: {s:?}");
+    assert_eq!(
+        s.accepted,
+        s.completed + s.failed + s.in_flight,
+        "{ctx}: {s:?}"
+    );
+}
+
+#[test]
+fn racing_clients_evictions_and_corruption_stay_byte_identical() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 4;
+    // Four specs over two cache slots: hits, misses and evictions
+    // interleave, while an observer corrupts entries and snapshots the
+    // counters mid-run.
+    let service = service(2, 2);
+    let specs: Vec<JobSpec> = ["compress", "go", "li", "m88ksim"]
+        .into_iter()
+        .map(spec_for)
+        .collect();
+    let references: Vec<_> = specs
+        .iter()
+        .map(|s| {
+            single_pass_outcome(&s.workload, s.scale, &s.lane_specs(), s.total_fuel)
+                .expect("reference run succeeds")
+        })
+        .collect();
+    let running = AtomicBool::new(true);
+    let (hits, snapshots) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let client = service.client();
+                let (specs, references) = (&specs, &references);
+                scope.spawn(move || {
+                    let mut hits = 0;
+                    for j in 0..ROUNDS * 2 * specs.len() {
+                        // Each spec twice in a row, from a per-client
+                        // offset: a likely hit right after each miss.
+                        let k = (c + j / 2) % specs.len();
+                        let done = client.run(specs[k].clone()).expect("every job succeeds");
+                        let (got, want) = (&done.report, &references[k]);
+                        let ctx = format!("client {c} request {j} ({})", specs[k].workload);
+                        assert_eq!(got.instructions, want.instructions, "{ctx}");
+                        assert_eq!(got.lanes, want.lanes, "{ctx}: lane reports");
+                        assert_eq!(got.state, want.state, "{ctx}: sink state");
+                        hits += u64::from(done.cached);
+                    }
+                    hits
+                })
+            })
+            .collect();
+        let observer = scope.spawn(|| {
+            let mut snapshots = 0;
+            while running.load(Ordering::Relaxed) {
+                service.corrupt_cache_entry(specs[snapshots % specs.len()].fingerprint());
+                assert_invariants(&service.stats(), "mid-run");
+                snapshots += 1;
+                std::thread::sleep(Duration::from_millis(3));
+            }
+            snapshots
+        });
+        let hits: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
+        running.store(false, Ordering::Relaxed);
+        (hits, observer.join().unwrap())
+    });
+    let stats = service.stats();
+    assert_invariants(&stats, "after the run");
+    let n = (CLIENTS * ROUNDS * 2 * specs.len()) as u64;
+    assert_eq!((stats.submitted, stats.completed), (n, n), "{stats:?}");
+    assert_eq!(stats.cache_hits, hits, "{stats:?}");
+    assert!(hits > 0 && stats.evictions > 0, "{stats:?}");
+    assert!(snapshots > 0);
     service.shutdown();
 }
