@@ -22,10 +22,14 @@
 //!   configured twin reproduces *bit-identical* downstream results; the
 //!   `checkpoint_resume` and `sharded_equivalence` suites at the repo
 //!   root enforce this end to end.
+//!
+//! The byte codec itself ([`Enc`], [`Dec`], the [`checksum`] trailer,
+//! [`seal`]/[`unseal`]) is re-exported from `loopspec_isa::snap`. The
+//! stream frame container is not: `loopspec_dist::wire` is its one
+//! writer and its one reader.
 
 pub use loopspec_isa::snap::{
-    checksum, fnv1a, fnv1a_update, seal, unseal, Dec, Enc, FrameBuf, SnapError, FNV1A_INIT,
-    FRAME_HEADER, FRAME_TRAILER,
+    checksum, fnv1a, fnv1a_update, seal, unseal, Dec, Enc, SnapError, FNV1A_INIT, FRAME_TRAILER,
 };
 
 use crate::{LoopEvent, LoopId};

@@ -21,23 +21,25 @@ use crate::wire::{write_frame, Frame, FrameReader, WireError, PROTOCOL};
 /// One connected worker: a writable half the scheduler sends jobs on,
 /// a readable half a reader thread drains, and — for spawned workers —
 /// the child process handle.
-#[derive(Debug)]
 pub struct WorkerLink {
     pub(crate) writer: LinkWriter,
-    pub(crate) reader: Option<LinkReader>,
+    /// Taken by the reader thread once the link joins a pool.
+    pub(crate) reader: Option<Box<dyn Read + Send>>,
     pub(crate) child: Option<Child>,
+}
+
+impl fmt::Debug for WorkerLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkerLink")
+            .field("writer", &self.writer)
+            .field("child", &self.child)
+            .finish_non_exhaustive()
+    }
 }
 
 #[derive(Debug)]
 pub(crate) enum LinkWriter {
     Pipe(Option<std::process::ChildStdin>),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
-#[derive(Debug)]
-pub(crate) enum LinkReader {
-    Pipe(std::process::ChildStdout),
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
 }
@@ -61,16 +63,6 @@ impl Write for LinkWriter {
             LinkWriter::Pipe(None) => Ok(()),
             #[cfg(unix)]
             LinkWriter::Unix(s) => s.flush(),
-        }
-    }
-}
-
-impl Read for LinkReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            LinkReader::Pipe(r) => r.read(buf),
-            #[cfg(unix)]
-            LinkReader::Unix(s) => s.read(buf),
         }
     }
 }
@@ -121,7 +113,7 @@ impl WorkerLink {
         };
         Ok(WorkerLink {
             writer: LinkWriter::Pipe(Some(stdin)),
-            reader: Some(LinkReader::Pipe(stdout)),
+            reader: Some(Box::new(stdout)),
             child: Some(child),
         })
     }
@@ -139,7 +131,7 @@ impl WorkerLink {
         let reader = stream.try_clone()?;
         Ok(WorkerLink {
             writer: LinkWriter::Unix(stream),
-            reader: Some(LinkReader::Unix(reader)),
+            reader: Some(Box::new(reader)),
             child: None,
         })
     }

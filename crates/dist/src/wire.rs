@@ -8,11 +8,13 @@
 //! or a Unix socket) is self-delimiting and self-checking. The trailer
 //! is the XXH64 integrity [`checksum`]; FNV-1a stays the identity hash
 //! behind [`JobSpec::fingerprint`](crate::JobSpec::fingerprint), so
-//! cache keys do not depend on the frame container. Incremental
-//! decoding reuses [`FrameBuf`], which verifies declared lengths
-//! against a limit *before* allocating — a corrupt or hostile length
-//! prefix can never trigger an OOM-sized reservation — and hands each
-//! finished payload over without a copy.
+//! cache keys do not depend on the frame container. This module is the
+//! container's one owner: [`write_frame`] writes it and
+//! [`FrameReader::read_frame`] reads it, asking the transport for
+//! exactly the bytes the current frame still needs. The reader checks
+//! the declared length against [`MAX_FRAME`] *before* allocating, so a
+//! corrupt or hostile length prefix can never trigger an OOM-sized
+//! reservation.
 //!
 //! The conversation (see [`Frame`] for each frame's fields):
 //!
@@ -37,7 +39,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use loopspec_core::snap::{checksum, Dec, Enc, FrameBuf, SnapError, FRAME_HEADER, FRAME_TRAILER};
+use loopspec_core::snap::{checksum, Dec, Enc, SnapError, FRAME_TRAILER};
 use loopspec_mt::{EngineGrid, EngineReport, Policy, StreamError};
 use loopspec_workloads::Scale;
 
@@ -61,10 +63,17 @@ use loopspec_workloads::Scale;
 /// payload encodings are unchanged.
 pub const PROTOCOL: u32 = 4;
 
-/// Default [`FrameBuf`] payload limit: large enough for any snapshot a
-/// workload produces (CPU memory pages dominate), small enough that a
-/// corrupt length prefix cannot balloon memory.
+/// The largest payload a frame may declare: large enough for any
+/// snapshot a workload produces (CPU memory pages dominate), small
+/// enough that a corrupt length prefix cannot balloon memory.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Bytes a frame carries in front of the payload (the `u32` length).
+const FRAME_HEADER: usize = 4;
+
+/// The largest transport read [`FrameReader::read_frame`] issues: one
+/// pipe buffer.
+const READ_CHUNK: usize = 64 << 10;
 
 /// One engine-lane configuration inside a [`Frame::Job`]: a
 /// [`Policy`] at a thread-unit count, the wire twin of
@@ -624,53 +633,94 @@ pub fn write_frame(w: &mut impl Write, f: &Frame) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Blocking frame reader over any [`Read`] transport: a [`FrameBuf`]
-/// reading straight from the transport in pipe-sized pieces, popping
-/// one decoded [`Frame`] at a time.
+/// Blocking frame reader over any [`Read`] transport, returning one
+/// decoded [`Frame`] at a time.
+///
+/// No read asks for more than the rest of the current frame, so the
+/// reader keeps no bytes between frames: several readers may take
+/// turns on one stream.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
-    buf: FrameBuf,
 }
 
 impl<R: Read> FrameReader<R> {
     /// A reader over `inner` accepting frames up to [`MAX_FRAME`].
     pub fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            buf: FrameBuf::new(MAX_FRAME),
-        }
+        FrameReader { inner }
     }
 
-    /// Reads until one whole frame is buffered and returns it; `None`
-    /// on a clean end-of-stream (the peer closed between frames).
+    /// Reads one whole frame and returns it; `None` on a clean
+    /// end-of-stream (the peer closed between frames).
+    ///
+    /// The payload and trailer land straight in the frame's own buffer,
+    /// in reads of at most 64 KiB that take whatever the transport has
+    /// ready. The buffer grows by doubling as the bytes arrive, never
+    /// past the declared frame.
     ///
     /// # Errors
     ///
     /// [`WireError::Io`] on transport failure — including an EOF that
-    /// cuts a frame in half — and [`WireError::Codec`] when the stream
-    /// decodes to garbage.
+    /// cuts a frame, or its header, short — and [`WireError::Codec`]
+    /// when the declared length exceeds [`MAX_FRAME`], the checksum
+    /// does not match or the payload decodes to garbage.
     pub fn read_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        loop {
-            if let Some(payload) = self.buf.next_frame()? {
-                loopspec_obs::counter("dist_frame_bytes_in").add(payload.len() as u64 + 8);
-                return Ok(Some(Frame::decode(&payload)?));
-            }
-            match self.buf.read_from(&mut self.inner) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(WireError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "stream ended mid-frame",
-                        )))
-                    };
+        let mut head = [0u8; FRAME_HEADER];
+        let first = read_some(&mut self.inner, &mut head)?;
+        if first == 0 {
+            return Ok(None);
+        }
+        self.inner.read_exact(&mut head[first..])?;
+        let len = u32::from_le_bytes(head) as usize;
+        if len > MAX_FRAME {
+            return Err(WireError::Codec(SnapError::Corrupt {
+                what: "frame length",
+            }));
+        }
+        let frame = len + FRAME_TRAILER;
+        // `body[..rcvd]` has arrived; the rest is initialized room for
+        // the next read. Each read takes what the transport has ready:
+        // filling whole chunks with `read_exact` adds a second, blocking
+        // read whenever the writer trails the reader.
+        let mut body = Vec::new();
+        let mut rcvd = 0;
+        while rcvd < frame {
+            let need = (rcvd + READ_CHUNK).min(frame);
+            if need > body.len() {
+                if need > body.capacity() {
+                    let cap = (body.capacity() * 2).max(need).min(frame);
+                    body.reserve_exact(cap - body.len());
                 }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(WireError::Io(e)),
+                body.resize(need, 0);
             }
+            match read_some(&mut self.inner, &mut body[rcvd..need])? {
+                0 => {
+                    return Err(WireError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "stream ended mid-frame",
+                    )))
+                }
+                got => rcvd += got,
+            }
+        }
+        let trailer = u64::from_le_bytes(body[len..].try_into().expect("8 bytes"));
+        if checksum(&body[..len]) != trailer {
+            return Err(WireError::Codec(SnapError::Corrupt {
+                what: "frame checksum",
+            }));
+        }
+        loopspec_obs::counter("dist_frame_bytes_in").add(frame as u64);
+        body.truncate(len);
+        Ok(Some(Frame::decode(&body)?))
+    }
+}
+
+/// One `read`, retried while it is interrupted.
+fn read_some(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            got => return got,
         }
     }
 }
@@ -820,17 +870,118 @@ mod tests {
         }
     }
 
+    /// `frames` written back to back, as one stream.
+    fn stream_of(frames: &[Frame]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for f in frames {
+            write_frame(&mut stream, f).unwrap();
+        }
+        stream
+    }
+
+    /// A transport that delivers at most `max` bytes per read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        max: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.max.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Reads frames until a clean end of stream.
+    fn read_all(reader: &mut FrameReader<impl Read>) -> Vec<Frame> {
+        std::iter::from_fn(|| reader.read_frame().unwrap()).collect()
+    }
+
     #[test]
     fn frames_cross_a_stream() {
-        let mut stream = Vec::new();
-        for f in samples() {
-            write_frame(&mut stream, &f).unwrap();
+        // A frame several 64 KiB reads long beside the small ones.
+        let mut frames = samples();
+        frames.push(Frame::Snapshot {
+            job: 44,
+            instructions: 75_000,
+            bytes: vec![0x5a; 200_000],
+        });
+        let wire = stream_of(&frames);
+        for max in [1, 5, 4096, READ_CHUNK, usize::MAX] {
+            let mut reader = FrameReader::new(Trickle { bytes: &wire, max });
+            assert_eq!(read_all(&mut reader), frames, "max {max}");
         }
-        let mut reader = FrameReader::new(&stream[..]);
-        for f in samples() {
-            assert_eq!(reader.read_frame().unwrap(), Some(f));
+        // Every two-piece split of the small frames' stream.
+        let frames = samples();
+        let wire = stream_of(&frames);
+        for split in 0..wire.len() {
+            let mut reader = FrameReader::new(wire[..split].chain(&wire[split..]));
+            assert_eq!(read_all(&mut reader), frames, "split {split}");
         }
-        assert_eq!(reader.read_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn a_fresh_reader_per_frame_reads_every_frame_of_one_stream() {
+        // No reader takes bytes of the frame after its own.
+        let wire = stream_of(&samples());
+        let mut src = &wire[..];
+        for f in samples() {
+            assert_eq!(FrameReader::new(&mut src).read_frame().unwrap(), Some(f));
+        }
+        assert!(src.is_empty());
+    }
+
+    #[test]
+    fn every_cut_mid_frame_is_an_unexpected_eof() {
+        let wire = stream_of(&samples()[..1]);
+        assert!(FrameReader::new(&wire[..0]).read_frame().unwrap().is_none());
+        for cut in 1..wire.len() {
+            assert!(
+                matches!(
+                    FrameReader::new(&wire[..cut]).read_frame(),
+                    Err(WireError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof
+                ),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_flipped_bit_after_the_header_fails_the_checksum() {
+        let wire = stream_of(&samples()[..1]);
+        for bit in FRAME_HEADER * 8..wire.len() * 8 {
+            let mut bad = wire.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    FrameReader::new(&bad[..]).read_frame(),
+                    Err(WireError::Codec(SnapError::Corrupt {
+                        what: "frame checksum"
+                    }))
+                ),
+                "bit {bit}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_lengths_are_refused_before_the_payload_is_read() {
+        // A hostile length prefix must fail at the header, not wait for
+        // (or reserve) 4 GiB.
+        for len in [u32::MAX, MAX_FRAME as u32 + 1] {
+            let mut wire = len.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[1, 2, 3]);
+            let mut src = &wire[..];
+            assert!(matches!(
+                FrameReader::new(&mut src).read_frame(),
+                Err(WireError::Codec(SnapError::Corrupt {
+                    what: "frame length"
+                }))
+            ));
+            assert_eq!(src, [1, 2, 3], "length {len}: nothing past the header read");
+        }
     }
 
     #[test]
@@ -850,25 +1001,6 @@ mod tests {
             }))
         ));
         assert!(stream.is_empty(), "nothing half-written");
-    }
-
-    #[test]
-    fn eof_mid_frame_is_an_io_error() {
-        let mut stream = Vec::new();
-        write_frame(
-            &mut stream,
-            &Frame::Hello {
-                protocol: PROTOCOL,
-                worker: 0,
-            },
-        )
-        .unwrap();
-        let cut = stream.len() - 3;
-        let mut reader = FrameReader::new(&stream[..cut]);
-        assert!(matches!(
-            reader.read_frame(),
-            Err(WireError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof
-        ));
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! boundary. This module provides the wire primitives those snapshots
 //! are written in: a byte [`Enc`]oder and a bounds-checked
 //! [`Dec`]oder over fixed-width little-endian fields, plus the
-//! incremental [`FrameBuf`] decoder for length-prefixed, checksummed
-//! frames, used when encoded state crosses a byte stream (a pipe or
-//! socket) instead of a function boundary.
+//! [`checksum`] trailer and [`seal`]/[`unseal`] for entries at rest.
+//! The stream frame container (`len | payload | checksum`) that carries
+//! encoded state across a pipe or socket is owned by the dist wire,
+//! which writes and reads it in one place.
 //!
 //! Two hashes, two jobs. [`checksum`] (XXH64, seed 0) is the
-//! *integrity* trailer on every frame, [`seal`]ed entry and snapshot
-//! container: it runs over every handed-off byte, so it must run at
+//! *integrity* trailer on every stream frame, [`seal`]ed entry and
+//! snapshot container: it runs over every handed-off byte, so it must run at
 //! memory speed, and it may change with the container versions.
 //! [`fnv1a`] is the *identity* hash behind job fingerprints, the
 //! kernel-registry echo and oracle-feed fingerprints: cache keys and
@@ -50,7 +51,6 @@
 //! ```
 
 use std::fmt;
-use std::io::{self, Read};
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,9 +149,8 @@ fn le_u64(b: &[u8]) -> u64 {
 }
 
 /// XXH64 with seed 0 over `bytes` — the workspace's *integrity*
-/// checksum. Every trailer closes with it: stream frames
-/// ([`FrameBuf`]), [`seal`]ed entries and pipeline snapshot
-/// containers. It catches truncation and bit rot, not tampering.
+/// checksum. Every trailer closes with it: the dist wire's stream
+/// frames, [`seal`]ed entries and pipeline snapshot containers. It catches truncation and bit rot, not tampering.
 ///
 /// Integrity and identity use different hashes on purpose. A trailer
 /// is recomputed over every handed-off byte (megabytes per snapshot),
@@ -219,15 +218,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Bytes a stream frame carries in front of the payload (the `u32`
-/// length).
-pub const FRAME_HEADER: usize = 4;
 /// Bytes a stream frame or a [`seal`]ed entry carries after the payload
 /// (the `u64` [`checksum`]).
 pub const FRAME_TRAILER: usize = 8;
-/// The largest transport read [`FrameBuf::read_from`] issues: one pipe
-/// buffer.
-const READ_CHUNK: usize = 64 << 10;
 
 /// Seals `payload` for storage at rest by appending its [`checksum`]:
 /// `payload | checksum(payload): u64 LE`.
@@ -266,188 +259,6 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapError> {
         });
     }
     Ok(payload)
-}
-
-/// Incremental decoder for a stream of frames, each
-/// `len: u32 LE | payload | checksum(payload): u64 LE`.
-///
-/// Frames are the unit of transmission when encoded state crosses a
-/// byte stream — a pipe to a worker process, a Unix socket — where the
-/// receiver sees arbitrary read boundaries instead of whole buffers.
-/// [`FrameBuf::read_from`] reads straight from the transport;
-/// [`FrameBuf::next_frame`] pops one complete, checksum-verified
-/// payload at a time, or `None` while a frame is still partial.
-///
-/// The frame in progress is assembled in its own buffer, which grows
-/// only as bytes arrive and never past the frame's declared size, and
-/// is handed to the caller as the payload without a copy. A declared
-/// length larger than the construction limit is rejected *before* any
-/// allocation, so a corrupt or hostile length prefix can never trigger
-/// an OOM-sized reservation.
-///
-/// ```
-/// use loopspec_isa::snap::{checksum, FrameBuf};
-///
-/// // The writer's side of the container (the dist wire's `write_frame`).
-/// let frame = |payload: &[u8]| {
-///     let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-///     out.extend_from_slice(payload);
-///     out.extend_from_slice(&checksum(payload).to_le_bytes());
-///     out
-/// };
-/// let wire = frame(b"hello");
-/// let mut buf = FrameBuf::new(1024);
-/// buf.read_from(&mut &wire[..3])?; // arbitrary split: no frame yet
-/// assert_eq!(buf.next_frame()?, None);
-/// buf.read_from(&mut &wire[3..])?;
-/// assert_eq!(buf.next_frame()?.as_deref(), Some(&b"hello"[..]));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct FrameBuf {
-    /// Header of the frame in progress; `head_len` bytes are filled.
-    head: [u8; FRAME_HEADER],
-    head_len: usize,
-    /// Payload and trailer of the frame in progress, once its header is
-    /// complete: `body[..rcvd]` has arrived, the rest is initialized
-    /// room for the next read.
-    body: Vec<u8>,
-    rcvd: usize,
-    /// Bytes received but not yet claimed by a frame: `spill[lo..hi]`
-    /// is live, the rest initialized scratch for the next read.
-    spill: Vec<u8>,
-    lo: usize,
-    hi: usize,
-    limit: usize,
-}
-
-impl FrameBuf {
-    /// A decoder accepting payloads up to `limit` bytes.
-    pub fn new(limit: usize) -> Self {
-        FrameBuf {
-            head: [0; FRAME_HEADER],
-            head_len: 0,
-            body: Vec::new(),
-            rcvd: 0,
-            spill: Vec::new(),
-            lo: 0,
-            hi: 0,
-            limit,
-        }
-    }
-
-    /// Reads once from `r`, at most 64 KiB (one pipe buffer), and returns
-    /// how many arrived (`0` at end of stream). While a frame's payload
-    /// is outstanding the read lands directly in that frame's buffer
-    /// and stops at its end; otherwise it lands in a scratch buffer
-    /// that [`FrameBuf::next_frame`] drains.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `r.read` returns.
-    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
-        // Scratch bytes not yet claimed come first; with none left, an
-        // outstanding payload reads straight into its frame.
-        if self.lo == self.hi {
-            if let Ok(Some(frame)) = self.frame_len() {
-                if self.rcvd < frame {
-                    let n = READ_CHUNK.min(frame - self.rcvd);
-                    let got = r.read(room_within(&mut self.body, self.rcvd, n, frame))?;
-                    self.rcvd += got;
-                    return Ok(got);
-                }
-            }
-        }
-        // Move the unclaimed bytes to the front first, so consumed
-        // ones never accumulate over a long stream.
-        self.spill.copy_within(self.lo..self.hi, 0);
-        (self.lo, self.hi) = (0, self.hi - self.lo);
-        if self.spill.len() < self.hi + READ_CHUNK {
-            self.spill.resize(self.hi + READ_CHUNK, 0);
-        }
-        let got = r.read(&mut self.spill[self.hi..self.hi + READ_CHUNK])?;
-        self.hi += got;
-        Ok(got)
-    }
-
-    /// Bytes buffered but not yet returned as a frame.
-    pub fn buffered(&self) -> usize {
-        self.head_len + self.rcvd + (self.hi - self.lo)
-    }
-
-    /// `true` when no partial frame is pending — the clean state a
-    /// stream should end in.
-    pub fn is_empty(&self) -> bool {
-        self.buffered() == 0
-    }
-
-    /// Pops the next complete frame's payload, if one is fully
-    /// buffered.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Corrupt`] when the declared length exceeds the
-    /// limit or the checksum does not match — the stream is
-    /// unrecoverable at that point (framing is lost) and the caller
-    /// should drop the connection.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, SnapError> {
-        let take = (FRAME_HEADER - self.head_len).min(self.hi - self.lo);
-        self.head[self.head_len..self.head_len + take]
-            .copy_from_slice(&self.spill[self.lo..self.lo + take]);
-        self.head_len += take;
-        self.lo += take;
-        let Some(frame) = self.frame_len()? else {
-            return Ok(None);
-        };
-        let take = (frame - self.rcvd).min(self.hi - self.lo);
-        room_within(&mut self.body, self.rcvd, take, frame)
-            .copy_from_slice(&self.spill[self.lo..self.lo + take]);
-        self.rcvd += take;
-        self.lo += take;
-        if self.rcvd < frame {
-            return Ok(None);
-        }
-        let len = frame - FRAME_TRAILER;
-        if checksum(&self.body[..len]) != le_u64(&self.body[len..]) {
-            return Err(SnapError::Corrupt {
-                what: "frame checksum",
-            });
-        }
-        let mut payload = std::mem::take(&mut self.body);
-        payload.truncate(len);
-        (self.head_len, self.rcvd) = (0, 0);
-        Ok(Some(payload))
-    }
-
-    /// Payload plus trailer bytes of the frame in progress, once its
-    /// header is complete.
-    fn frame_len(&self) -> Result<Option<usize>, SnapError> {
-        if self.head_len < FRAME_HEADER {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.head) as usize;
-        if len > self.limit {
-            return Err(SnapError::Corrupt {
-                what: "frame length",
-            });
-        }
-        Ok(Some(len + FRAME_TRAILER))
-    }
-}
-
-/// Makes `body[at..at + n]` initialized room, growing the buffer by
-/// doubling as `Vec` would but never past `frame` bytes — the most the
-/// frame in progress will ever hold.
-fn room_within(body: &mut Vec<u8>, at: usize, n: usize, frame: usize) -> &mut [u8] {
-    let need = at + n;
-    if need > body.len() {
-        if need > body.capacity() {
-            let cap = (body.capacity() * 2).max(need).min(frame);
-            body.reserve_exact(cap - body.len());
-        }
-        body.resize(need, 0);
-    }
-    &mut body[at..need]
 }
 
 /// A snapshot byte encoder: fixed-width little-endian fields appended to
@@ -663,37 +474,6 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
 
-    /// Frames `payload` the way the dist wire writes it:
-    /// `len | payload | checksum(payload)`.
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&checksum(payload).to_le_bytes());
-        out
-    }
-
-    /// Delivers all of `bytes` to `buf` through its transport reads.
-    fn feed(buf: &mut FrameBuf, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            buf.read_from(&mut bytes).unwrap();
-        }
-    }
-
-    /// A transport that delivers at most `max` bytes per read.
-    struct Trickle<'a> {
-        bytes: &'a [u8],
-        max: usize,
-    }
-
-    impl Read for Trickle<'_> {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            let n = self.max.min(out.len()).min(self.bytes.len());
-            out[..n].copy_from_slice(&self.bytes[..n]);
-            self.bytes = &self.bytes[n..];
-            Ok(n)
-        }
-    }
-
     #[test]
     fn round_trips_every_primitive() {
         let mut e = Enc::new();
@@ -792,122 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn frames_round_trip_across_arbitrary_splits() {
-        let payloads: [&[u8]; 4] = [b"", b"x", b"loopspec", &[0xff; 300]];
-        let mut wire = Vec::new();
-        for p in payloads {
-            wire.extend_from_slice(&frame(p));
-        }
-        // Feed every prefix-split of the concatenated stream.
-        for split in 0..wire.len() {
-            let mut buf = FrameBuf::new(1024);
-            feed(&mut buf, &wire[..split]);
-            feed(&mut buf, &wire[split..]);
-            for p in payloads {
-                assert_eq!(buf.next_frame().unwrap().as_deref(), Some(p));
-            }
-            assert_eq!(buf.next_frame().unwrap(), None);
-            assert!(buf.is_empty());
-        }
-        // Byte-at-a-time delivery.
-        let mut buf = FrameBuf::new(1024);
-        let mut got = Vec::new();
-        for &b in &wire {
-            feed(&mut buf, &[b]);
-            while let Some(p) = buf.next_frame().unwrap() {
-                got.push(p);
-            }
-        }
-        assert_eq!(got.len(), payloads.len());
-    }
-
-    #[test]
-    fn oversized_frame_length_is_rejected_before_allocation() {
-        // A hostile length prefix claiming 4 GiB must error immediately,
-        // not wait for (or reserve) 4 GiB.
-        let mut buf = FrameBuf::new(1 << 20);
-        feed(&mut buf, &u32::MAX.to_le_bytes());
-        assert_eq!(
-            buf.next_frame(),
-            Err(SnapError::Corrupt {
-                what: "frame length"
-            })
-        );
-    }
-
-    #[test]
-    fn frame_corruption_and_truncation_are_detected() {
-        let wire = frame(b"payload");
-        // Truncation: never an error, just "not yet complete".
-        for cut in 0..wire.len() {
-            let mut buf = FrameBuf::new(1024);
-            feed(&mut buf, &wire[..cut]);
-            assert_eq!(buf.next_frame().unwrap(), None, "cut {cut}");
-            assert_eq!(buf.buffered(), cut);
-        }
-        // Any single bit flip in payload or checksum breaks the sum.
-        for byte in FRAME_HEADER..wire.len() {
-            let mut bad = wire.clone();
-            bad[byte] ^= 0x10;
-            let mut buf = FrameBuf::new(1024);
-            feed(&mut buf, &bad);
-            assert_eq!(
-                buf.next_frame(),
-                Err(SnapError::Corrupt {
-                    what: "frame checksum"
-                }),
-                "byte {byte}"
-            );
-        }
-    }
-
-    #[test]
-    fn frame_buf_compacts_consumed_prefix() {
-        // 100 frames of 2 KiB in one stream: each read pulls dozens of
-        // frames into the scratch buffer at once.
-        let wire: Vec<u8> = (0..100u8).flat_map(|i| frame(&[i; 2048])).collect();
-        let mut src = &wire[..];
-        let mut buf = FrameBuf::new(4096);
-        let mut i = 0u8;
-        while buf.read_from(&mut src).unwrap() > 0 {
-            while let Some(p) = buf.next_frame().unwrap() {
-                assert_eq!(p, vec![i; 2048]);
-                i += 1;
-            }
-        }
-        assert_eq!(i, 100);
-        assert!(buf.is_empty());
-        // The scratch buffer must not have grown to hold the whole
-        // stream: the consumed prefix is dropped as the stream drains.
-        assert!(buf.spill.capacity() <= READ_CHUNK);
-    }
-
-    #[test]
-    fn transport_reads_fill_the_frame_and_never_overshoot_it() {
-        let payloads: [&[u8]; 4] = [b"", b"hello", &[0x5a; 200_000], &[7; 3]];
-        let wire: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
-        for max in [1, 5, 4096, READ_CHUNK, usize::MAX] {
-            let mut src = Trickle { bytes: &wire, max };
-            let mut buf = FrameBuf::new(1 << 20);
-            let mut got = Vec::new();
-            loop {
-                if let Some(p) = buf.next_frame().unwrap() {
-                    // The payload is the frame buffer itself, grown
-                    // only as far as the frame reached.
-                    assert!(p.capacity() <= p.len() + FRAME_TRAILER, "max {max}");
-                    got.push(p);
-                    continue;
-                }
-                if buf.read_from(&mut src).unwrap() == 0 {
-                    break;
-                }
-            }
-            assert!(buf.is_empty(), "max {max}");
-            assert_eq!(got, payloads, "max {max}");
-        }
-    }
-
-    #[test]
     fn fnv1a_matches_reference_vectors() {
         // Published FNV-1a 64 test vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -942,21 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn one_flipped_trailer_bit_fails_frames_and_seals() {
-        let wire = frame(b"payload");
+    fn one_flipped_trailer_bit_fails_a_seal() {
         let sealed = seal(b"payload".to_vec());
         for bit in 0..FRAME_TRAILER * 8 {
-            let mut bad = wire.clone();
-            bad[wire.len() - FRAME_TRAILER + bit / 8] ^= 1 << (bit % 8);
-            let mut buf = FrameBuf::new(1024);
-            feed(&mut buf, &bad);
-            assert_eq!(
-                buf.next_frame(),
-                Err(SnapError::Corrupt {
-                    what: "frame checksum"
-                }),
-                "trailer bit {bit}"
-            );
             let mut bad = sealed.clone();
             bad[sealed.len() - FRAME_TRAILER + bit / 8] ^= 1 << (bit % 8);
             assert_eq!(

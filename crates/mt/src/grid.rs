@@ -147,11 +147,15 @@ impl ExecSlab {
         self.slots.get_mut(i)?.as_mut()
     }
 
+    /// The live annotation of `exec`, if any.
+    fn get(&self, exec: u32) -> Option<&ExecAnn> {
+        let i = exec.checked_sub(self.base)? as usize;
+        self.slots.get(i)?.as_ref()
+    }
+
     /// `true` when `exec` has a live annotation.
     fn contains(&self, exec: u32) -> bool {
-        exec.checked_sub(self.base)
-            .and_then(|i| self.slots.get(i as usize))
-            .is_some_and(Option::is_some)
+        self.get(exec).is_some()
     }
 
     fn remove(&mut self, exec: u32) -> Option<ExecAnn> {
@@ -428,15 +432,28 @@ impl Annotator {
         self.buffered_iters = src.u64()? as usize;
         self.events_seen = src.u64()?;
         // `ingest` and `close_leftovers` look open executions up in the
-        // slab, and pruning subtracts from `buffered_iters`.
-        if !self
-            .open_by_loop
-            .iter()
-            .all(|&(_, e)| self.execs.contains(e))
-        {
-            return Err(SnapError::Corrupt {
-                what: "open execution without annotation",
-            });
+        // slab and queue their next `Iter` or `End` entries, which
+        // compaction can only reach if the execution has not ended and
+        // no other binding ends it first.
+        for (i, &(l, e)) in self.open_by_loop.iter().enumerate() {
+            let Some(ann) = self.execs.get(e) else {
+                return Err(SnapError::Corrupt {
+                    what: "open execution without annotation",
+                });
+            };
+            if ann.ended {
+                return Err(SnapError::Corrupt {
+                    what: "open binding to an ended execution",
+                });
+            }
+            if self.open_by_loop[..i]
+                .iter()
+                .any(|&(l2, e2)| l2 == l || e2 == e)
+            {
+                return Err(SnapError::Corrupt {
+                    what: "duplicate open binding",
+                });
+            }
         }
         let retained: usize = self
             .execs
@@ -888,6 +905,21 @@ impl loopspec_core::SnapshotState for EngineGrid {
             }
             *seen_end = matches!(p, Pending::End { .. });
         }
+        // An execution has ended exactly when its `End` is queued; an
+        // `End` queued for an execution still open would be followed by
+        // the entries its next events queue.
+        let ends_agree = self
+            .ann
+            .execs
+            .slots
+            .iter()
+            .zip(&ended)
+            .all(|(slot, &end)| slot.as_ref().is_none_or(|ann| ann.ended == end));
+        if !ends_agree {
+            return Err(SnapError::Corrupt {
+                what: "execution end flag disagrees with the queue",
+            });
+        }
         self.peak_buffered = src.u64()? as usize;
         self.reports = if src.bool()? {
             let instructions = src.u64()?;
@@ -1314,13 +1346,71 @@ mod tests {
         });
         assert_eq!(load_tampered(end_then(iter_after)), corrupt);
         assert_eq!(load_tampered(end_then(second_end)), corrupt);
-        // One `End` at the queue's tail is a legal order.
+        // One `End` at the queue's tail is a legal order, with the
+        // execution ended and unbound as `ingest` leaves it.
         let end_only = |g: &mut EngineGrid| {
-            let &(_, exec) = g.ann.open_by_loop.last().expect("an open execution");
+            let (_, exec) = g.ann.open_by_loop.pop().expect("an open execution");
+            g.ann.execs.get_mut(exec).expect("annotated").ended = true;
             let pos = g.ann.frontier;
             g.shared.push_back(second_end(exec, pos));
         };
         assert_eq!(load_tampered(end_only), Ok(()));
+    }
+
+    #[test]
+    fn snapshots_refuse_open_bindings_that_a_later_event_would_queue_past_an_end() {
+        // An open binding to an execution that already ended: the
+        // loop's next `IterationStart` would queue an `Iter` behind the
+        // execution's `End`.
+        let to_ended = |g: &mut EngineGrid| {
+            let &(_, exec) = g.ann.open_by_loop.last().expect("an open execution");
+            g.ann.execs.get_mut(exec).expect("annotated").ended = true;
+        };
+        assert_eq!(
+            load_tampered(to_ended),
+            Err(SnapError::Corrupt {
+                what: "open binding to an ended execution"
+            })
+        );
+        // Two bindings of one loop, or of one execution: one binding's
+        // `End` leaves the other to queue entries behind it.
+        let duplicate = Err(SnapError::Corrupt {
+            what: "duplicate open binding",
+        });
+        let same_loop = |g: &mut EngineGrid| {
+            let &(l, _) = g.ann.open_by_loop.last().expect("an open execution");
+            let &(_, other) = g.ann.open_by_loop.first().expect("an open execution");
+            g.ann.open_by_loop.push((l, other));
+        };
+        let same_exec = |g: &mut EngineGrid| {
+            let &(_, exec) = g.ann.open_by_loop.last().expect("an open execution");
+            g.ann
+                .open_by_loop
+                .push((LoopId(loopspec_isa::Addr::new(3)), exec));
+        };
+        assert_eq!(load_tampered(same_loop), duplicate);
+        assert_eq!(load_tampered(same_exec), duplicate);
+        // An `End` queued for an execution still open, and an ended
+        // execution with no `End` queued.
+        let disagree = Err(SnapError::Corrupt {
+            what: "execution end flag disagrees with the queue",
+        });
+        let end_of_open = |g: &mut EngineGrid| {
+            let &(_, exec) = g.ann.open_by_loop.last().expect("an open execution");
+            let pos = g.ann.frontier;
+            g.shared.push_back(Pending::End {
+                exec,
+                pos,
+                closed: true,
+                iterations: 2,
+            });
+        };
+        let ended_unqueued = |g: &mut EngineGrid| {
+            let (_, exec) = g.ann.open_by_loop.pop().expect("an open execution");
+            g.ann.execs.get_mut(exec).expect("annotated").ended = true;
+        };
+        assert_eq!(load_tampered(end_of_open), disagree);
+        assert_eq!(load_tampered(ended_unqueued), disagree);
     }
 
     #[test]

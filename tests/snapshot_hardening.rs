@@ -14,22 +14,58 @@
 //! 2. the inner sections (`Session::resume`): with the checksum
 //!    *recomputed* after corruption, the flipped bytes reach the
 //!    per-layer `load_state` decoders — which must error (or accept a
-//!    still-valid state) without panicking. Every resealing test also
-//!    proves that some of its inputs got past the checksum, so none of
-//!    them can pass only because the trailer rejected everything;
-//! 3. the dist frame layer (`FrameBuf`): corrupt lengths and payloads
-//!    are rejected before any allocation.
+//!    still-valid state) without panicking. In release builds a state
+//!    that loads must also *run*: each resumed session goes on for a
+//!    bounded number of instructions and ends its stream, so a state
+//!    that loads and then trips the next event fails the suite. Every
+//!    resealing test also proves that some of its inputs got past the
+//!    checksum, so none of them can pass only because the trailer
+//!    rejected everything;
+//! 3. the dist frame layer (`FrameReader`): a hostile length prefix is
+//!    rejected before any allocation.
 
-use loopspec::core::snap::{checksum, fnv1a, FrameBuf, SnapError};
+use std::sync::OnceLock;
+
+use loopspec::core::snap::{checksum, fnv1a, SnapError};
+use loopspec::dist::wire::{FrameReader, WireError};
 use loopspec::pipeline::SnapshotError;
 use loopspec::prelude::*;
 use loopspec_testutil::Rng;
 
+/// Instructions a resumed session runs before it ends its stream.
+const RUN_ON: u64 = 200_000;
+
+/// The compress workload at `Scale::Test`, built once.
+fn compress() -> &'static Program {
+    static PROGRAM: OnceLock<Program> = OnceLock::new();
+    PROGRAM.get_or_init(|| {
+        workload_by_name("compress")
+            .expect("workload exists")
+            .build(Scale::Test)
+            .expect("assembles")
+    })
+}
+
+/// Runs a resumed `session` on for [`RUN_ON`] instructions of
+/// `program`, then ends its stream — in release builds, the ones that
+/// serve untrusted bytes. A debug build stops at the resume: its
+/// assertions on the event stream (positions ascend, iterations count
+/// up by one, a loop opens once) also fire on a state whose sections
+/// each load but disagree with one another, which no section's
+/// `load_state` can see on its own.
+fn run_on(mut session: Session<'_>, program: &Program) -> Result<(), SnapshotError> {
+    if cfg!(debug_assertions) {
+        return Ok(());
+    }
+    session.advance(program, RunLimits::with_fuel(RUN_ON))?;
+    session.finish();
+    Ok(())
+}
+
 /// A realistic snapshot: the compress workload paused mid-run with a
 /// three-lane grid and an event collector registered.
 fn sample_snapshot() -> Vec<u8> {
-    let w = workload_by_name("compress").expect("workload exists");
-    let program = w.build(Scale::Test).expect("assembles");
+    let program = compress();
     let mut events = EventCollector::default();
     let mut grid = EngineGrid::new();
     Policy::Idle.add_to_grid(&mut grid, 4);
@@ -40,14 +76,15 @@ fn sample_snapshot() -> Vec<u8> {
         .observe_checkpointable(&mut events)
         .observe_checkpointable(&mut grid);
     session
-        .advance(&program, RunLimits::with_fuel(30_000))
+        .advance(program, RunLimits::with_fuel(30_000))
         .expect("runs");
     session.checkpoint().expect("checkpointable").to_bytes()
 }
 
-/// Tries to resume `bytes` into a freshly configured session; the
-/// result may be `Ok` (the corruption landed in a don't-care or
-/// still-valid spot) or `Err` — anything but a panic.
+/// Tries to resume `bytes` into a freshly configured session and, if
+/// that succeeds, to run it on to the end of its stream; the result may
+/// be `Ok` (the corruption landed in a don't-care or still-valid spot)
+/// or `Err` — anything but a panic.
 fn try_resume(bytes: &[u8]) -> Result<(), SnapshotError> {
     let snapshot = Snapshot::from_bytes(bytes)?;
     let mut events = EventCollector::default();
@@ -59,7 +96,8 @@ fn try_resume(bytes: &[u8]) -> Result<(), SnapshotError> {
     session
         .observe_checkpointable(&mut events)
         .observe_checkpointable(&mut grid);
-    session.resume(&snapshot)
+    session.resume(&snapshot)?;
+    run_on(session, compress())
 }
 
 /// Re-seals a container whose payload was mutated, so the corruption
@@ -191,14 +229,16 @@ fn hostile_length_prefixes_cannot_oversize_allocations() {
 
     // Same property at the dist frame layer, where the length prefix
     // is fully attacker-controlled.
-    let mut buf = FrameBuf::new(1 << 20);
-    buf.read_from(&mut &u32::MAX.to_le_bytes()[..])
-        .expect("in-memory read");
-    assert_eq!(
-        buf.next_frame(),
-        Err(SnapError::Corrupt {
-            what: "frame length"
-        })
+    let hostile = u32::MAX.to_le_bytes();
+    let outcome = FrameReader::new(&hostile[..]).read_frame();
+    assert!(
+        matches!(
+            outcome,
+            Err(WireError::Codec(SnapError::Corrupt {
+                what: "frame length"
+            }))
+        ),
+        "got {outcome:?}"
     );
 }
 
@@ -223,25 +263,34 @@ fn pristine_snapshot_still_resumes_after_all_that() {
 /// each), so a 10 K-fuel pause lands mid-call and the container
 /// carries the v3 pause cursor, not just the registry echo.
 fn kernel_snapshot() -> Vec<u8> {
-    let program = build_named("kern:ksum", Scale::Test)
-        .expect("kern:ksum is a known name")
-        .expect("assembles");
     let mut events = EventCollector::default();
     let mut session = Session::new();
     session.observe_checkpointable(&mut events);
     session
-        .advance(&program, RunLimits::with_fuel(10_000))
+        .advance(ksum(), RunLimits::with_fuel(10_000))
         .expect("runs");
     session.checkpoint().expect("checkpointable").to_bytes()
 }
 
-/// Resumes kernel-snapshot `bytes` into a matching session.
+/// The `kern:ksum` driver at `Scale::Test`, built once.
+fn ksum() -> &'static Program {
+    static PROGRAM: OnceLock<Program> = OnceLock::new();
+    PROGRAM.get_or_init(|| {
+        build_named("kern:ksum", Scale::Test)
+            .expect("kern:ksum is a known name")
+            .expect("assembles")
+    })
+}
+
+/// Resumes kernel-snapshot `bytes` into a matching session and runs it
+/// on, as [`try_resume`] does.
 fn try_resume_kernel(bytes: &[u8]) -> Result<(), SnapshotError> {
     let snapshot = Snapshot::from_bytes(bytes)?;
     let mut events = EventCollector::default();
     let mut session = Session::new();
     session.observe_checkpointable(&mut events);
-    session.resume(&snapshot)
+    session.resume(&snapshot)?;
+    run_on(session, ksum())
 }
 
 /// Byte length of the kernel-registry echo, which spans
