@@ -206,6 +206,13 @@ impl SnapshotState for IterationCountLog {
                     what: "open binding without a count",
                 });
             }
+            // One open execution per loop and one loop per execution,
+            // or the loop's next start or iteration writes a stale slot.
+            if self.open.iter().any(|&(l2, e2)| l2 == l || e2 == e) {
+                return Err(SnapError::Corrupt {
+                    what: "duplicate open binding",
+                });
+            }
             self.open.push((l, e));
         }
         self.finished = src.bool()?;
@@ -433,6 +440,38 @@ mod tests {
                 IterationCountLog::new().load_state(&mut Dec::new(&enc.into_bytes())),
                 Err(SnapError::Corrupt {
                     what: "open binding without a count"
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn snapshots_refuse_duplicate_open_bindings() {
+        let (events, _) = events_of(|b| {
+            b.counted_loop(8, |b, _| {
+                b.counted_loop(6, |b, _| b.work(4));
+            });
+        });
+        let mut log = IterationCountLog::new();
+        for ev in &events {
+            log.on_loop_event(ev);
+            if log.open.len() == 2 {
+                break;
+            }
+        }
+        assert_eq!(log.open.len(), 2, "an inner execution opens in the outer");
+        let [(outer, outer_exec), (inner, inner_exec)] = [log.open[0], log.open[1]];
+        // The inner binding rewritten onto the outer's loop, then onto
+        // the outer's ordinal.
+        for duplicate in [(outer, inner_exec), (inner, outer_exec)] {
+            let mut bad = log.clone();
+            bad.open[1] = duplicate;
+            let mut enc = Enc::new();
+            bad.save_state(&mut enc);
+            assert_eq!(
+                IterationCountLog::new().load_state(&mut Dec::new(&enc.into_bytes())),
+                Err(SnapError::Corrupt {
+                    what: "duplicate open binding"
                 })
             );
         }

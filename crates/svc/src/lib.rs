@@ -27,7 +27,8 @@
 //!   fails only its own job, a protocol violation quarantines only its
 //!   worker, and a fully dead pool still serves cache hits.
 //! * **Metrics** — a [`SvcStats`](loopspec_dist::SvcStats) snapshot
-//!   and a plain-text exposition endpoint, [`Service::metrics_text`].
+//!   and a plain-text exposition endpoint, [`Service::metrics_text`],
+//!   both read on the caller's thread.
 //!
 //! ```no_run
 //! use loopspec_dist::JobSpec;

@@ -19,6 +19,20 @@
 //! the scheduler, which dispatches it shard by shard exactly as it does
 //! for the one-suite coordinator.
 //!
+//! ## Counters
+//!
+//! The cache and every [`SvcStats`] counter sit behind one lock, and
+//! each decision moves all of its counters there in one step: a hit or
+//! a refused spec on the caller's thread; a coalesce, an admission, a
+//! rejection, a dead pool's failure or an answered run on the service
+//! thread. So both [`SvcStats`] invariants hold whenever the lock is
+//! free. The scheduler's numbers are copied in when the service starts
+//! and then by the service thread after every scheduler change, before
+//! any reply. Stats and metrics are read on the caller's thread, so
+//! they answer even while the service thread is blocked writing to a
+//! worker. Only the two latency histograms live in a per-service
+//! [`obs::Registry`].
+//!
 //! ## Failure model
 //!
 //! The scheduler owns worker death, requeue, respawn and the poison
@@ -116,7 +130,7 @@ pub struct Completion {
 type Reply = Result<Completion, SvcError>;
 
 /// Everything the scheduler thread reacts to: pool traffic plus client
-/// requests, merged on one channel.
+/// submissions, merged on one channel.
 #[derive(Debug)]
 enum SvcEvent {
     Pool(PoolEvent),
@@ -126,12 +140,6 @@ enum SvcEvent {
         fingerprint: u64,
         arrived: Instant,
         reply: mpsc::Sender<Reply>,
-    },
-    Stats {
-        reply: mpsc::Sender<SvcStats>,
-    },
-    MetricsText {
-        reply: mpsc::Sender<String>,
     },
     Shutdown,
 }
@@ -182,11 +190,14 @@ impl Client {
     /// resolved; a miss resolves when the service thread answers.
     pub fn submit(&self, spec: JobSpec) -> Ticket {
         let arrived = Instant::now();
-        if self.shared.closed.load(Ordering::Acquire) {
-            return Ticket(Answer::Ready(Err(SvcError::Disconnected)));
+        if let Err(gone) = self.shared.live() {
+            return Ticket(Answer::Ready(Err(gone)));
         }
         if let Err(e) = spec.validate() {
-            self.shared.metrics.invalid.inc();
+            let s = &mut self.shared.lock().stats;
+            s.submitted += 1;
+            s.accepted += 1;
+            s.failed += 1;
             return Ticket(Answer::Ready(Err(SvcError::Failed {
                 message: format!("invalid job spec: {e}"),
             })));
@@ -215,32 +226,26 @@ impl Client {
         self.submit(spec).wait()
     }
 
-    /// A snapshot of the service's metrics counters.
+    /// A snapshot of the service's metrics counters, read on this
+    /// thread.
     ///
     /// # Errors
     ///
     /// [`SvcError::Disconnected`] when the service is gone.
     pub fn stats(&self) -> Result<SvcStats, SvcError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(SvcEvent::Stats { reply })
-            .map_err(|_| SvcError::Disconnected)?;
-        rx.recv().map_err(|_| SvcError::Disconnected)
+        Ok(self.shared.live()?.stats())
     }
 
     /// The service's metrics surface as exposition text: the
     /// byte-stable `svc_<counter> <value>` lines of [`render_metrics`]
-    /// followed by the scheduler's latency histograms.
+    /// followed by the scheduler's latency histograms. Read on this
+    /// thread.
     ///
     /// # Errors
     ///
     /// [`SvcError::Disconnected`] when the service is gone.
     pub fn metrics_text(&self) -> Result<String, SvcError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(SvcEvent::MetricsText { reply })
-            .map_err(|_| SvcError::Disconnected)?;
-        rx.recv().map_err(|_| SvcError::Disconnected)
+        Ok(self.shared.live()?.metrics_text())
     }
 }
 
@@ -298,16 +303,19 @@ impl Service {
 
     fn start(config: SvcConfig, workers: Workers) -> Self {
         let (tx, rx) = mpsc::channel();
-        let pool_tx = tx.clone();
-        let shared = Arc::new(Shared {
-            cache: Mutex::new(ReportCache::new(config.cache_capacity)),
-            metrics: SvcMetrics::new(),
-            closed: AtomicBool::new(false),
-        });
-        let loop_shared = Arc::clone(&shared);
+        let shared = Arc::new(Shared::new(config.cache_capacity));
+        let service_loop = ServiceLoop {
+            rx,
+            scheduler: Scheduler::start(workers, tx.clone()),
+            runs: HashMap::new(),
+            shared: Arc::clone(&shared),
+            queue_limit: config.queue_limit,
+        };
+        // The first stats read already sees the pool.
+        service_loop.publish_pool();
         let scheduler = std::thread::spawn(move || {
-            let scheduler = Scheduler::start(workers, pool_tx);
-            ServiceLoop::new(config, scheduler, rx, loop_shared).run();
+            let _closer = CloseOnExit(Arc::clone(&service_loop.shared));
+            service_loop.run();
         });
         Service {
             tx,
@@ -324,9 +332,10 @@ impl Service {
         }
     }
 
-    /// A snapshot of the service's metrics counters.
+    /// A snapshot of the service's metrics counters, read on this
+    /// thread.
     pub fn stats(&self) -> SvcStats {
-        self.client().stats().unwrap_or_default()
+        self.shared.stats()
     }
 
     /// The metrics surface in plain-text exposition format: one
@@ -335,16 +344,14 @@ impl Service {
     /// cache-latency histograms in Prometheus `_bucket`/`_sum`/`_count`
     /// form. Suitable for scraping or for a human terminal.
     pub fn metrics_text(&self) -> String {
-        self.client()
-            .metrics_text()
-            .unwrap_or_else(|_| render_metrics(&SvcStats::default()))
+        self.shared.metrics_text()
     }
 
     /// Fault-injection hook: flips one byte of the cached report for
     /// `fingerprint` so the next lookup detects corruption, evicts the
     /// entry, and recomputes. Returns whether an entry existed.
     pub fn corrupt_cache_entry(&self, fingerprint: u64) -> bool {
-        self.shared.cache().corrupt(fingerprint)
+        self.shared.lock().cache.corrupt(fingerprint)
     }
 
     /// Stops the scheduler, fails any jobs still in flight with
@@ -416,99 +423,116 @@ struct Run {
     waiters: Vec<mpsc::Sender<Reply>>,
 }
 
-/// The service's metric cells: a per-service [`obs::Registry`] (two
-/// services in one process never mix numbers) with every handle cached
-/// at startup, so each bookkeeping bump is one relaxed atomic add.
-///
-/// Only the service thread bumps `submitted`, `accepted`, `rejected`,
-/// `completed`, `failed`, `in_flight`, `cache_misses` and `coalesced`,
-/// and only for the submissions it decides. A submission answered
-/// without it bumps exactly one cell — `cache_hits` for a hit (on either
-/// thread), `invalid` for a spec the caller refused — and
-/// [`ServiceLoop::snapshot`] folds those two into the totals. Worker
-/// states, dispatch and handoff totals, queue depth and cache evictions
-/// are read from the scheduler and the cache at snapshot time.
-#[derive(Debug)]
-struct SvcMetrics {
-    registry: obs::Registry,
-    submitted: obs::Counter,
-    accepted: obs::Counter,
-    rejected: obs::Counter,
-    completed: obs::Counter,
-    failed: obs::Counter,
-    in_flight: obs::Gauge,
-    cache_hits: obs::Counter,
-    cache_misses: obs::Counter,
-    coalesced: obs::Counter,
-    invalid: obs::Counter,
-    hit_latency: obs::Histogram,
-    miss_latency: obs::Histogram,
-}
-
-impl SvcMetrics {
-    fn new() -> Self {
-        let registry = obs::Registry::new();
-        SvcMetrics {
-            submitted: registry.counter("svc_submitted"),
-            accepted: registry.counter("svc_accepted"),
-            rejected: registry.counter("svc_rejected"),
-            completed: registry.counter("svc_completed"),
-            failed: registry.counter("svc_failed"),
-            in_flight: registry.gauge("svc_in_flight"),
-            cache_hits: registry.counter("svc_cache_hits"),
-            cache_misses: registry.counter("svc_cache_misses"),
-            coalesced: registry.counter("svc_coalesced"),
-            invalid: registry.counter("svc_invalid_specs"),
-            hit_latency: registry.histogram("svc_cache_hit_latency_us"),
-            miss_latency: registry.histogram("svc_cache_miss_latency_us"),
-            registry,
-        }
-    }
-}
-
-/// What every [`Client`] shares with the service thread: the report
-/// cache and the metric cells.
+/// What every [`Client`] shares with the service thread. See
+/// [Counters](self#counters).
 #[derive(Debug)]
 struct Shared {
-    cache: Mutex<ReportCache>,
-    metrics: SvcMetrics,
-    /// Set when the service stops, so a client outliving it is told so
-    /// even for a submission it could answer itself.
+    state: Mutex<State>,
+    /// Per service, so two services in one process never mix numbers.
+    registry: obs::Registry,
+    hit_latency: obs::Histogram,
+    miss_latency: obs::Histogram,
+    /// Set when the service stops or its thread exits, so a client
+    /// outliving it is told so even for a submission it could answer
+    /// itself.
     closed: AtomicBool,
 }
 
+/// The report cache and the counters, under [`Shared`]'s one lock.
+#[derive(Debug)]
+struct State {
+    cache: ReportCache,
+    /// Every counter but `evictions`, which the cache keeps.
+    stats: SvcStats,
+}
+
 impl Shared {
-    /// The cache. Every stored entry stays sealed whatever a panicking
-    /// lock holder left half-done, so a poisoned lock is still used.
-    fn cache(&self) -> MutexGuard<'_, ReportCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    fn new(cache_capacity: usize) -> Self {
+        let registry = obs::Registry::new();
+        Shared {
+            state: Mutex::new(State {
+                cache: ReportCache::new(cache_capacity),
+                stats: SvcStats::default(),
+            }),
+            hit_latency: registry.histogram("svc_cache_hit_latency_us"),
+            miss_latency: registry.histogram("svc_cache_miss_latency_us"),
+            registry,
+            closed: AtomicBool::new(false),
+        }
+    }
+
+    /// The shared state. No holder panics between the counter moves of
+    /// one decision, and every stored entry stays sealed, so a poisoned
+    /// lock is still used.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `self`, or [`SvcError::Disconnected`] once the service stopped.
+    fn live(&self) -> Result<&Self, SvcError> {
+        if self.closed.load(Ordering::Acquire) {
+            Err(SvcError::Disconnected)
+        } else {
+            Ok(self)
+        }
     }
 
     /// The one cache-hit path, taken by the caller's thread and by the
     /// service thread's re-check: looks `fingerprint` up and, on a hit,
-    /// counts, journals and times it from the submission at `arrived`.
+    /// counts it as a submission answered in full, then journals and
+    /// times it from the submission at `arrived`.
     fn hit(&self, fingerprint: u64, arrived: Instant) -> Option<Completion> {
-        let report = self.cache().get(fingerprint)?;
-        self.metrics.cache_hits.inc();
+        let report = {
+            let mut state = self.lock();
+            let report = state.cache.get(fingerprint)?;
+            let s = &mut state.stats;
+            s.submitted += 1;
+            s.accepted += 1;
+            s.completed += 1;
+            s.cache_hits += 1;
+            report
+        };
         journal::record(
             EventKind::CacheHit,
             fingerprint,
             0,
             "served from the report cache",
         );
-        self.metrics
-            .hit_latency
+        self.hit_latency
             .observe(arrived.elapsed().as_micros() as u64);
         Some(Completion {
             report,
             cached: true,
         })
     }
+
+    fn stats(&self) -> SvcStats {
+        let state = self.lock();
+        SvcStats {
+            evictions: state.cache.evictions(),
+            ..state.stats
+        }
+    }
+
+    fn metrics_text(&self) -> String {
+        let mut text = render_metrics(&self.stats());
+        obs::render::histograms_with_prefix(&mut text, &self.registry, "svc_");
+        text
+    }
+}
+
+/// Closes the service when its thread exits, by return or by panic.
+struct CloseOnExit(Arc<Shared>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.closed.store(true, Ordering::Release);
+    }
 }
 
 /// The service thread's state: what is specific to the service —
 /// coalescing, admission, waiters — over the shared shard
-/// [`Scheduler`], plus the cache and metrics it shares with clients.
+/// [`Scheduler`], plus the cache and counters it shares with clients.
 struct ServiceLoop {
     rx: mpsc::Receiver<SvcEvent>,
     scheduler: Scheduler<SvcEvent>,
@@ -519,21 +543,6 @@ struct ServiceLoop {
 }
 
 impl ServiceLoop {
-    fn new(
-        config: SvcConfig,
-        scheduler: Scheduler<SvcEvent>,
-        rx: mpsc::Receiver<SvcEvent>,
-        shared: Arc<Shared>,
-    ) -> Self {
-        ServiceLoop {
-            rx,
-            scheduler,
-            runs: HashMap::new(),
-            shared,
-            queue_limit: config.queue_limit,
-        }
-    }
-
     fn run(mut self) {
         loop {
             let Ok(event) = self.rx.recv() else {
@@ -549,15 +558,6 @@ impl ServiceLoop {
                     arrived,
                     reply,
                 } => self.on_submit(spec, fingerprint, arrived, reply),
-                SvcEvent::Stats { reply } => {
-                    let _ = reply.send(self.snapshot());
-                }
-                SvcEvent::MetricsText { reply } => {
-                    let mut text = render_metrics(&self.snapshot());
-                    let registry = &self.shared.metrics.registry;
-                    obs::render::histograms_with_prefix(&mut text, registry, "svc_");
-                    let _ = reply.send(text);
-                }
                 SvcEvent::Shutdown => break,
                 SvcEvent::Pool(ev) => {
                     self.scheduler.on_event(ev);
@@ -588,19 +588,20 @@ impl ServiceLoop {
             let _ = reply.send(Ok(done));
             return;
         }
-        let m = &self.shared.metrics;
-        m.submitted.inc();
+        let mut state = self.shared.lock();
+        let s = &mut state.stats;
+        s.submitted += 1;
         if let Some(run) = self.runs.get_mut(&fingerprint) {
             // Identical job already computing: one computation, one
             // more answer.
-            m.accepted.inc();
-            m.in_flight.add(1);
-            m.coalesced.inc();
+            s.accepted += 1;
+            s.in_flight += 1;
+            s.coalesced += 1;
             run.waiters.push(reply);
             return;
         }
         if self.runs.len() >= self.queue_limit {
-            m.rejected.inc();
+            s.rejected += 1;
             journal::record(
                 EventKind::AdmissionReject,
                 fingerprint,
@@ -612,18 +613,20 @@ impl ServiceLoop {
             }));
             return;
         }
+        s.accepted += 1;
         if self.scheduler.all_workers_dead() {
             // The cache outlives the pool, but a miss cannot compute.
-            m.accepted.inc();
-            m.failed.inc();
+            s.failed += 1;
             let _ = reply.send(Err(SvcError::Failed {
                 message: "no workers left alive".into(),
             }));
             return;
         }
-        m.accepted.inc();
-        m.in_flight.add(1);
-        m.cache_misses.inc();
+        s.in_flight += 1;
+        s.cache_misses += 1;
+        // Released before the scheduler writes to a worker, which may
+        // block.
+        drop(state);
         journal::record(
             EventKind::CacheMiss,
             fingerprint,
@@ -652,6 +655,7 @@ impl ServiceLoop {
     /// waiters (and fills the cache), a failed one fails only its own
     /// waiters, and a protocol violation quarantines the worker.
     fn drain(&mut self) {
+        self.publish_pool();
         while let Some(outcome) = self.scheduler.next_outcome() {
             match outcome {
                 Outcome::Done {
@@ -661,7 +665,6 @@ impl ServiceLoop {
                     // report content: zero it so a cached answer is
                     // byte-identical to a fresh recompute of the spec.
                     report.job = 0;
-                    self.shared.cache().insert(key, &report);
                     let done = Completion {
                         report,
                         cached: false,
@@ -672,68 +675,53 @@ impl ServiceLoop {
                     let message = cause.to_string();
                     self.finish_run(key, &Err(SvcError::Failed { message }));
                 }
-                Outcome::Violation { worker, .. } => self.scheduler.quarantine(worker),
+                Outcome::Violation { worker, .. } => {
+                    self.scheduler.quarantine(worker);
+                    self.publish_pool();
+                }
             }
         }
     }
 
-    /// Answers every waiter of `fp` and removes the run, keeping the
-    /// accepted = completed + failed + in_flight invariant.
+    /// Answers every waiter of `fp` and removes the run. Its counters
+    /// (and, for a report, its cache entry) move first, so a waiter's
+    /// next stats read already counts its own answer.
     fn finish_run(&mut self, fp: u64, reply: &Reply) {
         let Some(run) = self.runs.remove(&fp) else {
             return;
         };
         let n = run.waiters.len() as u64;
-        let m = &self.shared.metrics;
-        m.in_flight.sub(n);
+        let mut state = self.shared.lock();
         match reply {
-            Ok(_) => {
-                m.completed.add(n);
-                m.miss_latency
+            Ok(done) => {
+                state.cache.insert(fp, &done.report);
+                state.stats.completed += n;
+                self.shared
+                    .miss_latency
                     .observe(run.started.elapsed().as_micros() as u64);
             }
-            Err(_) => m.failed.add(n),
+            Err(_) => state.stats.failed += n,
         }
+        state.stats.in_flight -= n;
+        drop(state);
         for waiter in run.waiters {
             let _ = waiter.send(reply.clone());
         }
     }
 
-    /// A consistent stats snapshot: the monotonic counters read back
-    /// out of the metric cells, plus the live values (queue depth,
-    /// worker states, dispatch and pool totals, cache evictions) read
-    /// from the scheduler and the cache.
-    ///
-    /// Only this thread moves the cells it decides, so they agree with
-    /// each other here. Clients move `cache_hits` and `invalid`
-    /// concurrently, one cell per answer; each is read once and added
-    /// into every total it belongs to, so both invariants hold in every
-    /// snapshot, not only once traffic stops.
-    fn snapshot(&self) -> SvcStats {
-        let m = &self.shared.metrics;
-        let hits = m.cache_hits.get();
-        let invalid = m.invalid.get();
+    /// Copies the scheduler's numbers into the shared counters. Called
+    /// after every scheduler change and before any reply.
+    fn publish_pool(&self) {
         let pool = self.scheduler.stats();
-        SvcStats {
-            submitted: m.submitted.get() + hits + invalid,
-            accepted: m.accepted.get() + hits + invalid,
-            rejected: m.rejected.get(),
-            completed: m.completed.get() + hits,
-            failed: m.failed.get() + invalid,
-            in_flight: m.in_flight.get(),
-            cache_hits: hits,
-            cache_misses: m.cache_misses.get(),
-            coalesced: m.coalesced.get(),
-            evictions: self.shared.cache().evictions(),
-            queue_depth: pool.queue_depth,
-            workers_idle: pool.idle,
-            workers_busy: pool.busy,
-            workers_dead: pool.dead,
-            workers_lost: pool.workers_lost,
-            workers_respawned: pool.workers_respawned,
-            jobs_dispatched: pool.jobs_dispatched,
-            handoff_bytes: pool.handoff_bytes,
-        }
+        let s = &mut self.shared.lock().stats;
+        s.queue_depth = pool.queue_depth;
+        s.workers_idle = pool.idle;
+        s.workers_busy = pool.busy;
+        s.workers_dead = pool.dead;
+        s.workers_lost = pool.workers_lost;
+        s.workers_respawned = pool.workers_respawned;
+        s.jobs_dispatched = pool.jobs_dispatched;
+        s.handoff_bytes = pool.handoff_bytes;
     }
 }
 
@@ -808,6 +796,32 @@ mod render_compat {
             19,
             "eighteen counters plus the hit-rate ratio"
         );
+    }
+}
+
+#[cfg(test)]
+mod close_tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_service_thread_leaves_its_clients_disconnected() {
+        let shared = Arc::new(Shared::new(0));
+        let client = Client {
+            tx: mpsc::channel().0,
+            shared: Arc::clone(&shared),
+        };
+        assert_eq!(client.stats(), Ok(SvcStats::default()));
+        let closer = CloseOnExit(shared);
+        let died = std::thread::spawn(move || {
+            let _closer = closer;
+            panic!("the service thread dies");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(client.stats(), Err(SvcError::Disconnected));
+        assert_eq!(client.metrics_text(), Err(SvcError::Disconnected));
+        let miss = client.run(JobSpec::new("compress"));
+        assert_eq!(miss, Err(SvcError::Disconnected));
     }
 }
 
@@ -938,6 +952,14 @@ mod unix_tests {
         let stats = service.stats();
         assert_eq!(stats.rejected, 1);
         assert_invariants(&stats);
+        service.shutdown();
+    }
+
+    #[test]
+    fn the_first_stats_read_sees_the_pool() {
+        let service = thread_service(2, SvcConfig::default());
+        let s = service.stats();
+        assert_eq!(s.workers_idle + s.workers_busy + s.workers_dead, 2, "{s:?}");
         service.shutdown();
     }
 
@@ -1078,20 +1100,23 @@ mod unix_tests {
 
         let (tx, rx) = mpsc::channel();
         let hitter = client.clone();
-        std::thread::spawn(move || tx.send(hitter.run(warm)));
-        let hit = rx.recv_timeout(Duration::from_secs(10));
+        std::thread::spawn(move || {
+            let hit = hitter.run(warm);
+            let _ = tx.send((hit, hitter.stats(), hitter.metrics_text()));
+        });
+        let answers = rx.recv_timeout(Duration::from_secs(10));
         // Unstall before asserting, so a failure cannot leave the
         // service's shutdown waiting on the scripted worker.
         drop(release);
-        let hit = hit
-            .expect("a warm hit needs no service thread")
-            .expect("the hit succeeds");
+        let (hit, s, text) = answers.expect("a warm hit, stats and metrics need no service thread");
+        let hit = hit.expect("the hit succeeds");
         assert!(hit.cached);
         assert_eq!(hit.report, first.report);
-        // Stats are taken on the service thread, so only once it runs.
-        let s = service.stats();
+        let s = s.expect("stats answer");
         assert_eq!((s.cache_hits, s.cache_misses, s.in_flight), (1, 2, 1));
         assert_invariants(&s);
+        let text = text.expect("metrics answer");
+        assert!(text.contains("svc_cache_hits 1\n"), "{text}");
         service.shutdown();
         assert_eq!(stuck.wait(), Err(SvcError::Disconnected));
         scripted.join().unwrap();

@@ -158,7 +158,8 @@ fn main() {
 
     if metrics {
         // The process-wide registry (pipeline/dist layers record here;
-        // the service's own counters were printed above from its
+        // the service's own counters and latency histograms were
+        // printed above from the service's shared state and its
         // per-instance registry), then a one-line JSON snapshot and
         // the structured event journal.
         println!("== metrics ==");

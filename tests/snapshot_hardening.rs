@@ -22,11 +22,16 @@
 //!    checksum, so none of them can pass only because the trailer
 //!    rejected everything;
 //! 3. the dist frame layer (`FrameReader`): a hostile length prefix is
-//!    rejected before any allocation.
+//!    rejected before any allocation;
+//! 4. the `EngineGrid` and `IterationCountLog` sections on their own:
+//!    one byte of a section's saved state is flipped, incremented or
+//!    decremented and loaded into a fresh twin, which must refuse it or
+//!    (in release builds) take the rest of the stream without a panic.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use loopspec::core::snap::{checksum, fnv1a, SnapError};
+use loopspec::core::snap::{checksum, fnv1a, Dec, Enc, SnapError};
 use loopspec::dist::wire::{FrameReader, WireError};
 use loopspec::pipeline::SnapshotError;
 use loopspec::prelude::*;
@@ -389,4 +394,117 @@ fn kernel_section_bitflips_never_panic_and_are_mostly_caught() {
 fn mid_kernel_snapshot_resumes_cleanly_when_pristine() {
     let bytes = kernel_snapshot();
     try_resume_kernel(&bytes).expect("pristine mid-kernel snapshot resumes");
+}
+
+// ---- grid and count-log sections --------------------------------------
+//
+// A dist worker loads a grid section straight out of a `Job`, and the
+// phase-1 count log checkpoints the same way, so each is attacked on
+// its own saved bytes rather than through a container (where random
+// flips land mostly in CPU pages).
+
+/// Workloads whose `Scale::Test` loop events the section mutations cut.
+const SECTION_WORKLOADS: [&str; 2] = ["compress", "li"];
+
+/// Byte positions sampled per section and cut; each gets three
+/// mutations.
+const SECTION_BYTES: usize = 256;
+
+/// The grid the section mutations save and load: IDLE@4, STR@4 and
+/// STR(3)@8.
+fn section_grid() -> EngineGrid {
+    let mut grid = EngineGrid::new();
+    Policy::Idle.add_to_grid(&mut grid, 4);
+    Policy::Str.add_to_grid(&mut grid, 4);
+    Policy::StrNested(3).add_to_grid(&mut grid, 8);
+    grid
+}
+
+/// One workload's loop events, cut at event `cut`.
+struct Cut<'a> {
+    workload: &'a str,
+    events: &'a [LoopEvent],
+    instructions: u64,
+    cut: usize,
+}
+
+/// Saves a `fresh()` section fed the events before the cut, then loads
+/// seeded one-byte mutations of those bytes into fresh twins. A twin
+/// that loads takes the rest of the events and the stream end in
+/// release builds. Returns how many mutations loaded; panics, naming
+/// the workload, cut, byte and mutation, if any mutation panics.
+fn mutate_section<S: SnapshotState + LoopEventSink>(
+    section: &str,
+    fresh: impl Fn() -> S,
+    at: &Cut<'_>,
+    rng: &mut Rng,
+) -> u32 {
+    let mut original = fresh();
+    original.on_loop_events(&at.events[..at.cut]);
+    let mut enc = Enc::new();
+    original.save_state(&mut enc);
+    let bytes = enc.into_bytes();
+    let mut loaded = 0;
+    for _ in 0..SECTION_BYTES {
+        let byte = rng.below(bytes.len() as u64) as usize;
+        let bit = rng.below(8);
+        for (mutation, value) in [
+            (format!("bit {bit} flipped"), bytes[byte] ^ (1 << bit)),
+            ("+1".to_string(), bytes[byte].wrapping_add(1)),
+            ("-1".to_string(), bytes[byte].wrapping_sub(1)),
+        ] {
+            let mut bad = bytes.clone();
+            bad[byte] = value;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut twin = fresh();
+                let ok = twin.load_state(&mut Dec::new(&bad)).is_ok();
+                if ok && !cfg!(debug_assertions) {
+                    twin.on_loop_events(&at.events[at.cut..]);
+                    twin.on_stream_end(at.instructions);
+                }
+                ok
+            }));
+            let Ok(ok) = outcome else {
+                panic!(
+                    "{section} of {} cut at event {}: byte {byte} of {}, {mutation}, panicked",
+                    at.workload,
+                    at.cut,
+                    bytes.len()
+                );
+            };
+            loaded += u32::from(ok);
+        }
+    }
+    loaded
+}
+
+#[test]
+fn mutated_grid_and_count_log_sections_are_refused_or_run_to_the_end() {
+    let mut rng = Rng::new(0xdead_0007);
+    for workload in SECTION_WORKLOADS {
+        let program = workload_by_name(workload)
+            .expect("workload exists")
+            .build(Scale::Test)
+            .expect("assembles");
+        let mut collector = EventCollector::default();
+        Cpu::new()
+            .run(&program, &mut collector, RunLimits::default())
+            .expect("runs");
+        let (events, instructions) = collector.into_parts();
+        let (mut grids, mut logs) = (0, 0);
+        for cut in [events.len() / 3, events.len() * 2 / 3] {
+            let at = Cut {
+                workload,
+                events: &events,
+                instructions,
+                cut,
+            };
+            grids += mutate_section("EngineGrid", section_grid, &at, &mut rng);
+            logs += mutate_section("IterationCountLog", IterationCountLog::new, &at, &mut rng);
+        }
+        // A section that refused everything would prove nothing about
+        // the states that load.
+        assert!(grids > 0, "{workload}: no grid mutation loaded");
+        assert!(logs > 0, "{workload}: no count-log mutation loaded");
+    }
 }
