@@ -461,43 +461,86 @@ fn drain(
 #[cfg(all(test, unix))]
 mod unix_tests {
     use super::*;
-    use crate::wire::{write_frame, Frame, FrameReader, PROTOCOL};
+    use crate::wire::{write_frame, Frame, FrameReader, Job, Resume, PROTOCOL};
     use crate::worker::Worker;
+    use std::io::Read;
     use std::os::unix::net::UnixStream;
+    use std::sync::{Arc, Mutex};
+    use std::thread::JoinHandle;
+
+    /// Every byte a worker read from its coordinator.
+    type Log = Arc<Mutex<Vec<u8>>>;
+
+    /// A reader that appends a copy of each byte it reads to a log.
+    struct Tee<R> {
+        inner: R,
+        log: Log,
+    }
+
+    impl<R: Read> Read for Tee<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.log.lock().unwrap().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+    }
+
+    /// The jobs in a logged coordinator → worker stream.
+    fn jobs_in(log: &Log) -> Vec<Job> {
+        let bytes = log.lock().unwrap().clone();
+        let mut frames = FrameReader::new(&bytes[..]);
+        std::iter::from_fn(|| frames.read_frame().expect("a whole frame"))
+            .filter_map(|f| match f {
+                Frame::Job(job) => Some(job),
+                _ => None,
+            })
+            .collect()
+    }
 
     /// A coordinator over `n` worker *threads* connected by Unix socket
     /// pairs — the transport without the process spawn, so the unit
-    /// tests stay fast and hermetic. (Real process spawning is covered
-    /// by `tests/distributed_equivalence.rs` at the repo root and the
+    /// tests stay fast and hermetic — and each worker's log of what it
+    /// read. (Real process spawning is covered by
+    /// `tests/distributed_equivalence.rs` at the repo root and the
     /// `distributed_run` example.)
-    fn thread_coordinator(n: usize) -> (Coordinator, Vec<std::thread::JoinHandle<()>>) {
+    fn thread_coordinator(n: usize) -> (Coordinator, Vec<JoinHandle<()>>, Vec<Log>) {
         let mut links = Vec::new();
         let mut handles = Vec::new();
+        let mut logs = Vec::new();
         for _ in 0..n {
             let (ours, theirs) = UnixStream::pair().expect("socketpair");
             links.push(WorkerLink::from_unix(ours).expect("clone"));
+            let log = Log::default();
+            let reader = Tee {
+                inner: theirs.try_clone().expect("clone"),
+                log: log.clone(),
+            };
             handles.push(std::thread::spawn(move || {
-                let reader = theirs.try_clone().expect("clone");
                 let _ = Worker::new().serve(reader, theirs);
             }));
+            logs.push(log);
         }
-        (Coordinator::new(links), handles)
+        (Coordinator::new(links), handles, logs)
+    }
+
+    fn lanes() -> Vec<LaneSpec> {
+        vec![
+            LaneSpec {
+                policy: Policy::Str,
+                tus: 4,
+            },
+            LaneSpec {
+                policy: Policy::Idle,
+                tus: 4,
+            },
+        ]
     }
 
     fn small_spec() -> SuiteSpec {
         SuiteSpec::new(
             ["compress", "li"],
             Scale::Test,
-            vec![
-                LaneSpec {
-                    policy: Policy::Str,
-                    tus: 4,
-                },
-                LaneSpec {
-                    policy: Policy::Idle,
-                    tus: 4,
-                },
-            ],
+            lanes(),
             Plan::sliced(20_000),
         )
     }
@@ -505,7 +548,7 @@ mod unix_tests {
     #[test]
     fn socketpair_suite_is_bit_identical_to_single_pass() {
         let spec = small_spec();
-        let (coordinator, handles) = thread_coordinator(2);
+        let (coordinator, handles, _) = thread_coordinator(2);
         let outcome = coordinator.run_suite(&spec).expect("suite runs");
         assert_eq!(outcome.outcomes.len(), 2);
         assert_eq!(outcome.workers_lost, 0);
@@ -528,7 +571,7 @@ mod unix_tests {
     #[test]
     fn one_worker_is_enough() {
         let spec = small_spec();
-        let (coordinator, handles) = thread_coordinator(1);
+        let (coordinator, handles, _) = thread_coordinator(1);
         let outcome = coordinator.run_suite(&spec).expect("suite runs");
         outcome.verify_single_pass(&spec).expect("bit-identical");
         for h in handles {
@@ -547,7 +590,7 @@ mod unix_tests {
             }],
             Plan::sliced(10_000),
         );
-        let (coordinator, handles) = thread_coordinator(1);
+        let (coordinator, handles, _) = thread_coordinator(1);
         let err = coordinator.run_suite(&spec).expect_err("must fail");
         assert!(matches!(
             err,
@@ -616,6 +659,88 @@ mod unix_tests {
         outcome.verify_single_pass(&spec).expect("bit-identical");
         for h in handles {
             h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_chain_resumes_on_the_worker_that_wrote_its_snapshot() {
+        let spec = SuiteSpec::new(["compress"], Scale::Test, lanes(), Plan::sliced(20_000));
+        let (coordinator, handles, logs) = thread_coordinator(2);
+        let outcome = coordinator.run_suite(&spec).expect("suite runs");
+        outcome.verify_single_pass(&spec).expect("bit-identical");
+        for h in handles {
+            h.join().unwrap();
+        }
+        let mut jobs: Vec<Job> = logs.iter().flat_map(jobs_in).collect();
+        jobs.sort_by_key(|j| j.id);
+        assert_eq!(jobs.len() as u64, outcome.jobs_dispatched);
+        assert!(jobs.len() > 2, "{} jobs", jobs.len());
+        assert_eq!(jobs[0].resume, Resume::Start);
+        for pair in jobs.windows(2) {
+            assert_eq!(pair[1].resume, Resume::Held { job: pair[0].id });
+        }
+    }
+
+    #[test]
+    fn a_lost_holder_hands_its_chain_on_with_the_bytes() {
+        // Worker 0 answers the chain's first shard with a real snapshot,
+        // then vanishes on the job that resumes from it. Worker 1 starts
+        // only once worker 0 has the first job, so the holder is known.
+        let spec = SuiteSpec::new(["compress"], Scale::Test, lanes(), Plan::sliced(10_000));
+        let (first_taken, gate) = mpsc::channel::<()>();
+        let (ours, theirs) = UnixStream::pair().expect("socketpair");
+        let mut links = vec![WorkerLink::from_unix(ours).expect("clone")];
+        let holder = std::thread::spawn(move || {
+            let mut frames = FrameReader::new(theirs.try_clone().expect("clone"));
+            let mut writer = theirs;
+            let hello = frames.read_frame().unwrap().expect("hello");
+            write_frame(&mut writer, &hello).unwrap();
+            let first = frames.read_frame().unwrap().expect("first job");
+            first_taken.send(()).unwrap();
+            let mut input = Vec::new();
+            write_frame(&mut input, &hello).unwrap();
+            write_frame(&mut input, &first).unwrap();
+            let mut output = Vec::new();
+            Worker::new().serve(&input[..], &mut output).unwrap();
+            let mut answers = FrameReader::new(&output[..]);
+            answers.read_frame().unwrap().expect("hello echo");
+            let snapshot = answers.read_frame().unwrap().expect("answer");
+            assert!(matches!(snapshot, Frame::Snapshot { .. }), "{snapshot:?}");
+            write_frame(&mut writer, &snapshot).unwrap();
+            (first, frames.read_frame().unwrap().expect("next job"))
+        });
+        let (ours, theirs) = UnixStream::pair().expect("socketpair");
+        links.push(WorkerLink::from_unix(ours).expect("clone"));
+        let log = Log::default();
+        let other = {
+            let log = log.clone();
+            std::thread::spawn(move || {
+                if gate.recv().is_ok() {
+                    let inner = theirs.try_clone().expect("clone");
+                    let _ = Worker::new().serve(Tee { inner, log }, theirs);
+                }
+            })
+        };
+        let outcome = Coordinator::new(links).run_suite(&spec).expect("completes");
+        let (Frame::Job(first), Frame::Job(lost)) = holder.join().unwrap() else {
+            panic!("the holder was sent two jobs");
+        };
+        other.join().unwrap();
+        assert_eq!(first.resume, Resume::Start);
+        assert_eq!(lost.resume, Resume::Held { job: first.id });
+        assert_eq!(outcome.workers_lost, 1);
+        assert_eq!(outcome.outcomes[0].retries, 1);
+        outcome.verify_single_pass(&spec).expect("bit-identical");
+        let jobs = jobs_in(&log);
+        assert!(jobs.len() > 1, "{} jobs", jobs.len());
+        assert_eq!(jobs[0].shard, lost.shard);
+        assert!(
+            matches!(jobs[0].resume, Resume::Bytes(_)),
+            "{:?}",
+            jobs[0].resume
+        );
+        for pair in jobs.windows(2) {
+            assert_eq!(pair[1].resume, Resume::Held { job: pair[0].id });
         }
     }
 

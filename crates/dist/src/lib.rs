@@ -18,10 +18,12 @@
 //!   megabyte snapshots; FNV-1a is kept as the identity hash behind
 //!   [`JobSpec::fingerprint`], whose values must never move.
 //! * [`worker`] — the serve loop: receive a workload + lane
-//!   configuration + fuel budget + optional predecessor snapshot,
-//!   resume a fresh `Session`, run one shard through the shared
-//!   [`run_shard`](loopspec_pipeline::run_shard) scheduling core, and
-//!   answer with the next checkpoint or the final per-lane reports.
+//!   configuration + fuel budget + where to resume from (the chain's
+//!   start, carried snapshot bytes, or the snapshot this worker wrote
+//!   in its last answer), resume a fresh `Session`, run one shard
+//!   through the shared [`run_shard`](loopspec_pipeline::run_shard)
+//!   scheduling core, and answer with the next checkpoint or the final
+//!   per-lane reports.
 //! * [`pool`] — worker links and the one spawn path ([`Workers`]):
 //!   re-invoke the current binary with `--worker`, or use per-worker
 //!   commands, or wrap already-connected links.
@@ -74,6 +76,6 @@ pub use loopspec_mt::Policy;
 pub use pool::{PoolEvent, Workers};
 pub use scheduler::{ChainSpec, Failure, Outcome, Scheduler, SchedulerStats};
 pub use wire::{
-    Frame, Job, LaneReport, LaneSpec, Report, SvcStats, WireError, MAX_FRAME, PROTOCOL,
+    Frame, Job, LaneReport, LaneSpec, Report, Resume, SvcStats, WireError, MAX_FRAME, PROTOCOL,
 };
 pub use worker::Worker;

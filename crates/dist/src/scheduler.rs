@@ -5,9 +5,14 @@
 //!
 //! Each submitted [`ChainSpec`] is a chain of snapshot-linked shards,
 //! sliced by the same [`Plan`] the in-thread drivers use. Chains are
-//! independent, so every chain's head shard waits in one ready queue
-//! and goes to the next idle worker; within a chain, shards stay
-//! serial.
+//! independent, so every chain's head shard waits in one ready queue;
+//! within a chain, shards stay serial. A worker keeps the last snapshot
+//! it wrote, so a ready chain whose snapshot's writer is idle goes back
+//! to it with a job that names the held snapshot ([`Resume::Held`]);
+//! the remaining heads go to the remaining idle workers in queue order,
+//! carrying their snapshot ([`Resume::Bytes`]). The scheduler still
+//! receives and keeps every snapshot, so a lost holder costs nothing
+//! extra: the chain's next job carries the kept copy.
 //!
 //! Failure rules (DESIGN §7):
 //!
@@ -38,7 +43,7 @@ use loopspec_pipeline::Plan;
 use loopspec_workloads::Scale;
 
 use crate::pool::{PoolEvent, WorkerPool, Workers};
-use crate::wire::{Frame, Job, LaneSpec, Report, WireError, PROTOCOL};
+use crate::wire::{Frame, Job, LaneSpec, Report, Resume, WireError, PROTOCOL};
 
 /// One snapshot-linked shard chain to schedule: what to replay,
 /// through which lanes, sliced how.
@@ -143,7 +148,11 @@ pub struct SchedulerStats {
 enum WorkerState {
     /// Hello sent, echo not yet received.
     Connecting,
-    Idle,
+    /// Ready for a job, holding the snapshot of job `held` if its last
+    /// answer was a snapshot.
+    Idle {
+        held: Option<u64>,
+    },
     /// Executing job `job` for chain `key`, dispatched at `since`
     /// (shard wall clock — observational only).
     Busy {
@@ -174,6 +183,8 @@ struct Chain {
     /// Retained until the *next* snapshot arrives, so a lost worker
     /// only loses work, never state.
     snapshot: Option<Vec<u8>>,
+    /// The worker slot and job whose answer wrote `snapshot`.
+    holder: Option<(usize, u64)>,
     retries: u32,
     /// Workers that died while executing the chain's *current* shard
     /// (reset whenever a shard completes) — the poison detector.
@@ -236,6 +247,7 @@ impl<E: From<PoolEvent> + Send + 'static> Scheduler<E> {
             shard: 0,
             executed: 0,
             snapshot: None,
+            holder: None,
             retries: 0,
             deaths: 0,
         };
@@ -288,7 +300,7 @@ impl<E: From<PoolEvent> + Send + 'static> Scheduler<E> {
         };
         for state in &self.workers {
             match state {
-                WorkerState::Idle => stats.idle += 1,
+                WorkerState::Idle { .. } => stats.idle += 1,
                 WorkerState::Busy { .. } | WorkerState::Connecting => stats.busy += 1,
                 WorkerState::Dead => stats.dead += 1,
             }
@@ -309,7 +321,7 @@ impl<E: From<PoolEvent> + Send + 'static> Scheduler<E> {
         match frame {
             Frame::Hello { protocol, worker } if connecting => {
                 if protocol == PROTOCOL && worker == w as u32 {
-                    self.workers[w] = WorkerState::Idle;
+                    self.workers[w] = WorkerState::Idle { held: None };
                 } else {
                     self.violation(
                         w,
@@ -337,6 +349,8 @@ impl<E: From<PoolEvent> + Send + 'static> Scheduler<E> {
                 chain.executed = instructions;
                 chain.shard += 1;
                 chain.snapshot = Some(bytes);
+                chain.holder = Some((w, job));
+                self.workers[w] = WorkerState::Idle { held: Some(job) };
                 // Progress clears the poison-shard suspicion: only
                 // deaths on the *same* shard count together.
                 chain.deaths = 0;
@@ -374,7 +388,7 @@ impl<E: From<PoolEvent> + Send + 'static> Scheduler<E> {
                 since,
             } if expect == job => {
                 obs::histogram("dist_shard_wall_us").observe(since.elapsed().as_micros() as u64);
-                self.workers[w] = WorkerState::Idle;
+                self.workers[w] = WorkerState::Idle { held: None };
                 Some(key)
             }
             WorkerState::Busy { job: expect, .. } => {
@@ -410,7 +424,7 @@ impl<E: From<PoolEvent> + Send + 'static> Scheduler<E> {
         let busy = match std::mem::replace(&mut self.workers[w], WorkerState::Dead) {
             WorkerState::Dead => return,
             WorkerState::Busy { job, key, .. } => Some((job, key)),
-            WorkerState::Connecting | WorkerState::Idle => None,
+            WorkerState::Connecting | WorkerState::Idle { .. } => None,
         };
         self.pool.note_lost();
         let (job, shard) = busy.map_or((0, 0), |(job, key)| (job, self.chains[&key].shard));
@@ -493,63 +507,95 @@ impl<E: From<PoolEvent> + Send + 'static> Scheduler<E> {
         }
     }
 
-    /// Hands every ready chain head to an idle worker.
+    /// Hands ready chains to idle workers: first every chain whose
+    /// snapshot's writer is idle, to that writer as [`Resume::Held`];
+    /// then the remaining heads, in queue order, to the remaining idle
+    /// workers, carrying their snapshot.
     fn dispatch(&mut self) {
+        let held: Vec<(u64, usize, u64)> = self
+            .ready
+            .iter()
+            .filter_map(|&key| {
+                let (w, job) = self.chains[&key].holder?;
+                matches!(self.workers[w], WorkerState::Idle { held: Some(h) } if h == job)
+                    .then_some((key, w, job))
+            })
+            .collect();
+        self.ready
+            .retain(|key| !held.iter().any(|&(k, ..)| k == *key));
+        for (key, w, job) in held {
+            self.send_job(w, key, Some(job));
+        }
         while let Some(&key) = self.ready.front() {
             let Some(w) = self
                 .workers
                 .iter()
-                .position(|s| matches!(s, WorkerState::Idle))
+                .position(|s| matches!(s, WorkerState::Idle { .. }))
             else {
                 return;
             };
             self.ready.pop_front();
-            let job_id = self.next_job;
-            self.next_job += 1;
-            let chain = self.chains.get_mut(&key).expect("queued chain exists");
-            let spec = &chain.spec;
-            // The snapshot is *moved* into the job (it is the largest
-            // object in the system — no clone on the dispatch hot path)
-            // and restored right after the write, so the chain still
-            // holds its last good snapshot if this worker is later lost
-            // mid-shard.
-            let job = Frame::Job(Job {
-                id: job_id,
-                workload: spec.workload.clone(),
-                scale: spec.scale,
-                lanes: spec.lanes.clone(),
-                shard: chain.shard,
-                budget: spec.plan.budget(spec.total_fuel, chain.executed),
-                total_fuel: spec.total_fuel,
-                last: spec.plan.is_last(chain.shard as usize),
-                snapshot: chain.snapshot.take(),
-            });
-            let wrote = self.pool.send(w, &job);
-            let Frame::Job(job) = job else { unreachable!() };
-            chain.snapshot = job.snapshot;
-            match wrote {
-                Ok(()) => {
-                    self.jobs_dispatched += 1;
-                    obs::counter("dist_jobs_dispatched").inc();
-                    self.workers[w] = WorkerState::Busy {
-                        job: job_id,
-                        key,
-                        since: Instant::now(),
-                    };
+            self.send_job(w, key, None);
+        }
+    }
+
+    /// Writes chain `key`'s next job to idle worker `w`. The job resumes
+    /// from the snapshot of job `held` that `w` holds, or else carries
+    /// the chain's snapshot (its start when it has none yet).
+    fn send_job(&mut self, w: usize, key: u64, held: Option<u64>) {
+        let job_id = self.next_job;
+        self.next_job += 1;
+        let chain = self.chains.get_mut(&key).expect("queued chain exists");
+        let spec = &chain.spec;
+        // The snapshot is *moved* into a carrying job (it is the largest
+        // object in the system — no clone on the dispatch hot path) and
+        // restored right after the write, so the chain still holds its
+        // last good snapshot if this worker is later lost mid-shard.
+        let resume = match held {
+            Some(job) => Resume::Held { job },
+            None => chain.snapshot.take().map_or(Resume::Start, Resume::Bytes),
+        };
+        let job = Frame::Job(Job {
+            id: job_id,
+            workload: spec.workload.clone(),
+            scale: spec.scale,
+            lanes: spec.lanes.clone(),
+            shard: chain.shard,
+            budget: spec.plan.budget(spec.total_fuel, chain.executed),
+            total_fuel: spec.total_fuel,
+            last: spec.plan.is_last(chain.shard as usize),
+            resume,
+        });
+        let wrote = self.pool.send(w, &job);
+        let Frame::Job(job) = job else { unreachable!() };
+        if let Resume::Bytes(bytes) = job.resume {
+            chain.snapshot = Some(bytes);
+        }
+        match wrote {
+            Ok(()) => {
+                self.jobs_dispatched += 1;
+                obs::counter("dist_jobs_dispatched").inc();
+                if held.is_some() {
+                    obs::counter("dist_held_resumes").inc();
                 }
-                Err(WireError::Codec(e)) => {
-                    self.fail(key, Failure::Job(format!("job could not be framed: {e}")));
-                }
-                Err(WireError::Io(_)) => {
-                    // The worker died between frames (its `Closed` will
-                    // find the slot already dead). The job never reached
-                    // it, so this death does not count against the
-                    // chain's poison detector.
-                    self.workers[w] = WorkerState::Dead;
-                    self.pool.note_lost();
-                    self.requeue(key, job_id, format!("job write to worker {w} failed"));
-                    self.respawn();
-                }
+                self.workers[w] = WorkerState::Busy {
+                    job: job_id,
+                    key,
+                    since: Instant::now(),
+                };
+            }
+            Err(WireError::Codec(e)) => {
+                self.fail(key, Failure::Job(format!("job could not be framed: {e}")));
+            }
+            Err(WireError::Io(_)) => {
+                // The worker died between frames (its `Closed` will
+                // find the slot already dead). The job never reached
+                // it, so this death does not count against the
+                // chain's poison detector.
+                self.workers[w] = WorkerState::Dead;
+                self.pool.note_lost();
+                self.requeue(key, job_id, format!("job write to worker {w} failed"));
+                self.respawn();
             }
         }
     }

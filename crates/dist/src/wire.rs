@@ -22,7 +22,7 @@
 //! |---|---|---|
 //! | C → W | [`Frame::Hello`] | protocol version + assigned worker id |
 //! | W → C | [`Frame::Hello`] | the same values echoed back (version handshake) |
-//! | C → W | [`Frame::Job`] | run one shard: workload + lanes + fuel budget + optional predecessor snapshot |
+//! | C → W | [`Frame::Job`] | run one shard: workload + lanes + fuel budget + where to resume from ([`Resume`]: the start, carried snapshot bytes, or the snapshot this worker holds) |
 //! | W → C | [`Frame::Snapshot`] | shard paused at a checkpoint: serialized [`Snapshot`](loopspec_pipeline::Snapshot) bytes for the successor shard |
 //! | W → C | [`Frame::Report`] | stream ended in this shard: per-lane reports + final sink state bytes |
 //! | W → C | [`Frame::Error`] | the job failed deterministically (unknown workload, bad lane, snapshot mismatch) |
@@ -61,7 +61,11 @@ use loopspec_workloads::Scale;
 ///
 /// v4 closes every frame with the XXH64 [`checksum`] instead of FNV-1a;
 /// payload encodings are unchanged.
-pub const PROTOCOL: u32 = 4;
+///
+/// v5 replaces the job's optional snapshot with a [`Resume`] (a tag
+/// byte, then its field), so a job can resume from the snapshot the
+/// worker wrote in its previous answer instead of carrying it.
+pub const PROTOCOL: u32 = 5;
 
 /// The largest payload a frame may declare: large enough for any
 /// snapshot a workload produces (CPU memory pages dominate), small
@@ -167,9 +171,57 @@ pub struct Job {
     /// Force an explicit end-of-stream when the budget is exhausted
     /// (the final slice of a split plan).
     pub last: bool,
-    /// The predecessor shard's serialized snapshot; `None` for the
-    /// first shard of a chain.
-    pub snapshot: Option<Vec<u8>>,
+    /// Where the shard resumes from.
+    pub resume: Resume,
+}
+
+/// Where a [`Job`] resumes from: the start of its chain, or its
+/// predecessor shard's serialized
+/// [`Snapshot`](loopspec_pipeline::Snapshot), carried in the job or
+/// held by the worker that wrote it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Resume {
+    /// The first shard of a chain.
+    Start,
+    /// The predecessor snapshot, carried in the job (a chain that moves
+    /// to another worker, or is requeued after losing one).
+    Bytes(Vec<u8>),
+    /// The snapshot this worker wrote in its answer to job `job`, which
+    /// was its last job.
+    Held {
+        /// The job whose [`Frame::Snapshot`] answer the worker holds.
+        job: u64,
+    },
+}
+
+impl Resume {
+    /// Appends a tag (0 start, 1 bytes, 2 held), then the field.
+    fn save(&self, enc: &mut Enc) {
+        match self {
+            Resume::Start => enc.u8(0),
+            Resume::Bytes(bytes) => {
+                enc.u8(1);
+                enc.bytes(bytes);
+            }
+            Resume::Held { job } => {
+                enc.u8(2);
+                enc.u64(*job);
+            }
+        }
+    }
+
+    fn load(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match dec.u8()? {
+            0 => Resume::Start,
+            1 => Resume::Bytes(dec.bytes()?.to_vec()),
+            2 => Resume::Held { job: dec.u64()? },
+            _ => {
+                return Err(SnapError::Corrupt {
+                    what: "job resume tag",
+                })
+            }
+        })
+    }
 }
 
 /// One lane's final engine report in wire form — a field-for-field,
@@ -368,7 +420,9 @@ pub enum Frame {
         /// Coordinator-assigned worker id (echoed back verbatim).
         worker: u32,
     },
-    /// Run one shard.
+    /// Run one shard, resuming from the start of its chain, from the
+    /// snapshot bytes it carries, or from the snapshot the worker holds
+    /// (see [`Resume`]).
     Job(Job),
     /// The shard paused at a checkpoint; bytes for the successor.
     Snapshot {
@@ -442,9 +496,11 @@ impl Frame {
         SMALL
             + match self {
                 Frame::Job(job) => {
-                    job.workload.len()
-                        + 9 * job.lanes.len()
-                        + job.snapshot.as_ref().map_or(0, Vec::len)
+                    let carried = match &job.resume {
+                        Resume::Bytes(bytes) => bytes.len(),
+                        Resume::Start | Resume::Held { .. } => 0,
+                    };
+                    job.workload.len() + 9 * job.lanes.len() + carried
                 }
                 Frame::Snapshot { bytes, .. } => bytes.len(),
                 Frame::Report(report) => report.encoded_len(),
@@ -474,13 +530,7 @@ impl Frame {
                 enc.u64(job.budget);
                 enc.u64(job.total_fuel);
                 enc.bool(job.last);
-                match &job.snapshot {
-                    None => enc.bool(false),
-                    Some(bytes) => {
-                        enc.bool(true);
-                        enc.bytes(bytes);
-                    }
-                }
+                job.resume.save(enc);
             }
             Frame::Snapshot {
                 job,
@@ -530,11 +580,7 @@ impl Frame {
                 let budget = dec.u64()?;
                 let total_fuel = dec.u64()?;
                 let last = dec.bool()?;
-                let snapshot = if dec.bool()? {
-                    Some(dec.bytes()?.to_vec())
-                } else {
-                    None
-                };
+                let resume = Resume::load(&mut dec)?;
                 Frame::Job(Job {
                     id,
                     workload,
@@ -544,7 +590,7 @@ impl Frame {
                     budget,
                     total_fuel,
                     last,
-                    snapshot,
+                    resume,
                 })
             }
             3 => Frame::Snapshot {
@@ -757,7 +803,7 @@ mod tests {
                 budget: 25_000,
                 total_fuel: 100_000_000,
                 last: false,
-                snapshot: Some(vec![9, 8, 7]),
+                resume: Resume::Bytes(vec![9, 8, 7]),
             }),
             Frame::Job(Job {
                 id: 43,
@@ -768,7 +814,21 @@ mod tests {
                 budget: 1,
                 total_fuel: 1,
                 last: true,
-                snapshot: None,
+                resume: Resume::Start,
+            }),
+            Frame::Job(Job {
+                id: 44,
+                workload: "li".into(),
+                scale: Scale::Small,
+                lanes: vec![LaneSpec {
+                    policy: Policy::Str,
+                    tus: 16,
+                }],
+                shard: 5,
+                budget: 25_000,
+                total_fuel: 100_000_000,
+                last: false,
+                resume: Resume::Held { job: 43 },
             }),
             Frame::Snapshot {
                 job: 42,
@@ -866,6 +926,22 @@ mod tests {
                 Frame::decode(&[tag]),
                 Err(SnapError::Corrupt { what: "frame tag" }),
                 "tag {tag}"
+            );
+        }
+        // A held job ends in its resume tag and the 8-byte held job id.
+        let sample = &samples()[3];
+        assert!(matches!(sample, Frame::Job(j) if j.resume == Resume::Held { job: 43 }));
+        let mut held = sample.encode();
+        let tag = held.len() - 9;
+        assert_eq!(held[tag], 2);
+        for bad in [3, 0xff] {
+            held[tag] = bad;
+            assert_eq!(
+                Frame::decode(&held),
+                Err(SnapError::Corrupt {
+                    what: "job resume tag"
+                }),
+                "resume tag {bad}"
             );
         }
     }

@@ -1,21 +1,28 @@
 //! The worker side of the protocol: a loop that turns [`Job`] frames
 //! into [`Frame::Snapshot`] / [`Frame::Report`] answers.
 //!
-//! A worker owns nothing between jobs except a program cache: every
+//! Between jobs a worker owns a program cache and the bytes of the last
+//! [`Frame::Snapshot`] it wrote, tagged with that answer's job id. Every
 //! shard starts from a fresh [`Session`] and fresh sinks, restored
-//! entirely from the snapshot bytes inside the job — the same
-//! "nothing survives but the bytes" discipline
-//! [`ShardedRun`](loopspec_pipeline::ShardedRun) enforces in-thread,
-//! now with a process boundary underneath it. Shard execution itself is
-//! [`run_shard`], the same scheduling-core primitive every other driver
-//! uses, so a worker process cannot drift from the in-thread semantics.
+//! entirely from snapshot bytes — the same "nothing survives but the
+//! bytes" discipline [`ShardedRun`](loopspec_pipeline::ShardedRun)
+//! enforces in-thread, now with a process boundary underneath it. The
+//! bytes come from the job ([`Resume::Bytes`]) or, when the job names
+//! the held snapshot ([`Resume::Held`]), from the worker's own copy, so
+//! a chain that stays on one worker crosses the pipe once per shard.
+//! Both go through the same trailer check and resume. Every job takes
+//! the held bytes, so a worker holds at most one snapshot. Shard
+//! execution itself is [`run_shard`], the same scheduling-core
+//! primitive every other driver uses, so a worker process cannot drift
+//! from the in-thread semantics.
 //!
 //! Deterministic failures (unknown workload, invalid lane, snapshot
-//! that does not decode) are answered with [`Frame::Error`] — retrying
-//! them elsewhere would fail identically, so the coordinator fails the
-//! run instead of requeueing. Transport loss (the coordinator sees EOF)
-//! is the *retryable* failure mode; the coordinator requeues the lost
-//! job from its last good snapshot.
+//! that does not decode, a held snapshot the worker does not hold) are
+//! answered with [`Frame::Error`] — retrying them elsewhere would fail
+//! identically, so the coordinator fails the run instead of requeueing.
+//! Transport loss (the coordinator sees EOF) is the *retryable* failure
+//! mode; the coordinator requeues the lost job from its last good
+//! snapshot, which it keeps.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -25,7 +32,9 @@ use loopspec_cpu::RunLimits;
 use loopspec_pipeline::{run_shard, Session, Snapshot};
 use loopspec_workloads::Scale;
 
-use crate::wire::{write_frame, Frame, FrameReader, Job, LaneSpec, Report, WireError, PROTOCOL};
+use crate::wire::{
+    write_frame, Frame, FrameReader, Job, LaneSpec, Report, Resume, WireError, PROTOCOL,
+};
 
 /// Environment variable enabling the crash-injection test hook: a
 /// worker with `LOOPSPEC_DIST_CRASH_AFTER=n` exits abruptly (no reply,
@@ -96,6 +105,8 @@ impl Worker {
         }
 
         let mut programs: HashMap<(String, Scale), Program> = HashMap::new();
+        // The last snapshot this worker wrote, and the job it answered.
+        let mut held: Option<(u64, Vec<u8>)> = None;
         let mut jobs_served = 0u32;
         while let Some(frame) = reader.read_frame()? {
             let Frame::Job(job) = frame else {
@@ -110,12 +121,18 @@ impl Worker {
             }
             jobs_served += 1;
             let job_id = job.id;
-            let answer = execute_job(&job, &mut programs).unwrap_or_else(|message| Frame::Error {
-                job: job_id,
-                message,
+            let answer = execute_job(&job, held.take(), &mut programs).unwrap_or_else(|message| {
+                Frame::Error {
+                    job: job_id,
+                    message,
+                }
             });
             match write_frame(&mut writer, &answer) {
-                Ok(()) => {}
+                Ok(()) => {
+                    if let Frame::Snapshot { job, bytes, .. } = answer {
+                        held = Some((job, bytes));
+                    }
+                }
                 // An unframeable reply (e.g. a snapshot over the frame
                 // limit) is deterministic: report it as a job error so
                 // the coordinator fails the run with the cause instead
@@ -135,11 +152,28 @@ impl Worker {
 }
 
 /// Runs one shard and builds the answer frame; a `String` error becomes
-/// a [`Frame::Error`] (deterministic failure).
+/// a [`Frame::Error`] (deterministic failure). `held` is the snapshot
+/// this worker wrote last, with the job it answered.
 fn execute_job(
     job: &Job,
+    held: Option<(u64, Vec<u8>)>,
     programs: &mut HashMap<(String, Scale), Program>,
 ) -> Result<Frame, String> {
+    let snapshot = match (&job.resume, &held) {
+        (Resume::Start, _) => None,
+        (Resume::Bytes(bytes), _) => Some(bytes),
+        (Resume::Held { job: want }, Some((have, bytes))) if have == want => Some(bytes),
+        (Resume::Held { job: want }, held) => {
+            let holds = match held {
+                Some((have, _)) => format!("the snapshot of job {have}"),
+                None => "no snapshot".to_string(),
+            };
+            return Err(format!(
+                "job {} resumes from the snapshot of job {want}, but this worker holds {holds}",
+                job.id
+            ));
+        }
+    };
     let key = (job.workload.clone(), job.scale);
     let program = match programs.entry(key) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -156,7 +190,7 @@ fn execute_job(
     let step = {
         let mut session = Session::new();
         session.observe_checkpointable(&mut grid);
-        if let Some(bytes) = &job.snapshot {
+        if let Some(bytes) = snapshot {
             let snapshot =
                 Snapshot::from_bytes(bytes).map_err(|e| format!("snapshot rejected: {e}"))?;
             session
@@ -255,7 +289,7 @@ mod tests {
         }
     }
 
-    fn job(id: u64, budget: u64, snapshot: Option<Vec<u8>>) -> Frame {
+    fn job(id: u64, budget: u64, resume: Resume) -> Frame {
         Frame::Job(Job {
             id,
             workload: "compress".into(),
@@ -268,7 +302,7 @@ mod tests {
             budget,
             total_fuel: RunLimits::default().max_instrs,
             last: false,
-            snapshot,
+            resume,
         })
     }
 
@@ -302,7 +336,7 @@ mod tests {
     fn a_chain_of_jobs_reaches_a_report() {
         // First job pauses at a checkpoint; feeding the snapshot back
         // in a fresh job finishes the workload.
-        let answers = converse(&[hello(), job(1, 10_000, None)]);
+        let answers = converse(&[hello(), job(1, 10_000, Resume::Start)]);
         let Frame::Snapshot {
             job: 1,
             instructions,
@@ -314,7 +348,7 @@ mod tests {
         assert_eq!(*instructions, 10_000);
 
         let answers = converse(&[hello(), {
-            let Frame::Job(mut j) = job(2, u64::MAX, Some(bytes.clone())) else {
+            let Frame::Job(mut j) = job(2, u64::MAX, Resume::Bytes(bytes.clone())) else {
                 unreachable!()
             };
             j.shard = 1;
@@ -333,23 +367,23 @@ mod tests {
     #[test]
     fn deterministic_failures_answer_with_error_frames() {
         // Unknown workload.
-        let mut bad = job(7, 100, None);
+        let mut bad = job(7, 100, Resume::Start);
         if let Frame::Job(j) = &mut bad {
             j.workload = "specmark".into();
         }
-        let answers = converse(&[hello(), bad, job(8, 100_000_000, None)]);
+        let answers = converse(&[hello(), bad, job(8, 100_000_000, Resume::Start)]);
         assert!(matches!(&answers[1], Frame::Error { job: 7, .. }));
         // The worker survives and serves the next job.
         assert!(matches!(&answers[2], Frame::Report(r) if r.job == 8));
 
         // Corrupt snapshot bytes.
-        let answers = converse(&[hello(), job(9, 100, Some(vec![1, 2, 3]))]);
+        let answers = converse(&[hello(), job(9, 100, Resume::Bytes(vec![1, 2, 3]))]);
         assert!(
             matches!(&answers[1], Frame::Error { job: 9, message } if message.contains("snapshot"))
         );
 
         // Invalid lane.
-        let mut bad = job(10, 100, None);
+        let mut bad = job(10, 100, Resume::Start);
         if let Frame::Job(j) = &mut bad {
             j.lanes = vec![LaneSpec {
                 policy: Policy::Str,
@@ -360,6 +394,65 @@ mod tests {
         assert!(
             matches!(&answers[1], Frame::Error { job: 10, message } if message.contains("lane"))
         );
+    }
+
+    /// Job `id` of a compress chain: shard `shard`, `budget` fuel.
+    fn shard_job(id: u64, shard: u32, budget: u64, resume: Resume) -> Frame {
+        let Frame::Job(mut j) = job(id, budget, resume) else {
+            unreachable!()
+        };
+        j.shard = shard;
+        Frame::Job(j)
+    }
+
+    #[test]
+    fn a_held_snapshot_resumes_like_carried_bytes() {
+        let answers = converse(&[hello(), shard_job(1, 0, 10_000, Resume::Start)]);
+        let Frame::Snapshot { bytes, .. } = &answers[1] else {
+            panic!("expected a snapshot, got {:?}", answers[1]);
+        };
+        let carried = converse(&[
+            hello(),
+            shard_job(2, 1, u64::MAX, Resume::Bytes(bytes.clone())),
+        ]);
+        let held = converse(&[
+            hello(),
+            shard_job(1, 0, 10_000, Resume::Start),
+            shard_job(2, 1, u64::MAX, Resume::Held { job: 1 }),
+        ]);
+        assert_eq!(held[1], answers[1]);
+        assert!(
+            matches!(&held[2], Frame::Report(r) if r.job == 2),
+            "{:?}",
+            held[2]
+        );
+        assert_eq!(held[2], carried[1]);
+    }
+
+    #[test]
+    fn a_held_job_naming_another_snapshot_is_an_error_and_the_worker_serves_on() {
+        let answers = converse(&[
+            hello(),
+            shard_job(1, 0, 10_000, Resume::Start),
+            // Job 1 wrote the held snapshot, not job 7.
+            shard_job(2, 1, 10_000, Resume::Held { job: 7 }),
+            // Job 2 took the held snapshot, so none is left for job 1.
+            shard_job(3, 1, 10_000, Resume::Held { job: 1 }),
+            job(4, 100_000_000, Resume::Start),
+        ]);
+        assert!(
+            matches!(&answers[2], Frame::Error { job: 2, message }
+                if message.contains("holds the snapshot of job 1")),
+            "{:?}",
+            answers[2]
+        );
+        assert!(
+            matches!(&answers[3], Frame::Error { job: 3, message }
+                if message.contains("holds no snapshot")),
+            "{:?}",
+            answers[3]
+        );
+        assert!(matches!(&answers[4], Frame::Report(r) if r.job == 4));
     }
 
     #[test]

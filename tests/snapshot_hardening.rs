@@ -23,10 +23,11 @@
 //!    rejected everything;
 //! 3. the dist frame layer (`FrameReader`): a hostile length prefix is
 //!    rejected before any allocation;
-//! 4. the `EngineGrid` and `IterationCountLog` sections on their own:
-//!    one byte of a section's saved state is flipped, incremented or
-//!    decremented and loaded into a fresh twin, which must refuse it or
-//!    (in release builds) take the rest of the stream without a panic.
+//! 4. the `EngineGrid`, `IterationCountLog`, `EventCollector` and
+//!    `LoopStats` sink sections on their own: one byte of a section's
+//!    saved state is flipped, incremented or decremented and loaded into
+//!    a fresh twin, which must refuse it or (in release builds) take the
+//!    rest of the stream without a panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -396,12 +397,13 @@ fn mid_kernel_snapshot_resumes_cleanly_when_pristine() {
     try_resume_kernel(&bytes).expect("pristine mid-kernel snapshot resumes");
 }
 
-// ---- grid and count-log sections --------------------------------------
+// ---- sink sections ------------------------------------------------------
 //
 // A dist worker loads a grid section straight out of a `Job`, and the
-// phase-1 count log checkpoints the same way, so each is attacked on
-// its own saved bytes rather than through a container (where random
-// flips land mostly in CPU pages).
+// phase-1 count log, the event collector and the loop statistics
+// checkpoint the same way, so each is attacked on its own saved bytes
+// rather than through a container (where random flips land mostly in
+// CPU pages).
 
 /// Workloads whose `Scale::Test` loop events the section mutations cut.
 const SECTION_WORKLOADS: [&str; 2] = ["compress", "li"];
@@ -479,7 +481,7 @@ fn mutate_section<S: SnapshotState + LoopEventSink>(
 }
 
 #[test]
-fn mutated_grid_and_count_log_sections_are_refused_or_run_to_the_end() {
+fn mutated_sink_sections_are_refused_or_run_to_the_end() {
     let mut rng = Rng::new(0xdead_0007);
     for workload in SECTION_WORKLOADS {
         let program = workload_by_name(workload)
@@ -491,7 +493,7 @@ fn mutated_grid_and_count_log_sections_are_refused_or_run_to_the_end() {
             .run(&program, &mut collector, RunLimits::default())
             .expect("runs");
         let (events, instructions) = collector.into_parts();
-        let (mut grids, mut logs) = (0, 0);
+        let (mut grids, mut logs, mut collectors, mut stats) = (0, 0, 0, 0);
         for cut in [events.len() / 3, events.len() * 2 / 3] {
             let at = Cut {
                 workload,
@@ -501,10 +503,14 @@ fn mutated_grid_and_count_log_sections_are_refused_or_run_to_the_end() {
             };
             grids += mutate_section("EngineGrid", section_grid, &at, &mut rng);
             logs += mutate_section("IterationCountLog", IterationCountLog::new, &at, &mut rng);
+            collectors += mutate_section("EventCollector", EventCollector::default, &at, &mut rng);
+            stats += mutate_section("LoopStats", LoopStats::new, &at, &mut rng);
         }
         // A section that refused everything would prove nothing about
         // the states that load.
         assert!(grids > 0, "{workload}: no grid mutation loaded");
         assert!(logs > 0, "{workload}: no count-log mutation loaded");
+        assert!(collectors > 0, "{workload}: no collector mutation loaded");
+        assert!(stats > 0, "{workload}: no loop-stats mutation loaded");
     }
 }

@@ -8,14 +8,15 @@
 //! values; re-record them only for a change that also bumps `PROTOCOL`
 //! or is meant to invalidate cached reports.
 
-use loopspec::dist::{default_lanes, Frame, Job, JobSpec, Policy, PROTOCOL};
+use loopspec::dist::{default_lanes, Frame, Job, JobSpec, Policy, Resume, PROTOCOL};
 use loopspec::isa::snap::fnv1a;
 use loopspec::workloads::Scale;
 
 #[test]
 fn protocol_version_is_pinned() {
-    // v4: frames close with the XXH64 checksum instead of FNV-1a.
-    assert_eq!(PROTOCOL, 4);
+    // v5: a job names where it resumes from (start, carried bytes, or
+    // the snapshot its worker holds) instead of an optional snapshot.
+    assert_eq!(PROTOCOL, 5);
 }
 
 #[test]
@@ -33,8 +34,8 @@ fn policy_cross_product_fingerprint_is_pinned() {
     assert_eq!(got, 0xf735a17c147d47a8, "got {got:#018x}");
 }
 
-#[test]
-fn job_frame_bytes_are_pinned() {
+/// A job frame's length and FNV-1a digest, with a round-trip check.
+fn pinned(resume: Resume) -> (usize, u64) {
     let frame = Frame::Job(Job {
         id: 7,
         workload: "compress".into(),
@@ -44,10 +45,18 @@ fn job_frame_bytes_are_pinned() {
         budget: 25_000,
         total_fuel: 1_000_000,
         last: false,
-        snapshot: Some(vec![1, 2, 3]),
+        resume,
     });
     let bytes = frame.encode();
-    let got = (bytes.len(), fnv1a(&bytes));
+    assert_eq!(Frame::decode(&bytes).expect("round-trips"), frame);
+    (bytes.len(), fnv1a(&bytes))
+}
+
+#[test]
+fn job_frame_bytes_are_pinned() {
+    // The same bytes as v4's `snapshot: Some(vec![1, 2, 3])`: v4 wrote a
+    // presence flag (1) where v5 writes the `Bytes` tag (1).
+    let got = pinned(Resume::Bytes(vec![1, 2, 3]));
     assert_eq!(
         got,
         (215, 0xe0ae16fcafce25e8),
@@ -55,5 +64,16 @@ fn job_frame_bytes_are_pinned() {
         got.0,
         got.1
     );
-    assert_eq!(Frame::decode(&bytes).expect("round-trips"), frame);
+}
+
+#[test]
+fn held_job_frame_bytes_are_pinned() {
+    let got = pinned(Resume::Held { job: 6 });
+    assert_eq!(
+        got,
+        (212, 0x6af7b4923930cfa8),
+        "got ({}, {:#018x})",
+        got.0,
+        got.1
+    );
 }
